@@ -9,8 +9,15 @@ one-dimensional integral
     P[accept & box] = integral f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1),
                                           V_2 in window] dv
 
-whose integrand is piecewise cubic between known breakpoints, so the
-quadrature in :mod:`._quad` evaluates it essentially exactly.
+whose integrand is piecewise cubic between known breakpoints, so one
+five-node Simpson pass per piece evaluates it essentially exactly.
+
+:func:`pair_expected_revenues_exact` does this for a batch of offers at
+once: every offer's pieces go into one padded (offers x pieces x 5) node
+array, the densities are evaluated on it in one call each, and an offer
+whose Simpson error estimate fails on some piece is integrated again by the
+adaptive quadrature in :mod:`._quad`.  Single offers, region boxes, the
+epsilon grid and the optimizer's grid all go through this one kernel.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
@@ -31,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from ._mc import revenue_stats
-from ._quad import integrate_with_breakpoints
+from ._quad import integrate_with_breakpoints, simpson_pass
 from ._search import golden_section_max
-from .bundles import NO_SALE, BundleOffer
+from .bundles import BundleOffer
 from .single_pricing import optimal_single_price
 from .valuations import ValuationDistribution
 
@@ -44,6 +51,7 @@ __all__ = [
     "EpsilonEvaluation",
     "PairImprovementReport",
     "pair_expected_revenue_exact",
+    "pair_expected_revenues_exact",
     "pair_expected_revenue_mc",
     "epsilon_offer",
     "classify_region",
@@ -84,61 +92,169 @@ class RegionLabel(Enum):
     A5 = "A5"
 
 
-def _saturated_accept_prob(d_other: ValuationDistribution,
-                           a_other: Optional[float], b: float,
-                           a_self: float) -> float:
-    """``P[min(V_other, a_other) >= b - a_self]``.
+#: Offers per kernel call when the optimizer evaluates its grid.  The padded
+#: node array of a chunk (offers x pieces x 5) stays under a MiB, and chunks
+#: are what the thread pool maps over.
+_CHUNK = 2048
 
-    The capped value ``min(V, a)`` has an atom at ``a``, so the boundary
-    case ``b = a_self + a_other`` has positive probability and must resolve
-    the same way everywhere (ties buy).  The branch predicate is therefore
-    evaluated as ``b <= a_self + a_other`` in the original quantities --
-    never via the rounded difference ``b - a_self`` -- so both customers'
-    solo terms and the acceptance integrand agree bit for bit.
+
+def _capped_integrand(d1: ValuationDistribution, d2: ValuationDistribution,
+                      a1_eff, a2_eff, b, lo2, f2_hi, base2):
+    """``v -> f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1), V_2 in window]``.
+
+    The offer parameters are scalars or arrays that broadcast against ``v``,
+    so one definition serves a single offer and a padded batch of them.
     """
-    x = b - a_self
-    if x <= 0.0:
-        return 1.0
-    if a_other is not None and b > a_self + a_other:
-        return 0.0
-    return 1.0 - float(d_other.cdf(x))
-
-
-def _accept_prob_box(d1: ValuationDistribution, d2: ValuationDistribution,
-                     a1: Optional[float], a2: Optional[float], b: float,
-                     lo1: float, hi1: float, lo2: float, hi2: float,
-                     tol: float) -> float:
-    """``P[group accepts and (V_1, V_2) in [lo1, hi1) x [lo2, hi2)]``."""
-    lo1 = max(lo1, 0.0)
-    hi1 = min(hi1, d1.upper_bound)
-    lo2 = max(lo2, 0.0)
-    hi2 = min(hi2, d2.upper_bound)
-    if hi1 <= lo1 or hi2 <= lo2:
-        return 0.0
-    a1_eff = math.inf if a1 is None else float(a1)
-    a2_eff = math.inf if a2 is None else float(a2)
-    f2_hi = float(d2.cdf(hi2))
-    f2_lo = float(d2.cdf(lo2))
-    base2 = f2_hi - f2_lo
-    if base2 <= 0.0:
-        return 0.0
 
     def integrand(v: np.ndarray) -> np.ndarray:
         c1 = np.minimum(v, a1_eff)
         x = b - c1
         inner = np.maximum(0.0, f2_hi - d2.cdf(np.maximum(x, lo2)))
         # Tie convention: "x <= a2" is evaluated as b <= c1 + a2 so the
-        # saturated plateau (c1 == a1) matches _saturated_accept_prob.
+        # saturated plateau (c1 == a1) matches _solo_parts.
         q = np.where(x <= 0.0, base2, np.where(b <= c1 + a2_eff, inner, 0.0))
         return d1.pdf(v) * q
 
-    pts = [lo1, hi1]
-    extra = [a1_eff, b, b - a2_eff, b - lo2, b - hi2]
-    extra.extend(d1.knots)
-    extra.extend(b - k for k in d2.knots)
-    pts.extend(c for c in extra if math.isfinite(c) and lo1 < c < hi1)
-    prob = integrate_with_breakpoints(integrand, pts, tol)
-    return min(max(prob, 0.0), 1.0)
+    return integrand
+
+
+def _breakpoints(d1, d2, a1_eff, a2_eff, b, lo1, hi1, lo2, hi2):
+    """Each offer's distinct integrand breakpoints in ``[lo1, hi1]``.
+
+    Returns ``(pts, pieces)``: row ``i`` of ``pts`` holds the sorted distinct
+    points of offer ``i`` followed by copies of ``hi1[i]``, and
+    ``pieces[i]`` is the number of nonempty pieces between them.
+    """
+    n = b.size
+    cand = np.concatenate([
+        np.stack([a1_eff, b, b - a2_eff, b - lo2, b - hi2], axis=1),
+        np.broadcast_to(np.asarray(d1.knots), (n, len(d1.knots))),
+        b[:, None] - np.asarray(d2.knots),
+    ], axis=1)
+    inside = np.isfinite(cand) & (cand > lo1[:, None]) & (cand < hi1[:, None])
+    pts = np.concatenate(
+        [lo1[:, None], hi1[:, None], np.where(inside, cand, np.inf)], axis=1
+    )
+    pts.sort(axis=1)
+    pts[:, 1:][pts[:, 1:] == pts[:, :-1]] = np.inf
+    pts.sort(axis=1)
+    distinct = np.count_nonzero(pts < np.inf, axis=1)
+    pts = pts[:, :distinct.max()]
+    return np.where(pts < np.inf, pts, hi1[:, None]), distinct - 1
+
+
+def _accept_probs(d1: ValuationDistribution, d2: ValuationDistribution,
+                  a1_eff, a2_eff, b, lo1, hi1, lo2, hi2,
+                  tol: float) -> np.ndarray:
+    """``P[group accepts and (V_1, V_2) in [lo1, hi1) x [lo2, hi2)]`` per offer.
+
+    The arguments but ``tol`` are 1-D arrays of one length; an infinite
+    solo price is ``NO_SALE``.  Every offer's breakpoint pieces go into one
+    padded (offers x pieces x 5) node array, so ``d1.pdf`` and ``d2.cdf``
+    run once on it.  An offer whose Simpson error estimate misses its share
+    of ``tol`` on any piece is integrated again by the adaptive
+    :func:`integrate_with_breakpoints`.
+    """
+    lo1 = np.maximum(lo1, 0.0)
+    hi1 = np.minimum(hi1, d1.upper_bound)
+    lo2 = np.maximum(lo2, 0.0)
+    hi2 = np.minimum(hi2, d2.upper_bound)
+    f2_lo, f2_hi = d2.cdf(np.stack([lo2, hi2]))
+    base2 = f2_hi - f2_lo
+    prob = np.zeros(b.shape)
+    live = (hi1 > lo1) & (hi2 > lo2) & (base2 > 0.0)
+    if not live.all():
+        a1_eff, a2_eff, b, lo1, hi1, lo2, hi2, f2_hi, base2 = (
+            x[live] for x in (a1_eff, a2_eff, b, lo1, hi1, lo2, hi2, f2_hi, base2)
+        )
+    if b.size == 0:
+        return prob
+
+    pts, pieces = _breakpoints(d1, d2, a1_eff, a2_eff, b, lo1, hi1, lo2, hi2)
+    col = (slice(None), None, None)
+    integrand = _capped_integrand(
+        d1, d2, a1_eff[col], a2_eff[col], b[col], lo2[col], f2_hi[col],
+        base2[col],
+    )
+    left, right = pts[:, :-1], pts[:, 1:]
+    value, err = simpson_pass(integrand, left, right)
+    tols = tol * (right - left) / (hi1 - lo1)[:, None]
+    passed = np.all(np.abs(err) <= tols, axis=1)
+
+    # Sum each offer's pieces as a row of its own length: np.sum's pairwise
+    # order depends on the length, and the adaptive path sums unpadded rows.
+    sums = np.empty(b.size)
+    for count in set(pieces.tolist()):
+        rows = pieces == count
+        sums[rows] = np.sum(value[rows, :count], axis=1)
+    for i in np.flatnonzero(~passed):
+        sums[i] = integrate_with_breakpoints(
+            _capped_integrand(d1, d2, a1_eff[i], a2_eff[i], b[i], lo2[i],
+                              f2_hi[i], base2[i]),
+            pts[i, :pieces[i] + 1], tol,
+        )
+    # Clip as max/min on Python floats do, keeping the sign of a zero sum.
+    sums = np.where(0.0 > sums, 0.0, sums)
+    prob[live] = np.where(1.0 < sums, 1.0, sums)
+    return prob
+
+
+def _solo_parts(price, sells, other_eff, b, tail_cdf, gap_cdf) -> np.ndarray:
+    """``a_i * P[V_i >= a_i] * (1 - P[min(V_other, a_other) >= b - a_i])``.
+
+    ``price`` is ``a_i``, and the term is 0 where ``sells`` is false
+    (``NO_SALE``); ``other_eff`` is ``a_other``, infinite for ``NO_SALE``;
+    ``tail_cdf`` is ``F_i(a_i)`` and ``gap_cdf`` is ``F_other(b - a_i)``.
+    The capped value ``min(V, a)`` has an atom at ``a``, so the boundary
+    case ``b = a_i + a_other`` has positive probability and must resolve
+    the same way everywhere (ties buy).  The branch predicate is therefore
+    evaluated as ``b <= a_i + a_other`` in the original quantities --
+    never via the rounded difference ``b - a_i`` -- so both customers'
+    solo terms and the acceptance integrand agree bit for bit.
+    """
+    x = b - price
+    saturated = np.where(x <= 0.0, 1.0, np.where(
+        b > price + other_eff, 0.0, 1.0 - gap_cdf))
+    tail = 1.0 - tail_cdf
+    return np.where(sells & (tail > 0.0), price * tail * (1.0 - saturated), 0.0)
+
+
+def pair_expected_revenues_exact(d1: ValuationDistribution,
+                                 d2: ValuationDistribution,
+                                 a1, a2, b, tol: float = EXACT_TOL
+                                 ) -> np.ndarray:
+    """Exact expected revenue of many two-customer offers at once.
+
+    ``a1``, ``a2`` and ``b`` broadcast to one 1-D shape; a NaN solo price is
+    ``NO_SALE``.  Returns an array of shape ``(5, offers)`` whose rows are
+    the fields of :class:`PairRevenueBreakdown` in order: total, bundle
+    part, the two solo parts and the acceptance probability.  Each offer's
+    values equal those of :func:`pair_expected_revenue_exact`.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    a1, a2, b = (np.asarray(x, dtype=float).ravel()
+                 for x in np.broadcast_arrays(a1, a2, b))
+    if not np.all(b >= 0.0):
+        raise ValueError("bundle prices must be nonnegative")
+    if np.any(a1 < 0.0) or np.any(a2 < 0.0):
+        raise ValueError("individual prices must be nonnegative or NO_SALE")
+    sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
+    a1_eff = np.where(sells1, a1, np.inf)
+    a2_eff = np.where(sells2, a2, np.inf)
+    zero, inf = np.zeros(b.size), np.full(b.size, np.inf)
+    accept = _accept_probs(d1, d2, a1_eff, a2_eff, b, zero, inf, zero, inf, tol)
+    # A solo price of 0 stands in for NO_SALE inside the CDFs; _solo_parts
+    # zeroes those terms.
+    p1 = np.where(sells1, a1, 0.0)
+    p2 = np.where(sells2, a2, 0.0)
+    tail1, gap1 = d1.cdf(np.stack([p1, b - p2]))
+    tail2, gap2 = d2.cdf(np.stack([p2, b - p1]))
+    solo1 = _solo_parts(p1, sells1, a2_eff, b, tail1, gap2)
+    solo2 = _solo_parts(p2, sells2, a1_eff, b, tail2, gap1)
+    bundle_part = b * accept
+    return np.stack([bundle_part + solo1 + solo2, bundle_part, solo1, solo2,
+                     accept])
 
 
 def pair_expected_revenue_exact(d1: ValuationDistribution,
@@ -151,34 +267,18 @@ def pair_expected_revenue_exact(d1: ValuationDistribution,
     quadrature (absolute tolerance ``tol``); the solo parts reduce to closed
     forms because the capped value of a solo buyer is constant:
     ``solo_i = a_i * P[V_i >= a_i] * P[other capped value < b - a_i]``.
+    This is :func:`pair_expected_revenues_exact` on a batch of one.
     """
     if offer.n != 2:
         raise ValueError("pair revenue needs a two-customer offer")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a1, a2 = offer.individual_prices
-    b = offer.bundle_price
-    accept = _accept_prob_box(
-        d1, d2, a1, a2, b, 0.0, d1.upper_bound, 0.0, d2.upper_bound, tol
-    )
-    solo1 = 0.0
-    if a1 is not None:
-        tail = 1.0 - float(d1.cdf(a1))
-        if tail > 0.0:
-            solo1 = a1 * tail * (1.0 - _saturated_accept_prob(d2, a2, b, a1))
-    solo2 = 0.0
-    if a2 is not None:
-        tail = 1.0 - float(d2.cdf(a2))
-        if tail > 0.0:
-            solo2 = a2 * tail * (1.0 - _saturated_accept_prob(d1, a1, b, a2))
-    bundle_part = b * accept
-    return PairRevenueBreakdown(
-        total=bundle_part + solo1 + solo2,
-        bundle_part=bundle_part,
-        solo_part_1=solo1,
-        solo_part_2=solo2,
-        accept_probability=accept,
-    )
+    a1, a2 = (math.nan if a is None else a for a in offer.individual_prices)
+    parts = pair_expected_revenues_exact(d1, d2, a1, a2, offer.bundle_price, tol)
+    return _breakdown(parts[:, 0])
+
+
+def _breakdown(parts: np.ndarray) -> PairRevenueBreakdown:
+    """The breakdown of one column of :func:`pair_expected_revenues_exact`."""
+    return PairRevenueBreakdown(*(float(x) for x in parts))
 
 
 def pair_expected_revenue_mc(d1: ValuationDistribution,
@@ -295,16 +395,19 @@ def region_expected_revenue(d1: ValuationDistribution,
     offer = epsilon_offer(p1, p2, eps)
     a1, a2 = offer.individual_prices
     b = offer.bundle_price
-    p_accept = _accept_prob_box(d1, d2, a1, a2, b, lo1, hi1, lo2, hi2, tol)
+    # Acceptance on the region, and on its parts where each customer would
+    # also buy alone; solo sales happen on the rejection set only.
+    p_accept, buy1_acc, buy2_acc = map(float, _accept_probs(
+        d1, d2, np.full(3, a1), np.full(3, a2), np.full(3, b),
+        np.array([lo1, max(lo1, a1), lo1]), np.full(3, hi1),
+        np.array([lo2, lo2, max(lo2, a2)]), np.full(3, hi2), tol,
+    ))
     total = b * p_accept
-    # Solo sales happen on the rejection set only.
     buy1_all = _window_prob(d1, max(lo1, a1), min(hi1, d1.upper_bound)) * \
         _window_prob(d2, max(lo2, 0.0), min(hi2, d2.upper_bound))
-    buy1_acc = _accept_prob_box(d1, d2, a1, a2, b, max(lo1, a1), hi1, lo2, hi2, tol)
     total += a1 * max(0.0, buy1_all - buy1_acc)
     buy2_all = _window_prob(d1, max(lo1, 0.0), min(hi1, d1.upper_bound)) * \
         _window_prob(d2, max(lo2, a2), min(hi2, d2.upper_bound))
-    buy2_acc = _accept_prob_box(d1, d2, a1, a2, b, lo1, hi1, max(lo2, a2), hi2, tol)
     total += a2 * max(0.0, buy2_all - buy2_acc)
     return total
 
@@ -361,13 +464,17 @@ def verify_pair_improvement(d1: ValuationDistribution,
                 f"got {e!r}"
             )
 
-    def evaluate(eps: float) -> EpsilonEvaluation:
-        bd = pair_expected_revenue_exact(
-            d1, d2, epsilon_offer(sol1.price, sol2.price, eps), tol
-        )
+    def evaluation(eps: float, bd: PairRevenueBreakdown) -> EpsilonEvaluation:
         return EpsilonEvaluation(eps, bd, bd.total - singles)
 
-    evaluations = tuple(evaluate(e) for e in sorted(grid))
+    eps_sorted = sorted(grid)
+    # The epsilon-offers (p1 + eps, p2, p1 + p2) of the whole grid, one call.
+    parts = pair_expected_revenues_exact(
+        d1, d2, sol1.price + np.array(eps_sorted), sol2.price,
+        sol1.price + sol2.price, tol,
+    )
+    evaluations = tuple(evaluation(e, _breakdown(parts[:, i]))
+                        for i, e in enumerate(eps_sorted))
     best = max(evaluations, key=lambda ev: ev.breakdown.total)
 
     refined = None
@@ -379,7 +486,9 @@ def verify_pair_improvement(d1: ValuationDistribution,
             ).total,
             0.0, hi, xtol=1e-6,
         )
-        refined = evaluate(eps_ref)
+        refined = evaluation(eps_ref, pair_expected_revenue_exact(
+            d1, d2, epsilon_offer(sol1.price, sol2.price, eps_ref), tol
+        ))
         if refined.breakdown.total > best.breakdown.total:
             best = refined
 
@@ -401,15 +510,16 @@ def _thread_count(threads: Optional[int]) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _evaluate_offers(value, triples, threads: Optional[int]):
-    """Evaluate offer triples, reducing in index order regardless of the
-    execution schedule so the selected optimum is scheduling-independent."""
-    workers = _thread_count(threads)
-    if workers <= 1 or len(triples) < 64:
-        return [value(t) for t in triples]
+def _evaluate_offers(evaluate, count: int, threads: Optional[int]) -> np.ndarray:
+    """``evaluate(chunk)`` over consecutive slices of ``_CHUNK`` offers,
+    concatenated in index order regardless of the execution schedule, so the
+    selected optimum does not depend on the thread count."""
+    chunks = [slice(i, i + _CHUNK) for i in range(0, count, _CHUNK)]
+    workers = min(_thread_count(threads), len(chunks))
+    if workers <= 1:
+        return np.concatenate([evaluate(c) for c in chunks])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunk = max(16, len(triples) // (8 * workers))
-        return list(pool.map(value, triples, chunksize=chunk))
+        return np.concatenate(list(pool.map(evaluate, chunks)))
 
 
 def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
@@ -422,10 +532,12 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     Stage 1 scans a coarse grid over ``[0, M1] x [0, M2] x [0, M1 + M2]``
     plus the NO_SALE variants of each solo price, and seeds the singles
     optimum as the offer ``(p1*, p2*, p1* + p2*)`` (which reproduces single
-    pricing exactly, so the result always dominates it).  Stage 2 runs a
-    compass search on the winning sale pattern, halving the step each of
-    ``budget`` rounds.  All evaluations use the exact integrator; grid
-    evaluations may run on a thread pool, reduced in index order.
+    pricing exactly, so the result always dominates it).  The grid is
+    evaluated by the batched exact kernel in chunks of ``_CHUNK`` offers,
+    which may run on up to ``threads`` threads; the first offer of highest
+    value wins, whatever the schedule.  Stage 2 runs a compass search on the
+    winning sale pattern, one exact evaluation per trial, halving the step
+    each of ``budget`` rounds.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -445,26 +557,30 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     else:
         patterns = [(True, True), (True, False), (False, True), (False, False)]
 
-    triples: list[tuple[Optional[float], Optional[float], float]] = []
+    # Columns a1, a2, b of the grid, NaN for NO_SALE, in the order seed
+    # offer, then patterns x a1 x a2 x b.
+    blocks = []
     if not pure_bundle_only:
         s1 = optimal_single_price(d1)
         s2 = optimal_single_price(d2)
-        triples.append((s1.price, s2.price, s1.price + s2.price))
+        blocks.append(np.array([[s1.price], [s2.price], [s1.price + s2.price]]))
     for fin1, fin2 in patterns:
-        c1 = ax1 if fin1 else [NO_SALE]
-        c2 = ax2 if fin2 else [NO_SALE]
-        for a1 in c1:
-            for a2 in c2:
-                for b in axb:
-                    triples.append((a1, a2, float(b)))
+        grid = np.meshgrid(ax1 if fin1 else [math.nan],
+                           ax2 if fin2 else [math.nan], axb, indexing="ij")
+        blocks.append(np.stack([g.ravel() for g in grid]))
+    a1s, a2s, bs = np.concatenate(blocks, axis=1)
 
-    values = _evaluate_offers(value, triples, threads)
-    best_idx = 0
-    for i, v in enumerate(values):
-        if v > values[best_idx]:
-            best_idx = i
-    best_triple = list(triples[best_idx])
-    best_value = values[best_idx]
+    def evaluate(chunk: slice) -> np.ndarray:
+        return pair_expected_revenues_exact(
+            d1, d2, a1s[chunk], a2s[chunk], bs[chunk], tol
+        )[0]
+
+    values = _evaluate_offers(evaluate, bs.size, threads)
+    best_idx = int(np.argmax(values))
+    best_triple = [None if math.isnan(x) else float(x)
+                   for x in (a1s[best_idx], a2s[best_idx])]
+    best_triple.append(float(bs[best_idx]))
+    best_value = float(values[best_idx])
 
     # Compass refinement on the coordinates that are actually in play.
     coords = [i for i, x in enumerate(best_triple) if x is not None]

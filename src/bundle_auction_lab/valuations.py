@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "NORMALIZATION_TOL",
-    "QUANTILE_TOL",
     "ValuationDistribution",
     "SmoothnessReport",
     "make_uniform",
@@ -27,7 +26,6 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-9
-QUANTILE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,10 @@ class ValuationDistribution:
 
     def _segment_index(self, arr: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._knots, arr, side="right") - 1
-        return np.clip(idx, 0, self._slopes.size - 1)
+        # minimum/maximum rather than np.clip, whose Python-level argument
+        # handling costs more than the search on the small arrays the exact
+        # pair engine passes.
+        return np.minimum(np.maximum(idx, 0), self._slopes.size - 1)
 
     def pdf(self, v):
         """Density at ``v`` (scalar or array); 0 outside ``[0, M]``."""
@@ -146,30 +147,22 @@ class ValuationDistribution:
         return float(out) if np.ndim(v) == 0 else out
 
     def quantile(self, u: float) -> float:
-        """The unique ``x`` with ``cdf(x) = u``, by monotone bisection.
+        """The unique ``x`` with ``cdf(x) = u``.
 
         The CDF is strictly increasing (densities are positive), so the root
-        is unique; bisection runs to absolute tolerance ``QUANTILE_TOL`` in
-        value space.
+        is unique; it is the closed-form segment solve of
+        :meth:`_quantile_array` on a single probability.
         """
         if not 0.0 <= u <= 1.0:
             raise ValueError("u must be in [0, 1]")
-        lo, hi = 0.0, self.upper_bound
-        while hi - lo > QUANTILE_TOL:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(self._quantile_array(np.float64(u)))
 
     def _quantile_array(self, u: np.ndarray) -> np.ndarray:
         """Closed-form inverse CDF for arrays of probabilities.
 
         Solves the segment quadratic ``cum[j] + d*t + s*t^2/2 = u`` in the
-        numerically stable rationalized form; agrees with :meth:`quantile`
-        to well below its bisection tolerance.  Used by the bulk sampler
-        where per-draw bisection would dominate runtime.
+        numerically stable rationalized form.  :meth:`quantile` and the bulk
+        sampler both use it.
         """
         u = np.asarray(u, dtype=float)
         if self._slopes.size == 1:
@@ -291,8 +284,7 @@ def sample_one(dist: ValuationDistribution, rng: np.random.Generator) -> float:
 def sample(dist: ValuationDistribution, size, rng: np.random.Generator) -> np.ndarray:
     """Draw many valuations at once (closed-form inverse CDF).
 
-    Matches :func:`sample_one` in distribution; the per-draw inverse is the
-    analytic segment solve rather than bisection, and agrees with
-    :meth:`ValuationDistribution.quantile` to below its tolerance.
+    Matches :func:`sample_one` draw for draw on the same RNG stream: both
+    invert the CDF by the same closed-form segment solve.
     """
     return dist._quantile_array(rng.random(size))

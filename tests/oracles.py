@@ -114,3 +114,115 @@ def split_exists_bruteforce(valuations, prices, bundle_price: float) -> bool:
         )
         return bool(ok.any())
     raise ValueError("oracle supports n in {2, 3}")
+
+
+# --- Per-offer reference for the batched exact pair kernel -----------------
+#
+# The exact pair engine as it was before it was batched: one offer at a time,
+# its own breakpoint list, adaptive Simpson on the pieces, and the solo parts
+# in closed form.  Kept verbatim (with its own copy of the quadrature loop)
+# so the kernel is checked against the scalar formulas, not against itself.
+
+_EDGE_NUDGE = 1e-9
+_OFFSETS = np.array([_EDGE_NUDGE, 0.25, 0.5, 0.75, 1.0 - _EDGE_NUDGE])
+
+
+def adaptive_simpson(f, points, tol: float, max_depth: int = 24):
+    """Adaptive Simpson over the pieces between distinct ``points``.
+
+    Returns ``(integral, refined)``; ``refined`` is true when some piece
+    failed the ``|S2 - S1| / 15`` check at the first level.
+    """
+    pts = np.array(sorted({float(p) for p in points}), dtype=float)
+    span = pts[-1] - pts[0]
+    a, b = pts[:-1], pts[1:]
+    tols = tol * (b - a) / span
+    depth = 0
+    result = 0.0
+    while a.size:
+        h = b - a
+        nodes = (a[:, None] + h[:, None] * _OFFSETS).ravel()
+        fv = np.asarray(f(nodes), dtype=float).reshape(a.size, 5)
+        s1 = h / 6.0 * (fv[:, 0] + 4.0 * fv[:, 2] + fv[:, 4])
+        s2 = h / 12.0 * (
+            fv[:, 0] + 4.0 * fv[:, 1] + 2.0 * fv[:, 2] + 4.0 * fv[:, 3] + fv[:, 4]
+        )
+        err = (s2 - s1) / 15.0
+        done = (np.abs(err) <= tols) | (depth >= max_depth)
+        result += float(np.sum(s2[done] + err[done]))
+        if done.all():
+            break
+        keep = ~done
+        ka, kb, kt = a[keep], b[keep], 0.5 * tols[keep]
+        mid = 0.5 * (ka + kb)
+        a = np.concatenate([ka, mid])
+        b = np.concatenate([mid, kb])
+        tols = np.concatenate([kt, kt])
+        depth += 1
+    return result, depth > 0
+
+
+def accept_prob_box_reference(d1, d2, a1, a2, b, lo1, hi1, lo2, hi2,
+                              tol: float = 1e-7):
+    """``(P[accept and (V1, V2) in [lo1, hi1) x [lo2, hi2)], refined)`` for
+    one offer; ``None`` prices are NO_SALE."""
+    lo1 = max(lo1, 0.0)
+    hi1 = min(hi1, d1.upper_bound)
+    lo2 = max(lo2, 0.0)
+    hi2 = min(hi2, d2.upper_bound)
+    if hi1 <= lo1 or hi2 <= lo2:
+        return 0.0, False
+    a1_eff = np.inf if a1 is None else float(a1)
+    a2_eff = np.inf if a2 is None else float(a2)
+    f2_hi = float(d2.cdf(hi2))
+    f2_lo = float(d2.cdf(lo2))
+    base2 = f2_hi - f2_lo
+    if base2 <= 0.0:
+        return 0.0, False
+
+    def integrand(v):
+        c1 = np.minimum(v, a1_eff)
+        x = b - c1
+        inner = np.maximum(0.0, f2_hi - d2.cdf(np.maximum(x, lo2)))
+        q = np.where(x <= 0.0, base2, np.where(b <= c1 + a2_eff, inner, 0.0))
+        return d1.pdf(v) * q
+
+    pts = [lo1, hi1]
+    extra = [a1_eff, b, b - a2_eff, b - lo2, b - hi2]
+    extra.extend(d1.knots)
+    extra.extend(b - k for k in d2.knots)
+    pts.extend(c for c in extra if np.isfinite(c) and lo1 < c < hi1)
+    prob, refined = adaptive_simpson(integrand, pts, tol)
+    return min(max(prob, 0.0), 1.0), refined
+
+
+def _saturated_accept_prob(d_other, a_other, b, a_self):
+    """``P[min(V_other, a_other) >= b - a_self]``, ties buy."""
+    x = b - a_self
+    if x <= 0.0:
+        return 1.0
+    if a_other is not None and b > a_self + a_other:
+        return 0.0
+    return 1.0 - float(d_other.cdf(x))
+
+
+def pair_revenue_reference(d1, d2, prices, b, tol: float = 1e-7):
+    """``(total, bundle_part, solo_1, solo_2, accept_prob, refined)`` of one
+    pair offer, computed the per-offer way."""
+    a1, a2 = prices
+    accept, refined = accept_prob_box_reference(
+        d1, d2, a1, a2, b, 0.0, d1.upper_bound, 0.0, d2.upper_bound, tol
+    )
+    solo1 = 0.0
+    if a1 is not None:
+        tail = 1.0 - float(d1.cdf(a1))
+        if tail > 0.0:
+            solo1 = a1 * tail * (1.0 - _saturated_accept_prob(d2, a2, b, a1))
+    solo2 = 0.0
+    if a2 is not None:
+        tail = 1.0 - float(d2.cdf(a2))
+        if tail > 0.0:
+            solo2 = a2 * tail * (1.0 - _saturated_accept_prob(d1, a1, b, a2))
+    bundle_part = b * accept
+    return (bundle_part + solo1 + solo2, bundle_part, solo1, solo2, accept,
+            refined)

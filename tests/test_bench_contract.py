@@ -1,0 +1,51 @@
+"""The lab keeps what the benchmark in ``bench/`` relies on.
+
+``bench/tracer.py`` replaces module attributes of the lab by name, and the
+benchmark runs the lab through ``experiments.run``.  Renaming or removing
+one of those attributes breaks every traced benchmark run before it starts.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import bundle_auction_lab as lab
+import bundle_auction_lab.experiments  # noqa: F401  (not imported by the package)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_exists():
+    patches = _tracer_module().Tracer()._patches(lab)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in patches if attr not in owner.__dict__]
+    assert missing == []
+    names = {(getattr(owner, "__name__", ""), attr) for owner, attr, _ in patches}
+    for attr in ("ThreadPoolExecutor", "integrate_with_breakpoints",
+                 "pair_expected_revenue_exact", "revenue_stats",
+                 "golden_section_max", "optimal_single_price"):
+        assert ("bundle_auction_lab.pair_revenue", attr) in names
+    assert ("bundle_auction_lab.experiments", "optimize_pair_offer") in names
+
+
+def test_traced_pair_benchmark_smoke():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "pair-exact",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0
+    assert result["correct"] is True

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -222,6 +224,14 @@ class TestCsv:
         first = csv_text(run(parse_config(text)))
         second = csv_text(run(parse_config(text)))
         assert first.encode() == second.encode()
+
+    def test_pair_opt_config_bytes_are_pinned(self):
+        # The exact pair engine's optimum on the shipped uniform-pair config;
+        # any change to the engine's arithmetic shows up in these bytes.
+        path = Path(__file__).resolve().parent.parent / "configs" / "pair_opt_uniform.json"
+        data = csv_text(run(parse_config(path.read_text(encoding="utf-8")))).encode()
+        assert len(data) == 166
+        assert hashlib.sha256(data).hexdigest()[:16] == "6b2b241966262e57"
 
     def test_three_rows_ascending(self):
         cfg = parse_config(config_text(

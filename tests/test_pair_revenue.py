@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bundle_auction_lab import pair_revenue
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, group_rational_accepts
 from bundle_auction_lab.pair_revenue import (
     RegionLabel,
@@ -359,9 +360,21 @@ class TestOptimizePair:
         )
         assert value >= 0.75 - 1e-6
 
-    def test_thread_count_does_not_change_result(self):
-        serial = optimize_pair_offer(UNIFORM, RAMP, 3, grid_points=8, threads=1)
-        threaded = optimize_pair_offer(UNIFORM, RAMP, 3, grid_points=8, threads=4)
+    def test_thread_count_does_not_change_result(self, monkeypatch):
+        # 32 grid points make 34,849 offers, several chunks, so the pool
+        # really runs; count the pools to be sure.
+        pools = []
+
+        class CountingPool(pair_revenue.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pair_revenue, "ThreadPoolExecutor", CountingPool)
+        serial = optimize_pair_offer(UNIFORM, RAMP, 1, grid_points=32, threads=1)
+        assert pools == []
+        threaded = optimize_pair_offer(UNIFORM, RAMP, 1, grid_points=32, threads=4)
+        assert pools == [4]
         assert serial == threaded
 
     def test_budget_validation(self):

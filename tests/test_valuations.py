@@ -134,6 +134,21 @@ class TestSampling:
         slow = np.array([d.quantile(float(u)) for u in us])
         assert np.max(np.abs(fast - slow)) < 1e-9
 
+    def test_quantile_matches_bisection_oracle(self):
+        d = make_piecewise_linear((0, 0.3, 1.2, 2.0), (1, 4, 0.2, 1))
+        for u in np.linspace(0.0, 1.0, 41):
+            lo, hi = 0.0, d.upper_bound
+            while hi - lo > 1e-13:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if d.cdf(mid) < u else (lo, mid)
+            assert d.quantile(float(u)) == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+
+    def test_sample_matches_sample_one_draw_for_draw(self):
+        d = make_piecewise_linear((0, 0.3, 1.2, 2.0), (1, 4, 0.2, 1))
+        bulk = sample(d, 50, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        assert bulk.tolist() == [sample_one(d, rng) for _ in range(50)]
+
     def test_sample_one_uses_rng_stream(self):
         d = ramp()
         rng = np.random.default_rng(5)
