@@ -5,6 +5,11 @@ substream ``SeedSequence((*seed, k))``, and reductions run in batch order,
 so results are bit-identical for identical inputs regardless of how many
 samples a batch holds.  The per-row revenue rule is exactly
 :func:`bundle_auction_lab.bundles.resolve_outcome`, vectorized.
+
+A one-off estimate streams its batches: each is drawn, reduced and dropped.
+A search that scores many candidates on one sample draws it once with
+:func:`draw_batches` and passes the held batches to every reduction, which
+gives the same floats as streaming.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .bundles import BundleOffer
 from .valuations import ValuationDistribution
 
-__all__ = ["RevenueStats", "revenue_stats", "valuation_sums"]
+__all__ = ["RevenueStats", "draw_batches", "revenue_stats", "valuation_sums"]
 
 #: Target number of matrix elements per batch (rows x customers).
 BATCH_ELEMENTS = 1 << 21
@@ -55,7 +60,7 @@ def _draw(dists: Sequence[ValuationDistribution], rows: int,
     n = len(dists)
     u = rng.random((rows, n))
     first = dists[0]
-    if all(d == first for d in dists):
+    if all(d is first or d == first for d in dists):
         return first._quantile_array(u)
     out = np.empty_like(u)
     for j, d in enumerate(dists):
@@ -63,16 +68,27 @@ def _draw(dists: Sequence[ValuationDistribution], rows: int,
     return out
 
 
-def _batches(dists, offer, n_samples, seed):
-    n = len(dists)
-    if offer is not None and offer.n != n:
-        raise ValueError("offer and distribution list must have equal length")
+def _batches(dists, n_samples, seed):
+    """Yield the sample's batch matrices one at a time, in batch order."""
     entropy = _seed_tuple(seed)
-    rows = max(1, BATCH_ELEMENTS // max(n, 1))
+    rows = max(1, BATCH_ELEMENTS // max(len(dists), 1))
     n_batches = math.ceil(n_samples / rows)
     for k in range(n_batches):
         m = min(rows, n_samples - k * rows)
         yield _draw(dists, m, _batch_rng(entropy, k))
+
+
+def draw_batches(dists: Sequence[ValuationDistribution], n_samples: int,
+                 seed) -> list[np.ndarray]:
+    """The sample of :func:`revenue_stats` as a list of read-only batch
+    matrices, for callers that score many offers on one sample.
+
+    The list holds ``n_samples * len(dists)`` float64 values at once.
+    """
+    held = list(_batches(dists, n_samples, seed))
+    for v in held:
+        v.flags.writeable = False
+    return held
 
 
 def _row_revenues(v: np.ndarray, offer: BundleOffer):
@@ -92,22 +108,35 @@ def _row_revenues(v: np.ndarray, offer: BundleOffer):
 
 
 def revenue_stats(dists: Sequence[ValuationDistribution], offer: BundleOffer,
-                  n_samples: int, seed) -> RevenueStats:
-    """Estimate the expected offer revenue from seeded i.i.d. profiles."""
+                  n_samples: int, seed, batches=None) -> RevenueStats:
+    """Estimate the expected offer revenue from seeded i.i.d. profiles.
+
+    ``batches`` is the sample as returned by :func:`draw_batches` for the
+    same ``dists``, ``n_samples`` and ``seed``; without it the batches are
+    drawn here and streamed.  Both give bit-identical results.
+    """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    if offer.n != len(dists):
+        raise ValueError("offer and distribution list must have equal length")
+    if batches is None:
+        batches = _batches(dists, n_samples, seed)
     b = offer.bundle_price
     total = 0.0
     # Sum of squared deviations from b: revenue concentrates near the bundle
     # price for large groups, so centering there keeps the variance stable.
     total_sq = 0.0
     accepted = 0
-    for v in _batches(dists, offer, n_samples, seed):
+    rows = 0
+    for v in batches:
         rev, acc = _row_revenues(v, offer)
         total += float(rev.sum())
         d = rev - b
         total_sq += float((d * d).sum())
         accepted += int(acc.sum())
+        rows += len(v)
+    if rows != n_samples:
+        raise ValueError(f"batches hold {rows} samples, expected {n_samples}")
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * (mean - b) ** 2) / (n_samples - 1))
     return RevenueStats(
@@ -119,8 +148,12 @@ def revenue_stats(dists: Sequence[ValuationDistribution], offer: BundleOffer,
 
 
 def valuation_sums(dists: Sequence[ValuationDistribution], n_samples: int,
-                   seed) -> np.ndarray:
+                   seed, batches=None) -> np.ndarray:
     """Seeded samples of ``sum_i V_i``, drawn from the same substreams as
-    :func:`revenue_stats` so price searches share common random numbers."""
-    parts = [v.sum(axis=1) for v in _batches(dists, None, n_samples, seed)]
-    return np.concatenate(parts)
+    :func:`revenue_stats` so price searches share common random numbers.
+
+    ``batches`` is an already drawn sample, as in :func:`revenue_stats`.
+    """
+    if batches is None:
+        batches = _batches(dists, n_samples, seed)
+    return np.concatenate([v.sum(axis=1) for v in batches])

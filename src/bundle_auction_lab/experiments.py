@@ -14,7 +14,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
@@ -42,7 +42,6 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "run",
-    "partition_experiment",
     "emit_csv",
     "render_footer",
 ]
@@ -449,16 +448,6 @@ def _run_sweep(config):
     notes = (f"worst n={worst_n} with bound*n={worst_ratio:.6g} over "
              f"[{n_min}, {n_max}]",)
     return columns, rows, ok, notes
-
-
-def partition_experiment(config: ExperimentConfig, *,
-                         out_path: Optional[str] = None,
-                         threads: Optional[int] = None) -> RunReport:
-    """Mixed-partition exploration driver (see :func:`partition_result`)."""
-    cfg = config if config.command == "partition" else replace(
-        config, command="partition"
-    )
-    return run(cfg, out_path=out_path, threads=threads)
 
 
 def partition_result(config: ExperimentConfig, threads=None):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mc import revenue_stats, valuation_sums
+from ._mc import draw_batches, revenue_stats, valuation_sums
 from ._search import golden_section_max
 from .bundles import NO_SALE, BundleOffer
 from .single_pricing import optimal_single_price
@@ -163,7 +163,10 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     optimum, ``b`` equal to their sum) and runs ``budget`` sweeps of
     coordinate descent over ``(a_1..a_n, b)``; every evaluation reuses the
     same seed (common random numbers), which keeps comparisons noise-free
-    and the whole search deterministic.
+    and the whole search deterministic.  The sample is drawn once per call
+    and held for all of its evaluations, ``n_samples * n * 8`` bytes until
+    the call returns (4.8 MB at 100,000 samples of a six-customer group);
+    pure-bundle mode holds only the ``n_samples`` sorted sums.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -174,7 +177,10 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
         raise ValueError("need at least one customer")
     total_m = sum(d.upper_bound for d in dists)
 
-    sums = np.sort(valuation_sums(dists, n_samples, seed))
+    # Full mode scores every candidate on one held sample instead of
+    # redrawing it from the seed for each evaluation.
+    batches = draw_batches(dists, n_samples, seed) if mode == "full" else None
+    sums = np.sort(valuation_sums(dists, n_samples, seed, batches))
 
     def bundle_value(b: float) -> float:
         hits = n_samples - int(np.searchsorted(sums, b, side="left"))
@@ -187,7 +193,7 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
 
     def offer_value(prices, b) -> float:
         return revenue_stats(
-            dists, BundleOffer(tuple(prices), b), n_samples, seed
+            dists, BundleOffer(tuple(prices), b), n_samples, seed, batches
         ).mean
 
     prices: list[Optional[float]] = [NO_SALE] * n

@@ -536,8 +536,8 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     evaluated by the batched exact kernel in chunks of ``_CHUNK`` offers,
     which may run on up to ``threads`` threads; the first offer of highest
     value wins, whatever the schedule.  Stage 2 runs a compass search on the
-    winning sale pattern, one exact evaluation per trial, halving the step
-    each of ``budget`` rounds.
+    winning sale pattern, scoring each move's trials in one kernel call and
+    halving the step each of ``budget`` rounds.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -545,12 +545,6 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     ax1 = np.linspace(0.0, m1, grid_points)
     ax2 = np.linspace(0.0, m2, grid_points)
     axb = np.linspace(0.0, m1 + m2, grid_points)
-
-    def value(triple) -> float:
-        a1, a2, b = triple
-        return pair_expected_revenue_exact(
-            d1, d2, BundleOffer((a1, a2), b), tol
-        ).total
 
     if pure_bundle_only:
         patterns = [(False, False)]
@@ -590,20 +584,26 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
              2: float(axb[1] - axb[0]) if len(axb) > 1 else (m1 + m2) / 4}
     for _ in range(budget):
         for _ in range(200):  # moves per round; compass stalls well before this
-            best_move = None
-            best_move_value = best_value
+            trials = []
             for c in coords:
                 lo, hi = ranges[c]
                 for direction in (-1.0, 1.0):
                     cand = min(hi, max(lo, best_triple[c] + direction * steps[c]))
-                    if cand == best_triple[c]:
-                        continue
-                    trial = list(best_triple)
-                    trial[c] = cand
-                    v = value(tuple(trial))
-                    if v > best_move_value + 1e-15:
-                        best_move = trial
-                        best_move_value = v
+                    if cand != best_triple[c]:
+                        trial = list(best_triple)
+                        trial[c] = cand
+                        trials.append(trial)
+            if not trials:
+                break
+            # A float array stores NO_SALE (None) as NaN.
+            a1, a2, b = np.array(trials, dtype=float).T
+            values = pair_expected_revenues_exact(d1, d2, a1, a2, b, tol)[0]
+            best_move = None
+            best_move_value = best_value
+            for trial, v in zip(trials, values.tolist()):
+                if v > best_move_value + 1e-15:
+                    best_move = trial
+                    best_move_value = v
             if best_move is None:
                 break
             best_triple = best_move

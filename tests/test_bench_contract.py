@@ -37,11 +37,17 @@ def test_every_traced_attribute_exists():
                  "golden_section_max", "optimal_single_price"):
         assert ("bundle_auction_lab.pair_revenue", attr) in names
     assert ("bundle_auction_lab.experiments", "optimize_pair_offer") in names
+    for owner, attr in (("bundle_auction_lab._mc", "_draw"),
+                        ("bundle_auction_lab._mc", "_batch_rng"),
+                        ("bundle_auction_lab._mc", "_row_revenues"),
+                        ("bundle_auction_lab.group_revenue", "revenue_stats"),
+                        ("bundle_auction_lab.group_revenue", "valuation_sums")):
+        assert (owner, attr) in names
 
 
-def test_traced_pair_benchmark_smoke():
+def _traced_smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "pair-exact",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -49,3 +55,15 @@ def test_traced_pair_benchmark_smoke():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
     assert result["correct"] is True
+    return result["metrics"]
+
+
+def test_traced_pair_benchmark_smoke():
+    _traced_smoke("pair-exact")
+
+
+def test_traced_partition_benchmark_smoke():
+    # The group search draws each sample once: the optimizer's draws and
+    # the held-out re-estimate's draws never repeat an earlier substream.
+    metrics = _traced_smoke("partition-mix")
+    assert metrics["mc.repeat_draw_share"]["value"] == 0

@@ -12,7 +12,6 @@ from bundle_auction_lab.experiments import (
     csv_text,
     emit_csv,
     parse_config,
-    partition_experiment,
     render_footer,
     run,
     serialize_config,
@@ -181,7 +180,7 @@ class TestPartition:
             command="partition", seed=20260810, N=6, n_samples=50000,
             budget=2, distributions=[UNIFORM_DESC],
         ))
-        report = partition_experiment(cfg)
+        report = run(cfg)
         rows = {row[0]: row for row in report.rows}
         assert set(rows) == {1, 2, 3, 6}
         cols = report.columns
@@ -232,6 +231,14 @@ class TestCsv:
         data = csv_text(run(parse_config(path.read_text(encoding="utf-8")))).encode()
         assert len(data) == 166
         assert hashlib.sha256(data).hexdigest()[:16] == "6b2b241966262e57"
+
+    def test_partition_config_bytes_are_pinned(self):
+        # The MC group search scores every candidate on one held sample; it
+        # must pick the same offers as redrawing the sample per evaluation.
+        path = Path(__file__).resolve().parent.parent / "configs" / "partition_n36.json"
+        data = csv_text(run(parse_config(path.read_text(encoding="utf-8")))).encode()
+        assert len(data) == 368
+        assert hashlib.sha256(data).hexdigest()[:16] == "dfde6fbdb6324840"
 
     def test_three_rows_ascending(self):
         cfg = parse_config(config_text(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, resolve_outcome
-from bundle_auction_lab._mc import revenue_stats, valuation_sums
+from bundle_auction_lab import _mc
+from bundle_auction_lab._mc import draw_batches, revenue_stats, valuation_sums
 from bundle_auction_lab.group_revenue import (
     bernstein_sweep,
     bernstein_upper_bound,
@@ -104,7 +105,7 @@ class TestGroupMonteCarlo:
         stats = revenue_stats(dists, offer, 1000, 77)
         from bundle_auction_lab._mc import _batches
         total = 0.0
-        for v in _batches(dists, offer, 1000, 77):
+        for v in _batches(dists, 1000, 77):
             for row in v:
                 total += resolve_outcome(offer, tuple(row)).seller_revenue
         assert stats.mean == pytest.approx(total / 1000, abs=1e-12)
@@ -202,6 +203,80 @@ class TestOptimizeGroupOffer:
             optimize_group_offer([UNIFORM], mode="both")
         with pytest.raises(ValueError):
             optimize_group_offer([UNIFORM], n_samples=10)
+
+
+TEMPLATE = make_piecewise_linear((0.0, 0.4, 1.0), (0.6, 1.6, 0.8))
+
+
+class TestDrawOnce:
+    """Full-mode search draws its sample once and scores every candidate on
+    the held batches, with the same floats as streaming them."""
+
+    @pytest.mark.parametrize("size", [3, 6])
+    @pytest.mark.parametrize("batch_elements", [None, 3000])
+    def test_each_batch_drawn_once(self, monkeypatch, size, batch_elements):
+        if batch_elements is not None:
+            monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
+        rows = max(1, _mc.BATCH_ELEMENTS // size)
+        n_samples = 2500
+        drawn = []
+        make_rng = _mc._batch_rng
+
+        def counting_rng(seed, batch):
+            drawn.append(batch)
+            return make_rng(seed, batch)
+
+        monkeypatch.setattr(_mc, "_batch_rng", counting_rng)
+        draw = _mc._draw
+        calls = []
+
+        def counting_draw(dists, rows, rng):
+            calls.append(rows)
+            return draw(dists, rows, rng)
+
+        monkeypatch.setattr(_mc, "_draw", counting_draw)
+        optimize_group_offer([TEMPLATE] * size, mode="full", budget=1,
+                             n_samples=n_samples, seed=(5, size))
+        assert drawn == list(range(math.ceil(n_samples / rows)))
+        assert len(calls) == len(drawn) and sum(calls) == n_samples
+        if batch_elements is not None:
+            assert len(drawn) > 1
+
+    @pytest.mark.parametrize("batch_elements", [None, 3000])
+    def test_value_matches_streaming_estimate(self, monkeypatch, batch_elements):
+        if batch_elements is not None:
+            monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
+        for size in (3, 6):
+            dists = [TEMPLATE] * size
+            offer, value = optimize_group_offer(
+                dists, mode="full", budget=1, n_samples=2500, seed=(9, size)
+            )
+            assert value == revenue_stats(dists, offer, 2500, (9, size)).mean
+
+    def test_held_batches_match_streaming(self, monkeypatch):
+        monkeypatch.setattr(_mc, "BATCH_ELEMENTS", 3000)
+        dists = [TEMPLATE, UNIFORM, TEMPLATE]
+        offer = BundleOffer((0.5, NO_SALE, 0.7), 1.4)
+        held = draw_batches(dists, 2500, 13)
+        assert len(held) == 3
+        assert revenue_stats(dists, offer, 2500, 13, held) == revenue_stats(
+            dists, offer, 2500, 13)
+        assert np.array_equal(valuation_sums(dists, 2500, 13, held),
+                              valuation_sums(dists, 2500, 13))
+
+    def test_wrong_length_offer_raises_with_held_batches(self):
+        dists = [TEMPLATE] * 3
+        held = draw_batches(dists, 1000, 1)
+        with pytest.raises(ValueError, match="equal length"):
+            revenue_stats(dists, BundleOffer((NO_SALE,) * 2, 1.0), 1000, 1, held)
+        with pytest.raises(ValueError, match="equal length"):
+            revenue_stats(dists, BundleOffer((NO_SALE,) * 2, 1.0), 1000, 1)
+
+    def test_held_batches_of_another_size_raise(self):
+        dists = [TEMPLATE] * 3
+        held = draw_batches(dists, 1000, 1)
+        with pytest.raises(ValueError, match="1000 samples"):
+            revenue_stats(dists, BundleOffer((NO_SALE,) * 3, 1.0), 2000, 1, held)
 
 
 class TestVerifySurplusExtraction:

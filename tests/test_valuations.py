@@ -127,21 +127,18 @@ class TestSampling:
         with pytest.raises(ValueError):
             make_uniform(1.0).quantile(1.5)
 
-    def test_bulk_sampler_agrees_with_bisection(self):
-        d = make_piecewise_linear((0, 0.3, 1.2, 2.0), (1, 4, 0.2, 1))
-        us = np.linspace(0.001, 0.999, 101)
-        fast = d._quantile_array(us)
-        slow = np.array([d.quantile(float(u)) for u in us])
-        assert np.max(np.abs(fast - slow)) < 1e-9
-
     def test_quantile_matches_bisection_oracle(self):
+        # Both the scalar quantile and the array path the samplers use.
         d = make_piecewise_linear((0, 0.3, 1.2, 2.0), (1, 4, 0.2, 1))
-        for u in np.linspace(0.0, 1.0, 41):
+        us = np.linspace(0.0, 1.0, 101)
+        bulk = d._quantile_array(us)
+        for u, x in zip(us, bulk):
             lo, hi = 0.0, d.upper_bound
             while hi - lo > 1e-13:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if d.cdf(mid) < u else (lo, mid)
             assert d.quantile(float(u)) == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+            assert x == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
     def test_sample_matches_sample_one_draw_for_draw(self):
         d = make_piecewise_linear((0, 0.3, 1.2, 2.0), (1, 4, 0.2, 1))
