@@ -1,22 +1,30 @@
 """Seeded, batched Monte Carlo of bundle-offer revenue.
 
-Samples are produced in fixed-size batches; batch k draws from the
-substream ``SeedSequence((*seed, k))``, and reductions run in batch order,
-so results are bit-identical for identical inputs regardless of how many
-samples a batch holds.  The per-row revenue rule is exactly
+A sample of ``n_samples`` profiles of n customers is cut into batches of
+``BATCH_ELEMENTS // n`` rows (the last one shorter), and batch k draws from
+the substream ``SeedSequence((*seed, k))``.  The sample is therefore fixed
+by the seed, n, ``n_samples`` and ``BATCH_ELEMENTS``; a different batch size
+regroups the profiles into other substreams and gives another sample.  The
+per-row revenue rule is exactly
 :func:`bundle_auction_lab.bundles.resolve_outcome`, vectorized.
 
-A one-off estimate streams its batches: each is drawn, reduced and dropped.
-A search that scores many candidates on one sample draws it once with
-:func:`draw_batches` and passes the held batches to every reduction, which
-gives the same floats as streaming.
+A one-off estimate streams its batches: each is drawn, reduced to partial
+sums and dropped.  With two or more batches, the batches are drawn and
+reduced on a pool of threads (numpy releases the GIL in the RNG and in the
+array passes), and the partial sums are combined in batch order, so the
+results do not depend on the thread count.  A search that scores many
+candidates on one sample draws it once with :func:`draw_batches` and passes
+the held batches to every reduction, which gives the same floats as
+streaming.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +49,13 @@ class RevenueStats:
     n_samples: int
 
 
+def _thread_count(threads: Optional[int]) -> int:
+    """Worker threads for a ``threads`` argument; ``None`` means every core."""
+    if threads is not None:
+        return max(1, int(threads))
+    return max(1, os.cpu_count() or 1)
+
+
 def _seed_tuple(seed) -> tuple[int, ...]:
     if isinstance(seed, tuple):
         entropy = tuple(int(s) for s in seed)
@@ -57,25 +72,56 @@ def _batch_rng(seed: tuple[int, ...], batch: int) -> np.random.Generator:
 
 def _draw(dists: Sequence[ValuationDistribution], rows: int,
           rng: np.random.Generator) -> np.ndarray:
-    n = len(dists)
-    u = rng.random((rows, n))
+    """One batch: the uniform draws, turned into valuations in place."""
+    u = rng.random((rows, len(dists)))
     first = dists[0]
     if all(d is first or d == first for d in dists):
-        return first._quantile_array(u)
-    out = np.empty_like(u)
+        return first._quantile_array(u, out=u)
     for j, d in enumerate(dists):
-        out[:, j] = d._quantile_array(u[:, j])
-    return out
+        column = u[:, j]
+        d._quantile_array(column, out=column)
+    return u
+
+
+def _batch_drawer(dists, n_samples, seed):
+    """``(draw, n_batches)``, where ``draw(k)`` draws batch k of the sample."""
+    entropy = _seed_tuple(seed)
+    rows = max(1, BATCH_ELEMENTS // max(len(dists), 1))
+
+    def draw(k: int) -> np.ndarray:
+        return _draw(dists, min(rows, n_samples - k * rows),
+                     _batch_rng(entropy, k))
+
+    return draw, math.ceil(n_samples / rows)
 
 
 def _batches(dists, n_samples, seed):
-    """Yield the sample's batch matrices one at a time, in batch order."""
-    entropy = _seed_tuple(seed)
-    rows = max(1, BATCH_ELEMENTS // max(len(dists), 1))
-    n_batches = math.ceil(n_samples / rows)
-    for k in range(n_batches):
-        m = min(rows, n_samples - k * rows)
-        yield _draw(dists, m, _batch_rng(entropy, k))
+    """The sample's batch matrices, drawn lazily one at a time in batch
+    order."""
+    draw, n_batches = _batch_drawer(dists, n_samples, seed)
+    return map(draw, range(n_batches))
+
+
+def _reduce_batches(reduce, dists, n_samples, seed, batches, threads) -> list:
+    """``reduce(batch)`` for every batch of the sample, in batch order.
+
+    ``batches`` is a held sample, reduced as given.  Without it each batch
+    is drawn, reduced and dropped by one worker; with at least two batches
+    and two threads the workers run on a pool, so at most ``threads``
+    batches are alive at once.
+    """
+    if batches is not None:
+        return [reduce(v) for v in batches]
+    draw, n_batches = _batch_drawer(dists, n_samples, seed)
+
+    def work(k: int):
+        return reduce(draw(k))
+
+    workers = min(_thread_count(threads), n_batches)
+    if workers < 2:
+        return [work(k) for k in range(n_batches)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, range(n_batches)))
 
 
 def draw_batches(dists: Sequence[ValuationDistribution], n_samples: int,
@@ -101,42 +147,53 @@ def _row_revenues(v: np.ndarray, offer: BundleOffer):
         # Pure bundle: capped values are the valuations and no solo sales.
         accept = v.sum(axis=1) >= offer.bundle_price
         return np.where(accept, offer.bundle_price, 0.0), accept
-    capped = np.minimum(v, a)
-    accept = capped.sum(axis=1) >= offer.bundle_price
+    # The capped matrix is dropped before the solo pass, so a call holds one
+    # batch-sized temporary at a time: a search scores hundreds of offers on
+    # one held sample, and a larger per-call peak makes the allocator hand
+    # memory back and fault it in again on every call.
+    accept = np.minimum(v, a).sum(axis=1) >= offer.bundle_price
     solo = np.where((v >= a) & finite, a, 0.0).sum(axis=1)
     return np.where(accept, offer.bundle_price, solo), accept
 
 
+def _revenue_partials(v: np.ndarray, offer: BundleOffer):
+    """``(revenue sum, sum of squared deviations from b, accepted, rows)``
+    of one batch."""
+    rev, acc = _row_revenues(v, offer)
+    # Deviations from b: revenue concentrates near the bundle price for
+    # large groups, so centering there keeps the variance stable.
+    d = rev - offer.bundle_price
+    return float(rev.sum()), float((d * d).sum()), int(acc.sum()), len(v)
+
+
 def revenue_stats(dists: Sequence[ValuationDistribution], offer: BundleOffer,
-                  n_samples: int, seed, batches=None) -> RevenueStats:
+                  n_samples: int, seed, batches=None,
+                  threads: Optional[int] = None) -> RevenueStats:
     """Estimate the expected offer revenue from seeded i.i.d. profiles.
 
     ``batches`` is the sample as returned by :func:`draw_batches` for the
     same ``dists``, ``n_samples`` and ``seed``; without it the batches are
-    drawn here and streamed.  Both give bit-identical results.
+    drawn here and streamed, on up to ``threads`` threads (default: every
+    core).  All of these give bit-identical results.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if offer.n != len(dists):
         raise ValueError("offer and distribution list must have equal length")
-    if batches is None:
-        batches = _batches(dists, n_samples, seed)
-    b = offer.bundle_price
+    parts = _reduce_batches(lambda v: _revenue_partials(v, offer), dists,
+                            n_samples, seed, batches, threads)
     total = 0.0
-    # Sum of squared deviations from b: revenue concentrates near the bundle
-    # price for large groups, so centering there keeps the variance stable.
     total_sq = 0.0
     accepted = 0
     rows = 0
-    for v in batches:
-        rev, acc = _row_revenues(v, offer)
-        total += float(rev.sum())
-        d = rev - b
-        total_sq += float((d * d).sum())
-        accepted += int(acc.sum())
-        rows += len(v)
+    for part_sum, part_sq, part_accepted, part_rows in parts:
+        total += part_sum
+        total_sq += part_sq
+        accepted += part_accepted
+        rows += part_rows
     if rows != n_samples:
         raise ValueError(f"batches hold {rows} samples, expected {n_samples}")
+    b = offer.bundle_price
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * (mean - b) ** 2) / (n_samples - 1))
     return RevenueStats(
@@ -148,12 +205,12 @@ def revenue_stats(dists: Sequence[ValuationDistribution], offer: BundleOffer,
 
 
 def valuation_sums(dists: Sequence[ValuationDistribution], n_samples: int,
-                   seed, batches=None) -> np.ndarray:
+                   seed, batches=None,
+                   threads: Optional[int] = None) -> np.ndarray:
     """Seeded samples of ``sum_i V_i``, drawn from the same substreams as
     :func:`revenue_stats` so price searches share common random numbers.
 
-    ``batches`` is an already drawn sample, as in :func:`revenue_stats`.
+    ``batches`` and ``threads`` are as in :func:`revenue_stats`.
     """
-    if batches is None:
-        batches = _batches(dists, n_samples, seed)
-    return np.concatenate([v.sum(axis=1) for v in batches])
+    return np.concatenate(_reduce_batches(
+        lambda v: v.sum(axis=1), dists, n_samples, seed, batches, threads))

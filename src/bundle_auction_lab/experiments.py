@@ -329,7 +329,9 @@ def run(config: ExperimentConfig, *, out_path: Optional[str] = None,
 
     Verification failures are recorded in ``passed`` -- they are data, not
     exceptions.  The CSV is written to ``out_path`` or ``config.out`` when
-    given.
+    given.  ``threads`` caps the worker threads of the pair-offer grid and
+    of multi-batch Monte Carlo (default: every core); the report does not
+    depend on it.
     """
     t0 = time.perf_counter()
     if config.command == "single-opt":
@@ -339,7 +341,7 @@ def run(config: ExperimentConfig, *, out_path: Optional[str] = None,
     elif config.command == "verify-thm1":
         result = _run_verify_pair(config)
     elif config.command == "verify-thm2":
-        result = _run_verify_group(config)
+        result = _run_verify_group(config, threads)
     elif config.command == "partition":
         result = partition_result(config, threads)
     elif config.command == "sweep":
@@ -408,11 +410,11 @@ def _run_verify_pair(config):
     return columns, rows, report.improved, ()
 
 
-def _run_verify_group(config):
+def _run_verify_group(config, threads):
     _require_dists(config, 1)
     n_list = config.n_list or (100, 1000)
     reports = verify_surplus_extraction(
-        config.built[0], n_list, config.n_samples, config.seed
+        config.built[0], n_list, config.n_samples, config.seed, threads=threads
     )
     columns = ("n", "mu", "bundle_price", "accept_prob", "revenue_estimate",
                "revenue_std_error", "lower_bound", "upper_bound",
@@ -489,11 +491,13 @@ def partition_result(config: ExperimentConfig, threads=None):
             offer, _ = optimize_group_offer(
                 [dist] * size, mode=mode, budget=budget,
                 n_samples=config.n_samples, seed=(config.seed, size),
+                threads=threads,
             )
             # Re-estimate on a held-out stream: the optimizer's own value is
             # biased upward by the maximization over sampling noise.
             value, err = group_expected_revenue_mc(
-                [dist] * size, offer, config.n_samples, (config.seed, size, 1)
+                [dist] * size, offer, config.n_samples, (config.seed, size, 1),
+                threads=threads,
             )
         total_mixed += group_count * value
         rows.append((size, customers, group_count, offer.bundle_price,

@@ -137,19 +137,22 @@ def surplus_lower_bound(n: int, mu: float, m: float) -> float:
 
 def group_expected_revenue_mc(dists: Sequence[ValuationDistribution],
                               offer: BundleOffer, n_samples: int,
-                              seed) -> tuple[float, float]:
+                              seed, threads: Optional[int] = None
+                              ) -> tuple[float, float]:
     """Monte Carlo ``(estimate, std_error)`` of the offer's expected revenue.
 
-    Seeded and batched: identical inputs give bit-identical results; work is
-    O(n) per sample.
+    Seeded and batched: identical inputs give bit-identical results for any
+    ``threads`` (the batch threads, default every core); work is O(n) per
+    sample.
     """
-    stats = revenue_stats(dists, offer, n_samples, seed)
+    stats = revenue_stats(dists, offer, n_samples, seed, threads=threads)
     return stats.mean, stats.std_error
 
 
 def optimize_group_offer(dists: Sequence[ValuationDistribution],
                          mode: str = "pure_bundle", budget: int = 2,
-                         n_samples: int = 100_000, seed=0
+                         n_samples: int = 100_000, seed=0,
+                         threads: Optional[int] = None
                          ) -> tuple[BundleOffer, float]:
     """Search for a high-revenue group offer under the MC estimator.
 
@@ -166,7 +169,8 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     and the whole search deterministic.  The sample is drawn once per call
     and held for all of its evaluations, ``n_samples * n * 8`` bytes until
     the call returns (4.8 MB at 100,000 samples of a six-customer group);
-    pure-bundle mode holds only the ``n_samples`` sorted sums.
+    pure-bundle mode holds only the ``n_samples`` sorted sums, which it
+    draws on up to ``threads`` threads (default: every core).
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -180,7 +184,7 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     # Full mode scores every candidate on one held sample instead of
     # redrawing it from the seed for each evaluation.
     batches = draw_batches(dists, n_samples, seed) if mode == "full" else None
-    sums = np.sort(valuation_sums(dists, n_samples, seed, batches))
+    sums = np.sort(valuation_sums(dists, n_samples, seed, batches, threads))
 
     def bundle_value(b: float) -> float:
         hits = n_samples - int(np.searchsorted(sums, b, side="left"))
@@ -242,11 +246,13 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
 
 def verify_surplus_extraction(dist: ValuationDistribution,
                               n_list: Sequence[int], n_samples: int,
-                              seed) -> list[SurplusExtractionReport]:
+                              seed, threads: Optional[int] = None
+                              ) -> list[SurplusExtractionReport]:
     """Run the large-bundle check for each group size in ``n_list``.
 
     For each ``n`` the offer prices ``n`` i.i.d. copies, Monte Carlo
-    estimates the revenue, and the report records whether
+    estimates the revenue on up to ``threads`` batch threads (default: every
+    core; the reports do not depend on it), and the report records whether
     ``estimate + 4 SE >= (1 - 1/n)(mu - 2 M sqrt(n ln n))`` and
     ``estimate - 4 SE <= mu``.  Vacuous offers raise.
     """
@@ -256,7 +262,8 @@ def verify_surplus_extraction(dist: ValuationDistribution,
         dists = [dist] * n
         offer = full_surplus_offer(dists)
         mu, m = _mu_and_m(dists)
-        stats = revenue_stats(dists, offer, n_samples, seed_tuple + (n,))
+        stats = revenue_stats(dists, offer, n_samples, seed_tuple + (n,),
+                              threads=threads)
         t = 2.0 * m * math.sqrt(n * math.log(n))
         lower = surplus_lower_bound(n, mu, m)
         reports.append(SurplusExtractionReport(

@@ -29,7 +29,6 @@ deterministic pair-offer optimizer.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._mc import revenue_stats
+from ._mc import _thread_count, revenue_stats
 from ._quad import integrate_with_breakpoints, simpson_pass
 from ._search import golden_section_max
 from .bundles import BundleOffer
@@ -502,12 +501,6 @@ def verify_pair_improvement(d1: ValuationDistribution,
         improved=best.improvement > improvement_tol,
         improvement_tol=improvement_tol,
     )
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, os.cpu_count() or 1)
 
 
 def _evaluate_offers(evaluate, count: int, threads: Optional[int]) -> np.ndarray:

@@ -28,6 +28,24 @@ __all__ = [
 NORMALIZATION_TOL = 1e-9
 
 
+def _check_knots(ks: np.ndarray, ds: np.ndarray) -> None:
+    """The structural requirements on knot and density arrays, shared by the
+    constructor and :func:`make_piecewise_linear` (which must check them
+    before it can normalize)."""
+    if ks.ndim != 1 or ks.size < 2:
+        raise ValueError("need at least two knots")
+    if ds.shape != ks.shape:
+        raise ValueError("knots and densities must have equal length")
+    if not (np.all(np.isfinite(ks)) and np.all(np.isfinite(ds))):
+        raise ValueError("knots and densities must be finite")
+    if ks[0] != 0.0:
+        raise ValueError("first knot must be 0")
+    if np.any(np.diff(ks) <= 0.0):
+        raise ValueError("knots must be strictly ascending")
+    if np.any(ds <= 0.0):
+        raise ValueError("densities must be strictly positive")
+
+
 @dataclass(frozen=True)
 class ValuationDistribution:
     """Bounded-support distribution with a piecewise-linear density.
@@ -62,22 +80,11 @@ class ValuationDistribution:
     def __post_init__(self) -> None:
         ks = np.asarray(self.knots, dtype=float)
         ds = np.asarray(self.densities, dtype=float)
-        if ks.ndim != 1 or ks.size < 2:
-            raise ValueError("need at least two knots")
-        if ds.shape != ks.shape:
-            raise ValueError("knots and densities must have equal length")
         if not (np.isfinite(self.upper_bound) and self.upper_bound > 0):
             raise ValueError("upper bound must be positive and finite")
-        if not (np.all(np.isfinite(ks)) and np.all(np.isfinite(ds))):
-            raise ValueError("knots and densities must be finite")
-        if ks[0] != 0.0:
-            raise ValueError("first knot must be 0")
+        _check_knots(ks, ds)
         if ks[-1] != self.upper_bound:
             raise ValueError("last knot must equal the upper bound")
-        if np.any(np.diff(ks) <= 0.0):
-            raise ValueError("knots must be strictly ascending")
-        if np.any(ds <= 0.0):
-            raise ValueError("densities must be strictly positive")
 
         widths = np.diff(ks)
         seg = 0.5 * (ds[:-1] + ds[1:]) * widths
@@ -157,30 +164,65 @@ class ValuationDistribution:
             raise ValueError("u must be in [0, 1]")
         return float(self._quantile_array(np.float64(u)))
 
-    def _quantile_array(self, u: np.ndarray) -> np.ndarray:
+    def _quantile_array(self, u: np.ndarray, out: np.ndarray | None = None
+                        ) -> np.ndarray:
         """Closed-form inverse CDF for arrays of probabilities.
 
         Solves the segment quadratic ``cum[j] + d*t + s*t^2/2 = u`` in the
-        numerically stable rationalized form.  :meth:`quantile` and the bulk
-        sampler both use it.
+        numerically stable rationalized form
+        ``t = 2 du / (d + sqrt(d*d + 2 s du))``, ``du = u - cum[j]``.
+        :meth:`quantile` and the bulk samplers both use it.
+
+        The result is written to ``out``, which may be ``u`` itself (the
+        sampler transforms its uniform draws in place), or by default to a
+        new array; ``u`` is never written unless it is ``out``.  Each step
+        of the formula is one in-place numpy pass in the formula's order, so
+        the values are bit-identical to evaluating it term by term.  On a
+        zero-slope segment ``sqrt(d*d) == d`` in floats, so the solve is
+        exactly ``u / d``.
         """
         u = np.asarray(u, dtype=float)
+        result = np.empty_like(u) if out is None else out
+        # Passes with out= need arrays (ufuncs return scalars for 0-d input),
+        # so 0-d input is solved through one-element views.
+        u, out = np.atleast_1d(u, result)
         if self._slopes.size == 1:
-            d = self._dens[0]
-            s = self._slopes[0]
-            disc = np.sqrt(d * d + 2.0 * s * u)
-            return np.minimum(2.0 * u / (d + disc), self.upper_bound)
-        idx = np.clip(
-            np.searchsorted(self._cum, u, side="right") - 1,
-            0,
-            self._slopes.size - 1,
-        )
-        d = self._dens[idx]
-        s = self._slopes[idx]
-        du = np.maximum(u - self._cum[idx], 0.0)
-        disc = np.sqrt(d * d + 2.0 * s * du)
-        t = 2.0 * du / (d + disc)
-        return self._knots[idx] + np.minimum(t, self._widths[idx])
+            d, s = self._dens[0], self._slopes[0]
+            if s == 0.0:
+                np.divide(u, d, out=out)
+            else:
+                disc = np.multiply(u, 2.0 * s)
+                np.add(disc, d * d, out=disc)
+                np.sqrt(disc, out=disc)
+                np.add(disc, d, out=disc)
+                np.multiply(u, 2.0, out=out)
+                np.divide(out, disc, out=out)
+            np.minimum(out, self.upper_bound, out=out)
+            return result
+        # Per-segment tables: gathering d*d and 2*s gives the same floats as
+        # squaring and doubling the gathered d and s.
+        dens = self._dens[:-1]
+        idx = np.searchsorted(self._cum, u, side="right")
+        np.subtract(idx, 1, out=idx)
+        np.clip(idx, 0, self._slopes.size - 1, out=idx)
+        # Two scratch arrays: 2*du, 2*s*du and d*d are live at once.
+        a = np.take(self._cum, idx, mode="clip")
+        np.subtract(u, a, out=a)
+        np.maximum(a, 0.0, out=a)  # du; u is not read after this
+        b = np.take(2.0 * self._slopes, idx, mode="clip")
+        np.multiply(b, a, out=b)  # 2 s du
+        np.multiply(a, 2.0, out=out)  # 2 du
+        np.take(dens * dens, idx, out=a, mode="clip")
+        np.add(a, b, out=a)
+        np.sqrt(a, out=a)
+        np.take(dens, idx, out=b, mode="clip")
+        np.add(b, a, out=a)  # d + disc
+        np.divide(out, a, out=out)  # t
+        np.take(self._widths, idx, out=a, mode="clip")
+        np.minimum(out, a, out=out)
+        np.take(self._knots, idx, out=a, mode="clip")
+        np.add(a, out, out=out)
+        return result
 
 
 @dataclass(frozen=True)
@@ -217,18 +259,7 @@ def make_piecewise_linear(knots, densities, upper_bound: float | None = None
     """
     ks = tuple(float(k) for k in knots)
     ds = tuple(float(d) for d in densities)
-    if len(ks) == 0:
-        raise ValueError("knot list must not be empty")
-    if len(ks) < 2:
-        raise ValueError("need at least two knots")
-    if len(ds) != len(ks):
-        raise ValueError("knots and densities must have equal length")
-    if any(b <= a for a, b in zip(ks[:-1], ks[1:])):
-        raise ValueError("knots must be strictly ascending")
-    if ks[0] != 0.0:
-        raise ValueError("first knot must be 0")
-    if any(d <= 0.0 for d in ds):
-        raise ValueError("densities must be strictly positive")
+    _check_knots(np.array(ks), np.array(ds))
     m = ks[-1]
     if upper_bound is not None and float(upper_bound) != m:
         raise ValueError("upper_bound must equal the last knot")
@@ -287,4 +318,5 @@ def sample(dist: ValuationDistribution, size, rng: np.random.Generator) -> np.nd
     Matches :func:`sample_one` draw for draw on the same RNG stream: both
     invert the CDF by the same closed-form segment solve.
     """
-    return dist._quantile_array(rng.random(size))
+    u = np.asarray(rng.random(size))  # 0-d when size is None
+    return dist._quantile_array(u, out=u)

@@ -226,3 +226,34 @@ def pair_revenue_reference(d1, d2, prices, b, tol: float = 1e-7):
     bundle_part = b * accept
     return (bundle_part + solo1 + solo2, bundle_part, solo1, solo2, accept,
             refined)
+
+
+# --- Reference for the inverse-CDF sampler kernel --------------------------
+
+
+def quantile_rationalized(dist, u):
+    """Inverse CDF of ``dist`` at ``u`` by the rationalized segment solve
+    ``t = 2 du / (d + sqrt(d*d + 2 s du))``, written as one expression per
+    term the way the sampler computed it before it worked in place.
+
+    It reads the distribution's cached segment tables (the normalized
+    densities, slopes and CDF values at the knots), so it checks the
+    kernel's arithmetic bit for bit, not the tables.
+    """
+    u = np.asarray(u, dtype=float)
+    if dist._slopes.size == 1:
+        d = dist._dens[0]
+        s = dist._slopes[0]
+        disc = np.sqrt(d * d + 2.0 * s * u)
+        return np.minimum(2.0 * u / (d + disc), dist.upper_bound)
+    idx = np.clip(
+        np.searchsorted(dist._cum, u, side="right") - 1,
+        0,
+        dist._slopes.size - 1,
+    )
+    d = dist._dens[idx]
+    s = dist._slopes[idx]
+    du = np.maximum(u - dist._cum[idx], 0.0)
+    disc = np.sqrt(d * d + 2.0 * s * du)
+    t = 2.0 * du / (d + disc)
+    return dist._knots[idx] + np.minimum(t, dist._widths[idx])

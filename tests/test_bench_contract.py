@@ -67,3 +67,12 @@ def test_traced_partition_benchmark_smoke():
     # the held-out re-estimate's draws never repeat an earlier substream.
     metrics = _traced_smoke("partition-mix")
     assert metrics["mc.repeat_draw_share"]["value"] == 0
+
+
+def test_traced_bundle_benchmark_smoke():
+    # The large-bundle check streams its multi-batch samples through the MC
+    # batch pool; under the tracer every batch is still drawn exactly once.
+    metrics = _traced_smoke("bundle-mc")
+    assert metrics["mc.batches"]["value"] == 107
+    assert metrics["mc.elements"]["value"] == 222_000_000
+    assert metrics["mc.repeat_draw_share"]["value"] == 0

@@ -60,6 +60,26 @@ class TestParseConfig:
                                 "knots": [0.0, 1.0], "densities": [0.0, 2.0]}],
             ))
 
+    @pytest.mark.parametrize("knots, densities, message", [
+        ([], [], "need at least two knots"),
+        ([0.0], [1.0], "need at least two knots"),
+        ([0.0, 1.0], [1.0], "equal length"),
+        ([0.0, 1.0, 0.5], [1.0, 1.0, 1.0], "strictly ascending"),
+        ([0.1, 1.0], [1.0, 1.0], "first knot must be 0"),
+        ([0.0, 1.0], [1.0, -1.0], "strictly positive"),
+        ([0.0, 1e309], [1.0, 1.0], "finite"),
+    ])
+    def test_bad_knots_report_the_distribution_path(self, knots, densities,
+                                                     message):
+        with pytest.raises(ConfigError,
+                           match=r"^\$\.distributions\[1\]: .*" + message):
+            parse_config(config_text(
+                command="single-opt", seed=1,
+                distributions=[UNIFORM_DESC, {"type": "piecewise_linear",
+                                              "knots": knots,
+                                              "densities": densities}],
+            ))
+
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")

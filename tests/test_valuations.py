@@ -14,7 +14,7 @@ from bundle_auction_lab.valuations import (
     validate_smoothness,
 )
 
-from oracles import ks_statistic, simpson_between_knots
+from oracles import ks_statistic, quantile_rationalized, simpson_between_knots
 
 
 def ramp():
@@ -213,3 +213,92 @@ def test_distribution_invariants(d):
 def test_sampler_stays_in_support(d, seed):
     xs = sample(d, 256, np.random.default_rng(seed))
     assert np.all(xs >= 0.0) and np.all(xs <= d.upper_bound)
+
+
+# The sampler kernel: in-place passes bit-identical to the rationalized
+# formula, on the whole of [0, 1] including both ends.
+
+EDGE_US = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0),
+                    0.5, 2.0**-53])
+
+unit_floats = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def bits(x) -> list:
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def probabilities(draw):
+    extra = draw(st.lists(unit_floats, min_size=0, max_size=64))
+    return np.concatenate([EDGE_US, np.array(extra, dtype=float)])
+
+
+@st.composite
+def kernel_distributions(draw):
+    """Uniform (zero slope), single sloped segment, and multi-segment."""
+    kind = draw(st.sampled_from(["uniform", "flat_knots", "general"]))
+    if kind == "uniform":
+        return make_uniform(draw(st.floats(1e-3, 1e3)))
+    if kind == "flat_knots":
+        # Several segments, every one of them with zero slope.
+        m = draw(st.floats(0.1, 10.0))
+        return make_piecewise_linear((0.0, m / 3.0, m), (1.0, 1.0, 1.0))
+    return draw(distributions())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_distributions(), probabilities())
+def test_quantile_array_is_bit_equal_to_rationalized_formula(d, u):
+    original = u.copy()
+    reference = quantile_rationalized(d, u)
+    fresh = d._quantile_array(u)
+    assert bits(u) == bits(original)
+    assert bits(fresh) == bits(reference)
+    assert fresh is not u
+    in_place = d._quantile_array(u, out=u)
+    assert in_place is u
+    assert bits(u) == bits(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_distributions(), probabilities())
+def test_in_place_on_a_strided_column_touches_only_that_column(d, u):
+    block = np.stack([u, 1.0 - u, u[::-1]], axis=1)
+    before = block.copy()
+    column = block[:, 1]
+    d._quantile_array(column, out=column)
+    assert bits(block[:, 1]) == bits(quantile_rationalized(d, before[:, 1]))
+    assert bits(block[:, [0, 2]]) == bits(before[:, [0, 2]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1e-3, 1e3), probabilities())
+def test_zero_slope_is_exactly_u_over_d(m, u):
+    d = make_uniform(m)
+    assert d._slopes[0] == 0.0
+    expected = np.minimum(u / d._dens[0], m)
+    assert bits(d._quantile_array(u)) == bits(expected)
+    assert bits(quantile_rationalized(d, u)) == bits(expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_distributions(), st.lists(unit_floats, min_size=1, max_size=8))
+def test_scalar_quantile_matches_formula_and_leaves_input(d, us):
+    for value in list(EDGE_US[:3]) + us:
+        arg = np.array(value)
+        assert d.quantile(arg) == float(quantile_rationalized(d, value))
+        assert arg.item() == value
+        assert bits(d._quantile_array(arg)) == bits(quantile_rationalized(d, arg))
+        assert arg.item() == value
+
+
+@settings(max_examples=20, deadline=None)
+@given(kernel_distributions(), st.integers(0, 2**32 - 1))
+def test_sample_is_formula_on_the_rng_stream(d, seed):
+    for size in (7, (5, 3)):
+        draws = np.random.default_rng(seed).random(size)
+        got = sample(d, size, np.random.default_rng(seed))
+        assert bits(got) == bits(quantile_rationalized(d, draws))
+    one = sample(d, None, np.random.default_rng(seed))
+    assert float(one) == sample_one(d, np.random.default_rng(seed))
