@@ -18,8 +18,8 @@ The package provides:
   revenue, the epsilon-offer construction that strictly beats optimal single
   pricing, and pair-offer optimization.
 * :mod:`~bundle_auction_lab.group_revenue` -- n-customer pure-bundle offers,
-  Bernstein tail bounds, the near-full-surplus revenue guarantee, Monte Carlo
-  estimation, and group-offer optimization.
+  Bernstein and closed-form Chernoff tail bounds, the near-full-surplus
+  revenue guarantee, Monte Carlo estimation, and group-offer optimization.
 * :mod:`~bundle_auction_lab.experiments` -- config-driven experiment runner
   with deterministic, byte-reproducible CSV reports.
 """
@@ -40,6 +40,7 @@ from .group_revenue import (
     SurplusExtractionReport,
     bernstein_sweep,
     bernstein_upper_bound,
+    chernoff_tail_bound,
     full_surplus_offer,
     group_expected_revenue_mc,
     optimize_group_offer,
@@ -90,6 +91,7 @@ __all__ = [
     "SurplusExtractionReport",
     "bernstein_sweep",
     "bernstein_upper_bound",
+    "chernoff_tail_bound",
     "full_surplus_offer",
     "group_expected_revenue_mc",
     "optimize_group_offer",

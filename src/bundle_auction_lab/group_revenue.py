@@ -6,8 +6,13 @@ priced at ``b = mu - 2 M sqrt(n ln n)`` is therefore accepted except with
 probability at most ``1/n`` (Bernstein), giving the seller at least
 ``(1 - 1/n) * (mu - 2 M sqrt(n ln n))`` in expectation -- a vanishing
 relative gap to the unreachable upper bound ``mu``.  This module builds the
-offer, evaluates the bound and its Bernstein ingredient, estimates revenue
-by seeded Monte Carlo, and optimizes group offers.
+offer, evaluates the bound and its Bernstein ingredient, and bounds the
+offer's rejection probability ``P[V < b]`` in closed form (the Chernoff
+bound of the piecewise-linear density, capped by Hoeffding's ``n^-8``).
+Where that bound is below 2**-54 the offer's acceptance probability and
+revenue round to exactly 1 and ``b`` in float64, so the large-bundle check
+needs no sampling; elsewhere it estimates revenue by seeded Monte Carlo.
+The module also optimizes group offers by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -18,14 +23,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mc import draw_batches, revenue_stats, valuation_sums
+from ._mc import MIN_SAMPLES, draw_batches, revenue_stats, valuation_sums
 from ._search import golden_section_max
 from .bundles import NO_SALE, BundleOffer
 from .single_pricing import optimal_single_price
 from .valuations import ValuationDistribution
 
 __all__ = [
+    "CERTIFY_BELOW",
     "SurplusExtractionReport",
+    "chernoff_tail_bound",
     "full_surplus_offer",
     "bernstein_upper_bound",
     "bernstein_sweep",
@@ -51,6 +58,12 @@ class SurplusExtractionReport:
     bernstein_bound: float
     lower_bound_ok: bool
     upper_bound_ok: bool
+    #: Upper bound on the rejection probability ``P[V < b]``
+    #: (:func:`chernoff_tail_bound`).
+    tail_bound: float
+    #: ``"certified"`` when ``tail_bound`` fixes the float64 values of the
+    #: acceptance probability and revenue, ``"mc"`` when they are sampled.
+    method: str
 
     @property
     def passes(self) -> bool:
@@ -133,6 +146,55 @@ def surplus_lower_bound(n: int, mu: float, m: float) -> float:
     if n < 2:
         raise ValueError("need n >= 2")
     return (1.0 - 1.0 / n) * (mu - 2.0 * m * math.sqrt(n * math.log(n)))
+
+
+#: A tail bound below this certifies a large-bundle row.  With ``eps`` below
+#: 2**-54 every value in ``[1 - eps, 1]`` rounds to 1.0 and every value in
+#: ``[b (1 - eps), b]`` to ``b``, so the acceptance probability and the
+#: revenue ``b P[V >= b]`` are exactly 1.0 and ``b`` in float64.  The bound
+#: is computed through its logarithm, whose two terms are about 3e3 at
+#: n = 1e4 and round at 1e-16 relative, an error near 1e-12; the factor
+#: ``1 - 1e-6`` (1e-6 in the logarithm) absorbs it.
+CERTIFY_BELOW = 2.0**-54 * (1.0 - 1e-6)
+
+
+def chernoff_tail_bound(dist: ValuationDistribution, n: int, b: float
+                        ) -> float:
+    """Upper bound on ``P[V_1 + ... + V_n < b]`` for i.i.d. ``V_i ~ dist``.
+
+    Returns ``min(exp(min_{theta > 0} [theta b + n log E e^{-theta V}]),
+    exp(-2 (mu - b)^2 / (n M^2)))``: the Chernoff bound, with the Laplace
+    transform in closed form (:meth:`ValuationDistribution.log_laplace`),
+    capped by Hoeffding's bound, which is ``n^-8`` at the full-surplus price
+    ``mu - 2 M sqrt(n ln n)``.  The exponent is convex in ``theta`` and any
+    ``theta`` gives a valid bound, so the golden-section search on
+    ``log theta`` can only loosen it.  Its bracket holds the minimizer,
+    where ``n E_theta[V] = b`` for the tilted law ``f(v) e^{-theta v}``:
+    the tilted variance is at most ``M^2 / 4``, which puts it above
+    ``4 (mu - b) / (n M^2)``, and the tilted mean is at most
+    ``(max f / min f) / theta``, which puts it below
+    ``(max f / min f) n / b``.  The lower end is the ``theta`` of
+    Hoeffding's bound, so the search never ends above the cap by more than
+    rounding.  ``b <= 0`` gives 0 and ``b >= mu`` gives 1.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    mu = n * dist.mean
+    if b <= 0.0:
+        return 0.0
+    if b >= mu:
+        return 1.0
+    m = dist.upper_bound
+    log_hoeffding = -2.0 * (mu - b) ** 2 / (n * m * m)
+    dens = dist.densities
+    lo = math.log(4.0 * (mu - b) / (n * m * m))
+    hi = max(lo, math.log(max(dens) / min(dens) * n / b))
+    _, neg_exponent = golden_section_max(
+        lambda log_theta: -(math.exp(log_theta) * b
+                            + n * dist.log_laplace(math.exp(log_theta))),
+        lo, hi, xtol=1e-9,
+    )
+    return math.exp(min(-neg_exponent, log_hoeffding))
 
 
 def group_expected_revenue_mc(dists: Sequence[ValuationDistribution],
@@ -250,33 +312,50 @@ def verify_surplus_extraction(dist: ValuationDistribution,
                               ) -> list[SurplusExtractionReport]:
     """Run the large-bundle check for each group size in ``n_list``.
 
-    For each ``n`` the offer prices ``n`` i.i.d. copies, Monte Carlo
-    estimates the revenue on up to ``threads`` batch threads (default: every
-    core; the reports do not depend on it), and the report records whether
-    ``estimate + 4 SE >= (1 - 1/n)(mu - 2 M sqrt(n ln n))`` and
-    ``estimate - 4 SE <= mu``.  Vacuous offers raise.
+    For each ``n`` the offer prices ``n`` i.i.d. copies at
+    ``b = mu - 2 M sqrt(n ln n)``.  The row is certified first: when
+    :func:`chernoff_tail_bound` puts the rejection probability below
+    :data:`CERTIFY_BELOW`, the acceptance probability is 1.0, the revenue
+    ``b`` and its standard error 0.0, exactly in float64 and without
+    sampling.  Otherwise Monte Carlo estimates the revenue from
+    ``n_samples`` profiles on up to ``threads`` batch threads (default:
+    every core; the reports do not depend on it).  Either way the report
+    records whether ``estimate + 4 SE >= (1 - 1/n)(mu - 2 M sqrt(n ln n))``
+    and ``estimate - 4 SE <= mu``.  Vacuous offers and fewer than 1,000
+    samples raise, whether or not any row needs them.
     """
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     seed_tuple = seed if isinstance(seed, tuple) else (int(seed),)
     reports = []
     for n in sorted(int(x) for x in n_list):
         dists = [dist] * n
         offer = full_surplus_offer(dists)
+        b = offer.bundle_price
         mu, m = _mu_and_m(dists)
-        stats = revenue_stats(dists, offer, n_samples, seed_tuple + (n,),
-                              threads=threads)
+        eps = chernoff_tail_bound(dist, n, b)
+        if eps < CERTIFY_BELOW:
+            method, accept, revenue, se = "certified", 1.0, b, 0.0
+        else:
+            stats = revenue_stats(dists, offer, n_samples, seed_tuple + (n,),
+                                  threads=threads)
+            method, accept, revenue, se = ("mc", stats.accept_prob,
+                                           stats.mean, stats.std_error)
         t = 2.0 * m * math.sqrt(n * math.log(n))
         lower = surplus_lower_bound(n, mu, m)
         reports.append(SurplusExtractionReport(
             n=n,
             mu=mu,
-            bundle_price=offer.bundle_price,
-            accept_prob_estimate=stats.accept_prob,
-            revenue_estimate=stats.mean,
-            revenue_std_error=stats.std_error,
+            bundle_price=b,
+            accept_prob_estimate=accept,
+            revenue_estimate=revenue,
+            revenue_std_error=se,
             lower_bound=lower,
             upper_bound=mu,
             bernstein_bound=bernstein_upper_bound(n, m, t),
-            lower_bound_ok=stats.mean + 4.0 * stats.std_error >= lower,
-            upper_bound_ok=stats.mean - 4.0 * stats.std_error <= mu,
+            lower_bound_ok=revenue + 4.0 * se >= lower,
+            upper_bound_ok=revenue - 4.0 * se <= mu,
+            tail_bound=eps,
+            method=method,
         ))
     return reports

@@ -70,9 +70,9 @@ def test_traced_partition_benchmark_smoke():
 
 
 def test_traced_bundle_benchmark_smoke():
-    # The large-bundle check streams its multi-batch samples through the MC
-    # batch pool; under the tracer every batch is still drawn exactly once.
+    # Every row of the large-bundle check is certified by its closed-form
+    # tail bound, so the traced run still passes and draws nothing.
     metrics = _traced_smoke("bundle-mc")
-    assert metrics["mc.batches"]["value"] == 107
-    assert metrics["mc.elements"]["value"] == 222_000_000
+    assert metrics["mc.batches"]["value"] == 0
+    assert metrics["mc.elements"]["value"] == 0
     assert metrics["mc.repeat_draw_share"]["value"] == 0

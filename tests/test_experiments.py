@@ -260,6 +260,39 @@ class TestCsv:
         assert len(data) == 368
         assert hashlib.sha256(data).hexdigest()[:16] == "dfde6fbdb6324840"
 
+    def test_verify_thm2_config_bytes_are_pinned(self):
+        # The large-bundle check of the shipped config: every row prints
+        # accept_prob 1, revenue b and SE 0, however the row is computed.
+        path = Path(__file__).resolve().parent.parent / "configs" / "verify_thm2_uniform.json"
+        data = csv_text(run(parse_config(path.read_text(encoding="utf-8")))).encode()
+        assert len(data) == 396
+        assert hashlib.sha256(data).hexdigest()[:16] == "9901ae6765cf53d9"
+
+    def test_verify_thm2_footer_names_each_rows_method(self):
+        # The method and the tail bound of each row go to the footer; the
+        # CSV keeps its pinned bytes.
+        path = Path(__file__).resolve().parent.parent / "configs" / "verify_thm2_uniform.json"
+        report = run(parse_config(path.read_text(encoding="utf-8")))
+        data = csv_text(report).encode()
+        assert hashlib.sha256(data).hexdigest()[:16] == "9901ae6765cf53d9"
+        assert [n.split(",")[0] for n in report.notes] == [
+            "n=100: certified", "n=1000: certified", "n=10000: certified"]
+        footer = render_footer(report)
+        assert "# note: n=10000: certified, tail bound P[V < b] <= 3.73e-97" in footer
+        assert "certified" not in csv_text(report)
+
+    def test_verify_thm2_footer_names_a_sampled_row(self):
+        fallback = {"type": "piecewise_linear",
+                    "knots": [0, 0.1, 0.45, 0.96, 1],
+                    "densities": [6.1, 0.053, 0.023, 0.355, 59.4]}
+        report = run(parse_config(config_text(
+            command="verify-thm2", seed=3, n_list=[23, 200], n_samples=2000,
+            distributions=[fallback],
+        )))
+        assert report.notes[0].startswith("n=23: mc, tail bound P[V < b] <= 5.")
+        assert report.notes[1].startswith("n=200: certified,")
+        assert "mc" not in csv_text(report)
+
     def test_three_rows_ascending(self):
         cfg = parse_config(config_text(
             command="verify-thm2", seed=2, n_list=[200, 100, 400],

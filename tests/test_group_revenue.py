@@ -1,14 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, resolve_outcome
 from bundle_auction_lab import _mc
 from bundle_auction_lab._mc import draw_batches, revenue_stats, valuation_sums
+from bundle_auction_lab import group_revenue
 from bundle_auction_lab.group_revenue import (
+    CERTIFY_BELOW,
     bernstein_sweep,
     bernstein_upper_bound,
+    chernoff_tail_bound,
     full_surplus_offer,
     group_expected_revenue_mc,
     optimize_group_offer,
@@ -17,7 +23,14 @@ from bundle_auction_lab.group_revenue import (
 )
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
+from oracles import irwin_hall_cdf, variance_simpson
+
 UNIFORM = make_uniform(1.0)
+# A valid density with most of its mass at the two ends of [0, 1]: its
+# full-surplus offer at n = 23 has a tail bound of about 5e-16, too loose to
+# certify, so that row is sampled.
+FALLBACK = make_piecewise_linear((0.0, 0.1, 0.45, 0.96, 1.0),
+                                 (6.1, 0.053, 0.023, 0.355, 59.4))
 
 
 def expected_bundle_price(n: int, mu: float, m: float = 1.0) -> float:
@@ -307,3 +320,127 @@ class TestVerifySurplusExtraction:
     def test_reports_sorted_by_n(self):
         reports = verify_surplus_extraction(UNIFORM, [1000, 100], 2000, 8)
         assert [r.n for r in reports] == [100, 1000]
+
+
+class TestChernoffTailBound:
+    DISTS = {
+        "uniform_1": UNIFORM,
+        "uniform_0_3": make_uniform(0.3),
+        "ramp": make_piecewise_linear((0.0, 1.0), (0.5, 1.5)),
+        "template": TEMPLATE,
+        "fallback": FALLBACK,
+    }
+
+    def test_shipped_rows(self):
+        # configs/verify_thm2_uniform.json: far below 2**-54 at every n.
+        for n, below in ((100, 1e-71), (1000, 1e-74), (10**4, 1e-96)):
+            b = full_surplus_offer([UNIFORM] * n).bundle_price
+            assert 0.0 < chernoff_tail_bound(UNIFORM, n, b) < below
+
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_at_most_hoeffding_at_the_full_surplus_price(self, name):
+        dist = self.DISTS[name]
+        for n in (23, 30, 68, 100, 500, 1000, 10**4):
+            try:
+                b = full_surplus_offer([dist] * n).bundle_price
+            except ValueError:  # vacuous at this n
+                continue
+            assert chernoff_tail_bound(dist, n, b) <= n**-8.0
+
+    @pytest.mark.parametrize("n", [2, 6, 12, 30])
+    def test_bounds_the_exact_uniform_tail(self, n):
+        # Irwin-Hall: the sum of n uniforms has an exact rational CDF.
+        for z in (0.25, 0.5, 1.0, 2.0, 3.0):
+            b = n / 2.0 - z * math.sqrt(n / 12.0)
+            if b <= 0.0:
+                continue
+            exact = irwin_hall_cdf(n, b)
+            eps = chernoff_tail_bound(UNIFORM, n, b)
+            assert exact <= eps < 1.0
+            # The bound is exponentially tight: its log is within
+            # log(n) + 2 of the exact tail's.
+            assert math.log(eps) <= math.log(exact) + math.log(n) + 2.0
+
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_reaches_the_minimum_of_a_dense_theta_grid(self, name):
+        dist = self.DISTS[name]
+        for n in (6, 50, 1000):
+            mu = n * dist.mean
+            for b in (0.2 * mu, 0.6 * mu, 0.95 * mu):
+                grid = np.geomspace(1e-6, 1e4, 4001) / dist.upper_bound
+                best = min(t * b + n * dist.log_laplace(t) for t in grid)
+                eps = chernoff_tail_bound(dist, n, b)
+                # Both sides underflow to 0 together far out in the tail.
+                assert eps <= math.exp(best) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("n", [6, 50])
+    @pytest.mark.parametrize("name", ["uniform_1", "template", "fallback"])
+    def test_bounds_the_mc_rejection_rate(self, name, n):
+        # Price the bundle half a standard deviation of the sum below mu, so
+        # about a third of the profiles reject it: a check that can fail.
+        dist = self.DISTS[name]
+        sd = math.sqrt(n * variance_simpson(dist.knots, dist.densities))
+        b = n * dist.mean - 0.5 * sd
+        eps = chernoff_tail_bound(dist, n, b)
+        samples = 20_000
+        stats = revenue_stats([dist] * n, BundleOffer((NO_SALE,) * n, b),
+                              samples, (17, n))
+        reject = 1.0 - stats.accept_prob
+        se = math.sqrt(reject * (1.0 - reject) / samples)
+        assert 0.2 < reject <= eps + 4.0 * se
+        assert eps < 1.0
+
+    def test_edges(self):
+        assert chernoff_tail_bound(UNIFORM, 10, 0.0) == 0.0
+        assert chernoff_tail_bound(UNIFORM, 10, -1.0) == 0.0
+        assert chernoff_tail_bound(UNIFORM, 10, 5.0) == 1.0
+        assert chernoff_tail_bound(UNIFORM, 10, 7.0) == 1.0
+        with pytest.raises(ValueError, match="n >= 1"):
+            chernoff_tail_bound(UNIFORM, 0, 1.0)
+
+    @given(st.floats(1e-300, 1e300))
+    def test_certified_values_round_to_one_and_b(self, b):
+        # Below CERTIFY_BELOW the exact acceptance probability lies in
+        # [1 - eps, 1] and the revenue in [b (1 - eps), b]; both ends round
+        # to the same float64.
+        eps = Fraction(CERTIFY_BELOW)
+        assert float(1 - eps) == 1.0
+        assert float(Fraction(b) * (1 - eps)) == b
+
+
+class TestCertifiedRows:
+    def test_shipped_rows_are_certified_without_draws(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a certified row sampled")
+
+        monkeypatch.setattr(group_revenue, "revenue_stats", no_sampling)
+        reports = verify_surplus_extraction(UNIFORM, [100, 1000, 10**4],
+                                            10**5, 20260810)
+        for r in reports:
+            assert r.method == "certified"
+            assert r.tail_bound < CERTIFY_BELOW
+            assert r.accept_prob_estimate == 1.0
+            assert r.revenue_estimate == r.bundle_price
+            assert r.revenue_std_error == 0.0
+            assert r.passes
+
+    def test_mixed_run_certifies_one_row_and_samples_the_other(self):
+        reports = verify_surplus_extraction(FALLBACK, [200, 23], 10**4, 8,
+                                            threads=1)
+        by_n = {r.n: r for r in reports}
+        assert by_n[200].method == "certified"
+        assert by_n[200].revenue_estimate == by_n[200].bundle_price
+        row = by_n[23]
+        assert row.method == "mc"
+        assert CERTIFY_BELOW < row.tail_bound < 1e-15
+        # The sampled row is exactly today's Monte Carlo call.
+        offer = full_surplus_offer([FALLBACK] * 23)
+        stats = revenue_stats([FALLBACK] * 23, offer, 10**4, (8, 23))
+        assert (row.accept_prob_estimate, row.revenue_estimate,
+                row.revenue_std_error) == (stats.accept_prob, stats.mean,
+                                           stats.std_error)
+        assert row.passes
+
+    def test_too_few_samples_raise_even_when_certified(self):
+        with pytest.raises(ValueError, match="1000 samples"):
+            verify_surplus_extraction(UNIFORM, [1000], 999, 1)

@@ -7,6 +7,7 @@ estimates, and check that the batch threads change none of them.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -132,14 +133,21 @@ def test_partition_run_starts_no_pool(pools):
 
 
 def test_threads_reach_the_large_bundle_check(pools):
-    text = ('{"command": "verify-thm2", "seed": 8, "n_samples": 5000, '
-            '"n_list": [100, 1000], "distributions": [{"type": "uniform", "M": 1}]}')
-    serial = csv_text(run(parse_config(text), threads=1))
+    # The full-surplus offer on this density at n = 23 has a tail bound of
+    # about 5e-16, too loose to certify, so the row is sampled: 100,000
+    # profiles of 23 customers are two batches of up to 91,180 rows.
+    dist = {"type": "piecewise_linear", "knots": [0, 0.1, 0.45, 0.96, 1],
+            "densities": [6.1, 0.053, 0.023, 0.355, 59.4]}
+    text = json.dumps({"command": "verify-thm2", "seed": 8,
+                       "n_samples": 100_000, "n_list": [23],
+                       "distributions": [dist]})
+    serial = run(parse_config(text), threads=1)
     assert pools == []
-    # n = 1000 takes three batches; n = 100 one.
-    assert csv_text(run(parse_config(text), threads=2)) == serial
+    assert csv_text(run(parse_config(text), threads=2)) == csv_text(serial)
     assert pools == [2]
-    reports = verify_surplus_extraction(make_uniform(1.0), [1000], 5000, 8,
-                                        threads=1)
+    reports = verify_surplus_extraction(
+        make_piecewise_linear(dist["knots"], dist["densities"]), [23],
+        100_000, 8, threads=1)
     assert pools == [2]
+    assert reports[0].method == "mc"
     assert reports[0].revenue_estimate > 0.0

@@ -14,7 +14,12 @@ from bundle_auction_lab.valuations import (
     validate_smoothness,
 )
 
-from oracles import ks_statistic, quantile_rationalized, simpson_between_knots
+from oracles import (
+    ks_statistic,
+    laplace_simpson,
+    quantile_rationalized,
+    simpson_between_knots,
+)
 
 
 def ramp():
@@ -113,6 +118,42 @@ class TestEvaluation:
         xs = np.linspace(-0.2, 1.2, 29)
         assert np.allclose(d.pdf(xs), [d.pdf(float(x)) for x in xs])
         assert np.allclose(d.cdf(xs), [d.cdf(float(x)) for x in xs])
+
+
+class TestLogLaplace:
+    # Uniform, the ramp of configs/single_opt_uniform.json, and the
+    # partition benchmark's 3-knot template.
+    CASES = {
+        "uniform": ((0.0, 1.0), (1.0, 1.0)),
+        "ramp": ((0.0, 1.0), (0.5, 1.5)),
+        "template": ((0.0, 0.4, 1.0), (0.6, 1.6, 0.8)),
+    }
+    # 1e-8 and 1e-5 take the series branch on every segment, 0.5 and 0.51
+    # straddle its edge, and 1e3 underflows e^{-theta v} past v = 0.75.
+    THETAS = (1e-8, 1e-5, 1e-3, 0.1, 0.49, 0.5, 0.51, 1.0, 3.0, 30.0, 1e3)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_matches_simpson_integral(self, name, theta):
+        knots, densities = self.CASES[name]
+        d = make_piecewise_linear(knots, densities)
+        ref = laplace_simpson(knots, densities, theta)
+        assert abs(d.log_laplace(theta) - math.log(ref)) <= 1e-12
+
+    def test_uniform_closed_form(self):
+        # E e^{-theta V} = (1 - e^{-theta M}) / (theta M) for uniform [0, M].
+        # The stored density 1/M times the width M is 1 within one rounding,
+        # hence the absolute 1e-15.
+        for m in (1.0, 0.3, 7.0):
+            for theta in (1e-6, 0.7, 50.0):
+                want = math.log(-math.expm1(-theta * m) / (theta * m))
+                assert make_uniform(m).log_laplace(theta) == pytest.approx(
+                    want, rel=1e-13, abs=1e-15)
+
+    def test_rejects_nonpositive_theta(self):
+        for theta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="theta"):
+                ramp().log_laplace(theta)
 
 
 class TestSampling:
