@@ -9,22 +9,18 @@ per-row revenue rule is exactly
 :func:`bundle_auction_lab.bundles.resolve_outcome`, vectorized.
 
 A one-off estimate streams its batches: each is drawn, reduced to partial
-sums and dropped.  With two or more batches, the batches are drawn and
-reduced on a pool of threads (numpy releases the GIL in the RNG and in the
-array passes), and the partial sums are combined in batch order, so the
-results do not depend on the thread count.  A search that scores many
-candidates on one sample draws it once with :func:`draw_batches` and passes
-the held batches to every reduction, which gives the same floats as
-streaming.
+sums and dropped, in batch order on the calling thread (the thread cap of
+``experiments.run`` and ``BUNDLE_LAB_THREADS`` apply only to the pair-offer
+grid).  A search that scores many candidates on one sample draws it once
+with :func:`draw_batches` and passes the held batches to every reduction,
+which gives the same floats as streaming.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,13 +43,6 @@ class RevenueStats:
     std_error: float
     accept_prob: float
     n_samples: int
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    """Worker threads for a ``threads`` argument; ``None`` means every core."""
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, os.cpu_count() or 1)
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -83,45 +72,14 @@ def _draw(dists: Sequence[ValuationDistribution], rows: int,
     return u
 
 
-def _batch_drawer(dists, n_samples, seed):
-    """``(draw, n_batches)``, where ``draw(k)`` draws batch k of the sample."""
-    entropy = _seed_tuple(seed)
-    rows = max(1, BATCH_ELEMENTS // max(len(dists), 1))
-
-    def draw(k: int) -> np.ndarray:
-        return _draw(dists, min(rows, n_samples - k * rows),
-                     _batch_rng(entropy, k))
-
-    return draw, math.ceil(n_samples / rows)
-
-
 def _batches(dists, n_samples, seed):
     """The sample's batch matrices, drawn lazily one at a time in batch
     order."""
-    draw, n_batches = _batch_drawer(dists, n_samples, seed)
-    return map(draw, range(n_batches))
-
-
-def _reduce_batches(reduce, dists, n_samples, seed, batches, threads) -> list:
-    """``reduce(batch)`` for every batch of the sample, in batch order.
-
-    ``batches`` is a held sample, reduced as given.  Without it each batch
-    is drawn, reduced and dropped by one worker; with at least two batches
-    and two threads the workers run on a pool, so at most ``threads``
-    batches are alive at once.
-    """
-    if batches is not None:
-        return [reduce(v) for v in batches]
-    draw, n_batches = _batch_drawer(dists, n_samples, seed)
-
-    def work(k: int):
-        return reduce(draw(k))
-
-    workers = min(_thread_count(threads), n_batches)
-    if workers < 2:
-        return [work(k) for k in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, range(n_batches)))
+    entropy = _seed_tuple(seed)
+    rows = max(1, BATCH_ELEMENTS // max(len(dists), 1))
+    for k in range(math.ceil(n_samples / rows)):
+        yield _draw(dists, min(rows, n_samples - k * rows),
+                    _batch_rng(entropy, k))
 
 
 def draw_batches(dists: Sequence[ValuationDistribution], n_samples: int,
@@ -167,26 +125,27 @@ def _revenue_partials(v: np.ndarray, offer: BundleOffer):
 
 
 def revenue_stats(dists: Sequence[ValuationDistribution], offer: BundleOffer,
-                  n_samples: int, seed, batches=None,
-                  threads: Optional[int] = None) -> RevenueStats:
+                  n_samples: int, seed, batches=None) -> RevenueStats:
     """Estimate the expected offer revenue from seeded i.i.d. profiles.
 
     ``batches`` is the sample as returned by :func:`draw_batches` for the
     same ``dists``, ``n_samples`` and ``seed``; without it the batches are
-    drawn here and streamed, on up to ``threads`` threads (default: every
-    core).  All of these give bit-identical results.
+    drawn here and streamed.  Both give bit-identical results.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if offer.n != len(dists):
         raise ValueError("offer and distribution list must have equal length")
-    parts = _reduce_batches(lambda v: _revenue_partials(v, offer), dists,
-                            n_samples, seed, batches, threads)
+    if batches is None:
+        batches = _batches(dists, n_samples, seed)
     total = 0.0
     total_sq = 0.0
     accepted = 0
     rows = 0
-    for part_sum, part_sq, part_accepted, part_rows in parts:
+    # map drops each batch once it is reduced, so a streamed sample holds
+    # one batch at a time.
+    for part_sum, part_sq, part_accepted, part_rows in map(
+            lambda v: _revenue_partials(v, offer), batches):
         total += part_sum
         total_sq += part_sq
         accepted += part_accepted
@@ -205,12 +164,12 @@ def revenue_stats(dists: Sequence[ValuationDistribution], offer: BundleOffer,
 
 
 def valuation_sums(dists: Sequence[ValuationDistribution], n_samples: int,
-                   seed, batches=None,
-                   threads: Optional[int] = None) -> np.ndarray:
+                   seed, batches=None) -> np.ndarray:
     """Seeded samples of ``sum_i V_i``, drawn from the same substreams as
     :func:`revenue_stats` so price searches share common random numbers.
 
-    ``batches`` and ``threads`` are as in :func:`revenue_stats`.
+    ``batches`` is as in :func:`revenue_stats`.
     """
-    return np.concatenate(_reduce_batches(
-        lambda v: v.sum(axis=1), dists, n_samples, seed, batches, threads))
+    if batches is None:
+        batches = _batches(dists, n_samples, seed)
+    return np.concatenate(list(map(lambda v: v.sum(axis=1), batches)))

@@ -5,9 +5,8 @@ Usage: ``bundle-auction-lab <subcommand> --config <path> [--out <path>]
 CSV goes to ``--out`` (or stdout); run metadata goes to stderr.  Exit status
 is 0 on success and 1 when a verify-style subcommand's check fails (the
 failure is data -- the full CSV is still emitted).  ``BUNDLE_LAB_THREADS``
-caps the threads that evaluate chunks of the pair-offer grid and the threads
-that draw and reduce Monte Carlo batches (default: all cores); it never
-changes the output.
+caps the threads that evaluate chunks of the pair-offer grid (default: all
+cores); it never changes the output.  Monte Carlo runs on one thread.
 """
 
 from __future__ import annotations

@@ -329,9 +329,9 @@ def run(config: ExperimentConfig, *, out_path: Optional[str] = None,
 
     Verification failures are recorded in ``passed`` -- they are data, not
     exceptions.  The CSV is written to ``out_path`` or ``config.out`` when
-    given.  ``threads`` caps the worker threads of the pair-offer grid and
-    of multi-batch Monte Carlo (default: every core); the report does not
-    depend on it.
+    given.  ``threads`` caps the worker threads of the pair-offer grid
+    (default: every core); the report does not depend on it.  Monte Carlo
+    runs on the calling thread.
     """
     t0 = time.perf_counter()
     if config.command == "single-opt":
@@ -341,7 +341,7 @@ def run(config: ExperimentConfig, *, out_path: Optional[str] = None,
     elif config.command == "verify-thm1":
         result = _run_verify_pair(config)
     elif config.command == "verify-thm2":
-        result = _run_verify_group(config, threads)
+        result = _run_verify_group(config)
     elif config.command == "partition":
         result = partition_result(config, threads)
     elif config.command == "sweep":
@@ -400,8 +400,7 @@ def _run_verify_pair(config):
                "u_singles")
     rows = []
     entries = [(ev, "grid") for ev in report.evaluations]
-    if report.refined is not None:
-        entries.append((report.refined, "refined"))
+    entries.append((report.refined, "refined"))
     for ev, source in entries:
         bd = ev.breakdown
         rows.append((ev.eps, source, bd.accept_probability, bd.bundle_part,
@@ -410,11 +409,11 @@ def _run_verify_pair(config):
     return columns, rows, report.improved, ()
 
 
-def _run_verify_group(config, threads):
+def _run_verify_group(config):
     _require_dists(config, 1)
     n_list = config.n_list or (100, 1000)
     reports = verify_surplus_extraction(
-        config.built[0], n_list, config.n_samples, config.seed, threads=threads
+        config.built[0], n_list, config.n_samples, config.seed
     )
     columns = ("n", "mu", "bundle_price", "accept_prob", "revenue_estimate",
                "revenue_std_error", "lower_bound", "upper_bound",
@@ -495,13 +494,11 @@ def partition_result(config: ExperimentConfig, threads=None):
             offer, _ = optimize_group_offer(
                 [dist] * size, mode=mode, budget=budget,
                 n_samples=config.n_samples, seed=(config.seed, size),
-                threads=threads,
             )
             # Re-estimate on a held-out stream: the optimizer's own value is
             # biased upward by the maximization over sampling noise.
             value, err = group_expected_revenue_mc(
-                [dist] * size, offer, config.n_samples, (config.seed, size, 1),
-                threads=threads,
+                [dist] * size, offer, config.n_samples, (config.seed, size, 1)
             )
         total_mixed += group_count * value
         rows.append((size, customers, group_count, offer.bundle_price,

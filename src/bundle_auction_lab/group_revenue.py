@@ -12,7 +12,9 @@ bound of the piecewise-linear density, capped by Hoeffding's ``n^-8``).
 Where that bound is below 2**-54 the offer's acceptance probability and
 revenue round to exactly 1 and ``b`` in float64, so the large-bundle check
 needs no sampling; elsewhere it estimates revenue by seeded Monte Carlo.
-The module also optimizes group offers by Monte Carlo.
+The module also optimizes group offers by Monte Carlo.  All of its sampling
+runs on the calling thread; the thread cap of ``experiments.run`` and
+``BUNDLE_LAB_THREADS`` apply only to the pair-offer grid.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mc import MIN_SAMPLES, draw_batches, revenue_stats, valuation_sums
+from ._mc import (MIN_SAMPLES, _seed_tuple, draw_batches, revenue_stats,
+                  valuation_sums)
 from ._search import golden_section_max
 from .bundles import NO_SALE, BundleOffer
 from .single_pricing import optimal_single_price
@@ -199,22 +202,19 @@ def chernoff_tail_bound(dist: ValuationDistribution, n: int, b: float
 
 def group_expected_revenue_mc(dists: Sequence[ValuationDistribution],
                               offer: BundleOffer, n_samples: int,
-                              seed, threads: Optional[int] = None
-                              ) -> tuple[float, float]:
+                              seed) -> tuple[float, float]:
     """Monte Carlo ``(estimate, std_error)`` of the offer's expected revenue.
 
-    Seeded and batched: identical inputs give bit-identical results for any
-    ``threads`` (the batch threads, default every core); work is O(n) per
-    sample.
+    Seeded and batched: identical inputs give bit-identical results; work
+    is O(n) per sample.
     """
-    stats = revenue_stats(dists, offer, n_samples, seed, threads=threads)
+    stats = revenue_stats(dists, offer, n_samples, seed)
     return stats.mean, stats.std_error
 
 
 def optimize_group_offer(dists: Sequence[ValuationDistribution],
                          mode: str = "pure_bundle", budget: int = 2,
-                         n_samples: int = 100_000, seed=0,
-                         threads: Optional[int] = None
+                         n_samples: int = 100_000, seed=0
                          ) -> tuple[BundleOffer, float]:
     """Search for a high-revenue group offer under the MC estimator.
 
@@ -231,11 +231,11 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     and the whole search deterministic.  The sample is drawn once per call
     and held for all of its evaluations, ``n_samples * n * 8`` bytes until
     the call returns (4.8 MB at 100,000 samples of a six-customer group);
-    pure-bundle mode holds only the ``n_samples`` sorted sums, which it
-    draws on up to ``threads`` threads (default: every core).
+    pure-bundle mode holds only the ``n_samples`` sorted sums.  Sampling
+    runs on the calling thread, whatever ``BUNDLE_LAB_THREADS`` says.
     """
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if mode not in ("pure_bundle", "full"):
         raise ValueError("mode must be 'pure_bundle' or 'full'")
     n = len(dists)
@@ -246,7 +246,7 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     # Full mode scores every candidate on one held sample instead of
     # redrawing it from the seed for each evaluation.
     batches = draw_batches(dists, n_samples, seed) if mode == "full" else None
-    sums = np.sort(valuation_sums(dists, n_samples, seed, batches, threads))
+    sums = np.sort(valuation_sums(dists, n_samples, seed, batches))
 
     def bundle_value(b: float) -> float:
         hits = n_samples - int(np.searchsorted(sums, b, side="left"))
@@ -308,8 +308,7 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
 
 def verify_surplus_extraction(dist: ValuationDistribution,
                               n_list: Sequence[int], n_samples: int,
-                              seed, threads: Optional[int] = None
-                              ) -> list[SurplusExtractionReport]:
+                              seed) -> list[SurplusExtractionReport]:
     """Run the large-bundle check for each group size in ``n_list``.
 
     For each ``n`` the offer prices ``n`` i.i.d. copies at
@@ -318,15 +317,15 @@ def verify_surplus_extraction(dist: ValuationDistribution,
     :data:`CERTIFY_BELOW`, the acceptance probability is 1.0, the revenue
     ``b`` and its standard error 0.0, exactly in float64 and without
     sampling.  Otherwise Monte Carlo estimates the revenue from
-    ``n_samples`` profiles on up to ``threads`` batch threads (default:
-    every core; the reports do not depend on it).  Either way the report
-    records whether ``estimate + 4 SE >= (1 - 1/n)(mu - 2 M sqrt(n ln n))``
-    and ``estimate - 4 SE <= mu``.  Vacuous offers and fewer than 1,000
-    samples raise, whether or not any row needs them.
+    ``n_samples`` profiles on the substream ``(*seed, n)``.  Either way the
+    report records whether
+    ``estimate + 4 SE >= (1 - 1/n)(mu - 2 M sqrt(n ln n))`` and
+    ``estimate - 4 SE <= mu``.  Vacuous offers, fewer than 1,000 samples and
+    negative seeds raise, whether or not any row needs them.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    seed_tuple = seed if isinstance(seed, tuple) else (int(seed),)
+    seed_tuple = _seed_tuple(seed)
     reports = []
     for n in sorted(int(x) for x in n_list):
         dists = [dist] * n
@@ -337,8 +336,7 @@ def verify_surplus_extraction(dist: ValuationDistribution,
         if eps < CERTIFY_BELOW:
             method, accept, revenue, se = "certified", 1.0, b, 0.0
         else:
-            stats = revenue_stats(dists, offer, n_samples, seed_tuple + (n,),
-                                  threads=threads)
+            stats = revenue_stats(dists, offer, n_samples, seed_tuple + (n,))
             method, accept, revenue, se = ("mc", stats.accept_prob,
                                            stats.mean, stats.std_error)
         t = 2.0 * m * math.sqrt(n * math.log(n))

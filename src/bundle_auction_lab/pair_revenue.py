@@ -29,6 +29,7 @@ deterministic pair-offer optimizer.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._mc import _thread_count, revenue_stats
+from ._mc import revenue_stats
 from ._quad import integrate_with_breakpoints, simpson_pass
 from ._search import golden_section_max
 from .bundles import BundleOffer
@@ -220,8 +221,7 @@ def _solo_parts(price, sells, other_eff, b, tail_cdf, gap_cdf) -> np.ndarray:
 
 def pair_expected_revenues_exact(d1: ValuationDistribution,
                                  d2: ValuationDistribution,
-                                 a1, a2, b, tol: float = EXACT_TOL
-                                 ) -> np.ndarray:
+                                 a1, a2, b) -> np.ndarray:
     """Exact expected revenue of many two-customer offers at once.
 
     ``a1``, ``a2`` and ``b`` broadcast to one 1-D shape; a NaN solo price is
@@ -230,8 +230,6 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     part, the two solo parts and the acceptance probability.  Each offer's
     values equal those of :func:`pair_expected_revenue_exact`.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     a1, a2, b = (np.asarray(x, dtype=float).ravel()
                  for x in np.broadcast_arrays(a1, a2, b))
     if not np.all(b >= 0.0):
@@ -242,7 +240,8 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     a1_eff = np.where(sells1, a1, np.inf)
     a2_eff = np.where(sells2, a2, np.inf)
     zero, inf = np.zeros(b.size), np.full(b.size, np.inf)
-    accept = _accept_probs(d1, d2, a1_eff, a2_eff, b, zero, inf, zero, inf, tol)
+    accept = _accept_probs(d1, d2, a1_eff, a2_eff, b, zero, inf, zero, inf,
+                           EXACT_TOL)
     # A solo price of 0 stands in for NO_SALE inside the CDFs; _solo_parts
     # zeroes those terms.
     p1 = np.where(sells1, a1, 0.0)
@@ -258,20 +257,19 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
 
 def pair_expected_revenue_exact(d1: ValuationDistribution,
                                 d2: ValuationDistribution,
-                                offer: BundleOffer,
-                                tol: float = EXACT_TOL) -> PairRevenueBreakdown:
+                                offer: BundleOffer) -> PairRevenueBreakdown:
     """Exact expected revenue of a two-customer offer.
 
     The acceptance probability is computed by breakpoint-aware Simpson
-    quadrature (absolute tolerance ``tol``); the solo parts reduce to closed
-    forms because the capped value of a solo buyer is constant:
+    quadrature (absolute tolerance ``EXACT_TOL``); the solo parts reduce to
+    closed forms because the capped value of a solo buyer is constant:
     ``solo_i = a_i * P[V_i >= a_i] * P[other capped value < b - a_i]``.
     This is :func:`pair_expected_revenues_exact` on a batch of one.
     """
     if offer.n != 2:
         raise ValueError("pair revenue needs a two-customer offer")
     a1, a2 = (math.nan if a is None else a for a in offer.individual_prices)
-    parts = pair_expected_revenues_exact(d1, d2, a1, a2, offer.bundle_price, tol)
+    parts = pair_expected_revenues_exact(d1, d2, a1, a2, offer.bundle_price)
     return _breakdown(parts[:, 0])
 
 
@@ -372,8 +370,7 @@ def region_probability(d1: ValuationDistribution, d2: ValuationDistribution,
 def region_expected_revenue(d1: ValuationDistribution,
                             d2: ValuationDistribution,
                             p1: float, p2: float, eps: float,
-                            label: RegionLabel, strategy: str,
-                            tol: float = EXACT_TOL) -> float:
+                            label: RegionLabel, strategy: str) -> float:
     """``E[revenue * 1{region}]`` under one of the two sales strategies.
 
     ``strategy="singles"`` prices the customers independently at
@@ -399,7 +396,7 @@ def region_expected_revenue(d1: ValuationDistribution,
     p_accept, buy1_acc, buy2_acc = map(float, _accept_probs(
         d1, d2, np.full(3, a1), np.full(3, a2), np.full(3, b),
         np.array([lo1, max(lo1, a1), lo1]), np.full(3, hi1),
-        np.array([lo2, lo2, max(lo2, a2)]), np.full(3, hi2), tol,
+        np.array([lo2, lo2, max(lo2, a2)]), np.full(3, hi2), EXACT_TOL,
     ))
     total = b * p_accept
     buy1_all = _window_prob(d1, max(lo1, a1), min(hi1, d1.upper_bound)) * \
@@ -428,7 +425,7 @@ class PairImprovementReport:
     p2_star: float
     singles_value: float
     evaluations: tuple[EpsilonEvaluation, ...]
-    refined: Optional[EpsilonEvaluation]
+    refined: EpsilonEvaluation
     best: EpsilonEvaluation
     improved: bool
     improvement_tol: float
@@ -437,15 +434,14 @@ class PairImprovementReport:
 def verify_pair_improvement(d1: ValuationDistribution,
                             d2: ValuationDistribution,
                             eps_grid=DEFAULT_EPS_GRID,
-                            tol: float = EXACT_TOL,
-                            improvement_tol: float = 1e-6,
-                            refine: bool = True) -> PairImprovementReport:
+                            improvement_tol: float = 1e-6
+                            ) -> PairImprovementReport:
     """Evaluate epsilon-offers against the optimal single-price benchmark.
 
     Solves each customer's single-price optimum, evaluates the epsilon-offer
     exactly for every grid value (each must satisfy ``0 < eps < p2*``), and
-    optionally refines epsilon by golden-section search.  ``improved`` is
-    true when the best offer beats the singles benchmark by more than
+    refines epsilon by golden-section search.  ``improved`` is true when the
+    best offer beats the singles benchmark by more than
     ``improvement_tol``; existence of such an epsilon is guaranteed for
     distributions meeting the smoothness hypotheses, and this report is the
     desk-checkable witness.
@@ -470,26 +466,23 @@ def verify_pair_improvement(d1: ValuationDistribution,
     # The epsilon-offers (p1 + eps, p2, p1 + p2) of the whole grid, one call.
     parts = pair_expected_revenues_exact(
         d1, d2, sol1.price + np.array(eps_sorted), sol2.price,
-        sol1.price + sol2.price, tol,
+        sol1.price + sol2.price,
     )
     evaluations = tuple(evaluation(e, _breakdown(parts[:, i]))
                         for i, e in enumerate(eps_sorted))
     best = max(evaluations, key=lambda ev: ev.breakdown.total)
 
-    refined = None
-    if refine:
-        hi = 0.999 * sol2.price
-        eps_ref, _ = golden_section_max(
-            lambda e: pair_expected_revenue_exact(
-                d1, d2, epsilon_offer(sol1.price, sol2.price, e), tol
-            ).total,
-            0.0, hi, xtol=1e-6,
-        )
-        refined = evaluation(eps_ref, pair_expected_revenue_exact(
-            d1, d2, epsilon_offer(sol1.price, sol2.price, eps_ref), tol
-        ))
-        if refined.breakdown.total > best.breakdown.total:
-            best = refined
+    eps_ref, _ = golden_section_max(
+        lambda e: pair_expected_revenue_exact(
+            d1, d2, epsilon_offer(sol1.price, sol2.price, e)
+        ).total,
+        0.0, 0.999 * sol2.price, xtol=1e-6,
+    )
+    refined = evaluation(eps_ref, pair_expected_revenue_exact(
+        d1, d2, epsilon_offer(sol1.price, sol2.price, eps_ref)
+    ))
+    if refined.breakdown.total > best.breakdown.total:
+        best = refined
 
     return PairImprovementReport(
         p1_star=sol1.price,
@@ -501,6 +494,13 @@ def verify_pair_improvement(d1: ValuationDistribution,
         improved=best.improvement > improvement_tol,
         improvement_tol=improvement_tol,
     )
+
+
+def _thread_count(threads: Optional[int]) -> int:
+    """Worker threads for a ``threads`` argument; ``None`` means every core."""
+    if threads is not None:
+        return max(1, int(threads))
+    return max(1, os.cpu_count() or 1)
 
 
 def _evaluate_offers(evaluate, count: int, threads: Optional[int]) -> np.ndarray:
@@ -517,7 +517,7 @@ def _evaluate_offers(evaluate, count: int, threads: Optional[int]) -> np.ndarray
 
 def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
                         budget: int = 15, *, grid_points: int = 32,
-                        tol: float = EXACT_TOL, pure_bundle_only: bool = False,
+                        pure_bundle_only: bool = False,
                         threads: Optional[int] = None
                         ) -> tuple[BundleOffer, float]:
     """Deterministic search for the best two-customer offer.
@@ -559,7 +559,7 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
 
     def evaluate(chunk: slice) -> np.ndarray:
         return pair_expected_revenues_exact(
-            d1, d2, a1s[chunk], a2s[chunk], bs[chunk], tol
+            d1, d2, a1s[chunk], a2s[chunk], bs[chunk]
         )[0]
 
     values = _evaluate_offers(evaluate, bs.size, threads)
@@ -590,7 +590,7 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
                 break
             # A float array stores NO_SALE (None) as NaN.
             a1, a2, b = np.array(trials, dtype=float).T
-            values = pair_expected_revenues_exact(d1, d2, a1, a2, b, tol)[0]
+            values = pair_expected_revenues_exact(d1, d2, a1, a2, b)[0]
             best_move = None
             best_move_value = best_value
             for trial, v in zip(trials, values.tolist()):

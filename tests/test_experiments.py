@@ -17,6 +17,7 @@ from bundle_auction_lab.experiments import (
     serialize_config,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 UNIFORM_DESC = {"type": "uniform", "M": 1.0}
 RAMP_DESC = {"type": "piecewise_linear", "knots": [0.0, 1.0],
              "densities": [0.5, 1.5]}
@@ -244,34 +245,30 @@ class TestCsv:
         second = csv_text(run(parse_config(text)))
         assert first.encode() == second.encode()
 
-    def test_pair_opt_config_bytes_are_pinned(self):
-        # The exact pair engine's optimum on the shipped uniform-pair config;
-        # any change to the engine's arithmetic shows up in these bytes.
-        path = Path(__file__).resolve().parent.parent / "configs" / "pair_opt_uniform.json"
-        data = csv_text(run(parse_config(path.read_text(encoding="utf-8")))).encode()
-        assert len(data) == 166
-        assert hashlib.sha256(data).hexdigest()[:16] == "6b2b241966262e57"
+    # (bytes, sha256[:16]) of each shipped config's CSV; a config without a
+    # pin fails.  Every output of the exact pair engine, the MC group search,
+    # the large-bundle check and the single-price solver shows up here.
+    PINNED_CONFIGS = {
+        "bernstein_sweep": (1447, "10dee7a41bf06624"),
+        "pair_opt_uniform": (166, "6b2b241966262e57"),
+        "partition_n36": (368, "dfde6fbdb6324840"),
+        "single_opt_uniform": (52, "5aea4ee9055ccd8c"),
+        "verify_thm1_uniform_pair": (394, "2cf7a18ed1f7f4a4"),
+        "verify_thm2_uniform": (396, "9901ae6765cf53d9"),
+    }
 
-    def test_partition_config_bytes_are_pinned(self):
-        # The MC group search scores every candidate on one held sample; it
-        # must pick the same offers as redrawing the sample per evaluation.
-        path = Path(__file__).resolve().parent.parent / "configs" / "partition_n36.json"
+    @pytest.mark.parametrize("name",
+                             sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_config_bytes_are_pinned(self, name):
+        path = CONFIGS / f"{name}.json"
         data = csv_text(run(parse_config(path.read_text(encoding="utf-8")))).encode()
-        assert len(data) == 368
-        assert hashlib.sha256(data).hexdigest()[:16] == "dfde6fbdb6324840"
-
-    def test_verify_thm2_config_bytes_are_pinned(self):
-        # The large-bundle check of the shipped config: every row prints
-        # accept_prob 1, revenue b and SE 0, however the row is computed.
-        path = Path(__file__).resolve().parent.parent / "configs" / "verify_thm2_uniform.json"
-        data = csv_text(run(parse_config(path.read_text(encoding="utf-8")))).encode()
-        assert len(data) == 396
-        assert hashlib.sha256(data).hexdigest()[:16] == "9901ae6765cf53d9"
+        assert (len(data), hashlib.sha256(data).hexdigest()[:16]) == \
+            self.PINNED_CONFIGS[name]
 
     def test_verify_thm2_footer_names_each_rows_method(self):
         # The method and the tail bound of each row go to the footer; the
         # CSV keeps its pinned bytes.
-        path = Path(__file__).resolve().parent.parent / "configs" / "verify_thm2_uniform.json"
+        path = CONFIGS / "verify_thm2_uniform.json"
         report = run(parse_config(path.read_text(encoding="utf-8")))
         data = csv_text(report).encode()
         assert hashlib.sha256(data).hexdigest()[:16] == "9901ae6765cf53d9"

@@ -425,8 +425,7 @@ class TestCertifiedRows:
             assert r.passes
 
     def test_mixed_run_certifies_one_row_and_samples_the_other(self):
-        reports = verify_surplus_extraction(FALLBACK, [200, 23], 10**4, 8,
-                                            threads=1)
+        reports = verify_surplus_extraction(FALLBACK, [200, 23], 10**4, 8)
         by_n = {r.n: r for r in reports}
         assert by_n[200].method == "certified"
         assert by_n[200].revenue_estimate == by_n[200].bundle_price
@@ -444,3 +443,11 @@ class TestCertifiedRows:
     def test_too_few_samples_raise_even_when_certified(self):
         with pytest.raises(ValueError, match="1000 samples"):
             verify_surplus_extraction(UNIFORM, [1000], 999, 1)
+
+    @pytest.mark.parametrize("seed", [-5, (3, -1)])
+    @pytest.mark.parametrize("dist,n", [(UNIFORM, 100), (FALLBACK, 23)],
+                             ids=["certified", "sampled"])
+    def test_negative_seed_raises_whether_certified_or_sampled(self, dist, n,
+                                                               seed):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_surplus_extraction(dist, [n], 1000, seed)

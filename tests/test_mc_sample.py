@@ -3,20 +3,16 @@
 The reports cannot catch a change in the sample: a large-bundle offer is
 accepted by every profile, so its CSV reads the same for many samples.
 These tests pin the exact floats of multi-batch, partially accepted
-estimates, and check that the batch threads change none of them.
+estimates.
 """
 
 import hashlib
-import json
 
-import numpy as np
 import pytest
 
 from bundle_auction_lab import _mc
 from bundle_auction_lab._mc import revenue_stats, valuation_sums
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer
-from bundle_auction_lab.experiments import csv_text, parse_config, run
-from bundle_auction_lab.group_revenue import verify_surplus_extraction
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
 N = 1000
@@ -67,34 +63,18 @@ PINS = {
 }
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Worker counts of the MC batch pools started during a test."""
-    started = []
-
-    class CountingPool(_mc.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(_mc, "ThreadPoolExecutor", CountingPool)
-    return started
-
-
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINS))
-def test_sample_is_pinned(name, threads, pools):
+def test_sample_is_pinned(name):
+    # Ten batches: nine of 2,097 rows and one of 1,127.
     dists, offer = _group(name)
     mean, se, accept, sums_sha, first, last = PINS[name]
-    stats = revenue_stats(dists, offer, SAMPLES, SEED, threads=threads)
+    stats = revenue_stats(dists, offer, SAMPLES, SEED)
     assert stats.mean == float.fromhex(mean)
     assert stats.std_error == float.fromhex(se)
     assert stats.accept_prob == accept
-    sums = valuation_sums(dists, SAMPLES, SEED, threads=threads)
+    sums = valuation_sums(dists, SAMPLES, SEED)
     assert hashlib.sha256(sums.tobytes()).hexdigest()[:16] == sums_sha
     assert sums[0] == float.fromhex(first) and sums[-1] == float.fromhex(last)
-    # Ten batches of 2,097 rows: the pool runs at two threads only.
-    assert pools == ([] if threads == 1 else [2, 2])
 
 
 def test_the_sample_depends_on_the_batch_size(monkeypatch):
@@ -104,50 +84,3 @@ def test_the_sample_depends_on_the_batch_size(monkeypatch):
     monkeypatch.setattr(_mc, "BATCH_ELEMENTS", 1 << 12)
     assert default == 12.475
     assert revenue_stats(dists, offer, 5000, 3).mean == 12.34
-
-
-def test_thread_count_changes_no_float(pools):
-    dists = [DISTS["template"]] * 6 + [DISTS["uniform_0_3"]] * 4
-    offer = BundleOffer((0.5,) * 3 + (NO_SALE,) * 7, 3.0)
-    with pytest.MonkeyPatch.context() as mp:
-        # 2**12 elements: 409 rows a batch, 13 batches.
-        mp.setattr(_mc, "BATCH_ELEMENTS", 1 << 12)
-        serial = revenue_stats(dists, offer, 5000, 21, threads=1)
-        sums = valuation_sums(dists, 5000, 21, threads=1)
-        for threads in (2, 3, 8):
-            assert revenue_stats(dists, offer, 5000, 21, threads=threads) == serial
-            assert np.array_equal(valuation_sums(dists, 5000, 21, threads=threads),
-                                  sums)
-    assert pools == [2, 2, 3, 3, 8, 8]
-
-
-def test_partition_run_starts_no_pool(pools):
-    # The partition benchmark's group searches: every MC call is one batch.
-    config = parse_config(
-        '{"command": "partition", "seed": 4, "n_samples": 2000, "N": 36, '
-        '"budget": 1, "mode": "full", "distributions": [{"type": '
-        '"piecewise_linear", "knots": [0, 0.4, 1], "densities": [0.6, 1.6, 0.8]}]}'
-    )
-    run(config, threads=2)
-    assert pools == []
-
-
-def test_threads_reach_the_large_bundle_check(pools):
-    # The full-surplus offer on this density at n = 23 has a tail bound of
-    # about 5e-16, too loose to certify, so the row is sampled: 100,000
-    # profiles of 23 customers are two batches of up to 91,180 rows.
-    dist = {"type": "piecewise_linear", "knots": [0, 0.1, 0.45, 0.96, 1],
-            "densities": [6.1, 0.053, 0.023, 0.355, 59.4]}
-    text = json.dumps({"command": "verify-thm2", "seed": 8,
-                       "n_samples": 100_000, "n_list": [23],
-                       "distributions": [dist]})
-    serial = run(parse_config(text), threads=1)
-    assert pools == []
-    assert csv_text(run(parse_config(text), threads=2)) == csv_text(serial)
-    assert pools == [2]
-    reports = verify_surplus_extraction(
-        make_piecewise_linear(dist["knots"], dist["densities"]), [23],
-        100_000, 8, threads=1)
-    assert pools == [2]
-    assert reports[0].method == "mc"
-    assert reports[0].revenue_estimate > 0.0

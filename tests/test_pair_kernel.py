@@ -174,8 +174,6 @@ def test_batch_rejects_bad_inputs():
         pair_expected_revenues_exact(u, u, 0.5, 0.5, -0.1)
     with pytest.raises(ValueError):
         pair_expected_revenues_exact(u, u, -0.5, math.nan, 1.0)
-    with pytest.raises(ValueError):
-        pair_expected_revenues_exact(u, u, 0.5, 0.5, 1.0, tol=0.0)
 
 
 @pytest.mark.parametrize("d1,d2", [
