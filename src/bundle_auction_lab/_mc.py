@@ -9,11 +9,10 @@ per-row revenue rule is exactly
 :func:`bundle_auction_lab.bundles.resolve_outcome`, vectorized.
 
 A one-off estimate streams its batches: each is drawn, reduced to partial
-sums and dropped, in batch order on the calling thread (the thread cap of
-``experiments.run`` and ``BUNDLE_LAB_THREADS`` apply only to the pair-offer
-grid).  A search that scores many candidates on one sample draws it once
-with :func:`draw_batches` and passes the held batches to every reduction,
-which gives the same floats as streaming.
+sums and dropped, in batch order on the calling thread.  A search that
+scores many candidates on one sample draws it once with
+:func:`draw_batches` and passes the held batches to every reduction, which
+gives the same floats as streaming.
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ __all__ = ["integrate_with_breakpoints", "simpson_pass"]
 # a relative 1e-9 of the piece width, far below the quadrature tolerances.
 _EDGE_NUDGE = 1e-9
 _OFFSETS = np.array([_EDGE_NUDGE, 0.25, 0.5, 0.75, 1.0 - _EDGE_NUDGE])
+#: Halvings of a piece before its value is accepted whatever its error.
+MAX_DEPTH = 24
 
 
 def simpson_pass(f, a: np.ndarray, b: np.ndarray):
@@ -42,14 +44,15 @@ def simpson_pass(f, a: np.ndarray, b: np.ndarray):
     return s2 + err, err
 
 
-def integrate_with_breakpoints(f, points, tol: float, max_depth: int = 24) -> float:
+def integrate_with_breakpoints(f, points, tol: float) -> float:
     """Integrate ``f`` over ``[min(points), max(points)]``.
 
     ``f`` must accept and return 1-D ndarrays.  The interval is subdivided
     at every distinct point; each piece is halved until the usual Simpson
     error estimate ``|S2 - S1| / 15`` meets its length-proportional share of
-    the absolute tolerance ``tol`` (Richardson-extrapolated values are
-    accumulated).  Deterministic for fixed inputs.
+    the absolute tolerance ``tol`` or has been halved ``MAX_DEPTH`` times
+    (Richardson-extrapolated values are accumulated).  Deterministic for
+    fixed inputs.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -70,7 +73,7 @@ def integrate_with_breakpoints(f, points, tol: float, max_depth: int = 24) -> fl
     result = 0.0
     while a.size:
         value, err = simpson_pass(flat, a, b)
-        done = (np.abs(err) <= tols) | (depth >= max_depth)
+        done = (np.abs(err) <= tols) | (depth >= MAX_DEPTH)
         result += float(np.sum(value[done]))
         if done.all():
             break

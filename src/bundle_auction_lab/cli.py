@@ -1,17 +1,15 @@
 """Command-line interface: thin dispatch onto the experiment runner.
 
 Usage: ``bundle-auction-lab <subcommand> --config <path> [--out <path>]
-[--seed N] [--samples N]``.  Flags override the matching config fields.  The
-CSV goes to ``--out`` (or stdout); run metadata goes to stderr.  Exit status
-is 0 on success and 1 when a verify-style subcommand's check fails (the
-failure is data -- the full CSV is still emitted).  ``BUNDLE_LAB_THREADS``
-caps the threads that evaluate chunks of the pair-offer grid (default: all
-cores); it never changes the output.  Monte Carlo runs on one thread.
+[--seed N] [--samples N]``.  Flags override the matching config fields and
+pass the same checks.  The CSV goes to ``--out`` (or stdout); run metadata
+goes to stderr.  Exit status is 0 on success and 1 when a verify-style
+subcommand's check fails (the failure is data -- the full CSV is still
+emitted).
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,44 +17,28 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .experiments import ConfigError, emit_csv, parse_config, render_footer, run
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("BUNDLE_LAB_THREADS")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise click.ClickException(
-            f"BUNDLE_LAB_THREADS must be a positive integer, got {raw!r}"
-        )
-    if value < 1:
-        raise click.ClickException("BUNDLE_LAB_THREADS must be >= 1")
-    return value
+from .experiments import (ConfigError, emit_csv, parse_config, render_footer,
+                          run, serialize_config)
 
 
 def _execute(command: str, config_path: str, out, seed, samples) -> None:
     try:
         config = parse_config(Path(config_path).read_text(encoding="utf-8"))
+        if config.command != command:
+            raise click.ClickException(
+                f"config is for command {config.command!r}, "
+                f"invoked as {command!r}"
+            )
+        overrides = {key: value for key, value in
+                     (("seed", seed), ("n_samples", samples))
+                     if value is not None}
+        # The flags pass the same checks as the config fields they replace.
+        config = parse_config(serialize_config(replace(config, **overrides)))
     except ConfigError as exc:
         raise click.ClickException(str(exc))
-    if config.command != command:
-        raise click.ClickException(
-            f"config is for command {config.command!r}, invoked as {command!r}"
-        )
-    if seed is not None:
-        if seed < 0:
-            raise click.ClickException("--seed must be nonnegative")
-        config = replace(config, seed=seed)
-    if samples is not None:
-        if samples < 1:
-            raise click.ClickException("--samples must be positive")
-        config = replace(config, n_samples=samples)
 
     try:
-        report = run(config, out_path=out, threads=_threads_from_env())
+        report = run(config, out_path=out)
     except (ConfigError, ValueError) as exc:
         raise click.ClickException(str(exc))
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
+from ._mc import MIN_SAMPLES
 from .group_revenue import (
     bernstein_sweep,
     bernstein_upper_bound,
@@ -186,8 +187,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if seed >= 1 << 64:
         raise ConfigError("$.seed: must fit in 64 bits")
 
-    n_samples = _integer(raw.get("n_samples", DEFAULT_N_SAMPLES),
-                         "$.n_samples", minimum=1)
+    # Only verify-thm2 and partition sample; Monte Carlo needs MIN_SAMPLES.
+    n_samples = _integer(
+        raw.get("n_samples", DEFAULT_N_SAMPLES), "$.n_samples",
+        minimum=MIN_SAMPLES if command in ("verify-thm2", "partition") else 1,
+    )
 
     descs = raw.get("distributions", [])
     if not isinstance(descs, list):
@@ -229,7 +233,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "n_max" in raw:
             kwargs["n_max"] = _integer(raw["n_max"], "$.n_max", minimum=2)
         if "M" in raw:
-            kwargs["M"] = _number(raw, "M", "$")
+            m = _number(raw, "M", "$")
+            if not 0.0 < m < math.inf:
+                raise ConfigError("$.M: must be finite and positive")
+            kwargs["M"] = m
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("$.out: expected a string path")
@@ -323,27 +330,27 @@ def _require_dists(config: ExperimentConfig, count: Optional[int]) -> None:
         raise ConfigError(f"command {config.command!r} needs a distribution")
 
 
-def run(config: ExperimentConfig, *, out_path: Optional[str] = None,
-        threads: Optional[int] = None) -> RunReport:
+def run(config: ExperimentConfig, *,
+        out_path: Optional[str] = None) -> RunReport:
     """Execute a config and return (and optionally write) its report.
 
     Verification failures are recorded in ``passed`` -- they are data, not
     exceptions.  The CSV is written to ``out_path`` or ``config.out`` when
-    given.  ``threads`` caps the worker threads of the pair-offer grid
-    (default: every core); the report does not depend on it.  Monte Carlo
-    runs on the calling thread.
+    given.  Only a large pair-offer grid runs on worker threads, sized by
+    the grid and the usable CPUs; the report does not depend on them.
+    Monte Carlo runs on the calling thread.
     """
     t0 = time.perf_counter()
     if config.command == "single-opt":
         result = _run_single_opt(config)
     elif config.command == "pair-opt":
-        result = _run_pair_opt(config, threads)
+        result = _run_pair_opt(config)
     elif config.command == "verify-thm1":
         result = _run_verify_pair(config)
     elif config.command == "verify-thm2":
         result = _run_verify_group(config)
     elif config.command == "partition":
-        result = partition_result(config, threads)
+        result = partition_result(config)
     elif config.command == "sweep":
         result = _run_sweep(config)
     else:  # pragma: no cover - parse_config guards this
@@ -374,17 +381,17 @@ def _run_single_opt(config):
     return ("p_star", "u_star"), rows, None, ()
 
 
-def _run_pair_opt(config, threads):
+def _run_pair_opt(config):
     _require_dists(config, 2)
     d1, d2 = config.built
     budget = config.budget or 15
     columns = ("mode", "a_1", "a_2", "bundle_price", "expected_revenue")
     rows = []
-    offer, value = optimize_pair_offer(d1, d2, budget, threads=threads)
+    offer, value = optimize_pair_offer(d1, d2, budget)
     rows.append(("full", offer.individual_prices[0], offer.individual_prices[1],
                  offer.bundle_price, value))
     offer_pb, value_pb = optimize_pair_offer(
-        d1, d2, budget, pure_bundle_only=True, threads=threads
+        d1, d2, budget, pure_bundle_only=True
     )
     rows.append(("pure_bundle", offer_pb.individual_prices[0],
                  offer_pb.individual_prices[1], offer_pb.bundle_price, value_pb))
@@ -455,7 +462,7 @@ def _run_sweep(config):
     return columns, rows, ok, notes
 
 
-def partition_result(config: ExperimentConfig, threads=None):
+def partition_result(config: ExperimentConfig):
     """Mixed-partition population: half in pairs, a third in triples, a
     sixth in six-groups, all valuations i.i.d. from one template.
 
@@ -486,9 +493,8 @@ def partition_result(config: ExperimentConfig, threads=None):
     for size, customers in class_sizes.items():
         group_count = customers / size
         if size == 2:
-            offer, value = optimize_pair_offer(
-                dist, dist, budget, grid_points=16, threads=threads
-            )
+            offer, value = optimize_pair_offer(dist, dist, budget,
+                                               grid_points=16)
             err = 0.0
         else:
             offer, _ = optimize_group_offer(

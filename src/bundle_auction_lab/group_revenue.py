@@ -13,8 +13,7 @@ Where that bound is below 2**-54 the offer's acceptance probability and
 revenue round to exactly 1 and ``b`` in float64, so the large-bundle check
 needs no sampling; elsewhere it estimates revenue by seeded Monte Carlo.
 The module also optimizes group offers by Monte Carlo.  All of its sampling
-runs on the calling thread; the thread cap of ``experiments.run`` and
-``BUNDLE_LAB_THREADS`` apply only to the pair-offer grid.
+runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -104,7 +103,9 @@ def bernstein_upper_bound(n, m, t):
     """Bernstein tail bound ``exp(-(t^2/2) / (n M^2 + M t / 3))``, capped at 1.
 
     Bounds ``P[sum X_i > t]`` for independent centered ``|X_i| < M`` after
-    substituting ``E[X_i^2] <= M^2``.  Accepts scalars or arrays.
+    substituting ``E[X_i^2] <= M^2``.  Accepts scalars or arrays.  It is
+    evaluated as ``exp(-(x^2/2) / (n + x/3))`` with ``x = t / M``, which
+    cannot overflow where ``n M^2`` would and is the same float at M = 1.
     """
     t_arr = np.asarray(t, dtype=float)
     n_arr = np.asarray(n, dtype=float)
@@ -112,9 +113,8 @@ def bernstein_upper_bound(n, m, t):
         raise ValueError("t must be nonnegative")
     if np.any(n_arr < 1) or not np.all(np.asarray(m) > 0):
         raise ValueError("need n >= 1 and M > 0")
-    out = np.minimum(
-        1.0, np.exp(-(t_arr * t_arr / 2.0) / (n_arr * m * m + m * t_arr / 3.0))
-    )
+    x = t_arr / m
+    out = np.minimum(1.0, np.exp(-(x * x / 2.0) / (n_arr + x / 3.0)))
     return float(out) if np.ndim(t) == 0 and np.ndim(n) == 0 else out
 
 
@@ -123,7 +123,8 @@ def bernstein_sweep(n_min: int = 2, n_max: int = 10**6, m: float = 1.0
     """Check ``bound(n, M, 2 M sqrt(n ln n)) <= 1/n`` for every n in range.
 
     Returns ``(all_hold, worst_n, worst_ratio)`` where the ratio is
-    ``bound * n`` (<= 1 everywhere iff the sweep holds).
+    ``bound * n`` (<= 1 everywhere iff the sweep holds).  A NaN bound fails
+    the sweep at the first n that has one, with a NaN ratio.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
@@ -134,7 +135,9 @@ def bernstein_sweep(n_min: int = 2, n_max: int = 10**6, m: float = 1.0
         ns = np.arange(start, min(start + chunk, n_max + 1), dtype=float)
         t = 2.0 * m * np.sqrt(ns * np.log(ns))
         ratio = bernstein_upper_bound(ns, m, t) * ns
-        i = int(np.argmax(ratio))
+        i = int(np.argmax(ratio))  # the first NaN, if there is one
+        if math.isnan(ratio[i]):
+            return False, int(ns[i]), math.nan
         if ratio[i] > worst_ratio:
             worst_ratio = float(ratio[i])
             worst_n = int(ns[i])
@@ -232,7 +235,7 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     and held for all of its evaluations, ``n_samples * n * 8`` bytes until
     the call returns (4.8 MB at 100,000 samples of a six-customer group);
     pure-bundle mode holds only the ``n_samples`` sorted sums.  Sampling
-    runs on the calling thread, whatever ``BUNDLE_LAB_THREADS`` says.
+    runs on the calling thread.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")

@@ -79,19 +79,18 @@ def _bisect_derivative(dist: ValuationDistribution, lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def optimal_single_price(dist: ValuationDistribution, *,
-                         grid_intervals: int = GRID_INTERVALS,
-                         price_tol: float = PRICE_TOL) -> SinglePriceSolution:
+def optimal_single_price(dist: ValuationDistribution) -> SinglePriceSolution:
     """Find the revenue-maximizing single price.
 
     The fixed-point equation can have several solutions (only a maximizer is
     guaranteed to satisfy it), so the derivative is evaluated on a uniform
-    grid, every sign-change bracket is bisected to ``price_tol``, and the
-    critical point with the largest expected revenue wins.  Ties break
-    toward the smaller price; the whole procedure is deterministic.
+    grid of ``GRID_INTERVALS`` intervals, every sign-change bracket is
+    bisected to ``PRICE_TOL``, and the critical point with the largest
+    expected revenue wins.  Ties break toward the smaller price; the whole
+    procedure is deterministic.
     """
     m = dist.upper_bound
-    xs = np.linspace(0.0, m, grid_intervals + 1)
+    xs = np.linspace(0.0, m, GRID_INTERVALS + 1)
     der = revenue_derivative(dist, xs)
 
     candidates: list[float] = [float(x) for x in xs[der == 0.0]]
@@ -99,7 +98,7 @@ def optimal_single_price(dist: ValuationDistribution, *,
     for i in sign_change:
         candidates.append(
             _bisect_derivative(dist, float(xs[i]), float(xs[i + 1]),
-                               float(der[i]), price_tol)
+                               float(der[i]), PRICE_TOL)
         )
     if not candidates:
         raise RuntimeError("no critical point found; invalid distribution?")

@@ -95,6 +95,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\$\.command"):
             parse_config(config_text(command="optimize-all", seed=1))
 
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_sweep_m_must_be_finite_and_positive(self, m):
+        with pytest.raises(ConfigError, match=r"\$\.M: must be finite"):
+            parse_config(config_text(command="sweep", seed=0, n_min=2,
+                                     n_max=100, M=m))
+
+    @pytest.mark.parametrize("command, extra", [
+        ("verify-thm2", {}),
+        ("partition", {"N": 6}),
+    ])
+    def test_sampling_commands_need_1000_samples(self, command, extra):
+        with pytest.raises(ConfigError,
+                           match=r"\$\.n_samples: must be >= 1000"):
+            parse_config(config_text(command=command, seed=1, n_samples=999,
+                                     distributions=[UNIFORM_DESC], **extra))
+        assert parse_config(config_text(
+            command=command, seed=1, n_samples=1000,
+            distributions=[UNIFORM_DESC], **extra,
+        )).n_samples == 1000
+
     def test_partition_requires_n(self):
         with pytest.raises(ConfigError, match=r"\$\.N"):
             parse_config(config_text(command="partition", seed=1,
@@ -166,6 +186,16 @@ class TestRunCommands:
         assert report.rows[-1][0] == 10000
         holds_idx = report.columns.index("holds")
         assert all(row[holds_idx] for row in report.rows)
+
+    def test_sweep_at_huge_m_has_finite_bounds(self):
+        cfg = parse_config(config_text(command="sweep", seed=0, n_min=2,
+                                       n_max=100, M=1e300))
+        report = run(cfg)
+        assert report.passed is True
+        bound_idx = report.columns.index("bernstein_bound")
+        holds_idx = report.columns.index("holds")
+        assert all(math.isfinite(row[bound_idx]) and row[holds_idx]
+                   for row in report.rows)
 
     def test_pair_opt_modes(self):
         cfg = parse_config(config_text(
@@ -339,6 +369,22 @@ class TestCli:
         r2 = self.run_cli(base + ["--out", str(out_b), "--seed", "9"])
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "500", r"$.n_samples: must be >= 1000"),
+        ("--seed", "-1", r"$.seed: must be >= 0"),
+    ])
+    def test_flags_pass_the_config_checks(self, tmp_path, flag, value,
+                                          message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(
+            command="verify-thm2", seed=1, n_list=[100], n_samples=5000,
+            distributions=[UNIFORM_DESC],
+        ))
+        result = self.run_cli(["verify-thm2", "--config", str(cfg_path),
+                               flag, value])
+        assert result.exit_code == 1
+        assert message in result.output
 
     def test_command_mismatch_is_an_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -84,6 +84,22 @@ class TestBernstein:
         with pytest.raises(ValueError):
             bernstein_upper_bound(10, 1.0, -0.5)
 
+    def test_scale_free_where_n_m_squared_overflows(self):
+        # n M^2 overflows at M = 2^1000; t / M is exact for a power of two,
+        # so the bound must equal the M = 1 bound bit for bit.
+        ns = np.array([2.0, 100.0, 10**6])
+        t = 2.0 * np.sqrt(ns * np.log(ns))
+        scaled = bernstein_upper_bound(ns, 2.0**1000, 2.0**1000 * t)
+        assert scaled.tolist() == bernstein_upper_bound(ns, 1.0, t).tolist()
+
+    def test_nan_bound_fails_the_sweep(self):
+        # t = 2 M sqrt(n ln n) is infinite at M = inf, and t / M is NaN.
+        with np.errstate(invalid="ignore"):
+            ok, worst_n, worst_ratio = bernstein_sweep(2, 100, math.inf)
+        assert not ok
+        assert worst_n == 2
+        assert math.isnan(worst_ratio)
+
     def test_sweep_full_range(self):
         ok, worst_n, worst_ratio = bernstein_sweep(2, 10**6, 1.0)
         assert ok

@@ -108,7 +108,7 @@ def test_region_boxes_match_reference(data):
     lo1, hi1, lo2, hi2 = (np.array(col) for col in zip(*boxes))
     got = _accept_probs(d1, d2, np.where(np.isnan(a1), np.inf, a1),
                         np.where(np.isnan(a2), np.inf, a2), b,
-                        lo1, hi1, lo2, hi2, 1e-7)
+                        lo1, hi1, lo2, hi2)
     for i, ((prices, bi), box) in enumerate(zip(batch, boxes)):
         ref, _ = accept_prob_box_reference(d1, d2, *prices, bi, *box)
         assert abs(got[i] - ref) <= AGREE, (prices, bi, box)
@@ -164,7 +164,7 @@ def test_empty_batch_and_nonpositive_boxes():
     probs = _accept_probs(u, u, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                           np.array([0.6, 0.6]), np.array([0.7, 0.0]),
                           np.array([0.7, 1.0]), np.array([0.0, 2.0]),
-                          np.array([1.0, 3.0]), 1e-7)
+                          np.array([1.0, 3.0]))
     assert probs.tolist() == [0.0, 0.0]
 
 

@@ -356,8 +356,9 @@ class TestOptimizePair:
         assert value >= 0.75 - 1e-6
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
-        # 32 grid points make 34,849 offers, several chunks, so the pool
-        # really runs; count the pools to be sure.
+        # 32 grid points make 34,849 offers in 18 chunks, enough for a pool
+        # of four; 16 points make 4,625 offers in 3 chunks, too few for any
+        # pool.  Count the pools to be sure which path ran.
         pools = []
 
         class CountingPool(pair_revenue.ThreadPoolExecutor):
@@ -365,12 +366,21 @@ class TestOptimizePair:
                 pools.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
+        def optimize_on(cpus, grid_points):
+            monkeypatch.setattr(pair_revenue, "_usable_cpus", lambda: cpus)
+            return optimize_pair_offer(UNIFORM, RAMP, 1,
+                                       grid_points=grid_points)
+
         monkeypatch.setattr(pair_revenue, "ThreadPoolExecutor", CountingPool)
-        serial = optimize_pair_offer(UNIFORM, RAMP, 1, grid_points=32, threads=1)
+        serial = optimize_on(1, 32)
         assert pools == []
-        threaded = optimize_pair_offer(UNIFORM, RAMP, 1, grid_points=32, threads=4)
+        assert optimize_on(4, 32) == serial
         assert pools == [4]
-        assert serial == threaded
+
+        small = optimize_on(1, 16)
+        for cpus in (2, 4, 64):
+            assert optimize_on(cpus, 16) == small
+        assert pools == [4]
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
