@@ -51,6 +51,8 @@ COMMANDS = ("single-opt", "pair-opt", "verify-thm1", "verify-thm2",
             "partition", "sweep")
 
 DEFAULT_N_SAMPLES = 100_000
+#: ``sweep``'s upper group size when the config gives no ``n_max``.
+SWEEP_N_MAX = 10**6
 
 _COMMAND_KEYS = {
     "single-opt": frozenset(),
@@ -236,6 +238,14 @@ def parse_config(text: str) -> ExperimentConfig:
             m = _number(raw, "M", "$")
             if not 0.0 < m < math.inf:
                 raise ConfigError("$.M: must be finite and positive")
+            n_max = kwargs.get("n_max", SWEEP_N_MAX)
+            try:
+                t_max = 2.0 * m * math.sqrt(n_max * math.log(n_max))
+            except OverflowError:  # n_max itself is beyond float range
+                t_max = math.inf
+            if not math.isfinite(t_max):
+                raise ConfigError(
+                    f"$.M: 2 M sqrt(n ln n) overflows at n_max={n_max}")
             kwargs["M"] = m
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -440,7 +450,7 @@ def _run_verify_group(config):
 
 def _run_sweep(config):
     n_min = config.n_min or 2
-    n_max = config.n_max or 10**6
+    n_max = config.n_max or SWEEP_N_MAX
     m = config.M if config.M is not None else 1.0
     if n_max < n_min:
         raise ConfigError("$.n_max must be >= $.n_min")

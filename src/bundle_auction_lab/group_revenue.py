@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mc import (MIN_SAMPLES, _seed_tuple, draw_batches, revenue_stats,
+from ._mc import (MIN_SAMPLES, HeldSample, _seed_tuple, revenue_stats,
                   valuation_sums)
 from ._search import golden_section_max
 from .bundles import NO_SALE, BundleOffer
@@ -124,10 +124,16 @@ def bernstein_sweep(n_min: int = 2, n_max: int = 10**6, m: float = 1.0
 
     Returns ``(all_hold, worst_n, worst_ratio)`` where the ratio is
     ``bound * n`` (<= 1 everywhere iff the sweep holds).  A NaN bound fails
-    the sweep at the first n that has one, with a NaN ratio.
+    the sweep at the first n that has one, with a NaN ratio.  A finite M so
+    large that ``t`` overflows at ``n_max`` raises instead: the bound is
+    scale-free and well defined there, so a NaN would misreport it.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
+    if (math.isfinite(m)
+            and not math.isfinite(2.0 * m * math.sqrt(n_max * math.log(n_max)))):
+        raise ValueError(f"2 M sqrt(n ln n) overflows at n={n_max} for "
+                         f"M={m!r}")
     worst_ratio = -math.inf
     worst_n = n_min
     chunk = 1 << 20
@@ -215,6 +221,22 @@ def group_expected_revenue_mc(dists: Sequence[ValuationDistribution],
     return stats.mean, stats.std_error
 
 
+def _single_prices(dists: Sequence[ValuationDistribution]) -> list[float]:
+    """Each customer's optimal single price, solved once per distinct
+    distribution."""
+    solved: list[tuple[ValuationDistribution, float]] = []
+    prices = []
+    for d in dists:
+        for seen, price in solved:
+            if d is seen or d == seen:
+                break
+        else:
+            price = optimal_single_price(d).price
+            solved.append((d, price))
+        prices.append(price)
+    return prices
+
+
 def optimize_group_offer(dists: Sequence[ValuationDistribution],
                          mode: str = "pure_bundle", budget: int = 2,
                          n_samples: int = 100_000, seed=0
@@ -232,10 +254,16 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     coordinate descent over ``(a_1..a_n, b)``; every evaluation reuses the
     same seed (common random numbers), which keeps comparisons noise-free
     and the whole search deterministic.  The sample is drawn once per call
-    and held for all of its evaluations, ``n_samples * n * 8`` bytes until
-    the call returns (4.8 MB at 100,000 samples of a six-customer group);
-    pure-bundle mode holds only the ``n_samples`` sorted sums.  Sampling
-    runs on the calling thread.
+    as a :class:`~bundle_auction_lab._mc.HeldSample`, ``n_samples * n * 8``
+    bytes until the call returns (4.8 MB at 100,000 samples of a
+    six-customer group), and each coordinate search caches up to about
+    twice that again while it runs; pure-bundle mode holds only the
+    ``n_samples`` sorted sums.  A trial of one price is scored in passes
+    over single columns.  Up to 7 customers every trial value is the
+    :func:`revenue_stats` mean of the trial offer bit for bit; above that a
+    solo-price trial agrees with it to rounding.  The returned value is the
+    :func:`revenue_stats` mean of the returned offer for every ``n``.
+    Sampling runs on the calling thread.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
@@ -246,10 +274,12 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
         raise ValueError("need at least one customer")
     total_m = sum(d.upper_bound for d in dists)
 
-    # Full mode scores every candidate on one held sample instead of
-    # redrawing it from the seed for each evaluation.
-    batches = draw_batches(dists, n_samples, seed) if mode == "full" else None
-    sums = np.sort(valuation_sums(dists, n_samples, seed, batches))
+    if mode == "full":
+        held = HeldSample(dists, n_samples, seed)
+        sums = held.sums()
+    else:
+        sums = valuation_sums(dists, n_samples, seed)
+    sums = np.sort(sums)
 
     def bundle_value(b: float) -> float:
         hits = n_samples - int(np.searchsorted(sums, b, side="left"))
@@ -261,15 +291,13 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
         return offer, v_best
 
     def offer_value(prices, b) -> float:
-        return revenue_stats(
-            dists, BundleOffer(tuple(prices), b), n_samples, seed, batches
-        ).mean
+        return held.score(BundleOffer(tuple(prices), b)).mean
 
     prices: list[Optional[float]] = [NO_SALE] * n
     current = offer_value(prices, b_best)
     # Seed the singles reduction (b equal to the sum of the optimal single
     # prices) so the search never settles below independent pricing.
-    singles = [optimal_single_price(d).price for d in dists]
+    singles = _single_prices(dists)
     singles_b = sum(singles)
     singles_value = offer_value(singles, singles_b)
     if singles_value > current:
@@ -279,13 +307,10 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     for _ in range(budget):
         for i in range(n):
             m_i = dists[i].upper_bound
-
-            def coord(a: float, i=i) -> float:
-                trial = list(prices)
-                trial[i] = a
-                return offer_value(trial, b_best)
-
-            a_cand, v_cand = golden_section_max(coord, 0.0, m_i, xtol=1e-4 * m_i)
+            a_cand, v_cand = golden_section_max(
+                held.coordinate_line(prices, i, b_best), 0.0, m_i,
+                xtol=1e-4 * m_i,
+            )
             if v_cand > current + 1e-15:
                 prices[i] = a_cand
                 current = v_cand
@@ -297,16 +322,14 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
                     prices[i] = NO_SALE
                     current = v_nosale
 
-        def bundle_coord(b: float) -> float:
-            return offer_value(prices, b)
-
         b_cand, v_cand = golden_section_max(
-            bundle_coord, 0.0, total_m, xtol=1e-6 * total_m
+            held.bundle_line(prices), 0.0, total_m, xtol=1e-6 * total_m
         )
         if v_cand > current + 1e-15:
             b_best = b_cand
             current = v_cand
-    return BundleOffer(tuple(prices), b_best), current
+    offer = BundleOffer(tuple(prices), b_best)
+    return offer, held.score(offer).mean
 
 
 def verify_surplus_extraction(dist: ValuationDistribution,

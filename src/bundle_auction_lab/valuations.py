@@ -241,12 +241,15 @@ class ValuationDistribution:
                 np.divide(out, disc, out=out)
             np.minimum(out, self.upper_bound, out=out)
             return result
+        # The segment of u is the number of interior CDF knots at or below
+        # it: on [0, 1] that is searchsorted(cum, u, "right") - 1 clipped to
+        # the last segment, and a few comparisons cost less than the search.
+        idx = np.zeros(u.shape, dtype=np.intp)
+        for knot in self._cum[1:-1]:
+            idx += u >= knot
         # Per-segment tables: gathering d*d and 2*s gives the same floats as
         # squaring and doubling the gathered d and s.
         dens = self._dens[:-1]
-        idx = np.searchsorted(self._cum, u, side="right")
-        np.subtract(idx, 1, out=idx)
-        np.clip(idx, 0, self._slopes.size - 1, out=idx)
         # Two scratch arrays: 2*du, 2*s*du and d*d are live at once.
         a = np.take(self._cum, idx, mode="clip")
         np.subtract(u, a, out=a)

@@ -101,6 +101,15 @@ class TestParseConfig:
             parse_config(config_text(command="sweep", seed=0, n_min=2,
                                      n_max=100, M=m))
 
+    @pytest.mark.parametrize("m, n_max", [(1e308, {"n_max": 100}),
+                                          (1e305, {}),
+                                          (2.0, {"n_max": 10**400})])
+    def test_sweep_m_whose_deviation_overflows_is_rejected(self, m, n_max):
+        # At M = 1e308 the sweep used to print t = inf and NaN bounds.
+        with pytest.raises(ConfigError, match=r"\$\.M: .* overflows"):
+            parse_config(config_text(command="sweep", seed=0, n_min=2, M=m,
+                                     **n_max))
+
     @pytest.mark.parametrize("command, extra", [
         ("verify-thm2", {}),
         ("partition", {"N": 6}),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, resolve_outcome
 from bundle_auction_lab import _mc
-from bundle_auction_lab._mc import draw_batches, revenue_stats, valuation_sums
+from bundle_auction_lab._mc import HeldSample, revenue_stats, valuation_sums
 from bundle_auction_lab import group_revenue
 from bundle_auction_lab.group_revenue import (
     CERTIFY_BELOW,
@@ -99,6 +99,15 @@ class TestBernstein:
         assert not ok
         assert worst_n == 2
         assert math.isnan(worst_ratio)
+
+    def test_finite_m_whose_deviation_overflows_raises(self):
+        # 2 M sqrt(n ln n) overflows at n = 100 for M = 1e308, and at the
+        # default n_max = 1e6 already for M = 1e305.
+        with pytest.raises(ValueError, match="overflows at n=100"):
+            bernstein_sweep(2, 100, 1e308)
+        with pytest.raises(ValueError, match="overflows at n=1000000"):
+            bernstein_sweep(m=1e305)
+        assert bernstein_sweep(2, 100, 1e300)[0]
 
     def test_sweep_full_range(self):
         ok, worst_n, worst_ratio = bernstein_sweep(2, 10**6, 1.0)
@@ -275,7 +284,10 @@ class TestDrawOnce:
     def test_value_matches_streaming_estimate(self, monkeypatch, batch_elements):
         if batch_elements is not None:
             monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
-        for size in (3, 6):
+        # Above 7 customers a solo-price trial is summed in another order
+        # than the streamed estimate, but the returned value is still its
+        # full score.
+        for size in (3, 6, 9):
             dists = [TEMPLATE] * size
             offer, value = optimize_group_offer(
                 dists, mode="full", budget=1, n_samples=2500, seed=(9, size)
@@ -286,26 +298,175 @@ class TestDrawOnce:
         monkeypatch.setattr(_mc, "BATCH_ELEMENTS", 3000)
         dists = [TEMPLATE, UNIFORM, TEMPLATE]
         offer = BundleOffer((0.5, NO_SALE, 0.7), 1.4)
-        held = draw_batches(dists, 2500, 13)
-        assert len(held) == 3
-        assert revenue_stats(dists, offer, 2500, 13, held) == revenue_stats(
-            dists, offer, 2500, 13)
-        assert np.array_equal(valuation_sums(dists, 2500, 13, held),
-                              valuation_sums(dists, 2500, 13))
+        held = HeldSample(dists, 2500, 13)
+        assert len(held.batches) == 3
+        assert not any(v.flags.writeable for v in held.batches)
+        assert held.score(offer) == revenue_stats(dists, offer, 2500, 13)
+        assert np.array_equal(held.sums(), valuation_sums(dists, 2500, 13))
 
     def test_wrong_length_offer_raises_with_held_batches(self):
         dists = [TEMPLATE] * 3
-        held = draw_batches(dists, 1000, 1)
+        held = HeldSample(dists, 1000, 1)
         with pytest.raises(ValueError, match="equal length"):
-            revenue_stats(dists, BundleOffer((NO_SALE,) * 2, 1.0), 1000, 1, held)
+            held.score(BundleOffer((NO_SALE,) * 2, 1.0))
+        with pytest.raises(ValueError, match="equal length"):
+            held.bundle_line([NO_SALE] * 2)
+        with pytest.raises(ValueError, match="equal length"):
+            held.coordinate_line([NO_SALE] * 4, 0, 1.0)
         with pytest.raises(ValueError, match="equal length"):
             revenue_stats(dists, BundleOffer((NO_SALE,) * 2, 1.0), 1000, 1)
 
     def test_held_batches_of_another_size_raise(self):
-        dists = [TEMPLATE] * 3
-        held = draw_batches(dists, 1000, 1)
+        # A held sample has the size it was drawn with; below the Monte
+        # Carlo minimum it is not drawn at all.
         with pytest.raises(ValueError, match="1000 samples"):
-            revenue_stats(dists, BundleOffer((NO_SALE,) * 3, 1.0), 2000, 1, held)
+            HeldSample([TEMPLATE] * 3, 999, 1)
+        assert HeldSample([TEMPLATE] * 3, 1000, 1).sums().shape == (1000,)
+
+
+RAMP = make_piecewise_linear((0.0, 1.0), (0.5, 1.5))
+MIXED = [TEMPLATE, UNIFORM, make_uniform(0.3), RAMP, FALLBACK]
+
+
+def _mixed_group(n):
+    """Mixed distributions with prices that include ``NO_SALE``, 0 and M."""
+    dists = [MIXED[k % len(MIXED)] for k in range(n)]
+    prices = [(NO_SALE, 0.0, 1.0, 0.55)[k % 4] for k in range(n)]
+    prices = [None if p is None else p * d.upper_bound
+              for p, d in zip(prices, dists)]
+    return dists, prices
+
+
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class TestHeldSample:
+    """Every line trial is the streamed estimate of its offer: bit for bit
+    up to 7 customers, to rounding above."""
+
+    SAMPLES = 2000
+
+    def _streamed(self, dists, prices, b, seed):
+        offer = BundleOffer(tuple(prices), b)
+        return revenue_stats(dists, offer, self.SAMPLES, seed).mean
+
+    @pytest.mark.parametrize("batch_elements", [None, 3000])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lines_and_score_match_streaming(self, monkeypatch, n,
+                                             batch_elements):
+        if batch_elements is not None:
+            monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
+        seed = (21, n)
+        dists, mixed = _mixed_group(n)
+        held = HeldSample(dists, self.SAMPLES, seed)
+        if batch_elements is not None and n > 1:
+            assert len(held.batches) > 1
+        # Low prices that every customer often pays: at b equal to their
+        # left-to-right sum, a row that buys every item ties with b
+        # exactly, and the bundle sells on ties.
+        low = [(0.1 + 0.013 * j) * d.upper_bound for j, d in enumerate(dists)]
+        tie = _left_to_right(low)
+        total_m = sum(d.upper_bound for d in dists)
+        for prices, b in ((mixed, 0.4 * total_m),
+                          (mixed, _left_to_right(p for p in mixed if p)),
+                          (low, tie)):
+            offer = BundleOffer(tuple(prices), b)
+            assert held.score(offer) == revenue_stats(dists, offer,
+                                                      self.SAMPLES, seed)
+            for i, d in enumerate(dists):
+                line = held.coordinate_line(prices, i, b)
+                points = [0.0, d.upper_bound, 0.3 * d.upper_bound]
+                if prices[i] is not None:
+                    points.append(prices[i])
+                for a in points:
+                    trial = list(prices)
+                    trial[i] = a
+                    assert line(a) == self._streamed(dists, trial, b, seed)
+            line = held.bundle_line(prices)
+            for b in (0.0, 0.5, tie, total_m):
+                assert line(b) == self._streamed(dists, prices, b, seed)
+        pure = held.bundle_line([NO_SALE] * n)
+        assert pure(0.3 * n) == self._streamed(dists, [NO_SALE] * n, 0.3 * n,
+                                                seed)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_rows_are_summed_in_numpy_order(self, monkeypatch, n):
+        # Decimal valuations whose float sums depend on the order of the
+        # additions, and bundle prices at such sums: a row summed in another
+        # order, or a tie rule other than >=, flips between buying the
+        # bundle and not.
+        rng = np.random.default_rng(n)
+        table = rng.choice([0.05, 0.1, 0.2, 0.3, 0.6, 0.7], size=(2000, n))
+        monkeypatch.setattr(_mc, "_draw", lambda dists, rows, r: table.copy())
+        dists = [UNIFORM] * n
+        held = HeldSample(dists, 2000, 0)
+        sums = [_left_to_right(row) for row in table[:40]]
+        for b in sorted(set(sums))[::3]:
+            for prices in ([NO_SALE] * n, [0.2] + [NO_SALE] * (n - 1),
+                           [NO_SALE] * (n - 1) + [0.3]):
+                assert held.bundle_line(prices)(b) == self._streamed(
+                    dists, prices, b, 0)
+                for i in range(n):
+                    line = held.coordinate_line(prices, i, b)
+                    for a in (0.2, 0.75):
+                        trial = list(prices)
+                        trial[i] = a
+                        assert line(a) == self._streamed(dists, trial, b, 0)
+
+    @pytest.mark.parametrize("n", [8, 11])
+    def test_coordinate_line_agrees_above_seven_columns(self, n):
+        seed = (22, n)
+        dists, prices = _mixed_group(n)
+        held = HeldSample(dists, self.SAMPLES, seed)
+        b = 0.45 * sum(d.upper_bound for d in dists)
+        for i in (0, n // 2, n - 1):
+            line = held.coordinate_line(prices, i, b)
+            trial = list(prices)
+            trial[i] = 0.5 * dists[i].upper_bound
+            assert line(trial[i]) == pytest.approx(
+                self._streamed(dists, trial, b, seed), rel=1e-12)
+        assert held.bundle_line(prices)(b) == self._streamed(dists, prices, b,
+                                                              seed)
+
+    def test_search_path_matches_full_scoring(self, monkeypatch):
+        # Scoring every trial with a full score, as the search did before
+        # it cached columns, gives the same offer and value.
+        dists = [MIXED[k % len(MIXED)] for k in range(7)]
+        fast = optimize_group_offer(dists, mode="full", budget=1,
+                                    n_samples=2000, seed=3)
+
+        def coordinate_line(self, prices, i, b):
+            def value(a):
+                trial = list(prices)
+                trial[i] = a
+                return self.score(BundleOffer(tuple(trial), b)).mean
+            return value
+
+        def bundle_line(self, prices):
+            return lambda b: self.score(BundleOffer(tuple(prices), b)).mean
+
+        monkeypatch.setattr(HeldSample, "coordinate_line", coordinate_line)
+        monkeypatch.setattr(HeldSample, "bundle_line", bundle_line)
+        assert optimize_group_offer(dists, mode="full", budget=1,
+                                    n_samples=2000, seed=3) == fast
+
+    def test_single_prices_solved_once_per_distribution(self, monkeypatch):
+        calls = []
+        solve = group_revenue.optimal_single_price
+
+        def counting(d):
+            calls.append(d)
+            return solve(d)
+
+        monkeypatch.setattr(group_revenue, "optimal_single_price", counting)
+        copy = make_piecewise_linear(TEMPLATE.knots, TEMPLATE.densities)
+        optimize_group_offer([TEMPLATE, UNIFORM, copy, TEMPLATE], mode="full",
+                             budget=1, n_samples=1000, seed=2)
+        assert calls == [TEMPLATE, UNIFORM]
 
 
 class TestVerifySurplusExtraction:

@@ -382,6 +382,21 @@ class TestOptimizePair:
             assert optimize_on(cpus, 16) == small
         assert pools == [4]
 
+    def test_single_price_solved_once_for_equal_distributions(self,
+                                                             monkeypatch):
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return optimal_single_price(d)
+
+        monkeypatch.setattr(pair_revenue, "optimal_single_price", counting)
+        twin = make_piecewise_linear(RAMP.knots, RAMP.densities)
+        optimize_pair_offer(RAMP, twin, 1, grid_points=4)
+        assert calls == [RAMP]
+        optimize_pair_offer(UNIFORM, RAMP, 1, grid_points=4)
+        assert calls == [RAMP, UNIFORM, RAMP]
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             optimize_pair_offer(UNIFORM, UNIFORM, 0)

@@ -303,6 +303,17 @@ def test_quantile_array_is_bit_equal_to_rationalized_formula(d, u):
 
 
 @settings(max_examples=40, deadline=None)
+@given(kernel_distributions())
+def test_quantile_array_at_and_beside_every_cdf_knot(d):
+    # The segment index is a count of CDF knots at or below u; at a knot's
+    # CDF value u starts the next segment, as with searchsorted "right".
+    cum = d._cum
+    u = np.clip(np.concatenate([cum, np.nextafter(cum, 2.0),
+                                np.nextafter(cum, -1.0)]), 0.0, 1.0)
+    assert bits(d._quantile_array(u)) == bits(quantile_rationalized(d, u))
+
+
+@settings(max_examples=40, deadline=None)
 @given(kernel_distributions(), probabilities())
 def test_in_place_on_a_strided_column_touches_only_that_column(d, u):
     block = np.stack([u, 1.0 - u, u[::-1]], axis=1)
