@@ -53,6 +53,9 @@ COMMANDS = ("single-opt", "pair-opt", "verify-thm1", "verify-thm2",
 DEFAULT_N_SAMPLES = 100_000
 #: ``sweep``'s upper group size when the config gives no ``n_max``.
 SWEEP_N_MAX = 10**6
+#: The largest ``n_max`` a ``sweep`` config may ask for: the sweep checks
+#: every n up to it, and 10**8 of them take about 3 s.
+SWEEP_N_LIMIT = 10**8
 
 _COMMAND_KEYS = {
     "single-opt": frozenset(),
@@ -247,6 +250,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"$.M: 2 M sqrt(n ln n) overflows at n_max={n_max}")
             kwargs["M"] = m
+        if kwargs.get("n_max", SWEEP_N_MAX) > SWEEP_N_LIMIT:
+            raise ConfigError(f"$.n_max: must be <= {SWEEP_N_LIMIT}")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("$.out: expected a string path")

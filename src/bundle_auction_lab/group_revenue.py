@@ -126,12 +126,17 @@ def bernstein_sweep(n_min: int = 2, n_max: int = 10**6, m: float = 1.0
     ``bound * n`` (<= 1 everywhere iff the sweep holds).  A NaN bound fails
     the sweep at the first n that has one, with a NaN ratio.  A finite M so
     large that ``t`` overflows at ``n_max`` raises instead: the bound is
-    scale-free and well defined there, so a NaN would misreport it.
+    scale-free and well defined there, so a NaN would misreport it.  So does
+    an ``n_max`` beyond float range.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
+    try:
+        top = float(n_max)
+    except OverflowError:
+        raise ValueError(f"n_max={n_max} is beyond float range") from None
     if (math.isfinite(m)
-            and not math.isfinite(2.0 * m * math.sqrt(n_max * math.log(n_max)))):
+            and not math.isfinite(2.0 * m * math.sqrt(top * math.log(top)))):
         raise ValueError(f"2 M sqrt(n ln n) overflows at n={n_max} for "
                          f"M={m!r}")
     worst_ratio = -math.inf

@@ -17,7 +17,9 @@ once: every offer's pieces go into one padded (offers x pieces x 5) node
 array, the densities are evaluated on it in one call each, and an offer
 whose Simpson error estimate fails on some piece is integrated again by the
 adaptive quadrature in :mod:`._quad`.  Single offers, region boxes, the
-epsilon grid and the optimizer's grid all go through this one kernel.
+epsilon grid and the optimizer's grid all go through this one kernel.  An
+offer the group cannot accept (``b > a_1 + a_2``) takes no integral, and the
+optimizer's grid integrates each distinct acceptance probability once.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
@@ -93,14 +95,16 @@ class RegionLabel(Enum):
     A5 = "A5"
 
 
-#: Offers per kernel call when the optimizer evaluates its grid.  The padded
-#: node array of a chunk (offers x pieces x 5) stays under a MiB, and chunks
-#: are what the thread pool maps over.
+#: Acceptance integrals per kernel call when the optimizer evaluates its
+#: grid.  The padded node array of a chunk (integrals x pieces x 5) stays
+#: under a MiB, and chunks are what the thread pool maps over.
 _CHUNK = 2048
 
-#: Chunks per pool worker.  On two cores a second thread runs grids of eight
-#: or more chunks 1.1-1.6x faster, a five-chunk uniform grid no faster, and
-#: every pool costs about 5 MiB of peak memory.
+#: Chunks per pool worker.  Measured on chunks of distinct integrals (two
+#: cores, uniform and 3-knot pairs, medians of 21 interleaved runs): a
+#: second thread runs grids of 5 to 16 chunks 0.99-1.35x as fast as one and
+#: grids of 35 to 68 chunks 1.32-1.43x, and a pool adds about 7 MiB of peak
+#: memory.  The shipped grids (5 chunks and 1) run on the calling thread.
 CHUNKS_PER_WORKER = 4
 
 
@@ -149,16 +153,30 @@ def _breakpoints(d1, d2, a1_eff, a2_eff, b, lo1, hi1, lo2, hi2):
     return np.where(pts < np.inf, pts, hi1[:, None]), distinct - 1
 
 
+def _can_accept(a1_eff, a2_eff, b):
+    """Where the group may accept at all: ``b <= a_1 + a_2``.
+
+    Elsewhere the acceptance integrand is 0.0 at every node, so the
+    probability is exactly 0.0 without an integral: rounding is monotone, so
+    ``c1 + a2 <= a1 + a2 < b`` for every ``c1 = min(v, a1)``, and the
+    ``x <= 0`` branch would need ``b <= c1 <= a1``.
+    """
+    return b <= a1_eff + a2_eff
+
+
 def _accept_probs(d1: ValuationDistribution, d2: ValuationDistribution,
                   a1_eff, a2_eff, b, lo1, hi1, lo2, hi2) -> np.ndarray:
     """``P[group accepts and (V_1, V_2) in [lo1, hi1) x [lo2, hi2)]`` per offer.
 
     The arguments after the distributions are 1-D arrays of one length; an
-    infinite solo price is ``NO_SALE``.  Every offer's breakpoint pieces go
-    into one padded (offers x pieces x 5) node array, so ``d1.pdf`` and
-    ``d2.cdf`` run once on it.  An offer whose Simpson error estimate misses
-    its share of ``EXACT_TOL`` on any piece is integrated again by the
-    adaptive :func:`integrate_with_breakpoints`.
+    infinite solo price is ``NO_SALE``.  Empty boxes and offers the group
+    cannot accept (:func:`_can_accept`) are 0.0 without an integral.  Every
+    other offer's breakpoint pieces go into one padded (offers x pieces x 5)
+    node array, so ``d1.pdf`` and ``d2.cdf`` run once on it.  An offer whose
+    Simpson error estimate misses its share of ``EXACT_TOL`` on any piece is
+    integrated again by the adaptive :func:`integrate_with_breakpoints`.
+    A row's value depends on no other row: it sums only its own pieces, and
+    its padding pieces have zero width.
     """
     lo1 = np.maximum(lo1, 0.0)
     hi1 = np.minimum(hi1, d1.upper_bound)
@@ -167,7 +185,8 @@ def _accept_probs(d1: ValuationDistribution, d2: ValuationDistribution,
     f2_lo, f2_hi = d2.cdf(np.stack([lo2, hi2]))
     base2 = f2_hi - f2_lo
     prob = np.zeros(b.shape)
-    live = (hi1 > lo1) & (hi2 > lo2) & (base2 > 0.0)
+    live = ((hi1 > lo1) & (hi2 > lo2) & (base2 > 0.0)
+            & _can_accept(a1_eff, a2_eff, b))
     if not live.all():
         a1_eff, a2_eff, b, lo1, hi1, lo2, hi2, f2_hi, base2 = (
             x[live] for x in (a1_eff, a2_eff, b, lo1, hi1, lo2, hi2, f2_hi, base2)
@@ -224,6 +243,35 @@ def _solo_parts(price, sells, other_eff, b, tail_cdf, gap_cdf) -> np.ndarray:
     return np.where(sells & (tail > 0.0), price * tail * (1.0 - saturated), 0.0)
 
 
+def _whole_quadrant_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
+    """``P[group accepts]`` per offer: :func:`_accept_probs` on the quadrant."""
+    zero, inf = np.zeros(b.size), np.full(b.size, np.inf)
+    return _accept_probs(d1, d2, a1_eff, a2_eff, b, zero, inf, zero, inf)
+
+
+def _revenue_parts(d1: ValuationDistribution, d2: ValuationDistribution,
+                   a1, a2, b, accept_probs=_whole_quadrant_accept
+                   ) -> np.ndarray:
+    """The rows of :func:`pair_expected_revenues_exact` for validated 1-D
+    columns, with the acceptance probabilities from
+    ``accept_probs(d1, d2, a1_eff, a2_eff, b)``."""
+    sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
+    a1_eff = np.where(sells1, a1, np.inf)
+    a2_eff = np.where(sells2, a2, np.inf)
+    accept = accept_probs(d1, d2, a1_eff, a2_eff, b)
+    # A solo price of 0 stands in for NO_SALE inside the CDFs; _solo_parts
+    # zeroes those terms.
+    p1 = np.where(sells1, a1, 0.0)
+    p2 = np.where(sells2, a2, 0.0)
+    tail1, gap1 = d1.cdf(np.stack([p1, b - p2]))
+    tail2, gap2 = d2.cdf(np.stack([p2, b - p1]))
+    solo1 = _solo_parts(p1, sells1, a2_eff, b, tail1, gap2)
+    solo2 = _solo_parts(p2, sells2, a1_eff, b, tail2, gap1)
+    bundle_part = b * accept
+    return np.stack([bundle_part + solo1 + solo2, bundle_part, solo1, solo2,
+                     accept])
+
+
 def pair_expected_revenues_exact(d1: ValuationDistribution,
                                  d2: ValuationDistribution,
                                  a1, a2, b) -> np.ndarray:
@@ -241,22 +289,7 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
         raise ValueError("bundle prices must be nonnegative")
     if np.any(a1 < 0.0) or np.any(a2 < 0.0):
         raise ValueError("individual prices must be nonnegative or NO_SALE")
-    sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
-    a1_eff = np.where(sells1, a1, np.inf)
-    a2_eff = np.where(sells2, a2, np.inf)
-    zero, inf = np.zeros(b.size), np.full(b.size, np.inf)
-    accept = _accept_probs(d1, d2, a1_eff, a2_eff, b, zero, inf, zero, inf)
-    # A solo price of 0 stands in for NO_SALE inside the CDFs; _solo_parts
-    # zeroes those terms.
-    p1 = np.where(sells1, a1, 0.0)
-    p2 = np.where(sells2, a2, 0.0)
-    tail1, gap1 = d1.cdf(np.stack([p1, b - p2]))
-    tail2, gap2 = d2.cdf(np.stack([p2, b - p1]))
-    solo1 = _solo_parts(p1, sells1, a2_eff, b, tail1, gap2)
-    solo2 = _solo_parts(p2, sells2, a1_eff, b, tail2, gap1)
-    bundle_part = b * accept
-    return np.stack([bundle_part + solo1 + solo2, bundle_part, solo1, solo2,
-                     accept])
+    return _revenue_parts(d1, d2, a1, a2, b)
 
 
 def pair_expected_revenue_exact(d1: ValuationDistribution,
@@ -507,7 +540,7 @@ def _usable_cpus() -> int:
 
 
 def _evaluate_offers(evaluate, count: int) -> np.ndarray:
-    """``evaluate(chunk)`` over consecutive ``_CHUNK``-offer slices, joined in
+    """``evaluate(chunk)`` over consecutive ``_CHUNK``-row slices, joined in
     index order whatever the schedule, on ``len(chunks) // CHUNKS_PER_WORKER``
     threads up to the usable CPUs, or serially when that is at most one."""
     chunks = [slice(i, i + _CHUNK) for i in range(0, count, _CHUNK)]
@@ -516,6 +549,39 @@ def _evaluate_offers(evaluate, count: int) -> np.ndarray:
         return np.concatenate([evaluate(c) for c in chunks])
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(evaluate, chunks)))
+
+
+def _distinct_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
+    """:func:`_whole_quadrant_accept`, integrating each distinct value once.
+
+    Offers the group cannot accept are 0.0 (:func:`_can_accept`).  Where
+    ``a_2 >= b`` customer 2's cap never binds: ``b - a_2 <= 0`` is no
+    breakpoint, and ``b <= c1 + a_2`` holds wherever ``x > 0``, so the
+    pieces and the integrand are those of ``a_2 = NO_SALE``, and such
+    offers share the key ``(a_1, inf, b)``.  Customer 1's cap does not fold
+    so: ``a_1`` stays a breakpoint when ``b <= a_1 < M_1``.  The keys are
+    sorted, each distinct one is integrated once, in ``_CHUNK``-integral
+    slices (:func:`_evaluate_offers`), and the values are scattered back.
+    A row of :func:`_accept_probs` depends on no other row, so every value
+    equals the one the offer gets on its own, bit for bit.
+    """
+    live = np.flatnonzero(_can_accept(a1_eff, a2_eff, b))
+    k1 = a1_eff[live]
+    k2 = np.where(a2_eff[live] >= b[live], np.inf, a2_eff[live])
+    kb = b[live]
+    order = np.lexsort((kb, k2, k1))
+    k1, k2, kb = k1[order], k2[order], kb[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1]) | (kb[1:] != kb[:-1])
+    k1, k2, kb = k1[first], k2[first], kb[first]
+
+    def evaluate(chunk: slice) -> np.ndarray:
+        return _whole_quadrant_accept(d1, d2, k1[chunk], k2[chunk], kb[chunk])
+
+    accept = np.zeros(b.size)
+    accept[live[order]] = _evaluate_offers(evaluate, kb.size)[
+        np.cumsum(first) - 1]
+    return accept
 
 
 def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
@@ -527,13 +593,16 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     Stage 1 scans a coarse grid over ``[0, M1] x [0, M2] x [0, M1 + M2]``
     plus the NO_SALE variants of each solo price, and seeds the singles
     optimum as the offer ``(p1*, p2*, p1* + p2*)`` (which reproduces single
-    pricing exactly, so the result always dominates it).  The grid is
-    evaluated by the batched exact kernel in chunks of ``_CHUNK`` offers,
-    on a thread pool when the grid is large enough to pay for one
-    (``CHUNKS_PER_WORKER``); the first offer of highest value wins, whatever
-    the schedule.  Stage 2 runs a compass search on the winning sale
-    pattern, scoring each move's trials in one kernel call and halving the
-    step each of ``budget`` rounds.
+    pricing exactly, so the result always dominates it).  The grid's
+    distinct acceptance integrals (:func:`_distinct_accept`) are evaluated
+    by the batched exact kernel in chunks of ``_CHUNK``, on a thread pool
+    when there are enough of them to pay for one (``CHUNKS_PER_WORKER``),
+    and every offer's total is then assembled in one pass; the first offer
+    of highest value wins, whatever the schedule.  On a uniform pair the
+    32-point grid has 34,849 offers and 9,697 distinct integrals.  Stage 2
+    runs a compass search on the winning sale pattern, scoring each move's
+    trials in one kernel call and halving the step each of ``budget``
+    rounds.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -559,13 +628,7 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
                            ax2 if fin2 else [math.nan], axb, indexing="ij")
         blocks.append(np.stack([g.ravel() for g in grid]))
     a1s, a2s, bs = np.concatenate(blocks, axis=1)
-
-    def evaluate(chunk: slice) -> np.ndarray:
-        return pair_expected_revenues_exact(
-            d1, d2, a1s[chunk], a2s[chunk], bs[chunk]
-        )[0]
-
-    values = _evaluate_offers(evaluate, bs.size)
+    values = _revenue_parts(d1, d2, a1s, a2s, bs, _distinct_accept)[0]
     best_idx = int(np.argmax(values))
     best_triple = [None if math.isnan(x) else float(x)
                    for x in (a1s[best_idx], a2s[best_idx])]

@@ -110,6 +110,17 @@ class TestParseConfig:
             parse_config(config_text(command="sweep", seed=0, n_min=2, M=m,
                                      **n_max))
 
+    @pytest.mark.parametrize("n_max, extra", [(10**8 + 1, {}),
+                                              (10**12, {"M": 1.0}),
+                                              (10**400, {})])
+    def test_sweep_n_max_is_capped(self, n_max, extra):
+        # 10**12 would sweep for hours; 10**400 is beyond float range.
+        with pytest.raises(ConfigError, match=r"\$\.n_max: must be <= 10+$"):
+            parse_config(config_text(command="sweep", seed=0, n_max=n_max,
+                                     **extra))
+        assert parse_config(config_text(command="sweep", seed=0,
+                                        n_max=10**8)).n_max == 10**8
+
     @pytest.mark.parametrize("command, extra", [
         ("verify-thm2", {}),
         ("partition", {"N": 6}),

@@ -121,6 +121,13 @@ class TestBernstein:
         with pytest.raises(ValueError):
             bernstein_sweep(10, 5)
 
+    @pytest.mark.parametrize("m", [1.0, math.inf])
+    def test_n_max_beyond_float_range_is_a_value_error(self, m):
+        # The CLI reports a ValueError as an error message; any other
+        # exception would end in a traceback.
+        with pytest.raises(ValueError, match="beyond float range"):
+            bernstein_sweep(2, 10**400, m)
+
 
 class TestLowerBound:
     def test_values(self):

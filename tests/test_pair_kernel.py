@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 from bundle_auction_lab import pair_revenue
 from bundle_auction_lab.bundles import BundleOffer
 from bundle_auction_lab.pair_revenue import (
+    RegionLabel,
     _accept_probs,
+    _distinct_accept,
+    _revenue_parts,
+    _whole_quadrant_accept,
+    optimize_pair_offer,
     pair_expected_revenue_exact,
     pair_expected_revenues_exact,
+    region_expected_revenue,
 )
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
@@ -194,3 +200,142 @@ def test_grid_is_bit_identical_to_reference(d1, d2):
     parts = pair_expected_revenues_exact(d1, d2, *_columns(batch))
     ref = np.array([pair_revenue_reference(d1, d2, p, b)[:5] for p, b in batch]).T
     assert np.array_equal(parts, ref)
+
+
+@st.composite
+def pruned_and_folded_batches(draw):
+    """Batches that mix every case the grid's dedup prunes or folds: offers
+    the group cannot accept, ``a2 > b``, ``a2 == b``, ``a1 >= b``, ties
+    ``b == a1 + a2``, exact duplicates, ``NO_SALE`` on either side, ``b = 0``
+    and ``-0.0`` prices."""
+    d1 = draw(densities())
+    d2 = draw(st.one_of(st.just(d1), densities()))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        a1 = draw(st.floats(0.0, 1.2 * d1.upper_bound))
+        a2 = draw(st.floats(0.0, 1.2 * d2.upper_bound))
+        b = draw(st.floats(0.0, d1.upper_bound + d2.upper_bound))
+        tie = a1 + a2
+        batch += [
+            ((a1, a2), np.nextafter(tie, np.inf)),   # cannot accept
+            ((a1, a2), tie + 0.1),                   # cannot accept
+            ((a1, a2), tie),                         # tie
+            ((a1, a2), b),
+            ((a1, a2), b),                           # exact duplicate
+            ((a1, b + a2), b),                       # a2 > b
+            ((a1, b), b),                            # a2 == b
+            ((a1, None), b),                         # folds onto a2 >= b
+            ((b + a1, a2), b),                       # a1 > b
+            ((b, a2), b),                            # a1 == b
+            ((None, a2), b),
+            ((None, None), b),
+            ((a1, a2), 0.0),
+            ((a1, a2), -0.0),
+            ((-0.0, a2), b),
+            ((a1, -0.0), b),
+            ((-0.0, -0.0), -0.0),
+            ((0.0, 0.0), 0.0),
+        ]
+    order = draw(st.permutations(range(len(batch))))
+    return d1, d2, [batch[i] for i in order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pruned_and_folded_batches())
+def test_pruned_and_folded_offers_are_bit_identical(case):
+    # Each offer's values in a batch, and on the grid's dedup path, equal
+    # those of the offer alone, bit for bit, and the reference within AGREE.
+    d1, d2, batch = case
+    a1, a2, b = _columns(batch)
+    parts = pair_expected_revenues_exact(d1, d2, a1, a2, b)
+    grid = _revenue_parts(d1, d2, a1, a2, b, _distinct_accept)
+    assert grid.tobytes() == parts.tobytes()
+    for i, (prices, bi) in enumerate(batch):
+        single = pair_expected_revenue_exact(d1, d2, BundleOffer(prices, bi))
+        assert parts[:, i].tobytes() == np.array([
+            single.total, single.bundle_part, single.solo_part_1,
+            single.solo_part_2, single.accept_probability,
+        ]).tobytes(), (prices, bi)
+        ref = pair_revenue_reference(d1, d2, prices, bi)[:5]
+        assert np.max(np.abs(parts[:, i] - ref)) <= AGREE, (prices, bi)
+
+
+class _CountingSimpson:
+    """Counts the rows (offers) of every batched Simpson pass."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        self._inner = pair_revenue.simpson_pass
+        monkeypatch.setattr(pair_revenue, "simpson_pass", self)
+
+    def __call__(self, f, a, b):
+        self.rows += a.shape[0]
+        return self._inner(f, a, b)
+
+
+def test_offers_the_group_cannot_accept_take_no_integral(monkeypatch):
+    counter = _CountingSimpson(monkeypatch)
+    a1 = np.array([0.2, 0.0, 0.5, 0.3])
+    a2 = np.array([0.3, 0.0, 0.25, 0.3])
+    b = np.array([np.nextafter(0.5, 1.0), 1e-300, 0.76, 1.9])
+    assert not pair_revenue._can_accept(a1, a2, b).any()
+    accept = _whole_quadrant_accept(TEMPLATE, TEMPLATE, a1, a2, b)
+    assert counter.rows == 0
+    assert accept.tobytes() == np.zeros(4).tobytes()
+    for prices, bi in zip(zip(a1, a2), b):
+        ref, _ = accept_prob_box_reference(TEMPLATE, TEMPLATE, *prices, bi,
+                                           0.0, math.inf, 0.0, math.inf)
+        assert ref == 0.0
+
+
+def test_a_cap_of_customer_2_at_or_above_b_is_no_sale():
+    d1 = make_piecewise_linear((0.0, 0.3, 0.9, 1.7), (0.4, 2.0, 0.7, 0.2))
+    d2 = make_piecewise_linear((0.0, 0.5, 1.1, 1.5), (1.5, 0.3, 1.0, 0.6))
+    b = np.linspace(0.0, 3.2, 41)
+    a1 = np.full(b.size, 0.8)
+    for a2 in (b, b + 0.3, np.full(b.size, 3.2)):
+        assert (_whole_quadrant_accept(d1, d2, a1, a2, b).tobytes()
+                == _whole_quadrant_accept(d1, d2, a1, np.full(b.size, np.inf),
+                                          b).tobytes())
+    # Customer 1's cap does not fold: a1 is a breakpoint for b <= a1 < M1.
+    a2 = np.full(b.size, np.inf)
+    capped = _whole_quadrant_accept(d1, d2, b + 0.3, a2, b)
+    uncapped = _whole_quadrant_accept(d1, d2, np.full(b.size, np.inf), a2, b)
+    assert not np.array_equal(capped, uncapped)
+
+
+@pytest.mark.parametrize("dist, grid_points, offers, integrals", [
+    (make_uniform(1.0), 32, 34_849, 9_697),   # configs/pair_opt_uniform.json
+    (TEMPLATE, 16, 4_625, 1_411),             # partition's pair grid
+])
+def test_grid_integrates_each_distinct_acceptance_once(
+        monkeypatch, dist, grid_points, offers, integrals):
+    counter = _CountingSimpson(monkeypatch)
+    seen = []
+
+    def grid_accept(d1, d2, a1_eff, a2_eff, b):
+        before = counter.rows
+        accept = _distinct_accept(d1, d2, a1_eff, a2_eff, b)
+        seen.append((b.size, counter.rows - before))
+        return accept
+
+    monkeypatch.setattr(pair_revenue, "_distinct_accept", grid_accept)
+    optimize_pair_offer(dist, dist, 1, grid_points=grid_points)
+    assert seen == [(offers, integrals)]
+
+
+@pytest.mark.parametrize("dist, p1, p2, pinned", [
+    (make_uniform(1.0), 0.5, 0.5,
+     ("0x1.0000000000000p-2", "0x1.c83126e978d51p-4", "0x1.0000000000000p-3",
+      "0x1.47ae147ae1485p-10", "0x1.70a3d70a3d709p-6")),
+    (TEMPLATE, 0.55, 0.45,
+     ("0x1.e36cabae6bc1dp-3", "0x1.56e028e94ab33p-4", "0x1.2440885ef8ffbp-3",
+      "0x1.00bb99ad43693p-9", "0x1.96f2c6894017dp-6")),
+])
+def test_region_bundle_revenues_are_pinned(dist, p1, p2, pinned):
+    # Region boxes share _accept_probs with the grid; its pruning must not
+    # move a bit of the five regions' bundle revenues.
+    got = tuple(region_expected_revenue(dist, dist, p1, p2, 0.05, label,
+                                        "bundle").hex()
+                for label in RegionLabel)
+    assert got == pinned

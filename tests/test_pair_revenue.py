@@ -356,9 +356,10 @@ class TestOptimizePair:
         assert value >= 0.75 - 1e-6
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
-        # 32 grid points make 34,849 offers in 18 chunks, enough for a pool
-        # of four; 16 points make 4,625 offers in 3 chunks, too few for any
-        # pool.  Count the pools to be sure which path ran.
+        # 48 grid points need 31,011 distinct acceptance integrals in 16
+        # chunks, enough for a pool of four; 16 points need 1,411 in one
+        # chunk, too few for any pool.  Count the pools to be sure which
+        # path ran.
         pools = []
 
         class CountingPool(pair_revenue.ThreadPoolExecutor):
@@ -372,9 +373,9 @@ class TestOptimizePair:
                                        grid_points=grid_points)
 
         monkeypatch.setattr(pair_revenue, "ThreadPoolExecutor", CountingPool)
-        serial = optimize_on(1, 32)
+        serial = optimize_on(1, 48)
         assert pools == []
-        assert optimize_on(4, 32) == serial
+        assert optimize_on(4, 48) == serial
         assert pools == [4]
 
         small = optimize_on(1, 16)
