@@ -237,21 +237,17 @@ def parse_config(text: str) -> ExperimentConfig:
             kwargs["n_min"] = _integer(raw["n_min"], "$.n_min", minimum=2)
         if "n_max" in raw:
             kwargs["n_max"] = _integer(raw["n_max"], "$.n_max", minimum=2)
+        n_max = kwargs.get("n_max", SWEEP_N_MAX)
+        if n_max > SWEEP_N_LIMIT:
+            raise ConfigError(f"$.n_max: must be <= {SWEEP_N_LIMIT}")
         if "M" in raw:
             m = _number(raw, "M", "$")
             if not 0.0 < m < math.inf:
                 raise ConfigError("$.M: must be finite and positive")
-            n_max = kwargs.get("n_max", SWEEP_N_MAX)
-            try:
-                t_max = 2.0 * m * math.sqrt(n_max * math.log(n_max))
-            except OverflowError:  # n_max itself is beyond float range
-                t_max = math.inf
-            if not math.isfinite(t_max):
+            if not math.isfinite(2.0 * m * math.sqrt(n_max * math.log(n_max))):
                 raise ConfigError(
                     f"$.M: 2 M sqrt(n ln n) overflows at n_max={n_max}")
             kwargs["M"] = m
-        if kwargs.get("n_max", SWEEP_N_MAX) > SWEEP_N_LIMIT:
-            raise ConfigError(f"$.n_max: must be <= {SWEEP_N_LIMIT}")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("$.out: expected a string path")

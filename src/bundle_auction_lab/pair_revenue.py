@@ -18,8 +18,9 @@ array, the densities are evaluated on it in one call each, and an offer
 whose Simpson error estimate fails on some piece is integrated again by the
 adaptive quadrature in :mod:`._quad`.  Single offers, region boxes, the
 epsilon grid and the optimizer's grid all go through this one kernel.  An
-offer the group cannot accept (``b > a_1 + a_2``) takes no integral, and the
-optimizer's grid integrates each distinct acceptance probability once.
+offer the group cannot accept (``b > a_1 + a_2``) takes no integral, and a
+large batch such as the optimizer's grid integrates each of its distinct
+acceptance probabilities once.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
@@ -95,16 +96,14 @@ class RegionLabel(Enum):
     A5 = "A5"
 
 
-#: Acceptance integrals per kernel call when the optimizer evaluates its
-#: grid.  The padded node array of a chunk (integrals x pieces x 5) stays
-#: under a MiB, and chunks are what the thread pool maps over.
+#: Acceptance integrals per kernel call, and offers per slice of the solo
+#: parts, in a large batch such as the optimizer's grid.  The padded node
+#: array of a chunk (integrals x pieces x 5) stays under a MiB, and chunks
+#: are what the thread pool maps over.
 _CHUNK = 2048
 
-#: Chunks per pool worker.  Measured on chunks of distinct integrals (two
-#: cores, uniform and 3-knot pairs, medians of 21 interleaved runs): a
-#: second thread runs grids of 5 to 16 chunks 0.99-1.35x as fast as one and
-#: grids of 35 to 68 chunks 1.32-1.43x, and a pool adds about 7 MiB of peak
-#: memory.  The shipped grids (5 chunks and 1) run on the calling thread.
+#: Chunks per pool worker.  The shipped grids (5 chunks and 1) run on the
+#: calling thread.
 CHUNKS_PER_WORKER = 4
 
 
@@ -249,27 +248,61 @@ def _whole_quadrant_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
     return _accept_probs(d1, d2, a1_eff, a2_eff, b, zero, inf, zero, inf)
 
 
-def _revenue_parts(d1: ValuationDistribution, d2: ValuationDistribution,
-                   a1, a2, b, accept_probs=_whole_quadrant_accept
-                   ) -> np.ndarray:
-    """The rows of :func:`pair_expected_revenues_exact` for validated 1-D
-    columns, with the acceptance probabilities from
-    ``accept_probs(d1, d2, a1_eff, a2_eff, b)``."""
-    sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
-    a1_eff = np.where(sells1, a1, np.inf)
-    a2_eff = np.where(sells2, a2, np.inf)
-    accept = accept_probs(d1, d2, a1_eff, a2_eff, b)
-    # A solo price of 0 stands in for NO_SALE inside the CDFs; _solo_parts
-    # zeroes those terms.
-    p1 = np.where(sells1, a1, 0.0)
-    p2 = np.where(sells2, a2, 0.0)
-    tail1, gap1 = d1.cdf(np.stack([p1, b - p2]))
-    tail2, gap2 = d2.cdf(np.stack([p2, b - p1]))
-    solo1 = _solo_parts(p1, sells1, a2_eff, b, tail1, gap2)
-    solo2 = _solo_parts(p2, sells2, a1_eff, b, tail2, gap1)
-    bundle_part = b * accept
-    return np.stack([bundle_part + solo1 + solo2, bundle_part, solo1, solo2,
-                     accept])
+def _usable_cpus() -> int:
+    """CPUs this process may run on, so taskset or a cpuset caps the pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _evaluate_offers(evaluate, count: int) -> np.ndarray:
+    """``evaluate(chunk)`` over consecutive ``_CHUNK``-row slices, joined in
+    index order whatever the schedule, on ``len(chunks) // CHUNKS_PER_WORKER``
+    threads up to the usable CPUs, or serially when that is at most one."""
+    chunks = [slice(i, i + _CHUNK) for i in range(0, count, _CHUNK)]
+    workers = min(_usable_cpus(), len(chunks) // CHUNKS_PER_WORKER)
+    if workers <= 1:
+        return np.concatenate([evaluate(c) for c in chunks])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(evaluate, chunks)))
+
+
+def _distinct_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
+    """:func:`_whole_quadrant_accept`, integrating each distinct value once.
+
+    Offers the group cannot accept are 0.0 (:func:`_can_accept`).  Where
+    ``a_2 >= b`` customer 2's cap never binds: ``b - a_2 <= 0`` is no
+    breakpoint, and ``b <= c1 + a_2`` holds wherever ``x > 0``, so the
+    pieces and the integrand are those of ``a_2 = NO_SALE``, and such
+    offers share the key ``(a_1, inf, b)``.  Customer 1's cap does not fold
+    so: ``a_1`` stays a breakpoint when ``b <= a_1 < M_1``.  The keys are
+    sorted, each distinct one is integrated once, in ``_CHUNK``-integral
+    slices (:func:`_evaluate_offers`), and the values are scattered back.
+    A row of :func:`_accept_probs` depends on no other row, so every value
+    equals the one the offer gets on its own, bit for bit.
+    """
+    accept = np.zeros(b.size)
+    live = np.flatnonzero(_can_accept(a1_eff, a2_eff, b))
+    if live.size == 0:
+        return accept
+    k1 = a1_eff[live]
+    k2 = np.where(a2_eff[live] >= b[live], np.inf, a2_eff[live])
+    kb = b[live]
+    order = np.lexsort((kb, k2, k1))
+    # One key at a time, so a large batch holds one extra copy at most.
+    k1 = k1[order]
+    k2 = k2[order]
+    kb = kb[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1]) | (kb[1:] != kb[:-1])
+    k1, k2, kb = k1[first], k2[first], kb[first]
+
+    def evaluate(chunk: slice) -> np.ndarray:
+        return _whole_quadrant_accept(d1, d2, k1[chunk], k2[chunk], kb[chunk])
+
+    accept[live[order]] = _evaluate_offers(evaluate, kb.size)[
+        np.cumsum(first) - 1]
+    return accept
 
 
 def pair_expected_revenues_exact(d1: ValuationDistribution,
@@ -281,7 +314,13 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     ``NO_SALE``.  Returns an array of shape ``(5, offers)`` whose rows are
     the fields of :class:`PairRevenueBreakdown` in order: total, bundle
     part, the two solo parts and the acceptance probability.  Each offer's
-    values equal those of :func:`pair_expected_revenue_exact`.
+    values equal those of :func:`pair_expected_revenue_exact`.  A batch of
+    more than ``_CHUNK`` offers integrates each distinct acceptance
+    probability once (:func:`_distinct_accept`); a smaller one, such as a
+    compass move or the epsilon grid, is integrated as given, because the
+    sort and scatter cost it 10-20% and it has few integrals to save.  The
+    solo parts and totals are assembled in ``_CHUNK``-offer slices, so
+    their temporaries do not grow with the batch.
     """
     a1, a2, b = (np.asarray(x, dtype=float).ravel()
                  for x in np.broadcast_arrays(a1, a2, b))
@@ -289,7 +328,27 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
         raise ValueError("bundle prices must be nonnegative")
     if np.any(a1 < 0.0) or np.any(a2 < 0.0):
         raise ValueError("individual prices must be nonnegative or NO_SALE")
-    return _revenue_parts(d1, d2, a1, a2, b)
+    sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
+    a1_eff = np.where(sells1, a1, np.inf)
+    a2_eff = np.where(sells2, a2, np.inf)
+    accept_probs = (_distinct_accept if b.size > _CHUNK
+                    else _whole_quadrant_accept)
+    accept = accept_probs(d1, d2, a1_eff, a2_eff, b)
+    parts = np.empty((5, b.size))
+    parts[4] = accept
+    for i in range(0, b.size, _CHUNK):
+        c = slice(i, i + _CHUNK)
+        # A solo price of 0 stands in for NO_SALE inside the CDFs;
+        # _solo_parts zeroes those terms.
+        p1 = np.where(sells1[c], a1[c], 0.0)
+        p2 = np.where(sells2[c], a2[c], 0.0)
+        tail1, gap1 = d1.cdf(np.stack([p1, b[c] - p2]))
+        tail2, gap2 = d2.cdf(np.stack([p2, b[c] - p1]))
+        parts[2, c] = _solo_parts(p1, sells1[c], a2_eff[c], b[c], tail1, gap2)
+        parts[3, c] = _solo_parts(p2, sells2[c], a1_eff[c], b[c], tail2, gap1)
+        parts[1, c] = b[c] * parts[4, c]
+        parts[0, c] = parts[1, c] + parts[2, c] + parts[3, c]
+    return parts
 
 
 def pair_expected_revenue_exact(d1: ValuationDistribution,
@@ -532,56 +591,24 @@ def verify_pair_improvement(d1: ValuationDistribution,
     )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, so taskset or a cpuset caps the pool."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _evaluate_offers(evaluate, count: int) -> np.ndarray:
-    """``evaluate(chunk)`` over consecutive ``_CHUNK``-row slices, joined in
-    index order whatever the schedule, on ``len(chunks) // CHUNKS_PER_WORKER``
-    threads up to the usable CPUs, or serially when that is at most one."""
-    chunks = [slice(i, i + _CHUNK) for i in range(0, count, _CHUNK)]
-    workers = min(_usable_cpus(), len(chunks) // CHUNKS_PER_WORKER)
-    if workers <= 1:
-        return np.concatenate([evaluate(c) for c in chunks])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(evaluate, chunks)))
-
-
-def _distinct_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
-    """:func:`_whole_quadrant_accept`, integrating each distinct value once.
-
-    Offers the group cannot accept are 0.0 (:func:`_can_accept`).  Where
-    ``a_2 >= b`` customer 2's cap never binds: ``b - a_2 <= 0`` is no
-    breakpoint, and ``b <= c1 + a_2`` holds wherever ``x > 0``, so the
-    pieces and the integrand are those of ``a_2 = NO_SALE``, and such
-    offers share the key ``(a_1, inf, b)``.  Customer 1's cap does not fold
-    so: ``a_1`` stays a breakpoint when ``b <= a_1 < M_1``.  The keys are
-    sorted, each distinct one is integrated once, in ``_CHUNK``-integral
-    slices (:func:`_evaluate_offers`), and the values are scattered back.
-    A row of :func:`_accept_probs` depends on no other row, so every value
-    equals the one the offer gets on its own, bit for bit.
-    """
-    live = np.flatnonzero(_can_accept(a1_eff, a2_eff, b))
-    k1 = a1_eff[live]
-    k2 = np.where(a2_eff[live] >= b[live], np.inf, a2_eff[live])
-    kb = b[live]
-    order = np.lexsort((kb, k2, k1))
-    k1, k2, kb = k1[order], k2[order], kb[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1]) | (kb[1:] != kb[:-1])
-    k1, k2, kb = k1[first], k2[first], kb[first]
-
-    def evaluate(chunk: slice) -> np.ndarray:
-        return _whole_quadrant_accept(d1, d2, k1[chunk], k2[chunk], kb[chunk])
-
-    accept = np.zeros(b.size)
-    accept[live[order]] = _evaluate_offers(evaluate, kb.size)[
-        np.cumsum(first) - 1]
-    return accept
+def _grid_columns(d1, d2, ax1, ax2, axb, pure_bundle_only: bool
+                  ) -> np.ndarray:
+    """Columns a1, a2, b of the optimizer's grid, NaN for NO_SALE, in the
+    order seed offer, then patterns x a1 x a2 x b."""
+    if pure_bundle_only:
+        patterns = [(False, False)]
+    else:
+        patterns = [(True, True), (True, False), (False, True), (False, False)]
+    blocks = []
+    if not pure_bundle_only:
+        s1 = optimal_single_price(d1)
+        s2 = s1 if d2 is d1 or d2 == d1 else optimal_single_price(d2)
+        blocks.append(np.array([[s1.price], [s2.price], [s1.price + s2.price]]))
+    for fin1, fin2 in patterns:
+        grid = np.meshgrid(ax1 if fin1 else [math.nan],
+                           ax2 if fin2 else [math.nan], axb, indexing="ij")
+        blocks.append(np.stack([g.ravel() for g in grid]))
+    return np.concatenate(blocks, axis=1)
 
 
 def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
@@ -593,13 +620,13 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     Stage 1 scans a coarse grid over ``[0, M1] x [0, M2] x [0, M1 + M2]``
     plus the NO_SALE variants of each solo price, and seeds the singles
     optimum as the offer ``(p1*, p2*, p1* + p2*)`` (which reproduces single
-    pricing exactly, so the result always dominates it).  The grid's
-    distinct acceptance integrals (:func:`_distinct_accept`) are evaluated
-    by the batched exact kernel in chunks of ``_CHUNK``, on a thread pool
-    when there are enough of them to pay for one (``CHUNKS_PER_WORKER``),
-    and every offer's total is then assembled in one pass; the first offer
-    of highest value wins, whatever the schedule.  On a uniform pair the
-    32-point grid has 34,849 offers and 9,697 distinct integrals.  Stage 2
+    pricing exactly, so the result always dominates it).  The whole grid is
+    one :func:`pair_expected_revenues_exact` call, whose distinct
+    acceptance integrals are evaluated in chunks of ``_CHUNK``, on a thread
+    pool when there are enough of them to pay for one
+    (``CHUNKS_PER_WORKER``); the first offer of highest value wins, whatever
+    the schedule.  On a uniform pair the 32-point grid has 34,849 offers and
+    9,697 distinct integrals.  Stage 2
     runs a compass search on the winning sale pattern, scoring each move's
     trials in one kernel call and halving the step each of ``budget``
     rounds.
@@ -611,24 +638,8 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     ax2 = np.linspace(0.0, m2, grid_points)
     axb = np.linspace(0.0, m1 + m2, grid_points)
 
-    if pure_bundle_only:
-        patterns = [(False, False)]
-    else:
-        patterns = [(True, True), (True, False), (False, True), (False, False)]
-
-    # Columns a1, a2, b of the grid, NaN for NO_SALE, in the order seed
-    # offer, then patterns x a1 x a2 x b.
-    blocks = []
-    if not pure_bundle_only:
-        s1 = optimal_single_price(d1)
-        s2 = s1 if d2 is d1 or d2 == d1 else optimal_single_price(d2)
-        blocks.append(np.array([[s1.price], [s2.price], [s1.price + s2.price]]))
-    for fin1, fin2 in patterns:
-        grid = np.meshgrid(ax1 if fin1 else [math.nan],
-                           ax2 if fin2 else [math.nan], axb, indexing="ij")
-        blocks.append(np.stack([g.ravel() for g in grid]))
-    a1s, a2s, bs = np.concatenate(blocks, axis=1)
-    values = _revenue_parts(d1, d2, a1s, a2s, bs, _distinct_accept)[0]
+    a1s, a2s, bs = _grid_columns(d1, d2, ax1, ax2, axb, pure_bundle_only)
+    values = pair_expected_revenues_exact(d1, d2, a1s, a2s, bs)[0]
     best_idx = int(np.argmax(values))
     best_triple = [None if math.isnan(x) else float(x)
                    for x in (a1s[best_idx], a2s[best_idx])]

@@ -105,8 +105,11 @@ class TestParseConfig:
                                           (1e305, {}),
                                           (2.0, {"n_max": 10**400})])
     def test_sweep_m_whose_deviation_overflows_is_rejected(self, m, n_max):
-        # At M = 1e308 the sweep used to print t = inf and NaN bounds.
-        with pytest.raises(ConfigError, match=r"\$\.M: .* overflows"):
+        # At M = 1e308 the sweep used to print t = inf and NaN bounds.  An
+        # n_max of 10**400 is over the n_max cap, which is checked first.
+        fault = (r"\$\.n_max: must be" if n_max.get("n_max", 0) > 10**8
+                 else r"\$\.M: .* overflows")
+        with pytest.raises(ConfigError, match=fault):
             parse_config(config_text(command="sweep", seed=0, n_min=2, M=m,
                                      **n_max))
 
