@@ -594,7 +594,11 @@ def verify_pair_improvement(d1: ValuationDistribution,
 def _grid_columns(d1, d2, ax1, ax2, axb, pure_bundle_only: bool
                   ) -> np.ndarray:
     """Columns a1, a2, b of the optimizer's grid, NaN for NO_SALE, in the
-    order seed offer, then patterns x a1 x a2 x b."""
+    order seed offer, then patterns x a1 x a2 x b.
+
+    The per-pattern blocks die with this frame, so they are not held while
+    the grid is evaluated.
+    """
     if pure_bundle_only:
         patterns = [(False, False)]
     else:
@@ -626,10 +630,9 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     pool when there are enough of them to pay for one
     (``CHUNKS_PER_WORKER``); the first offer of highest value wins, whatever
     the schedule.  On a uniform pair the 32-point grid has 34,849 offers and
-    9,697 distinct integrals.  Stage 2
-    runs a compass search on the winning sale pattern, scoring each move's
-    trials in one kernel call and halving the step each of ``budget``
-    rounds.
+    9,697 distinct integrals.  Stage 2 runs a compass search on the winning
+    sale pattern, scoring each move's trials in one kernel call and halving
+    the step each of ``budget`` rounds.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
