@@ -9,18 +9,18 @@ one-dimensional integral
     P[accept & box] = integral f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1),
                                           V_2 in window] dv
 
-whose integrand is piecewise cubic between known breakpoints, so one
-five-node Simpson pass per piece evaluates it essentially exactly.
+whose integrand is a cubic between known breakpoints, so the two-point
+Gauss-Legendre rule on each piece (:mod:`._quad`) evaluates it exactly, up
+to rounding.
 
 :func:`pair_expected_revenues_exact` does this for a batch of offers at
-once: every offer's pieces go into one padded (offers x pieces x 5) node
-array, the densities are evaluated on it in one call each, and an offer
-whose Simpson error estimate fails on some piece is integrated again by the
-adaptive quadrature in :mod:`._quad`.  Single offers, region boxes, the
-epsilon grid and the optimizer's grid all go through this one kernel.  An
-offer the group cannot accept (``b > a_1 + a_2``) takes no integral, and a
-large batch such as the optimizer's grid integrates each of its distinct
-acceptance probabilities once.
+once: every offer's pieces go into one padded (offers x pieces x 2) node
+array, and the densities are evaluated on it in one call each.  Single
+offers, region boxes, the epsilon grid and the optimizer's grid all go
+through this one kernel.  An offer the group cannot accept
+(``b > a_1 + a_2``) takes no integral, and a large batch such as the
+optimizer's grid integrates each of its distinct acceptance probabilities
+once.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
@@ -40,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from ._mc import revenue_stats
-from ._quad import integrate_with_breakpoints, simpson_pass
+from ._quad import integrate_with_breakpoints
 from ._search import golden_section_max
 from .bundles import BundleOffer
 from .single_pricing import optimal_single_price
@@ -65,7 +65,6 @@ __all__ = [
     "optimize_pair_offer",
 ]
 
-EXACT_TOL = 1e-7
 #: Margin by which an epsilon-offer must beat optimal singles to count.
 IMPROVEMENT_TOL = 1e-6
 DEFAULT_EPS_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -98,7 +97,7 @@ class RegionLabel(Enum):
 
 #: Acceptance integrals per kernel call, and offers per slice of the solo
 #: parts, in a large batch such as the optimizer's grid.  The padded node
-#: array of a chunk (integrals x pieces x 5) stays under a MiB, and chunks
+#: array of a chunk (integrals x pieces x 2) stays under a MiB, and chunks
 #: are what the thread pool maps over.
 _CHUNK = 2048
 
@@ -170,12 +169,10 @@ def _accept_probs(d1: ValuationDistribution, d2: ValuationDistribution,
     The arguments after the distributions are 1-D arrays of one length; an
     infinite solo price is ``NO_SALE``.  Empty boxes and offers the group
     cannot accept (:func:`_can_accept`) are 0.0 without an integral.  Every
-    other offer's breakpoint pieces go into one padded (offers x pieces x 5)
-    node array, so ``d1.pdf`` and ``d2.cdf`` run once on it.  An offer whose
-    Simpson error estimate misses its share of ``EXACT_TOL`` on any piece is
-    integrated again by the adaptive :func:`integrate_with_breakpoints`.
-    A row's value depends on no other row: it sums only its own pieces, and
-    its padding pieces have zero width.
+    other offer's breakpoint pieces go into one padded (offers x pieces x 2)
+    node array, so ``d1.pdf`` and ``d2.cdf`` run once on it.  A row's value
+    depends on no other row (:func:`integrate_with_breakpoints`), so an
+    offer gets the same bits in any batch.
     """
     lo1 = np.maximum(lo1, 0.0)
     hi1 = np.minimum(hi1, d1.upper_bound)
@@ -199,23 +196,7 @@ def _accept_probs(d1: ValuationDistribution, d2: ValuationDistribution,
         d1, d2, a1_eff[col], a2_eff[col], b[col], lo2[col], f2_hi[col],
         base2[col],
     )
-    left, right = pts[:, :-1], pts[:, 1:]
-    value, err = simpson_pass(integrand, left, right)
-    tols = EXACT_TOL * (right - left) / (hi1 - lo1)[:, None]
-    passed = np.all(np.abs(err) <= tols, axis=1)
-
-    # Sum each offer's pieces as a row of its own length: np.sum's pairwise
-    # order depends on the length, and the adaptive path sums unpadded rows.
-    sums = np.empty(b.size)
-    for count in set(pieces.tolist()):
-        rows = pieces == count
-        sums[rows] = np.sum(value[rows, :count], axis=1)
-    for i in np.flatnonzero(~passed):
-        sums[i] = integrate_with_breakpoints(
-            _capped_integrand(d1, d2, a1_eff[i], a2_eff[i], b[i], lo2[i],
-                              f2_hi[i], base2[i]),
-            pts[i, :pieces[i] + 1], EXACT_TOL,
-        )
+    sums = integrate_with_breakpoints(integrand, pts, pieces)
     # Clip as max/min on Python floats do, keeping the sign of a zero sum.
     sums = np.where(0.0 > sums, 0.0, sums)
     prob[live] = np.where(1.0 < sums, 1.0, sums)
@@ -356,8 +337,8 @@ def pair_expected_revenue_exact(d1: ValuationDistribution,
                                 offer: BundleOffer) -> PairRevenueBreakdown:
     """Exact expected revenue of a two-customer offer.
 
-    The acceptance probability is computed by breakpoint-aware Simpson
-    quadrature (absolute tolerance ``EXACT_TOL``); the solo parts reduce to
+    The acceptance probability is a two-point Gauss-Legendre sum on each
+    breakpoint piece, exact for its cubic integrand; the solo parts reduce to
     closed forms because the capped value of a solo buyer is constant:
     ``solo_i = a_i * P[V_i >= a_i] * P[other capped value < b - a_i]``.
     This is :func:`pair_expected_revenues_exact` on a batch of one.

@@ -1,9 +1,9 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here is deliberately dumb: plain composite Simpson panels, dense
-grid scans, finite differences, 2-D Riemann sums, and an exhaustive search
-over discretized payment splits.  None of it shares code with the library
-paths it checks.
+Everything here is deliberately dumb: plain composite Simpson panels,
+per-piece three-point Gauss-Legendre sums, dense grid scans, finite
+differences, 2-D Riemann sums, and an exhaustive search over discretized
+payment splits.  None of it shares code with the library paths it checks.
 """
 
 from __future__ import annotations
@@ -121,67 +121,42 @@ def split_exists_bruteforce(valuations, prices, bundle_price: float) -> bool:
 
 # --- Per-offer reference for the batched exact pair kernel -----------------
 #
-# The exact pair engine as it was before it was batched: one offer at a time,
-# its own breakpoint list, adaptive Simpson on the pieces, and the solo parts
-# in closed form.  Kept verbatim (with its own copy of the quadrature loop)
-# so the kernel is checked against the scalar formulas, not against itself.
+# One offer at a time: its own breakpoint list, three-point Gauss-Legendre on
+# each piece, and the solo parts in closed form.  The rule is exact to degree
+# 5, so it is exact on the cubic pieces, and it shares no node or weight with
+# the engine's two-point rule, so the kernel is checked against the scalar
+# formulas, not against itself.
 
-_EDGE_NUDGE = 1e-9
-_OFFSETS = np.array([_EDGE_NUDGE, 0.25, 0.5, 0.75, 1.0 - _EDGE_NUDGE])
+_GAUSS3_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+_GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def adaptive_simpson(f, points, tol: float, max_depth: int = 24):
-    """Adaptive Simpson over the pieces between distinct ``points``.
-
-    Returns ``(integral, refined)``; ``refined`` is true when some piece
-    failed the ``|S2 - S1| / 15`` check at the first level.
-    """
+def gauss3_between(f, points) -> float:
+    """Three-point Gauss-Legendre over the pieces between distinct
+    ``points``."""
     pts = np.array(sorted({float(p) for p in points}), dtype=float)
-    span = pts[-1] - pts[0]
-    a, b = pts[:-1], pts[1:]
-    tols = tol * (b - a) / span
-    depth = 0
-    result = 0.0
-    while a.size:
-        h = b - a
-        nodes = (a[:, None] + h[:, None] * _OFFSETS).ravel()
-        fv = np.asarray(f(nodes), dtype=float).reshape(a.size, 5)
-        s1 = h / 6.0 * (fv[:, 0] + 4.0 * fv[:, 2] + fv[:, 4])
-        s2 = h / 12.0 * (
-            fv[:, 0] + 4.0 * fv[:, 1] + 2.0 * fv[:, 2] + 4.0 * fv[:, 3] + fv[:, 4]
-        )
-        err = (s2 - s1) / 15.0
-        done = (np.abs(err) <= tols) | (depth >= max_depth)
-        result += float(np.sum(s2[done] + err[done]))
-        if done.all():
-            break
-        keep = ~done
-        ka, kb, kt = a[keep], b[keep], 0.5 * tols[keep]
-        mid = 0.5 * (ka + kb)
-        a = np.concatenate([ka, mid])
-        b = np.concatenate([mid, kb])
-        tols = np.concatenate([kt, kt])
-        depth += 1
-    return result, depth > 0
+    a, h = pts[:-1], np.diff(pts)
+    fv = np.asarray(f((a[:, None] + h[:, None] * _GAUSS3_NODES).ravel()),
+                    dtype=float).reshape(a.size, 3)
+    return float(np.sum(h * (fv @ _GAUSS3_WEIGHTS)))
 
 
-def accept_prob_box_reference(d1, d2, a1, a2, b, lo1, hi1, lo2, hi2,
-                              tol: float = 1e-7):
-    """``(P[accept and (V1, V2) in [lo1, hi1) x [lo2, hi2)], refined)`` for
-    one offer; ``None`` prices are NO_SALE."""
+def accept_prob_box_reference(d1, d2, a1, a2, b, lo1, hi1, lo2, hi2) -> float:
+    """``P[accept and (V1, V2) in [lo1, hi1) x [lo2, hi2)]`` for one offer;
+    ``None`` prices are NO_SALE."""
     lo1 = max(lo1, 0.0)
     hi1 = min(hi1, d1.upper_bound)
     lo2 = max(lo2, 0.0)
     hi2 = min(hi2, d2.upper_bound)
     if hi1 <= lo1 or hi2 <= lo2:
-        return 0.0, False
+        return 0.0
     a1_eff = np.inf if a1 is None else float(a1)
     a2_eff = np.inf if a2 is None else float(a2)
     f2_hi = float(d2.cdf(hi2))
     f2_lo = float(d2.cdf(lo2))
     base2 = f2_hi - f2_lo
     if base2 <= 0.0:
-        return 0.0, False
+        return 0.0
 
     def integrand(v):
         c1 = np.minimum(v, a1_eff)
@@ -195,8 +170,7 @@ def accept_prob_box_reference(d1, d2, a1, a2, b, lo1, hi1, lo2, hi2,
     extra.extend(d1.knots)
     extra.extend(b - k for k in d2.knots)
     pts.extend(c for c in extra if np.isfinite(c) and lo1 < c < hi1)
-    prob, refined = adaptive_simpson(integrand, pts, tol)
-    return min(max(prob, 0.0), 1.0), refined
+    return min(max(gauss3_between(integrand, pts), 0.0), 1.0)
 
 
 def _saturated_accept_prob(d_other, a_other, b, a_self):
@@ -209,12 +183,12 @@ def _saturated_accept_prob(d_other, a_other, b, a_self):
     return 1.0 - float(d_other.cdf(x))
 
 
-def pair_revenue_reference(d1, d2, prices, b, tol: float = 1e-7):
-    """``(total, bundle_part, solo_1, solo_2, accept_prob, refined)`` of one
-    pair offer, computed the per-offer way."""
+def pair_revenue_reference(d1, d2, prices, b):
+    """``(total, bundle_part, solo_1, solo_2, accept_prob)`` of one pair
+    offer, computed the per-offer way."""
     a1, a2 = prices
-    accept, refined = accept_prob_box_reference(
-        d1, d2, a1, a2, b, 0.0, d1.upper_bound, 0.0, d2.upper_bound, tol
+    accept = accept_prob_box_reference(
+        d1, d2, a1, a2, b, 0.0, d1.upper_bound, 0.0, d2.upper_bound
     )
     solo1 = 0.0
     if a1 is not None:
@@ -227,8 +201,28 @@ def pair_revenue_reference(d1, d2, prices, b, tol: float = 1e-7):
         if tail > 0.0:
             solo2 = a2 * tail * (1.0 - _saturated_accept_prob(d1, a1, b, a2))
     bundle_part = b * accept
-    return (bundle_part + solo1 + solo2, bundle_part, solo1, solo2, accept,
-            refined)
+    return bundle_part + solo1 + solo2, bundle_part, solo1, solo2, accept
+
+
+def ramp_pure_bundle_revenue(b) -> Fraction:
+    """``b * P[V1 + V2 >= b]`` for i.i.d. ``V`` with density ``1/2 + v`` on
+    [0, 1], in rationals.
+
+    ``P = integral f(x) (1 - F(b - x)) dx`` with ``F(y) = (y + y^2) / 2``
+    clipped to [0, 1].  Between the kinks ``b - 1`` and ``b`` the integrand
+    is a cubic, on which Simpson's rule is exact.
+    """
+    b = Fraction(b)
+
+    def g(x):
+        y = min(max(b - x, Fraction(0)), Fraction(1))
+        return (Fraction(1, 2) + x) * (1 - (y + y * y) / 2)
+
+    knots = sorted({Fraction(0), Fraction(1)}
+                   | {k for k in (b - 1, b) if 0 < k < 1})
+    prob = sum((hi - lo) / 6 * (g(lo) + 4 * g((lo + hi) / 2) + g(hi))
+               for lo, hi in zip(knots, knots[1:]))
+    return b * prob
 
 
 # --- Reference for the inverse-CDF sampler kernel --------------------------

@@ -157,7 +157,6 @@ def _triples_sampled_agreement(n_instances: int) -> int:
     literal exhaustive split search (the full 21^7 product is out of any
     runtime budget; see the decisions ledger)."""
     rng = np.random.default_rng(SEED)
-    sums = P_GRID[:, None] + P_GRID[None, :]
     lo, hi = P_GRID[0] - SLACK, P_GRID[-1] + SLACK
     checked = 0
     while checked < n_instances:
@@ -170,9 +169,10 @@ def _triples_sampled_agreement(n_instances: int) -> int:
             continue
         ok1 = (P_GRID <= v[0] + SLACK) & (P_GRID <= a[0] + SLACK)
         ok2 = (P_GRID <= v[1] + SLACK) & (P_GRID <= a[1] + SLACK)
-        p3 = b - sums
+        # Only splits whose first two payments are feasible can decide.
+        p3 = b - (P_GRID[ok1][:, None] + P_GRID[ok2][None, :])
         ok3 = (p3 <= v[2] + SLACK) & (p3 <= a[2] + SLACK) & (p3 >= lo) & (p3 <= hi)
-        feasible = bool(np.any(ok1[:, None] & ok2[None, :] & ok3))
+        feasible = bool(np.any(ok3))
         formula = group_rational_accepts(
             BundleOffer((float(a[0]), float(a[1]), float(a[2])), b),
             tuple(float(x) for x in v),

@@ -27,7 +27,7 @@ from oracles import (
     pair_revenue_riemann,
 )
 
-AGREE = 1e-12
+AGREE = 1e-14
 # The template of the benchmark's partition workload.
 TEMPLATE = make_piecewise_linear((0.0, 0.4, 1.0), (0.6, 1.6, 0.8))
 
@@ -86,7 +86,7 @@ def test_batch_matches_per_offer_reference(case):
     parts = pair_expected_revenues_exact(d1, d2, *_columns(batch))
     assert parts.shape == (5, len(batch))
     for i, (prices, b) in enumerate(batch):
-        ref = pair_revenue_reference(d1, d2, prices, b)[:5]
+        ref = pair_revenue_reference(d1, d2, prices, b)
         assert np.max(np.abs(parts[:, i] - ref)) <= AGREE, (prices, b)
         # A batch of one gives the same values as the offer inside a batch.
         single = pair_expected_revenue_exact(d1, d2, BundleOffer(prices, b))
@@ -115,7 +115,7 @@ def test_region_boxes_match_reference(data):
                         np.where(np.isnan(a2), np.inf, a2), b,
                         lo1, hi1, lo2, hi2)
     for i, ((prices, bi), box) in enumerate(zip(batch, boxes)):
-        ref, _ = accept_prob_box_reference(d1, d2, *prices, bi, *box)
+        ref = accept_prob_box_reference(d1, d2, *prices, bi, *box)
         assert abs(got[i] - ref) <= AGREE, (prices, bi, box)
 
 
@@ -129,38 +129,17 @@ def test_batch_matches_riemann_oracle(case):
     assert total == pytest.approx(ref, abs=1.5e-3)
 
 
-class _CountingIntegrator:
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        self._inner = pair_revenue.integrate_with_breakpoints
-        monkeypatch.setattr(pair_revenue, "integrate_with_breakpoints", self)
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self._inner(*args, **kwargs)
-
-
-def test_rounding_offer_takes_the_adaptive_fallback(monkeypatch):
+def test_rounding_offer_agrees_with_reference():
     # b - a2 is 1.1e-16, so a piece of the integrand is that wide and its
-    # Simpson nodes round onto the breakpoints; the error check fails.
+    # nodes round onto the breakpoints; the piece adds at most its width
+    # times the integrand's maximum.
     prices, b = (0.6666666666666666, 0.6666666666666666), 0.6666666666666667
     ref = pair_revenue_reference(TEMPLATE, TEMPLATE, prices, b)
-    assert ref[5], "the reference should refine this offer"
-    counter = _CountingIntegrator(monkeypatch)
     got = pair_expected_revenue_exact(TEMPLATE, TEMPLATE, BundleOffer(prices, b))
-    assert counter.calls == 1
     assert np.max(np.abs(np.array([
         got.total, got.bundle_part, got.solo_part_1, got.solo_part_2,
         got.accept_probability,
-    ]) - ref[:5])) <= AGREE
-
-
-def test_ordinary_offers_need_no_fallback(monkeypatch):
-    counter = _CountingIntegrator(monkeypatch)
-    grid = np.linspace(0.0, 1.0, 9)
-    a1, a2, b = (g.ravel() for g in np.meshgrid(grid, grid, 2.0 * grid))
-    pair_expected_revenues_exact(TEMPLATE, TEMPLATE, a1, a2, b)
-    assert counter.calls == 0
+    ]) - ref)) <= AGREE
 
 
 def test_empty_batch_and_nonpositive_boxes():
@@ -197,8 +176,13 @@ def test_grid_is_bit_identical_to_reference(d1, d2):
              for c1 in (list(ax1), [None]) for c2 in (list(ax2), [None])
              for a1 in c1 for a2 in c2 for b in axb]
     parts = pair_expected_revenues_exact(d1, d2, *_columns(batch))
-    ref = np.array([pair_revenue_reference(d1, d2, p, b)[:5] for p, b in batch]).T
-    assert np.array_equal(parts, ref)
+    singles = np.array([
+        pair_expected_revenues_exact(d1, d2, _nan(p[0]), _nan(p[1]), b)[:, 0]
+        for p, b in batch
+    ]).T
+    assert parts.tobytes() == singles.tobytes()
+    ref = np.array([pair_revenue_reference(d1, d2, p, b) for p, b in batch]).T
+    assert np.max(np.abs(parts - ref)) <= AGREE
 
 
 @st.composite
@@ -258,25 +242,25 @@ def test_pruned_and_folded_offers_are_bit_identical(case):
             single.total, single.bundle_part, single.solo_part_1,
             single.solo_part_2, single.accept_probability,
         ]).tobytes(), (prices, bi)
-        ref = pair_revenue_reference(d1, d2, prices, bi)[:5]
+        ref = pair_revenue_reference(d1, d2, prices, bi)
         assert np.max(np.abs(parts[:, i] - ref)) <= AGREE, (prices, bi)
 
 
-class _CountingSimpson:
-    """Counts the rows (offers) of every batched Simpson pass."""
+class _CountingIntegrals:
+    """Counts the rows (integrals) of every batched quadrature call."""
 
     def __init__(self, monkeypatch):
         self.rows = 0
-        self._inner = pair_revenue.simpson_pass
-        monkeypatch.setattr(pair_revenue, "simpson_pass", self)
+        self._inner = pair_revenue.integrate_with_breakpoints
+        monkeypatch.setattr(pair_revenue, "integrate_with_breakpoints", self)
 
-    def __call__(self, f, a, b):
-        self.rows += a.shape[0]
-        return self._inner(f, a, b)
+    def __call__(self, f, pts, pieces):
+        self.rows += pts.shape[0]
+        return self._inner(f, pts, pieces)
 
 
 def test_offers_the_group_cannot_accept_take_no_integral(monkeypatch):
-    counter = _CountingSimpson(monkeypatch)
+    counter = _CountingIntegrals(monkeypatch)
     a1 = np.array([0.2, 0.0, 0.5, 0.3])
     a2 = np.array([0.3, 0.0, 0.25, 0.3])
     b = np.array([np.nextafter(0.5, 1.0), 1e-300, 0.76, 1.9])
@@ -285,8 +269,8 @@ def test_offers_the_group_cannot_accept_take_no_integral(monkeypatch):
     assert counter.rows == 0
     assert accept.tobytes() == np.zeros(4).tobytes()
     for prices, bi in zip(zip(a1, a2), b):
-        ref, _ = accept_prob_box_reference(TEMPLATE, TEMPLATE, *prices, bi,
-                                           0.0, math.inf, 0.0, math.inf)
+        ref = accept_prob_box_reference(TEMPLATE, TEMPLATE, *prices, bi,
+                                        0.0, math.inf, 0.0, math.inf)
         assert ref == 0.0
 
 
@@ -329,7 +313,7 @@ def test_a_batch_above_one_chunk_matches_its_slices():
 ])
 def test_grid_integrates_each_distinct_acceptance_once(
         monkeypatch, dist, grid_points, offers, integrals):
-    counter = _CountingSimpson(monkeypatch)
+    counter = _CountingIntegrals(monkeypatch)
     seen = []
 
     def grid_accept(d1, d2, a1_eff, a2_eff, b):
@@ -348,10 +332,10 @@ def test_grid_integrates_each_distinct_acceptance_once(
 @pytest.mark.parametrize("dist, p1, p2, pinned", [
     (make_uniform(1.0), 0.5, 0.5,
      ("0x1.0000000000000p-2", "0x1.c83126e978d51p-4", "0x1.0000000000000p-3",
-      "0x1.47ae147ae1485p-10", "0x1.70a3d70a3d709p-6")),
+      "0x1.47ae147ae1485p-10", "0x1.70a3d70a3d708p-6")),
     (TEMPLATE, 0.55, 0.45,
      ("0x1.e36cabae6bc1dp-3", "0x1.56e028e94ab33p-4", "0x1.2440885ef8ffbp-3",
-      "0x1.00bb99ad43693p-9", "0x1.96f2c6894017dp-6")),
+      "0x1.00bb99ad39d48p-9", "0x1.96f2c6894017dp-6")),
 ])
 def test_region_bundle_revenues_are_pinned(dist, p1, p2, pinned):
     # Region boxes share _accept_probs with the grid; its pruning must not

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bundle_auction_lab.pair_revenue import (
 from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
-from oracles import pair_revenue_riemann
+from oracles import pair_revenue_riemann, ramp_pure_bundle_revenue
 
 UNIFORM = make_uniform(1.0)
 RAMP = make_piecewise_linear((0.0, 1.0), (0.5, 1.5))
@@ -86,6 +87,24 @@ class TestExactRevenue:
             )
             assert bd.total == pytest.approx(b - b**3 / 2.0, abs=1e-9)
             assert bd.solo_part_1 == bd.solo_part_2 == 0.0
+
+    @pytest.mark.parametrize("b, exact", [
+        (0.5, Fraction(121, 256)), (1.0, Fraction(2, 3)), (1.5, Fraction(85, 256)),
+    ])
+    def test_ramp_pure_bundle_matches_rational_value(self, b, exact):
+        assert ramp_pure_bundle_revenue(b) == exact
+        bd = pair_expected_revenue_exact(
+            RAMP, RAMP, BundleOffer((NO_SALE, NO_SALE), b)
+        )
+        assert abs(bd.total - float(exact)) <= 2.2e-16
+
+    def test_uniform_mixed_bundling_optimum(self):
+        # The optimal menu on U[0,1]^2 prices each item at 2/3 and the bundle
+        # at (4 - sqrt 2)/3, for R* = 4/9 + 2 sqrt(2)/27 (Adams and Yellen
+        # 1976; Manelli and Vincent 2006).
+        a, b = 2.0 / 3.0, (4.0 - math.sqrt(2.0)) / 3.0
+        bd = pair_expected_revenue_exact(UNIFORM, UNIFORM, BundleOffer((a, a), b))
+        assert abs(bd.total - 0.54920100462022926) <= 2.2e-16
 
     def test_ramp_pair_frozen_value(self):
         # Frozen from the 2-D Riemann oracle (cells=4000) and the analytic
