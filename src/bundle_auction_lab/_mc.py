@@ -12,22 +12,25 @@ A one-off estimate streams its batches: each is drawn, reduced to partial
 sums and dropped, in batch order on the calling thread.  A search that
 scores many candidates on one sample draws it once as a
 :class:`HeldSample`, which scores a whole offer with the same floats as
-streaming and a trial that moves one price in passes over single columns.
+streaming.  Moving one price of an offer traces a step-and-ramp line over
+the sample, whose maximum is at one of finitely many points set by the
+sample: :func:`bundle_argmax` and :meth:`HeldSample.best_solo_price` sort
+the sample once per line and score every such point exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bundles import BundleOffer
 from .valuations import ValuationDistribution
 
-__all__ = ["HeldSample", "RevenueStats", "revenue_stats", "valuation_sums"]
+__all__ = ["HeldSample", "RevenueStats", "bundle_argmax", "revenue_stats",
+           "valuation_sums"]
 
 #: Target number of matrix elements per batch (rows x customers).
 BATCH_ELEMENTS = 1 << 21
@@ -96,36 +99,33 @@ def _cap_and_solo_sums(v: np.ndarray, prices):
     return cap, np.where((v >= a) & finite, a, 0.0).sum(axis=1)
 
 
+def _select(cap: np.ndarray, solo, b: float):
+    """Each row's revenue, ``b`` where its capped sum reaches ``b`` and its
+    solo payments elsewhere, and whether it takes the bundle."""
+    accept = cap >= b
+    return np.where(accept, b, 0.0 if solo is None else solo), accept
+
+
 def _row_revenues(v: np.ndarray, offer: BundleOffer):
-    cap, solo = _cap_and_solo_sums(v, offer.individual_prices)
-    accept = cap >= offer.bundle_price
-    return np.where(accept, offer.bundle_price,
-                    0.0 if solo is None else solo), accept
+    return _select(*_cap_and_solo_sums(v, offer.individual_prices),
+                   offer.bundle_price)
 
 
-def _revenue_partials(v: np.ndarray, offer: BundleOffer):
-    """``(revenue sum, sum of squared deviations from b, accepted)`` of one
-    batch."""
-    rev, acc = _row_revenues(v, offer)
-    # Deviations from b: revenue concentrates near the bundle price for
-    # large groups, so centering there keeps the variance stable.
-    d = rev - offer.bundle_price
-    return float(rev.sum()), float((d * d).sum()), int(acc.sum())
-
-
-def _stats(offer: BundleOffer, n_samples: int, batches) -> RevenueStats:
-    """Reduce each batch to partial sums and combine them in batch order."""
+def _stats(b: float, n_samples: int, revenues) -> RevenueStats:
+    """Reduce each batch's ``(revenues, accepted)`` to partial sums and
+    combine them in batch order."""
     total = 0.0
     total_sq = 0.0
     accepted = 0
-    # map drops each batch once it is reduced, so a streamed sample holds
-    # one batch at a time.
-    for part_sum, part_sq, part_accepted in map(
-            lambda v: _revenue_partials(v, offer), batches):
-        total += part_sum
-        total_sq += part_sq
-        accepted += part_accepted
-    b = offer.bundle_price
+    # Taking one batch at a time lets a streamed sample drop each batch
+    # once it is reduced.
+    for rev, acc in revenues:
+        # Deviations from b: revenue concentrates near the bundle price for
+        # large groups, so centering there keeps the variance stable.
+        d = rev - b
+        total += float(rev.sum())
+        total_sq += float((d * d).sum())
+        accepted += int(acc.sum())
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * (mean - b) ** 2) / (n_samples - 1))
     return RevenueStats(
@@ -152,7 +152,9 @@ def revenue_stats(dists: Sequence[ValuationDistribution], offer: BundleOffer,
     streaming the sample one batch at a time."""
     _check_samples(n_samples)
     _check_length(offer.n, len(dists))
-    return _stats(offer, n_samples, _batches(dists, n_samples, seed))
+    return _stats(offer.bundle_price, n_samples,
+                  map(lambda v: _row_revenues(v, offer),
+                      _batches(dists, n_samples, seed)))
 
 
 def valuation_sums(dists: Sequence[ValuationDistribution], n_samples: int,
@@ -163,117 +165,76 @@ def valuation_sums(dists: Sequence[ValuationDistribution], n_samples: int,
         list(map(lambda v: v.sum(axis=1), _batches(dists, n_samples, seed))))
 
 
-def _scratch(rows: int):
-    """Scratch rows for :func:`_select_sum`: ``(float, float, bool, bool)``."""
-    return (np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool),
-            np.empty(rows, dtype=bool))
+def bundle_argmax(cap: np.ndarray, solo: np.ndarray | None = None
+                  ) -> tuple[float, float]:
+    """The smallest maximizer ``b`` of ``mean(where(cap >= b, b, solo))``
+    over ``b >= 0``, and that mean; ``solo`` is 0 when ``None``.
 
-
-def _select_sum(cap, b: float, rev, spare, accept, reject) -> float:
-    """Sum over rows of ``b`` where ``cap >= b``, else of the solo payments
-    in ``rev``, which is overwritten; ``spare``, ``accept`` and ``reject``
-    are scratch rows.
-
-    The rows are ``rev * [cap < b] + b * [cap >= b]``: with ``rev`` and
-    ``b`` finite and nonnegative each row is exactly ``b`` or its solo
-    payment, the values ``np.where(cap >= b, b, rev)`` gives, and the
-    passes have no data-dependent branch, unlike a masked copy.
+    Between consecutive values of ``cap`` the rows that accept are fixed
+    and the mean rises with ``b``, so the maximum is at one of the values.
+    One sort scores them all: ``searchsorted(left)`` counts the rows below
+    each value, ties included, and a prefix sum of ``solo`` in ``cap``
+    order gives what those rows pay.
     """
-    np.greater_equal(cap, b, out=accept)
-    np.logical_not(accept, out=reject)
-    np.multiply(rev, reject, out=rev)
-    np.multiply(accept, b, out=spare)
-    np.add(rev, spare, out=rev)
-    return float(rev.sum())
+    if solo is None:
+        cap = np.sort(cap)
+    else:
+        order = np.argsort(cap)
+        cap = cap[order]
+        paid = np.concatenate(([0.0], np.cumsum(solo[order])))
+    below = np.searchsorted(cap, cap, side="left")
+    totals = cap * (cap.size - below)
+    if solo is not None:
+        totals += paid[below]
+    k = int(np.argmax(totals))
+    return float(cap[k]), float(totals[k]) / cap.size
 
 
-def _bundle_part(v: np.ndarray, prices):
-    """One batch's ``b -> revenue sum`` for fixed solo ``prices``."""
-    cap, solo = _cap_and_solo_sums(v, prices)
-    scratch = _scratch(len(v))
+def _solo_argmax(x: np.ndarray, t: np.ndarray, solo: np.ndarray,
+                 b: float) -> tuple[float, float]:
+    """The least maximizer ``a >= 0`` of the mean revenue when one
+    customer, with valuations ``x``, is offered ``a`` solo next to the
+    bundle at ``b``, and that mean; ``solo`` is the other customers' solo
+    payments per row, and a row takes the bundle once ``min(x, a)`` reaches
+    its threshold ``t``.
 
-    def revenue_sum(b: float) -> float:
-        rev = scratch[0]
-        if solo is None:
-            rev.fill(0.0)
-        else:
-            np.copyto(rev, solo)
-        return _select_sum(cap, b, *scratch)
+    A row with ``x >= t`` (set A) pays ``solo + a`` below ``t`` and ``b``
+    from ``t`` on; any other row (set B) pays ``solo + a`` while ``x >= a``
+    and ``solo`` above.  The total is
 
-    return revenue_sum
+        ``sum solo + sum_A (b - solo)[t <= a]
+        + a (#{A: t > a} + #{B: x >= a})``,
 
-
-def _coordinate_part(v: np.ndarray, prices, i: int, b: float):
-    """One batch's ``a -> revenue sum`` with ``a`` as customer ``i``'s price.
-
-    The capped values and solo payments of the other columns are fixed and
-    kept as contiguous rows.  Those before column i are summed once, left
-    to right; a trial starts from them, adds column i's and then each later
-    column in column order, so each row is summed in the order of numpy's
-    row sum below 8 columns.  A column that sells nothing solo adds only
-    zeros to the solo payments, which leaves every partial sum as it is, so
-    it is skipped there.
+    which rises between breakpoints, jumps up at each ``t`` of A and drops
+    just after each ``x`` of B, and is flat beyond the last of them.  So
+    its maximum is at 0, at a ``t >= 0`` of A or at an ``x`` of B; sorting
+    both sets scores every such point with ``searchsorted``.
     """
-    caps, solos = [], []
-    for j, p in enumerate(prices):
-        if j == i:
-            continue
-        column = v[:, j]
-        if p is None:
-            caps.append(np.ascontiguousarray(column))
-            solos.append(None)
-        else:
-            caps.append(np.minimum(column, p))
-            solos.append(np.where(column >= p, p, 0.0))
-    cap_before = reduce(np.add, caps[:i]) if i else None
-    cap_after = caps[i:]
-    sold_before = [s for s in solos[:i] if s is not None]
-    solo_before = reduce(np.add, sold_before) if sold_before else None
-    solo_after = [s for s in solos[i:] if s is not None]
-    x = np.ascontiguousarray(v[:, i])
-    cap = np.empty(len(v))
-    scratch = _scratch(len(v))
-
-    def revenue_sum(a: float) -> float:
-        rev, _, sells, _ = scratch
-        np.minimum(x, a, out=cap)
-        if cap_before is not None:
-            np.add(cap, cap_before, out=cap)
-        for c in cap_after:
-            np.add(cap, c, out=cap)
-        np.greater_equal(x, a, out=sells)
-        np.multiply(sells, a, out=rev)  # a where V_i >= a, else 0.0
-        if solo_before is not None:
-            np.add(rev, solo_before, out=rev)
-        for s in solo_after:
-            np.add(rev, s, out=rev)
-        return _select_sum(cap, b, *scratch)
-
-    return revenue_sum
+    in_a = x >= t
+    order = np.argsort(t[in_a])
+    t_a = t[in_a][order]
+    gained = np.concatenate(([0.0], np.cumsum((b - solo[in_a])[order])))
+    x_b = np.sort(x[~in_a])
+    points = np.concatenate(([0.0], t_a[np.searchsorted(t_a, 0.0):], x_b))
+    bought = np.searchsorted(t_a, points, side="right")
+    paying = (t_a.size - bought
+              + x_b.size - np.searchsorted(x_b, points, side="left"))
+    totals = solo.sum() + gained[bought] + points * paying
+    best = totals.max()
+    return float(points[totals == best].min()), float(best) / x.size
 
 
 class HeldSample:
     """The sample of :func:`revenue_stats` for ``dists``, ``n_samples`` and
     ``seed``, drawn once and held for a search that scores many offers on it.
 
-    The batches hold ``n_samples * len(dists)`` float64 values, read-only.
-    :meth:`score` reduces them exactly as :func:`revenue_stats` streams
-    them, with the same floats.  The two lines score trials that move one
-    coordinate of an offer from per-row sums they cache, in one-column
-    passes:
-
-    * :meth:`bundle_line` keeps each row's capped-value sum and solo
-      payments, so a trial is one comparison, a branch-free select and a
-      sum.  Its values are :meth:`score`'s means for every group size.
-    * :meth:`coordinate_line` keeps the other customers' columns, so a
-      trial costs one pass per column from customer i on.  It sums each row
-      left to right, which is numpy's row sum below 8 columns: up to 7
-      customers its values are :meth:`score`'s means bit for bit, above
-      that they agree to rounding.
-
-    A line holds its cache until it is dropped: up to about twice the
-    sample for a coordinate line, a few values per profile for a bundle
-    line.
+    The batches hold ``n_samples * len(dists)`` float64 values, read-only,
+    next to each row's capped sum and solo payments for the last two price
+    vectors scored.  :meth:`score` reduces them exactly as
+    :func:`revenue_stats` streams the batches, with the same floats.  The
+    two line maximizers move one price of an offer and return its exact
+    argmax over the sample with the mean there, summed in sort order,
+    which agrees with :meth:`score` to rounding.
     """
 
     def __init__(self, dists: Sequence[ValuationDistribution],
@@ -284,6 +245,20 @@ class HeldSample:
         self.batches = list(_batches(dists, n_samples, seed))
         for v in self.batches:
             v.flags.writeable = False
+        self._rows: dict = {}
+
+    def _capped(self, prices) -> list:
+        """Each batch's :func:`_cap_and_solo_sums` for ``prices``.  The two
+        price vectors used last keep theirs: a search step reads the
+        current offer's and scores one trial."""
+        key = tuple(prices)
+        parts = self._rows.pop(key, None)
+        if parts is None:
+            parts = [_cap_and_solo_sums(v, key) for v in self.batches]
+            if len(self._rows) == 2:
+                del self._rows[next(iter(self._rows))]
+        self._rows[key] = parts
+        return parts
 
     def sums(self) -> np.ndarray:
         """Each profile's ``sum_i V_i``: :func:`valuation_sums`' values."""
@@ -292,26 +267,57 @@ class HeldSample:
     def score(self, offer: BundleOffer) -> RevenueStats:
         """:func:`revenue_stats` of ``offer`` on the held sample."""
         _check_length(offer.n, self.n)
-        return _stats(offer, self.n_samples, self.batches)
+        b = offer.bundle_price
+        return _stats(b, self.n_samples,
+                      (_select(cap, solo, b)
+                       for cap, solo in self._capped(offer.individual_prices)))
 
-    def _line(self, parts) -> Callable[[float], float]:
-        def mean(x: float) -> float:
-            total = 0.0
-            for part in parts:
-                total += part(x)
-            return total / self.n_samples
+    def best_bundle_price(self, prices) -> tuple[float, float]:
+        """:func:`bundle_argmax` of the offer ``(prices, b)`` over ``b``.
 
-        return mean
-
-    def bundle_line(self, prices) -> Callable[[float], float]:
-        """``b -> mean revenue`` of the offer ``(prices, b)``."""
+        Each row's capped sum is the one :meth:`score` compares with ``b``,
+        so the row at the returned price accepts there.
+        """
         _check_length(len(prices), self.n)
-        return self._line([_bundle_part(v, prices) for v in self.batches])
+        parts = self._capped(prices)
+        cap = np.concatenate([c for c, _ in parts])
+        solo = parts[0][1]
+        if solo is not None:
+            solo = np.concatenate([s for _, s in parts])
+        return bundle_argmax(cap, solo)
 
-    def coordinate_line(self, prices, i: int, b: float
-                        ) -> Callable[[float], float]:
-        """``a -> mean revenue`` of the offer ``(prices, b)`` with customer
-        ``i``'s price replaced by ``a``, a finite nonnegative price."""
+    def best_solo_price(self, prices, i: int, b: float
+                        ) -> tuple[float, float]:
+        """:func:`_solo_argmax` of the offer ``(prices, b)`` over customer
+        ``i``'s price.
+
+        A row's threshold is ``b`` less the other customers' capped values,
+        taken from the row's capped sum at the current price as
+        :meth:`score` computes it.  :meth:`score` compares a float sum of
+        ``n`` capped values with ``b``, and that sum and the threshold
+        round by less than ``(n + 1) u (b + sum)`` together
+        (``u = 2**-53``).  So each threshold is raised by
+        ``2 n u (b + sum)``, where the row accepts however its sum rounds,
+        and then moved to agree with the row's known answer at the current
+        price: to customer i's capped value there if the row accepts,
+        above it if not.  A row whose sum ties ``b`` to rounding comes from
+        prices and ``b`` that the search took from the sample, and such a
+        tie sits at the current price, where the line is exact.  Elsewhere
+        a raised threshold scores at least the exact one, since the line
+        rises between breakpoints, unless another valuation lies within
+        the margin; the line never counts a sale the score would not.
+        """
         _check_length(len(prices), self.n)
-        return self._line([_coordinate_part(v, prices, i, b)
-                           for v in self.batches])
+        parts = self._capped(prices)
+        cap = np.concatenate([c for c, _ in parts])
+        solo = (np.zeros_like(cap) if parts[0][1] is None
+                else np.concatenate([s for _, s in parts]))
+        x = np.concatenate([v[:, i] for v in self.batches])
+        a = prices[i]
+        y = x if a is None else np.minimum(x, a)
+        if a is not None:
+            solo -= np.where(x >= a, a, 0.0)
+        t = b - (cap - y) + 2 * self.n * 2.0**-53 * (b + cap)
+        t = np.where(cap >= b, np.minimum(t, y),
+                     np.maximum(t, np.nextafter(y, math.inf)))
+        return _solo_argmax(x, t, solo, b)

@@ -12,7 +12,8 @@ bound of the piecewise-linear density, capped by Hoeffding's ``n^-8``).
 Where that bound is below 2**-54 the offer's acceptance probability and
 revenue round to exactly 1 and ``b`` in float64, so the large-bundle check
 needs no sampling; elsewhere it estimates revenue by seeded Monte Carlo.
-The module also optimizes group offers by Monte Carlo.  All of its sampling
+The module also optimizes group offers on a Monte Carlo sample, moving one
+price at a time to its exact argmax over that sample.  All of its sampling
 runs on the calling thread.
 """
 
@@ -24,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mc import (MIN_SAMPLES, HeldSample, _seed_tuple, revenue_stats,
-                  valuation_sums)
+from ._mc import (MIN_SAMPLES, HeldSample, _seed_tuple, bundle_argmax,
+                  revenue_stats, valuation_sums)
 from ._search import golden_section_max
 from .bundles import NO_SALE, BundleOffer
 from .single_pricing import optimal_single_price
@@ -226,48 +227,34 @@ def group_expected_revenue_mc(dists: Sequence[ValuationDistribution],
     return stats.mean, stats.std_error
 
 
-def _single_prices(dists: Sequence[ValuationDistribution]) -> list[float]:
-    """Each customer's optimal single price, solved once per distinct
-    distribution."""
-    solved: list[tuple[ValuationDistribution, float]] = []
-    prices = []
-    for d in dists:
-        for seen, price in solved:
-            if d is seen or d == seen:
-                break
-        else:
-            price = optimal_single_price(d).price
-            solved.append((d, price))
-        prices.append(price)
-    return prices
-
-
 def optimize_group_offer(dists: Sequence[ValuationDistribution],
                          mode: str = "pure_bundle", budget: int = 2,
                          n_samples: int = 100_000, seed=0
                          ) -> tuple[BundleOffer, float]:
     """Search for a high-revenue group offer under the MC estimator.
 
-    ``mode="pure_bundle"`` fixes every solo price at ``NO_SALE`` and runs a
-    golden-section search on the bundle price against one common set of
-    sampled valuation sums, so every candidate price sees the same draws and
-    the estimated revenue is a clean step function of ``b``.
+    ``mode="pure_bundle"`` fixes every solo price at ``NO_SALE`` and takes
+    the exact best bundle price for one common set of sampled valuation
+    sums (:func:`~bundle_auction_lab._mc.bundle_argmax`).
 
     ``mode="full"`` starts from the better of the pure-bundle solution and
     the singles reduction (solo prices at each customer's single-price
     optimum, ``b`` equal to their sum) and runs ``budget`` sweeps of
-    coordinate descent over ``(a_1..a_n, b)``; every evaluation reuses the
-    same seed (common random numbers), which keeps comparisons noise-free
-    and the whole search deterministic.  The sample is drawn once per call
-    as a :class:`~bundle_auction_lab._mc.HeldSample`, ``n_samples * n * 8``
+    coordinate ascent over ``(a_1..a_n, b)``.  Each step takes the exact
+    argmax of one price over the sample
+    (:meth:`~bundle_auction_lab._mc.HeldSample.best_solo_price`, then
+    :meth:`~bundle_auction_lab._mc.HeldSample.best_bundle_price`), and
+    moves there if the :func:`revenue_stats` mean of the moved offer beats
+    the current one.  ``NO_SALE`` for a customer scores as a price above
+    every sampled valuation, the flat end of that customer's line, so the
+    line's argmax covers it.  Every evaluation reuses the same seed (common
+    random numbers), which keeps comparisons noise-free and the whole
+    search deterministic.  The sample is drawn once per call as a
+    :class:`~bundle_auction_lab._mc.HeldSample`, ``n_samples * n * 8``
     bytes until the call returns (4.8 MB at 100,000 samples of a
-    six-customer group), and each coordinate search caches up to about
-    twice that again while it runs; pure-bundle mode holds only the
-    ``n_samples`` sorted sums.  A trial of one price is scored in passes
-    over single columns.  Up to 7 customers every trial value is the
-    :func:`revenue_stats` mean of the trial offer bit for bit; above that a
-    solo-price trial agrees with it to rounding.  The returned value is the
-    :func:`revenue_stats` mean of the returned offer for every ``n``.
+    six-customer group), next to a few arrays of ``n_samples`` values per
+    line; pure-bundle mode holds only the ``n_samples`` sums.  The returned
+    value is the :func:`revenue_stats` mean of the returned offer.
     Sampling runs on the calling thread.
     """
     if n_samples < MIN_SAMPLES:
@@ -277,32 +264,22 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     n = len(dists)
     if n < 1:
         raise ValueError("need at least one customer")
-    total_m = sum(d.upper_bound for d in dists)
 
-    if mode == "full":
-        held = HeldSample(dists, n_samples, seed)
-        sums = held.sums()
-    else:
-        sums = valuation_sums(dists, n_samples, seed)
-    sums = np.sort(sums)
-
-    def bundle_value(b: float) -> float:
-        hits = n_samples - int(np.searchsorted(sums, b, side="left"))
-        return b * hits / n_samples
-
-    b_best, v_best = golden_section_max(bundle_value, 0.0, total_m, xtol=1e-9)
-    offer = BundleOffer((NO_SALE,) * n, b_best)
     if mode == "pure_bundle":
-        return offer, v_best
+        b_best, value = bundle_argmax(valuation_sums(dists, n_samples, seed))
+        return BundleOffer((NO_SALE,) * n, b_best), value
+
+    held = HeldSample(dists, n_samples, seed)
 
     def offer_value(prices, b) -> float:
         return held.score(BundleOffer(tuple(prices), b)).mean
 
     prices: list[Optional[float]] = [NO_SALE] * n
+    b_best, _ = bundle_argmax(held.sums())
     current = offer_value(prices, b_best)
     # Seed the singles reduction (b equal to the sum of the optimal single
     # prices) so the search never settles below independent pricing.
-    singles = _single_prices(dists)
+    singles = [optimal_single_price(d).price for d in dists]
     singles_b = sum(singles)
     singles_value = offer_value(singles, singles_b)
     if singles_value > current:
@@ -311,30 +288,16 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
         current = singles_value
     for _ in range(budget):
         for i in range(n):
-            m_i = dists[i].upper_bound
-            a_cand, v_cand = golden_section_max(
-                held.coordinate_line(prices, i, b_best), 0.0, m_i,
-                xtol=1e-4 * m_i,
-            )
-            if v_cand > current + 1e-15:
-                prices[i] = a_cand
-                current = v_cand
-            else:
-                trial = list(prices)
-                trial[i] = NO_SALE
-                v_nosale = offer_value(trial, b_best)
-                if v_nosale > current + 1e-15:
-                    prices[i] = NO_SALE
-                    current = v_nosale
-
-        b_cand, v_cand = golden_section_max(
-            held.bundle_line(prices), 0.0, total_m, xtol=1e-6 * total_m
-        )
-        if v_cand > current + 1e-15:
-            b_best = b_cand
-            current = v_cand
-    offer = BundleOffer(tuple(prices), b_best)
-    return offer, held.score(offer).mean
+            trial = list(prices)
+            trial[i], _ = held.best_solo_price(prices, i, b_best)
+            value = offer_value(trial, b_best)
+            if value > current + 1e-15:
+                prices, current = trial, value
+        b_cand, _ = held.best_bundle_price(prices)
+        value = offer_value(prices, b_cand)
+        if value > current + 1e-15:
+            b_best, current = b_cand, value
+    return BundleOffer(tuple(prices), b_best), current
 
 
 def verify_surplus_extraction(dist: ValuationDistribution,

@@ -587,7 +587,7 @@ def _grid_columns(d1, d2, ax1, ax2, axb, pure_bundle_only: bool
     blocks = []
     if not pure_bundle_only:
         s1 = optimal_single_price(d1)
-        s2 = s1 if d2 is d1 or d2 == d1 else optimal_single_price(d2)
+        s2 = optimal_single_price(d2)
         blocks.append(np.array([[s1.price], [s2.price], [s1.price + s2.price]]))
     for fin1, fin2 in patterns:
         grid = np.meshgrid(ax1 if fin1 else [math.nan],

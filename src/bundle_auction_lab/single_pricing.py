@@ -5,11 +5,13 @@ A customer with valuation ``V ~ F`` accepts a take-it-or-leave-it price
 ``u(p) = p * (1 - F(p))`` with derivative ``u'(p) = 1 - F(p) - p f(p)``.
 For a strictly positive bounded density, ``u(0) = u(M) = 0`` while ``u`` is
 positive inside, so the maximum is interior and satisfies the fixed point
-``p = (1 - F(p)) / f(p)``.
+``p = (1 - F(p)) / f(p)``.  With a piecewise-linear density ``u'`` is a
+quadratic on each segment, so the optimum is solved in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +25,6 @@ __all__ = [
     "optimal_single_price",
 ]
 
-GRID_INTERVALS = 2048
-PRICE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SinglePriceSolution:
@@ -33,8 +32,9 @@ class SinglePriceSolution:
 
     ``fixed_point_residual`` is ``|p - (1 - F(p)) / f(p)|`` and
     ``derivative_residual`` is ``|1 - F(p) - p f(p)|`` at the solution; both
-    should be tiny for a converged solve.  ``0 < price < M`` and
-    ``utility > 0`` always hold for valid distributions.
+    are rounding errors of the closed-form root, about 1e-16.
+    ``0 < price < M`` and ``utility > 0`` always hold for valid
+    distributions.
     """
 
     price: float
@@ -65,56 +65,53 @@ def revenue_derivative(dist: ValuationDistribution, price):
     return float(out) if np.ndim(price) == 0 else out
 
 
-def _bisect_derivative(dist: ValuationDistribution, lo: float, hi: float,
-                       f_lo: float, tol: float) -> float:
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = revenue_derivative(dist, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0.0) == (f_mid > 0.0):
-            lo, f_lo = mid, f_mid
+def _segment_roots(dist: ValuationDistribution) -> list[float]:
+    """The roots of ``u'`` on each density segment, as prices.
+
+    On the segment from knot ``k`` with density ``d + s t`` at ``k + t``,
+    ``u'(k + t) = c + b t + a t^2`` with ``a = -1.5 s``,
+    ``b = -(2 d + s k)`` and ``c = 1 - F(k) - k d``.  The roots come from
+    ``q = -(b + sign(b) sqrt(b^2 - 4 a c)) / 2`` as ``c / q`` and
+    ``q / a``, which never subtract nearly equal numbers; a flat segment
+    has the single root ``-c / b``.  Roots off the segment are dropped.
+    """
+    roots = []
+    for k, w, d, s, cum in zip(dist._knots.tolist(), dist._widths.tolist(),
+                               dist._dens.tolist(), dist._slopes.tolist(),
+                               dist._cum.tolist()):
+        a, b, c = -1.5 * s, -(2.0 * d + s * k), 1.0 - cum - k * d
+        if s == 0.0:
+            ts = [-c / b]
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            disc = b * b - 4.0 * a * c
+            if disc < 0.0:
+                continue
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            # q = 0 only for a double root at the knot, a candidate anyway.
+            ts = [q / a, c / q] if q != 0.0 else []
+        roots.extend(k + t for t in ts if 0.0 <= t <= w)
+    return roots
 
 
 def optimal_single_price(dist: ValuationDistribution) -> SinglePriceSolution:
-    """Find the revenue-maximizing single price.
+    """The revenue-maximizing single price, exactly.
 
-    The fixed-point equation can have several solutions (only a maximizer is
-    guaranteed to satisfy it), so the derivative is evaluated on a uniform
-    grid of ``GRID_INTERVALS`` intervals, every sign-change bracket is
-    bisected to ``PRICE_TOL``, and the critical point with the largest
-    expected revenue wins.  Ties break toward the smaller price; the whole
-    procedure is deterministic.
+    ``u`` is a cubic on each density segment, so its maximum over
+    ``[0, M]`` is at a knot or at a root of ``u'`` inside a segment
+    (:func:`_segment_roots`).  Every such point is scored in one
+    :func:`expected_revenue` call and the largest revenue wins; ties go to
+    the smaller price.  A uniform density gives exactly ``M / 2``.
     """
-    m = dist.upper_bound
-    xs = np.linspace(0.0, m, GRID_INTERVALS + 1)
-    der = revenue_derivative(dist, xs)
-
-    candidates: list[float] = [float(x) for x in xs[der == 0.0]]
-    sign_change = np.nonzero(der[:-1] * der[1:] < 0.0)[0]
-    for i in sign_change:
-        candidates.append(
-            _bisect_derivative(dist, float(xs[i]), float(xs[i + 1]),
-                               float(der[i]), PRICE_TOL)
-        )
-    if not candidates:
-        raise RuntimeError("no critical point found; invalid distribution?")
-
-    best_p = None
-    best_u = -np.inf
-    for p in sorted(candidates):
-        u = expected_revenue(dist, p)
-        if u > best_u:
-            best_p, best_u = p, u
-
-    f_star = dist.pdf(best_p)
-    fixed_point = abs(best_p - (1.0 - dist.cdf(best_p)) / f_star)
+    # A root at a knot is scored twice, which is harmless; np.unique would
+    # drop it, but its first call imports numpy.ma (about 1.5 MiB of RSS).
+    candidates = np.sort(np.concatenate((dist._knots, _segment_roots(dist))))
+    utilities = expected_revenue(dist, candidates)
+    best = int(np.argmax(utilities))
+    p = float(candidates[best])
+    survival, f = 1.0 - dist.cdf(p), dist.pdf(p)
     return SinglePriceSolution(
-        price=best_p,
-        utility=best_u,
-        fixed_point_residual=fixed_point,
-        derivative_residual=abs(revenue_derivative(dist, best_p)),
+        price=p,
+        utility=float(utilities[best]),
+        fixed_point_residual=abs(p - survival / f),
+        derivative_residual=abs(survival - p * f),
     )

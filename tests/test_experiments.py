@@ -304,8 +304,8 @@ class TestCsv:
     PINNED_CONFIGS = {
         "bernstein_sweep": (1447, "10dee7a41bf06624"),
         "pair_opt_uniform": (166, "6b2b241966262e57"),
-        "partition_n36": (368, "dfde6fbdb6324840"),
-        "single_opt_uniform": (52, "5aea4ee9055ccd8c"),
+        "partition_n36": (368, "471531cc58188025"),
+        "single_opt_uniform": (52, "06da4ab806740c8d"),
         "verify_thm1_uniform_pair": (394, "2cf7a18ed1f7f4a4"),
         "verify_thm2_uniform": (396, "9901ae6765cf53d9"),
     }

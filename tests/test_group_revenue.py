@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, resolve_outcome
 from bundle_auction_lab import _mc
-from bundle_auction_lab._mc import HeldSample, revenue_stats, valuation_sums
+from bundle_auction_lab._mc import (HeldSample, bundle_argmax, revenue_stats,
+                                    valuation_sums)
 from bundle_auction_lab import group_revenue
 from bundle_auction_lab.group_revenue import (
     CERTIFY_BELOW,
@@ -194,16 +195,22 @@ class TestOptimizeGroupOffer:
         assert abs(offer.bundle_price - math.sqrt(2.0 / 3.0)) < 0.02
         assert value == pytest.approx(0.5443310539518174, abs=0.003)
 
-    def test_golden_section_agrees_with_grid_scan(self):
+    def test_bundle_price_beats_grid_scan(self):
         n_samples, seed = 10**6, 42
-        _, value = optimize_group_offer(
+        offer, value = optimize_group_offer(
             [UNIFORM, UNIFORM], mode="pure_bundle", n_samples=n_samples, seed=seed
         )
         sums = np.sort(valuation_sums([UNIFORM, UNIFORM], n_samples, seed))
-        grid = np.linspace(0.0, 2.0, 500)
-        grid_vals = grid * (n_samples - np.searchsorted(sums, grid, side="left")) / n_samples
+
+        def mean_revenue(b):
+            return b * (n_samples - np.searchsorted(sums, b, side="left")) / n_samples
+
+        grid_vals = mean_revenue(np.linspace(0.0, 2.0, 500))
         assert abs(value - grid_vals.max()) <= 0.02
-        assert value >= grid_vals.max() - 1e-12  # same samples, finer search
+        # Same samples: the exact argmax beats every grid point and every
+        # sampled sum.
+        assert value >= grid_vals.max()
+        assert value == mean_revenue(offer.bundle_price) == mean_revenue(sums).max()
 
     def test_pure_bundle_beats_lower_bound(self):
         for n in (50, 200):
@@ -317,9 +324,9 @@ class TestDrawOnce:
         with pytest.raises(ValueError, match="equal length"):
             held.score(BundleOffer((NO_SALE,) * 2, 1.0))
         with pytest.raises(ValueError, match="equal length"):
-            held.bundle_line([NO_SALE] * 2)
+            held.best_bundle_price([NO_SALE] * 2)
         with pytest.raises(ValueError, match="equal length"):
-            held.coordinate_line([NO_SALE] * 4, 0, 1.0)
+            held.best_solo_price([NO_SALE] * 4, 0, 1.0)
         with pytest.raises(ValueError, match="equal length"):
             revenue_stats(dists, BundleOffer((NO_SALE,) * 2, 1.0), 1000, 1)
 
@@ -351,9 +358,47 @@ def _left_to_right(values):
     return total
 
 
+def _moved(prices, i, a):
+    trial = list(prices)
+    trial[i] = a
+    return trial
+
+
+def _scores_at(held, prices, i, b, points):
+    """``held.score`` of the offer ``(prices, b)`` with customer ``i``'s
+    price (or, for ``i=None``, the bundle price) at each point."""
+    if i is None:
+        return [held.score(BundleOffer(tuple(prices), q)).mean for q in points]
+    return [held.score(BundleOffer(tuple(_moved(prices, i, q)), b)).mean
+            for q in points]
+
+
+def _check_solo_line(held, prices, i, b):
+    """Customer ``i``'s solo-price line: its argmax scores at least the
+    value at every sample valuation of ``i`` and at every point of a
+    2,001-point grid."""
+    a, _ = held.best_solo_price(prices, i, b)
+    x = np.concatenate([v[:, i] for v in held.batches])
+    points = np.concatenate((x, np.linspace(0.0, x.max(), 2001)))
+    best = held.score(BundleOffer(tuple(_moved(prices, i, a)), b)).mean
+    assert best >= max(_scores_at(held, prices, i, b, points))
+
+
+def _check_bundle_line(held, prices):
+    """The bundle line: its argmax scores at least the value at every row's
+    capped sum and at every point of a 2,001-point grid."""
+    b_best, _ = held.best_bundle_price(prices)
+    ceiling = [math.inf if p is None else p for p in prices]
+    caps = np.minimum(np.concatenate(held.batches), ceiling).sum(axis=1)
+    points = np.concatenate((caps, np.linspace(0.0, caps.max(), 2001)))
+    best = held.score(BundleOffer(tuple(prices), b_best)).mean
+    assert best >= max(_scores_at(held, prices, None, None, points))
+
+
 class TestHeldSample:
-    """Every line trial is the streamed estimate of its offer: bit for bit
-    up to 7 customers, to rounding above."""
+    """The line maximizers: each returns a price whose streamed estimate
+    agrees with the line's value to rounding and is at least the estimate
+    at every other price tried."""
 
     SAMPLES = 2000
 
@@ -385,95 +430,116 @@ class TestHeldSample:
             assert held.score(offer) == revenue_stats(dists, offer,
                                                       self.SAMPLES, seed)
             for i, d in enumerate(dists):
-                line = held.coordinate_line(prices, i, b)
-                points = [0.0, d.upper_bound, 0.3 * d.upper_bound]
-                if prices[i] is not None:
-                    points.append(prices[i])
-                for a in points:
-                    trial = list(prices)
-                    trial[i] = a
-                    assert line(a) == self._streamed(dists, trial, b, seed)
-            line = held.bundle_line(prices)
-            for b in (0.0, 0.5, tie, total_m):
-                assert line(b) == self._streamed(dists, prices, b, seed)
-        pure = held.bundle_line([NO_SALE] * n)
-        assert pure(0.3 * n) == self._streamed(dists, [NO_SALE] * n, 0.3 * n,
-                                                seed)
+                a, value = held.best_solo_price(prices, i, b)
+                best = self._streamed(dists, _moved(prices, i, a), b, seed)
+                assert value == pytest.approx(best, rel=1e-14)
+                for q in (0.0, d.upper_bound, 0.3 * d.upper_bound, NO_SALE,
+                          prices[i]):
+                    assert best >= self._streamed(dists, _moved(prices, i, q),
+                                                  b, seed)
+            b_best, value = held.best_bundle_price(prices)
+            best = self._streamed(dists, prices, b_best, seed)
+            assert value == pytest.approx(best, rel=1e-14)
+            for q in (0.0, 0.5, tie, total_m, b):
+                assert best >= self._streamed(dists, prices, q, seed)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_rows_are_summed_in_numpy_order(self, monkeypatch, n):
         # Decimal valuations whose float sums depend on the order of the
-        # additions, and bundle prices at such sums: a row summed in another
-        # order, or a tie rule other than >=, flips between buying the
-        # bundle and not.
+        # additions, so many rows tie with a bundle price at such a sum.
+        # The bundle line takes its prices from the row sums the score
+        # compares with b, so the row that sets b buys there and the best
+        # b scores at least every row sum; a solo-price line is exact at
+        # the current price, so its argmax scores at least that.
         rng = np.random.default_rng(n)
         table = rng.choice([0.05, 0.1, 0.2, 0.3, 0.6, 0.7], size=(2000, n))
         monkeypatch.setattr(_mc, "_draw", lambda dists, rows, r: table.copy())
         dists = [UNIFORM] * n
         held = HeldSample(dists, 2000, 0)
         sums = [_left_to_right(row) for row in table[:40]]
-        for b in sorted(set(sums))[::3]:
-            for prices in ([NO_SALE] * n, [0.2] + [NO_SALE] * (n - 1),
-                           [NO_SALE] * (n - 1) + [0.3]):
-                assert held.bundle_line(prices)(b) == self._streamed(
-                    dists, prices, b, 0)
+        for prices in ([NO_SALE] * n, [0.2] + [NO_SALE] * (n - 1),
+                       [NO_SALE] * (n - 1) + [0.3]):
+            ceiling = [math.inf if p is None else p for p in prices]
+            b_best, value = held.best_bundle_price(prices)
+            best = self._streamed(dists, prices, b_best, 0)
+            assert value == pytest.approx(best, rel=1e-14)
+            for q in np.unique(np.minimum(table, ceiling).sum(axis=1)):
+                assert best >= self._streamed(dists, prices, q, 0)
+            for b in sorted(set(sums))[::3]:
                 for i in range(n):
-                    line = held.coordinate_line(prices, i, b)
-                    for a in (0.2, 0.75):
-                        trial = list(prices)
-                        trial[i] = a
-                        assert line(a) == self._streamed(dists, trial, b, 0)
+                    a, _ = held.best_solo_price(prices, i, b)
+                    assert (self._streamed(dists, _moved(prices, i, a), b, 0)
+                            >= self._streamed(dists, prices, b, 0))
 
     @pytest.mark.parametrize("n", [8, 11])
     def test_coordinate_line_agrees_above_seven_columns(self, n):
+        # numpy sums rows of 8 or more pairwise; the lines hold there too.
         seed = (22, n)
         dists, prices = _mixed_group(n)
         held = HeldSample(dists, self.SAMPLES, seed)
         b = 0.45 * sum(d.upper_bound for d in dists)
         for i in (0, n // 2, n - 1):
-            line = held.coordinate_line(prices, i, b)
-            trial = list(prices)
-            trial[i] = 0.5 * dists[i].upper_bound
-            assert line(trial[i]) == pytest.approx(
-                self._streamed(dists, trial, b, seed), rel=1e-12)
-        assert held.bundle_line(prices)(b) == self._streamed(dists, prices, b,
-                                                              seed)
+            a, value = held.best_solo_price(prices, i, b)
+            best = self._streamed(dists, _moved(prices, i, a), b, seed)
+            assert value == pytest.approx(best, rel=1e-12)
+            for q in (0.5 * dists[i].upper_bound, NO_SALE, prices[i]):
+                assert best >= self._streamed(dists, _moved(prices, i, q), b,
+                                              seed)
+        b_best, value = held.best_bundle_price(prices)
+        best = self._streamed(dists, prices, b_best, seed)
+        assert value == pytest.approx(best, rel=1e-12)
+        assert best >= self._streamed(dists, prices, b, seed)
 
     def test_search_path_matches_full_scoring(self, monkeypatch):
-        # Scoring every trial with a full score, as the search did before
-        # it cached columns, gives the same offer and value.
-        dists = [MIXED[k % len(MIXED)] for k in range(7)]
-        fast = optimize_group_offer(dists, mode="full", budget=1,
-                                    n_samples=2000, seed=3)
+        # At every step of a search, scoring every sample valuation and
+        # grid point in full finds nothing better than the line's argmax.
+        dists = [MIXED[k % len(MIXED)] for k in range(4)]
+        steps = []
+        solo, bundle = HeldSample.best_solo_price, HeldSample.best_bundle_price
 
-        def coordinate_line(self, prices, i, b):
-            def value(a):
-                trial = list(prices)
-                trial[i] = a
-                return self.score(BundleOffer(tuple(trial), b)).mean
-            return value
+        def record_solo(self, prices, i, b):
+            steps.append((self, list(prices), i, b))
+            return solo(self, prices, i, b)
 
-        def bundle_line(self, prices):
-            return lambda b: self.score(BundleOffer(tuple(prices), b)).mean
+        def record_bundle(self, prices):
+            steps.append((self, list(prices), None, None))
+            return bundle(self, prices)
 
-        monkeypatch.setattr(HeldSample, "coordinate_line", coordinate_line)
-        monkeypatch.setattr(HeldSample, "bundle_line", bundle_line)
-        assert optimize_group_offer(dists, mode="full", budget=1,
-                                    n_samples=2000, seed=3) == fast
+        monkeypatch.setattr(HeldSample, "best_solo_price", record_solo)
+        monkeypatch.setattr(HeldSample, "best_bundle_price", record_bundle)
+        offer, value = optimize_group_offer(dists, mode="full", budget=1,
+                                            n_samples=1000, seed=3)
+        monkeypatch.undo()
+        assert [i for _, _, i, _ in steps] == [0, 1, 2, 3, None]
+        held = steps[0][0]
+        assert value == held.score(offer).mean
+        for _, prices, i, b in steps:
+            if i is None:
+                _check_bundle_line(held, prices)
+            else:
+                _check_solo_line(held, prices, i, b)
 
-    def test_single_prices_solved_once_per_distribution(self, monkeypatch):
-        calls = []
-        solve = group_revenue.optimal_single_price
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_argmax_beats_every_sample_point_and_grid_point(self, n):
+        dists, _ = _mixed_group(n)
+        held = HeldSample(dists, 1000, (23, n))
+        rng = np.random.default_rng(n)
+        prices = [None if rng.random() < 0.3 else rng.uniform() * d.upper_bound
+                  for d in dists]
+        b = rng.uniform(0.3, 0.8) * sum(d.upper_bound for d in dists)
+        for i in range(n):
+            _check_solo_line(held, prices, i, b)
+        _check_bundle_line(held, prices)
 
-        def counting(d):
-            calls.append(d)
-            return solve(d)
-
-        monkeypatch.setattr(group_revenue, "optimal_single_price", counting)
-        copy = make_piecewise_linear(TEMPLATE.knots, TEMPLATE.densities)
-        optimize_group_offer([TEMPLATE, UNIFORM, copy, TEMPLATE], mode="full",
-                             budget=1, n_samples=1000, seed=2)
-        assert calls == [TEMPLATE, UNIFORM]
+    def test_bundle_argmax_takes_the_least_best_price(self):
+        # b = 2 sells to three rows: 6 beats 1 * 4 and 3 * 1.  A solo
+        # payment below the bundle price is added for the row that rejects.
+        cap = np.array([3.0, 2.0, 1.0, 2.0])
+        assert bundle_argmax(cap) == (2.0, 1.5)
+        assert bundle_argmax(cap, np.array([0.0, 0.0, 0.5, 0.0])) == (2.0,
+                                                                      1.625)
+        # Both prices take 2 in all: the lesser wins.
+        assert bundle_argmax(np.array([2.0, 1.0])) == (1.0, 1.0)
 
 
 class TestVerifySurplusExtraction:
