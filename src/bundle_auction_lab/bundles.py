@@ -25,6 +25,7 @@ probability zero under non-atomic valuations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -54,11 +55,13 @@ class BundleOffer:
     def __post_init__(self) -> None:
         if len(self.individual_prices) < 1:
             raise ValueError("offer needs at least one customer")
-        if not self.bundle_price >= 0.0:
-            raise ValueError("bundle price must be nonnegative")
+        # NO_SALE is the one way to write an infinite price.
+        if not 0.0 <= self.bundle_price < math.inf:
+            raise ValueError("bundle price must be finite and nonnegative")
         for a in self.individual_prices:
-            if a is not None and not (a >= 0.0):
-                raise ValueError("individual prices must be nonnegative or NO_SALE")
+            if a is not None and not 0.0 <= a < math.inf:
+                raise ValueError(
+                    "individual prices must be finite and nonnegative, or NO_SALE")
         # Normalize to a plain tuple of float | None.
         object.__setattr__(
             self,

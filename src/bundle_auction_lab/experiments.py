@@ -237,9 +237,12 @@ def parse_config(text: str) -> ExperimentConfig:
             kwargs["n_min"] = _integer(raw["n_min"], "$.n_min", minimum=2)
         if "n_max" in raw:
             kwargs["n_max"] = _integer(raw["n_max"], "$.n_max", minimum=2)
+        n_min = kwargs.get("n_min", 2)
         n_max = kwargs.get("n_max", SWEEP_N_MAX)
         if n_max > SWEEP_N_LIMIT:
             raise ConfigError(f"$.n_max: must be <= {SWEEP_N_LIMIT}")
+        if n_max < n_min:
+            raise ConfigError(f"$.n_max: must be >= $.n_min ({n_min})")
         if "M" in raw:
             m = _number(raw, "M", "$")
             if not 0.0 < m < math.inf:
@@ -453,8 +456,6 @@ def _run_sweep(config):
     n_min = config.n_min or 2
     n_max = config.n_max or SWEEP_N_MAX
     m = config.M if config.M is not None else 1.0
-    if n_max < n_min:
-        raise ConfigError("$.n_max must be >= $.n_min")
     ok, worst_n, worst_ratio = bernstein_sweep(n_min, n_max, m)
     # Log-spaced checkpoint rows; the pass flag covers the full range.
     count = 25

@@ -16,8 +16,8 @@ to rounding.
 :func:`pair_expected_revenues_exact` does this for a batch of offers at
 once: every offer's pieces go into one padded (offers x pieces x 2) node
 array, and the densities are evaluated on it in one call each.  Single
-offers, region boxes, the epsilon grid and the optimizer's grid all go
-through this one kernel.  An offer the group cannot accept
+offers, region boxes, the epsilon grid, and the optimizer's grid and zoom
+rounds all go through this one kernel.  An offer the group cannot accept
 (``b > a_1 + a_2``) takes no integral, and a large batch such as the
 optimizer's grid integrates each of its distinct acceptance probabilities
 once.
@@ -26,7 +26,8 @@ The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
 from the single-price optima, the five-region decomposition of the positive
 quadrant used to compare the two strategies region by region, and a
-deterministic pair-offer optimizer.
+deterministic pair-offer optimizer: one coarse grid, then ``budget`` zoom
+grids around the incumbent, one kernel call each.
 """
 
 from __future__ import annotations
@@ -292,23 +293,25 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     """Exact expected revenue of many two-customer offers at once.
 
     ``a1``, ``a2`` and ``b`` broadcast to one 1-D shape; a NaN solo price is
-    ``NO_SALE``.  Returns an array of shape ``(5, offers)`` whose rows are
-    the fields of :class:`PairRevenueBreakdown` in order: total, bundle
-    part, the two solo parts and the acceptance probability.  Each offer's
-    values equal those of :func:`pair_expected_revenue_exact`.  A batch of
-    more than ``_CHUNK`` offers integrates each distinct acceptance
-    probability once (:func:`_distinct_accept`); a smaller one, such as a
-    compass move or the epsilon grid, is integrated as given, because the
-    sort and scatter cost it 10-20% and it has few integrals to save.  The
-    solo parts and totals are assembled in ``_CHUNK``-offer slices, so
-    their temporaries do not grow with the batch.
+    ``NO_SALE``, and an infinite price is rejected.  Returns an array of
+    shape ``(5, offers)`` whose rows are the fields of
+    :class:`PairRevenueBreakdown` in order: total, bundle part, the two solo
+    parts and the acceptance probability.  Each offer's values equal those
+    of :func:`pair_expected_revenue_exact`.  A batch of more than ``_CHUNK``
+    offers integrates each distinct acceptance probability once
+    (:func:`_distinct_accept`); a smaller one, such as an optimizer zoom
+    round or the epsilon grid, is integrated as given, because the sort and
+    scatter cost it 10-20% and it has few integrals to save.  The solo parts
+    and totals are assembled in ``_CHUNK``-offer slices, so their
+    temporaries do not grow with the batch.
     """
     a1, a2, b = (np.asarray(x, dtype=float).ravel()
                  for x in np.broadcast_arrays(a1, a2, b))
-    if not np.all(b >= 0.0):
-        raise ValueError("bundle prices must be nonnegative")
-    if np.any(a1 < 0.0) or np.any(a2 < 0.0):
-        raise ValueError("individual prices must be nonnegative or NO_SALE")
+    if not np.all((b >= 0.0) & (b < np.inf)):
+        raise ValueError("bundle prices must be finite and nonnegative")
+    if any(np.any(a < 0.0) or np.any(np.isinf(a)) for a in (a1, a2)):
+        raise ValueError(
+            "individual prices must be finite and nonnegative, or NO_SALE")
     sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
     a1_eff = np.where(sells1, a1, np.inf)
     a2_eff = np.where(sells2, a2, np.inf)
@@ -572,6 +575,13 @@ def verify_pair_improvement(d1: ValuationDistribution,
     )
 
 
+def _mesh(ax1, ax2, axb) -> np.ndarray:
+    """Columns a1, a2, b of every offer in ``ax1 x ax2 x axb``, ``ax1``
+    varying slowest."""
+    grid = np.meshgrid(ax1, ax2, axb, indexing="ij")
+    return np.stack([g.ravel() for g in grid])
+
+
 def _grid_columns(d1, d2, ax1, ax2, axb, pure_bundle_only: bool
                   ) -> np.ndarray:
     """Columns a1, a2, b of the optimizer's grid, NaN for NO_SALE, in the
@@ -590,10 +600,17 @@ def _grid_columns(d1, d2, ax1, ax2, axb, pure_bundle_only: bool
         s2 = optimal_single_price(d2)
         blocks.append(np.array([[s1.price], [s2.price], [s1.price + s2.price]]))
     for fin1, fin2 in patterns:
-        grid = np.meshgrid(ax1 if fin1 else [math.nan],
-                           ax2 if fin2 else [math.nan], axb, indexing="ij")
-        blocks.append(np.stack([g.ravel() for g in grid]))
+        blocks.append(_mesh(ax1 if fin1 else [math.nan],
+                            ax2 if fin2 else [math.nan], axb))
     return np.concatenate(blocks, axis=1)
+
+
+def _zoom_axis(x: float, h: float, hi: float) -> list[float]:
+    """``x``, then ``x - h`` and ``x + h`` clipped to ``[0, hi]``, without a
+    value that clips onto ``x``; a NaN (``NO_SALE``) coordinate stays NaN."""
+    if math.isnan(x):
+        return [x]
+    return [x] + [v for v in (max(0.0, x - h), min(hi, x + h)) if v != x]
 
 
 def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
@@ -611,59 +628,32 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     pool when there are enough of them to pay for one
     (``CHUNKS_PER_WORKER``); the first offer of highest value wins, whatever
     the schedule.  On a uniform pair the 32-point grid has 34,849 offers and
-    9,697 distinct integrals.  Stage 2 runs a compass search on the winning
-    sale pattern, scoring each move's trials in one kernel call and halving
-    the step each of ``budget`` rounds.
+    9,697 distinct integrals.
+
+    Stage 2 runs ``budget`` zoom rounds on the winning sale pattern.  Each
+    round scores, in one kernel call, the offers whose priced coordinates
+    each take ``x``, ``x - h`` or ``x + h`` (clipped to range) around the
+    incumbent ``x`` -- at most 27 offers, 3 for a pure bundle -- and moves
+    to the first of highest value; the incumbent is scored first, so it
+    keeps a tie.  ``h`` starts at the grid spacing and halves every round.
+    A run thus makes exactly ``1 + budget`` kernel calls.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    m1, m2 = d1.upper_bound, d2.upper_bound
-    ax1 = np.linspace(0.0, m1, grid_points)
-    ax2 = np.linspace(0.0, m2, grid_points)
-    axb = np.linspace(0.0, m1 + m2, grid_points)
-
-    a1s, a2s, bs = _grid_columns(d1, d2, ax1, ax2, axb, pure_bundle_only)
-    values = pair_expected_revenues_exact(d1, d2, a1s, a2s, bs)[0]
-    best_idx = int(np.argmax(values))
-    best_triple = [None if math.isnan(x) else float(x)
-                   for x in (a1s[best_idx], a2s[best_idx])]
-    best_triple.append(float(bs[best_idx]))
-    best_value = float(values[best_idx])
-
-    # Compass refinement on the coordinates that are actually in play.
-    coords = [i for i, x in enumerate(best_triple) if x is not None]
-    ranges = {0: (0.0, m1), 1: (0.0, m2), 2: (0.0, m1 + m2)}
-    steps = {0: float(ax1[1] - ax1[0]) if len(ax1) > 1 else m1 / 4,
-             1: float(ax2[1] - ax2[0]) if len(ax2) > 1 else m2 / 4,
-             2: float(axb[1] - axb[0]) if len(axb) > 1 else (m1 + m2) / 4}
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
+    highs = (d1.upper_bound, d2.upper_bound, d1.upper_bound + d2.upper_bound)
+    axes = [np.linspace(0.0, hi, grid_points) for hi in highs]
+    steps = [float(ax[1] - ax[0]) for ax in axes]
+    columns = _grid_columns(d1, d2, *axes, pure_bundle_only)
+    values = pair_expected_revenues_exact(d1, d2, *columns)[0]
     for _ in range(budget):
-        for _ in range(200):  # moves per round; compass stalls well before this
-            trials = []
-            for c in coords:
-                lo, hi = ranges[c]
-                for direction in (-1.0, 1.0):
-                    cand = min(hi, max(lo, best_triple[c] + direction * steps[c]))
-                    if cand != best_triple[c]:
-                        trial = list(best_triple)
-                        trial[c] = cand
-                        trials.append(trial)
-            if not trials:
-                break
-            # A float array stores NO_SALE (None) as NaN.
-            a1, a2, b = np.array(trials, dtype=float).T
-            values = pair_expected_revenues_exact(d1, d2, a1, a2, b)[0]
-            best_move = None
-            best_move_value = best_value
-            for trial, v in zip(trials, values.tolist()):
-                if v > best_move_value + 1e-15:
-                    best_move = trial
-                    best_move_value = v
-            if best_move is None:
-                break
-            best_triple = best_move
-            best_value = best_move_value
-        for c in coords:
-            steps[c] *= 0.5
+        incumbent = columns[:, int(np.argmax(values))].tolist()
+        columns = _mesh(*map(_zoom_axis, incumbent, steps, highs))
+        values = pair_expected_revenues_exact(d1, d2, *columns)[0]
+        steps = [h * 0.5 for h in steps]
 
-    offer = BundleOffer((best_triple[0], best_triple[1]), best_triple[2])
-    return offer, best_value
+    best = int(np.argmax(values))
+    a1, a2, b = columns[:, best].tolist()
+    offer = BundleOffer(tuple(None if math.isnan(a) else a for a in (a1, a2)), b)
+    return offer, float(values[best])

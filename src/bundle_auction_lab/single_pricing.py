@@ -46,7 +46,7 @@ class SinglePriceSolution:
 def expected_revenue(dist: ValuationDistribution, price):
     """Expected revenue ``p * (1 - F(p))`` of a single price (scalar or array)."""
     arr = np.asarray(price, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("price must be nonnegative")
     out = arr * (1.0 - dist.cdf(arr))
     return float(out) if np.ndim(price) == 0 else out
@@ -59,7 +59,7 @@ def revenue_derivative(dist: ValuationDistribution, price):
     rejected.
     """
     arr = np.asarray(price, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > dist.upper_bound):
+    if not np.all((arr >= 0.0) & (arr <= dist.upper_bound)):
         raise ValueError("price must be within [0, M]")
     out = 1.0 - dist.cdf(arr) - arr * dist.pdf(arr)
     return float(out) if np.ndim(price) == 0 else out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,17 @@ class TestTypes:
         offer = BundleOffer((0.5, NO_SALE), 1.0)
         assert offer.n == 2
         assert offer.individual_prices == (0.5, None)
+
+    @pytest.mark.parametrize("prices, b", [
+        ((0.5, 0.5), math.inf),
+        ((math.inf, 0.5), 1.0),
+        ((NO_SALE, math.inf), 1.0),
+    ])
+    def test_offer_rejects_infinite_prices(self, prices, b):
+        # NO_SALE is the one way to write an infinite price; an infinite
+        # bundle price used to give the pair engine a NaN total.
+        with pytest.raises(ValueError, match="finite"):
+            BundleOffer(prices, b)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,13 @@ class TestParseConfig:
         assert parse_config(config_text(command="sweep", seed=0,
                                         n_max=10**8)).n_max == 10**8
 
+    @pytest.mark.parametrize("bounds", [{"n_min": 10, "n_max": 5},
+                                        {"n_min": 10**6 + 1}])
+    def test_sweep_n_min_above_n_max_is_a_config_error(self, bounds):
+        # The second case is above the default n_max of 10**6.
+        with pytest.raises(ConfigError, match=r"^\$\.n_max: must be >= "):
+            parse_config(config_text(command="sweep", seed=0, **bounds))
+
     @pytest.mark.parametrize("command, extra", [
         ("verify-thm2", {}),
         ("partition", {"N": 6}),

@@ -160,6 +160,20 @@ def test_batch_rejects_bad_inputs():
         pair_expected_revenues_exact(u, u, -0.5, math.nan, 1.0)
 
 
+@pytest.mark.parametrize("a1, a2, b", [
+    (0.5, 0.5, math.inf),
+    (0.5, 0.5, math.nan),
+    (math.inf, 0.5, 1.0),
+    (math.nan, -math.inf, 1.0),
+])
+def test_batch_rejects_non_finite_prices(a1, a2, b):
+    # NaN is NO_SALE for a solo price only; an infinite price used to give
+    # a NaN total or numpy "invalid value" warnings.
+    u = make_uniform(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        pair_expected_revenues_exact(u, u, [0.3, a1], [0.3, a2], [0.6, b])
+
+
 @pytest.mark.parametrize("d1,d2", [
     (TEMPLATE, TEMPLATE),
     (make_piecewise_linear((0.0, 0.3, 0.9, 1.7), (0.4, 2.0, 0.7, 0.2)),
@@ -324,8 +338,8 @@ def test_grid_integrates_each_distinct_acceptance_once(
 
     monkeypatch.setattr(pair_revenue, "_distinct_accept", grid_accept)
     optimize_pair_offer(dist, dist, 1, grid_points=grid_points)
-    # The compass trials are batches of at most six offers, too small for
-    # the dedup.
+    # The zoom rounds are batches of at most 27 offers, too small for the
+    # dedup.
     assert seen == [(offers, integrals)]
 
 

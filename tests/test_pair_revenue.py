@@ -25,6 +25,8 @@ from oracles import pair_revenue_riemann, ramp_pure_bundle_revenue
 
 UNIFORM = make_uniform(1.0)
 RAMP = make_piecewise_linear((0.0, 1.0), (0.5, 1.5))
+#: The partition-mix benchmark's three-knot template.
+TEMPLATE = make_piecewise_linear((0.0, 0.4, 1.0), (0.6, 1.6, 0.8))
 PURE_B_STAR = math.sqrt(2.0 / 3.0)
 #: R* = 4/9 + 2 sqrt(2)/27 = 0.54920100462022926..., the revenue of the
 #: optimal menu on U[0,1]^2 (Adams and Yellen 1976; Manelli and Vincent
@@ -416,3 +418,45 @@ class TestOptimizePair:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             optimize_pair_offer(UNIFORM, UNIFORM, 0)
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    @pytest.mark.parametrize("pure_bundle_only", [False, True])
+    def test_grid_points_validation(self, grid_points, pure_bundle_only):
+        # Zero points used to crash in numpy's argmax, and one point to fall
+        # back to a step of a quarter of the range.
+        with pytest.raises(ValueError, match="grid_points"):
+            optimize_pair_offer(UNIFORM, UNIFORM, 1, grid_points=grid_points,
+                                pure_bundle_only=pure_bundle_only)
+
+    @pytest.mark.parametrize("d, budget, kwargs, pinned", [
+        (UNIFORM, 15, {},
+         ("0x1.55556b5ad6b5bp-1", "0x1.55556b5ad6b5bp-1",
+          "0x1.b94ef7bdef7bep-1", "0x1.1930dfc386e08p-1")),
+        (UNIFORM, 15, {"pure_bundle_only": True},
+         (None, None, "0x1.a20bdef7bdef7p-1", "0x1.16b28f55d7066p-1")),
+        (TEMPLATE, 2, {"grid_points": 16},
+         ("0x1.4444444444444p-1", "0x1.4444444444444p-1",
+          "0x1.999999999999ap-1", "0x1.1e5d52405d505p-1")),
+    ])
+    def test_offers_are_pinned_at_one_kernel_call_per_round(
+            self, monkeypatch, d, budget, kwargs, pinned):
+        # The pins are the offers and values of the compass search that the
+        # zoom rounds replaced: both walk the same dyadic lattice.  The grid
+        # is one kernel call, and each round one more.
+        calls = []
+        kernel = pair_revenue.pair_expected_revenues_exact
+
+        def counting(*args):
+            calls.append(len(args[-1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(pair_revenue, "pair_expected_revenues_exact",
+                            counting)
+        offer, value = optimize_pair_offer(d, d, budget, **kwargs)
+        got = tuple(None if x is None else x.hex()
+                    for x in (*offer.individual_prices, offer.bundle_price,
+                              value))
+        assert got == pinned
+        assert len(calls) == 1 + budget
+        assert max(calls[1:]) <= (3 if offer.individual_prices[0] is None
+                                  else 27)

@@ -30,6 +30,12 @@ class TestExpectedRevenue:
         with pytest.raises(ValueError):
             expected_revenue(make_uniform(1.0), -0.1)
 
+    def test_rejects_nan_price(self):
+        with pytest.raises(ValueError):
+            expected_revenue(make_uniform(1.0), math.nan)
+        with pytest.raises(ValueError):
+            expected_revenue(make_uniform(1.0), np.array([0.5, math.nan]))
+
 
 class TestDerivative:
     def test_uniform_values(self):
@@ -44,6 +50,8 @@ class TestDerivative:
             revenue_derivative(u, -0.01)
         with pytest.raises(ValueError):
             revenue_derivative(u, 1.01)
+        with pytest.raises(ValueError):
+            revenue_derivative(u, math.nan)
 
     @pytest.mark.parametrize("dist_builder", [
         lambda: make_uniform(1.0),
