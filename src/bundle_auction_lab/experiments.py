@@ -350,9 +350,7 @@ def run(config: ExperimentConfig, *,
 
     Verification failures are recorded in ``passed`` -- they are data, not
     exceptions.  The CSV is written to ``out_path`` or ``config.out`` when
-    given.  Only a large pair-offer grid runs on worker threads, sized by
-    the grid and the usable CPUs; the report does not depend on them.
-    Monte Carlo runs on the calling thread.
+    given.  Every command runs on the calling thread.
     """
     t0 = time.perf_counter()
     if config.command == "single-opt":

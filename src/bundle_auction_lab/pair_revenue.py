@@ -3,11 +3,10 @@
 For a pair offer ``(a_1, a_2, b)`` the realized revenue is piecewise
 constant in the valuations: ``b`` on the acceptance set
 ``min(V_1, a_1) + min(V_2, a_2) >= b`` and the applicable solo prices on its
-complement.  Conditioning on ``V_1`` reduces every probability to a
+complement.  Conditioning on ``V_1`` reduces the acceptance probability to a
 one-dimensional integral
 
-    P[accept & box] = integral f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1),
-                                          V_2 in window] dv
+    P[accept] = integral f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1)] dv
 
 whose integrand is a cubic between known breakpoints, so the two-point
 Gauss-Legendre rule on each piece (:mod:`._quad`) evaluates it exactly, up
@@ -16,8 +15,8 @@ to rounding.
 :func:`pair_expected_revenues_exact` does this for a batch of offers at
 once: every offer's pieces go into one padded (offers x pieces x 2) node
 array, and the densities are evaluated on it in one call each.  Single
-offers, region boxes, the epsilon grid, and the optimizer's grid and zoom
-rounds all go through this one kernel.  An offer the group cannot accept
+offers, the epsilon grid, and the optimizer's grid and zoom rounds all go
+through this one kernel.  An offer the group cannot accept
 (``b > a_1 + a_2``) takes no integral, and a large batch such as the
 optimizer's grid integrates each of its distinct acceptance probabilities
 once.
@@ -25,16 +24,17 @@ once.
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
 from the single-price optima, the five-region decomposition of the positive
-quadrant used to compare the two strategies region by region, and a
-deterministic pair-offer optimizer: one coarse grid, then ``budget`` zoom
-grids around the incumbent, one kernel call each.
+quadrant used to compare the two strategies region by region (priced from
+the offer's case analysis, not by the kernel), and a deterministic
+pair-offer optimizer: one coarse grid, then ``budget`` zoom grids around the
+incumbent, one kernel call each.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+# Unused here: bench/tracer.py patches this name.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,19 +97,14 @@ class RegionLabel(Enum):
 
 
 #: Acceptance integrals per kernel call, and offers per slice of the solo
-#: parts, in a large batch such as the optimizer's grid.  The padded node
-#: array of a chunk (integrals x pieces x 2) stays under a MiB, and chunks
-#: are what the thread pool maps over.
+#: parts, in a large batch such as the optimizer's grid: the padded node
+#: array of a slice (integrals x pieces x 2) stays under a MiB.
 _CHUNK = 2048
-
-#: Chunks per pool worker.  The shipped grids (5 chunks and 1) run on the
-#: calling thread.
-CHUNKS_PER_WORKER = 4
 
 
 def _capped_integrand(d1: ValuationDistribution, d2: ValuationDistribution,
-                      a1_eff, a2_eff, b, lo2, f2_hi, base2):
-    """``v -> f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1), V_2 in window]``.
+                      a1_eff, a2_eff, b):
+    """``v -> f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1)]``.
 
     The offer parameters are scalars or arrays that broadcast against ``v``,
     so one definition serves a single offer and a padded batch of them.
@@ -118,38 +113,42 @@ def _capped_integrand(d1: ValuationDistribution, d2: ValuationDistribution,
     def integrand(v: np.ndarray) -> np.ndarray:
         c1 = np.minimum(v, a1_eff)
         x = b - c1
-        inner = np.maximum(0.0, f2_hi - d2.cdf(np.maximum(x, lo2)))
         # Tie convention: "x <= a2" is evaluated as b <= c1 + a2 so the
         # saturated plateau (c1 == a1) matches _solo_parts.
-        q = np.where(x <= 0.0, base2, np.where(b <= c1 + a2_eff, inner, 0.0))
+        inner = np.maximum(0.0, 1.0 - d2.cdf(x))
+        q = np.where(x <= 0.0, 1.0, np.where(b <= c1 + a2_eff, inner, 0.0))
         return d1.pdf(v) * q
 
     return integrand
 
 
-def _breakpoints(d1, d2, a1_eff, a2_eff, b, lo1, hi1, lo2, hi2):
-    """Each offer's distinct integrand breakpoints in ``[lo1, hi1]``.
+def _breakpoints(d1, d2, a1_eff, a2_eff, b):
+    """Each offer's distinct integrand breakpoints in ``[0, M_1]``.
+
+    ``b`` itself is among ``b - knots2``, since the first knot is 0.
 
     Returns ``(pts, pieces)``: row ``i`` of ``pts`` holds the sorted distinct
-    points of offer ``i`` followed by copies of ``hi1[i]``, and
-    ``pieces[i]`` is the number of nonempty pieces between them.
+    points of offer ``i`` followed by copies of ``M_1``, and ``pieces[i]``
+    is the number of nonempty pieces between them.
     """
     n = b.size
+    hi1 = d1.upper_bound
     cand = np.concatenate([
-        np.stack([a1_eff, b, b - a2_eff, b - lo2, b - hi2], axis=1),
+        np.stack([a1_eff, b - a2_eff], axis=1),
         np.broadcast_to(np.asarray(d1.knots), (n, len(d1.knots))),
         b[:, None] - np.asarray(d2.knots),
     ], axis=1)
-    inside = np.isfinite(cand) & (cand > lo1[:, None]) & (cand < hi1[:, None])
+    inside = np.isfinite(cand) & (cand > 0.0) & (cand < hi1)
     pts = np.concatenate(
-        [lo1[:, None], hi1[:, None], np.where(inside, cand, np.inf)], axis=1
+        [np.zeros((n, 1)), np.full((n, 1), hi1), np.where(inside, cand, np.inf)],
+        axis=1,
     )
     pts.sort(axis=1)
     pts[:, 1:][pts[:, 1:] == pts[:, :-1]] = np.inf
     pts.sort(axis=1)
     distinct = np.count_nonzero(pts < np.inf, axis=1)
     pts = pts[:, :distinct.max()]
-    return np.where(pts < np.inf, pts, hi1[:, None]), distinct - 1
+    return np.where(pts < np.inf, pts, hi1), distinct - 1
 
 
 def _can_accept(a1_eff, a2_eff, b):
@@ -164,39 +163,27 @@ def _can_accept(a1_eff, a2_eff, b):
 
 
 def _accept_probs(d1: ValuationDistribution, d2: ValuationDistribution,
-                  a1_eff, a2_eff, b, lo1, hi1, lo2, hi2) -> np.ndarray:
-    """``P[group accepts and (V_1, V_2) in [lo1, hi1) x [lo2, hi2)]`` per offer.
+                  a1_eff, a2_eff, b) -> np.ndarray:
+    """``P[group accepts]`` per offer.
 
     The arguments after the distributions are 1-D arrays of one length; an
-    infinite solo price is ``NO_SALE``.  Empty boxes and offers the group
-    cannot accept (:func:`_can_accept`) are 0.0 without an integral.  Every
-    other offer's breakpoint pieces go into one padded (offers x pieces x 2)
-    node array, so ``d1.pdf`` and ``d2.cdf`` run once on it.  A row's value
-    depends on no other row (:func:`integrate_with_breakpoints`), so an
-    offer gets the same bits in any batch.
+    infinite solo price is ``NO_SALE``.  Offers the group cannot accept
+    (:func:`_can_accept`) are 0.0 without an integral.  Every other offer's
+    breakpoint pieces go into one padded (offers x pieces x 2) node array,
+    so ``d1.pdf`` and ``d2.cdf`` run once on it.  A row's value depends on
+    no other row (:func:`integrate_with_breakpoints`), so an offer gets the
+    same bits in any batch.
     """
-    lo1 = np.maximum(lo1, 0.0)
-    hi1 = np.minimum(hi1, d1.upper_bound)
-    lo2 = np.maximum(lo2, 0.0)
-    hi2 = np.minimum(hi2, d2.upper_bound)
-    f2_lo, f2_hi = d2.cdf(np.stack([lo2, hi2]))
-    base2 = f2_hi - f2_lo
     prob = np.zeros(b.shape)
-    live = ((hi1 > lo1) & (hi2 > lo2) & (base2 > 0.0)
-            & _can_accept(a1_eff, a2_eff, b))
+    live = _can_accept(a1_eff, a2_eff, b)
     if not live.all():
-        a1_eff, a2_eff, b, lo1, hi1, lo2, hi2, f2_hi, base2 = (
-            x[live] for x in (a1_eff, a2_eff, b, lo1, hi1, lo2, hi2, f2_hi, base2)
-        )
+        a1_eff, a2_eff, b = a1_eff[live], a2_eff[live], b[live]
     if b.size == 0:
         return prob
 
-    pts, pieces = _breakpoints(d1, d2, a1_eff, a2_eff, b, lo1, hi1, lo2, hi2)
+    pts, pieces = _breakpoints(d1, d2, a1_eff, a2_eff, b)
     col = (slice(None), None, None)
-    integrand = _capped_integrand(
-        d1, d2, a1_eff[col], a2_eff[col], b[col], lo2[col], f2_hi[col],
-        base2[col],
-    )
+    integrand = _capped_integrand(d1, d2, a1_eff[col], a2_eff[col], b[col])
     sums = integrate_with_breakpoints(integrand, pts, pieces)
     # Clip as max/min on Python floats do, keeping the sign of a zero sum.
     sums = np.where(0.0 > sums, 0.0, sums)
@@ -224,33 +211,8 @@ def _solo_parts(price, sells, other_eff, b, tail_cdf, gap_cdf) -> np.ndarray:
     return np.where(sells & (tail > 0.0), price * tail * (1.0 - saturated), 0.0)
 
 
-def _whole_quadrant_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
-    """``P[group accepts]`` per offer: :func:`_accept_probs` on the quadrant."""
-    zero, inf = np.zeros(b.size), np.full(b.size, np.inf)
-    return _accept_probs(d1, d2, a1_eff, a2_eff, b, zero, inf, zero, inf)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on, so taskset or a cpuset caps the pool."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _evaluate_offers(evaluate, count: int) -> np.ndarray:
-    """``evaluate(chunk)`` over consecutive ``_CHUNK``-row slices, joined in
-    index order whatever the schedule, on ``len(chunks) // CHUNKS_PER_WORKER``
-    threads up to the usable CPUs, or serially when that is at most one."""
-    chunks = [slice(i, i + _CHUNK) for i in range(0, count, _CHUNK)]
-    workers = min(_usable_cpus(), len(chunks) // CHUNKS_PER_WORKER)
-    if workers <= 1:
-        return np.concatenate([evaluate(c) for c in chunks])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(evaluate, chunks)))
-
-
 def _distinct_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
-    """:func:`_whole_quadrant_accept`, integrating each distinct value once.
+    """:func:`_accept_probs`, integrating each distinct value once.
 
     Offers the group cannot accept are 0.0 (:func:`_can_accept`).  Where
     ``a_2 >= b`` customer 2's cap never binds: ``b - a_2 <= 0`` is no
@@ -259,9 +221,9 @@ def _distinct_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
     offers share the key ``(a_1, inf, b)``.  Customer 1's cap does not fold
     so: ``a_1`` stays a breakpoint when ``b <= a_1 < M_1``.  The keys are
     sorted, each distinct one is integrated once, in ``_CHUNK``-integral
-    slices (:func:`_evaluate_offers`), and the values are scattered back.
-    A row of :func:`_accept_probs` depends on no other row, so every value
-    equals the one the offer gets on its own, bit for bit.
+    slices, and the values are scattered back.  A row of
+    :func:`_accept_probs` depends on no other row, so every value equals
+    the one the offer gets on its own, bit for bit.
     """
     accept = np.zeros(b.size)
     live = np.flatnonzero(_can_accept(a1_eff, a2_eff, b))
@@ -278,12 +240,12 @@ def _distinct_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
     first = np.ones(order.size, dtype=bool)
     first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1]) | (kb[1:] != kb[:-1])
     k1, k2, kb = k1[first], k2[first], kb[first]
-
-    def evaluate(chunk: slice) -> np.ndarray:
-        return _whole_quadrant_accept(d1, d2, k1[chunk], k2[chunk], kb[chunk])
-
-    accept[live[order]] = _evaluate_offers(evaluate, kb.size)[
-        np.cumsum(first) - 1]
+    distinct = np.concatenate([
+        _accept_probs(d1, d2, k1[i:i + _CHUNK], k2[i:i + _CHUNK],
+                      kb[i:i + _CHUNK])
+        for i in range(0, kb.size, _CHUNK)
+    ])
+    accept[live[order]] = distinct[np.cumsum(first) - 1]
     return accept
 
 
@@ -315,8 +277,7 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
     a1_eff = np.where(sells1, a1, np.inf)
     a2_eff = np.where(sells2, a2, np.inf)
-    accept_probs = (_distinct_accept if b.size > _CHUNK
-                    else _whole_quadrant_accept)
+    accept_probs = _distinct_accept if b.size > _CHUNK else _accept_probs
     accept = accept_probs(d1, d2, a1_eff, a2_eff, b)
     parts = np.empty((5, b.size))
     parts[4] = accept
@@ -454,9 +415,14 @@ def region_expected_revenue(d1: ValuationDistribution,
     """``E[revenue * 1{region}]`` under one of the two sales strategies.
 
     ``strategy="singles"`` prices the customers independently at
-    ``(p1, p2)``; ``strategy="bundle"`` uses the epsilon-offer.  These are
-    the per-region quantities whose comparison establishes the strict
-    improvement of pair bundling.
+    ``(p1, p2)``; ``strategy="bundle"`` uses the epsilon-offer
+    ``(p1 + eps, p2, b = p1 + p2)``.  These are the per-region quantities
+    whose comparison establishes the strict improvement of pair bundling.
+    The bundle revenue follows the offer's case analysis: the pair buys the
+    bundle on all of A1 and A5; never on A2, where only customer 1 buys, at
+    ``p1 + eps``, or on A3, where only customer 2 buys, at ``p2``; and on
+    A4 exactly when ``V1 + V2 >= b``, the band integral of
+    :func:`_a4_accept_prob`.
     """
     _check_region_params(p1, p2, eps)
     lo1, hi1, lo2, hi2 = region_box(p1, p2, eps, label)
@@ -468,24 +434,44 @@ def region_expected_revenue(d1: ValuationDistribution,
         return p1 * buy1 + p2 * buy2
     if strategy != "bundle":
         raise ValueError("strategy must be 'singles' or 'bundle'")
-    offer = epsilon_offer(p1, p2, eps)
-    a1, a2 = offer.individual_prices
-    b = offer.bundle_price
-    # Acceptance on the region, and on its parts where each customer would
-    # also buy alone; solo sales happen on the rejection set only.
-    p_accept, buy1_acc, buy2_acc = map(float, _accept_probs(
-        d1, d2, np.full(3, a1), np.full(3, a2), np.full(3, b),
-        np.array([lo1, max(lo1, a1), lo1]), np.full(3, hi1),
-        np.array([lo2, lo2, max(lo2, a2)]), np.full(3, hi2),
-    ))
-    total = b * p_accept
-    buy1_all = _window_prob(d1, max(lo1, a1), min(hi1, d1.upper_bound)) * \
-        _window_prob(d2, max(lo2, 0.0), min(hi2, d2.upper_bound))
-    total += a1 * max(0.0, buy1_all - buy1_acc)
-    buy2_all = _window_prob(d1, max(lo1, 0.0), min(hi1, d1.upper_bound)) * \
-        _window_prob(d2, max(lo2, a2), min(hi2, d2.upper_bound))
-    total += a2 * max(0.0, buy2_all - buy2_acc)
-    return total
+    b = p1 + p2
+    m1, m2 = d1.upper_bound, d2.upper_bound
+    if label is RegionLabel.A2:
+        return (p1 + eps) * _window_prob(d1, p1 + eps, m1) * \
+            _window_prob(d2, 0.0, min(p2 - eps, m2))
+    if label is RegionLabel.A3:
+        return p2 * _window_prob(d1, 0.0, min(p1, m1)) * \
+            _window_prob(d2, p2, m2)
+    if label is RegionLabel.A4:
+        return b * _a4_accept_prob(d1, d2, p1, p2, eps)
+    return b * region_probability(d1, d2, p1, p2, eps, label)
+
+
+def _a4_accept_prob(d1: ValuationDistribution, d2: ValuationDistribution,
+                    p1: float, p2: float, eps: float) -> float:
+    """``P[(V1, V2) in A4 and V1 + V2 >= p1 + p2]``.
+
+    On A4, ``b - v`` lies in ``(p2 - eps, p2]`` for ``p1 <= v < p1 + eps``,
+    so the probability is
+    ``integral_{p1}^{min(p1 + eps, M1)} f1(v) * (F2(p2) - F2(b - v)) dv``.
+    The integrand is a cubic between the knots of ``f1`` and the points
+    ``b - knots2``, which :func:`integrate_with_breakpoints` takes as one
+    row.
+    """
+    lo, hi = p1, min(p1 + eps, d1.upper_bound)
+    if hi <= lo:
+        return 0.0
+    b = p1 + p2
+    f2_top = d2.cdf(p2)
+    kinks = (*d1.knots, *(b - k for k in d2.knots))
+    pts = np.array([sorted({lo, hi, *(c for c in kinks if lo < c < hi)})])
+
+    def integrand(v: np.ndarray) -> np.ndarray:
+        return d1.pdf(v) * np.maximum(0.0, f2_top - d2.cdf(b - v))
+
+    total = integrate_with_breakpoints(integrand, pts,
+                                       np.array([pts.shape[1] - 1]))
+    return min(max(float(total[0]), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -624,11 +610,9 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     optimum as the offer ``(p1*, p2*, p1* + p2*)`` (which reproduces single
     pricing exactly, so the result always dominates it).  The whole grid is
     one :func:`pair_expected_revenues_exact` call, whose distinct
-    acceptance integrals are evaluated in chunks of ``_CHUNK``, on a thread
-    pool when there are enough of them to pay for one
-    (``CHUNKS_PER_WORKER``); the first offer of highest value wins, whatever
-    the schedule.  On a uniform pair the 32-point grid has 34,849 offers and
-    9,697 distinct integrals.
+    acceptance integrals are evaluated in chunks of ``_CHUNK`` on the
+    calling thread; the first offer of highest value wins.  On a uniform
+    pair the 32-point grid has 34,849 offers and 9,697 distinct integrals.
 
     Stage 2 runs ``budget`` zoom rounds on the winning sale pattern.  Each
     round scores, in one kernel call, the offers whose priced coordinates

@@ -44,10 +44,14 @@ class SinglePriceSolution:
 
 
 def expected_revenue(dist: ValuationDistribution, price):
-    """Expected revenue ``p * (1 - F(p))`` of a single price (scalar or array)."""
+    """Expected revenue ``p * (1 - F(p))`` of a single price (scalar or array).
+
+    The price must be finite and nonnegative: a price that sells nothing is
+    written ``NO_SALE``, not as an infinite price.
+    """
     arr = np.asarray(price, dtype=float)
-    if not np.all(arr >= 0.0):
-        raise ValueError("price must be nonnegative")
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValueError("price must be finite and nonnegative")
     out = arr * (1.0 - dist.cdf(arr))
     return float(out) if np.ndim(price) == 0 else out
 

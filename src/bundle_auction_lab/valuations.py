@@ -221,24 +221,16 @@ class ValuationDistribution:
         of the formula is one in-place numpy pass in the formula's order, so
         the values are bit-identical to evaluating it term by term.  On a
         zero-slope segment ``sqrt(d*d) == d`` in floats, so the solve is
-        exactly ``u / d``.
+        exactly ``u / d``; a uniform density takes that shortcut, and every
+        other density, a one-segment ramp included, the general passes.
         """
         u = np.asarray(u, dtype=float)
         result = np.empty_like(u) if out is None else out
         # Passes with out= need arrays (ufuncs return scalars for 0-d input),
         # so 0-d input is solved through one-element views.
         u, out = np.atleast_1d(u, result)
-        if self._slopes.size == 1:
-            d, s = self._dens[0], self._slopes[0]
-            if s == 0.0:
-                np.divide(u, d, out=out)
-            else:
-                disc = np.multiply(u, 2.0 * s)
-                np.add(disc, d * d, out=disc)
-                np.sqrt(disc, out=disc)
-                np.add(disc, d, out=disc)
-                np.multiply(u, 2.0, out=out)
-                np.divide(out, disc, out=out)
+        if self._slopes.size == 1 and self._slopes[0] == 0.0:
+            np.divide(u, self._dens[0], out=out)
             np.minimum(out, self.upper_bound, out=out)
             return result
         # The segment of u is the number of interior CDF knots at or below

@@ -173,6 +173,35 @@ def accept_prob_box_reference(d1, d2, a1, a2, b, lo1, hi1, lo2, hi2) -> float:
     return min(max(gauss3_between(integrand, pts), 0.0), 1.0)
 
 
+def region_bundle_revenue_reference(d1, d2, p1, p2, eps, label: str) -> float:
+    """``E[revenue * 1{region}]`` of the epsilon-offer ``(p1 + eps, p2,
+    p1 + p2)`` on one region box, the generic way: the bundle on the
+    accepted part of the box, and each solo price on the rejected part
+    where that customer's valuation reaches it."""
+    inf = float("inf")
+    lo1, hi1, lo2, hi2 = {
+        "A1": (p1, inf, p2, inf),
+        "A2": (0.0, inf, 0.0, p2 - eps),
+        "A3": (0.0, p1, p2 - eps, inf),
+        "A4": (p1, p1 + eps, p2 - eps, p2),
+        "A5": (p1 + eps, inf, p2 - eps, p2),
+    }[label]
+    a1, a2, b = p1 + eps, p2, p1 + p2
+
+    def window(d, lo, hi):
+        lo, hi = max(lo, 0.0), min(hi, d.upper_bound)
+        return float(d.cdf(hi)) - float(d.cdf(lo)) if hi > lo else 0.0
+
+    def accept(l1, l2):
+        return accept_prob_box_reference(d1, d2, a1, a2, b, l1, hi1, l2, hi2)
+
+    buy1 = window(d1, max(lo1, a1), hi1) * window(d2, lo2, hi2)
+    buy2 = window(d1, lo1, hi1) * window(d2, max(lo2, a2), hi2)
+    return (b * accept(lo1, lo2)
+            + a1 * max(0.0, buy1 - accept(max(lo1, a1), lo2))
+            + a2 * max(0.0, buy2 - accept(lo1, max(lo2, a2))))
+
+
 def _saturated_accept_prob(d_other, a_other, b, a_self):
     """``P[min(V_other, a_other) >= b - a_self]``, ties buy."""
     x = b - a_self

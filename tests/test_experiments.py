@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,16 @@ class TestCsv:
         data = csv_text(run(parse_config(path.read_text(encoding="utf-8")))).encode()
         assert (len(data), hashlib.sha256(data).hexdigest()[:16]) == \
             self.PINNED_CONFIGS[name]
+
+    @pytest.mark.parametrize("name",
+                             sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_config_runs_on_the_calling_thread(self, name, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"{name} started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        path = CONFIGS / f"{name}.json"
+        assert run(parse_config(path.read_text(encoding="utf-8"))).rows
 
     def test_verify_thm2_footer_names_each_rows_method(self):
         # The method and the tail bound of each row go to the footer; the

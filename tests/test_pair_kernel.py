@@ -13,7 +13,6 @@ from bundle_auction_lab.pair_revenue import (
     RegionLabel,
     _accept_probs,
     _distinct_accept,
-    _whole_quadrant_accept,
     optimize_pair_offer,
     pair_expected_revenue_exact,
     pair_expected_revenues_exact,
@@ -25,6 +24,7 @@ from oracles import (
     accept_prob_box_reference,
     pair_revenue_reference,
     pair_revenue_riemann,
+    region_bundle_revenue_reference,
 )
 
 AGREE = 1e-14
@@ -97,26 +97,29 @@ def test_batch_matches_per_offer_reference(case):
 
 
 @st.composite
-def box_bounds(draw, m):
-    lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.2 * m)))
-    hi = draw(st.one_of(st.just(math.inf), st.floats(0.0, 1.2 * m)))
-    return lo, hi
+def region_cases(draw):
+    """Prices up to 1.2 times the support, so beyond it too, and
+    ``0 < eps <= p2`` with ``eps = p2`` among the cases."""
+    d1 = draw(densities())
+    d2 = draw(st.one_of(st.just(d1), densities()))
+    p1 = draw(st.one_of(st.just(0.0), st.just(d1.upper_bound),
+                        st.floats(0.0, 1.2 * d1.upper_bound)))
+    p2 = draw(st.one_of(st.just(d2.upper_bound),
+                        st.floats(1e-3, 1.2 * d2.upper_bound)))
+    eps = draw(st.one_of(st.just(p2), st.floats(1e-4, p2)))
+    return d1, d2, p1, p2, eps
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_region_boxes_match_reference(data):
-    d1, d2, batch = data.draw(pairs_with_offers(max_offers=12))
-    boxes = [data.draw(box_bounds(d1.upper_bound)) + data.draw(box_bounds(d2.upper_bound))
-             for _ in batch]
-    a1, a2, b = _columns(batch)
-    lo1, hi1, lo2, hi2 = (np.array(col) for col in zip(*boxes))
-    got = _accept_probs(d1, d2, np.where(np.isnan(a1), np.inf, a1),
-                        np.where(np.isnan(a2), np.inf, a2), b,
-                        lo1, hi1, lo2, hi2)
-    for i, ((prices, bi), box) in enumerate(zip(batch, boxes)):
-        ref = accept_prob_box_reference(d1, d2, *prices, bi, *box)
-        assert abs(got[i] - ref) <= AGREE, (prices, bi, box)
+@settings(max_examples=60, deadline=None)
+@given(region_cases())
+def test_region_bundle_revenues_match_box_reference(case):
+    # The case analysis of the epsilon-offer against the generic box
+    # integral of each region.
+    d1, d2, p1, p2, eps = case
+    for label in RegionLabel:
+        got = region_expected_revenue(d1, d2, p1, p2, eps, label, "bundle")
+        ref = region_bundle_revenue_reference(d1, d2, p1, p2, eps, label.value)
+        assert abs(got - ref) <= AGREE, (p1, p2, eps, label)
 
 
 @settings(max_examples=12, deadline=None)
@@ -142,14 +145,11 @@ def test_rounding_offer_agrees_with_reference():
     ]) - ref)) <= AGREE
 
 
-def test_empty_batch_and_nonpositive_boxes():
+def test_empty_batch():
     u = make_uniform(1.0)
     assert pair_expected_revenues_exact(u, u, [], [], []).shape == (5, 0)
-    probs = _accept_probs(u, u, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                          np.array([0.6, 0.6]), np.array([0.7, 0.0]),
-                          np.array([0.7, 1.0]), np.array([0.0, 2.0]),
-                          np.array([1.0, 3.0]))
-    assert probs.tolist() == [0.0, 0.0]
+    empty = np.array([])
+    assert _accept_probs(u, u, empty, empty, empty).shape == (0,)
 
 
 def test_batch_rejects_bad_inputs():
@@ -248,7 +248,7 @@ def test_pruned_and_folded_offers_are_bit_identical(case):
     a1_eff = np.where(np.isnan(a1), np.inf, a1)
     a2_eff = np.where(np.isnan(a2), np.inf, a2)
     assert (_distinct_accept(d1, d2, a1_eff, a2_eff, b).tobytes()
-            == _whole_quadrant_accept(d1, d2, a1_eff, a2_eff, b).tobytes())
+            == _accept_probs(d1, d2, a1_eff, a2_eff, b).tobytes())
     parts = pair_expected_revenues_exact(d1, d2, a1, a2, b)
     for i, (prices, bi) in enumerate(batch):
         single = pair_expected_revenue_exact(d1, d2, BundleOffer(prices, bi))
@@ -279,7 +279,7 @@ def test_offers_the_group_cannot_accept_take_no_integral(monkeypatch):
     a2 = np.array([0.3, 0.0, 0.25, 0.3])
     b = np.array([np.nextafter(0.5, 1.0), 1e-300, 0.76, 1.9])
     assert not pair_revenue._can_accept(a1, a2, b).any()
-    accept = _whole_quadrant_accept(TEMPLATE, TEMPLATE, a1, a2, b)
+    accept = _accept_probs(TEMPLATE, TEMPLATE, a1, a2, b)
     assert counter.rows == 0
     assert accept.tobytes() == np.zeros(4).tobytes()
     for prices, bi in zip(zip(a1, a2), b):
@@ -294,13 +294,13 @@ def test_a_cap_of_customer_2_at_or_above_b_is_no_sale():
     b = np.linspace(0.0, 3.2, 41)
     a1 = np.full(b.size, 0.8)
     for a2 in (b, b + 0.3, np.full(b.size, 3.2)):
-        assert (_whole_quadrant_accept(d1, d2, a1, a2, b).tobytes()
-                == _whole_quadrant_accept(d1, d2, a1, np.full(b.size, np.inf),
-                                          b).tobytes())
+        assert (_accept_probs(d1, d2, a1, a2, b).tobytes()
+                == _accept_probs(d1, d2, a1, np.full(b.size, np.inf),
+                                 b).tobytes())
     # Customer 1's cap does not fold: a1 is a breakpoint for b <= a1 < M1.
     a2 = np.full(b.size, np.inf)
-    capped = _whole_quadrant_accept(d1, d2, b + 0.3, a2, b)
-    uncapped = _whole_quadrant_accept(d1, d2, np.full(b.size, np.inf), a2, b)
+    capped = _accept_probs(d1, d2, b + 0.3, a2, b)
+    uncapped = _accept_probs(d1, d2, np.full(b.size, np.inf), a2, b)
     assert not np.array_equal(capped, uncapped)
 
 
@@ -345,15 +345,16 @@ def test_grid_integrates_each_distinct_acceptance_once(
 
 @pytest.mark.parametrize("dist, p1, p2, pinned", [
     (make_uniform(1.0), 0.5, 0.5,
-     ("0x1.0000000000000p-2", "0x1.c83126e978d51p-4", "0x1.0000000000000p-3",
+     ("0x1.0000000000000p-2", "0x1.c83126e978d50p-4", "0x1.0000000000000p-3",
       "0x1.47ae147ae1485p-10", "0x1.70a3d70a3d708p-6")),
     (TEMPLATE, 0.55, 0.45,
-     ("0x1.e36cabae6bc1dp-3", "0x1.56e028e94ab33p-4", "0x1.2440885ef8ffbp-3",
-      "0x1.00bb99ad39d48p-9", "0x1.96f2c6894017dp-6")),
+     ("0x1.e36cabae6bc1ep-3", "0x1.56e028e94ab31p-4", "0x1.2440885ef8ffbp-3",
+      "0x1.00bb99ad39d48p-9", "0x1.96f2c6894017cp-6")),
 ])
 def test_region_bundle_revenues_are_pinned(dist, p1, p2, pinned):
-    # Region boxes share _accept_probs with the grid; its pruning must not
-    # move a bit of the five regions' bundle revenues.
+    # The five regions' bundle revenues from the epsilon-offer's case
+    # analysis; a change to the CDF, the quadrature or the A4 band integral
+    # that moves a bit shows up here.
     got = tuple(region_expected_revenue(dist, dist, p1, p2, 0.05, label,
                                         "bundle").hex()
                 for label in RegionLabel)

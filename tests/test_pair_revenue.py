@@ -380,34 +380,6 @@ class TestOptimizePair:
         )
         assert value >= 0.75 - 1e-6
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        # 48 grid points need 31,011 distinct acceptance integrals in 16
-        # chunks, enough for a pool of four; 16 points need 1,411 in one
-        # chunk, too few for any pool.  Count the pools to be sure which
-        # path ran.
-        pools = []
-
-        class CountingPool(pair_revenue.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        def optimize_on(cpus, grid_points):
-            monkeypatch.setattr(pair_revenue, "_usable_cpus", lambda: cpus)
-            return optimize_pair_offer(UNIFORM, RAMP, 1,
-                                       grid_points=grid_points)
-
-        monkeypatch.setattr(pair_revenue, "ThreadPoolExecutor", CountingPool)
-        serial = optimize_on(1, 48)
-        assert pools == []
-        assert optimize_on(4, 48) == serial
-        assert pools == [4]
-
-        small = optimize_on(1, 16)
-        for cpus in (2, 4, 64):
-            assert optimize_on(cpus, 16) == small
-        assert pools == [4]
-
     def test_uniform_pair_reaches_the_mixed_bundling_optimum(self):
         # R* is the optimum over all mechanisms for U[0,1]^2 (Manelli and
         # Vincent 2006), so no offer may exceed it, and the optimizer comes

@@ -35,6 +35,11 @@ class TestExpectedRevenue:
             expected_revenue(make_uniform(1.0), math.nan)
         with pytest.raises(ValueError):
             expected_revenue(make_uniform(1.0), np.array([0.5, math.nan]))
+        # inf * (1 - F(inf)) would be NaN, with a RuntimeWarning.
+        with pytest.raises(ValueError, match="finite"):
+            expected_revenue(make_uniform(1.0), math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            expected_revenue(make_uniform(1.0), np.array([0.5, math.inf]))
 
 
 class TestDerivative:
