@@ -94,7 +94,7 @@ def _cap_and_solo_sums(v: np.ndarray, prices):
         # Pure bundle: capped values are the valuations and no solo sales.
         return v.sum(axis=1), None
     # The capped matrix is dropped before the solo pass, so a call holds one
-    # batch-sized temporary at a time.
+    # temporary the size of ``v`` at a time.
     cap = np.minimum(v, a).sum(axis=1)
     return cap, np.where((v >= a) & finite, a, 0.0).sum(axis=1)
 
@@ -228,12 +228,15 @@ class HeldSample:
     """The sample of :func:`revenue_stats` for ``dists``, ``n_samples`` and
     ``seed``, drawn once and held for a search that scores many offers on it.
 
-    The batches hold ``n_samples * len(dists)`` float64 values, read-only,
-    next to each row's capped sum and solo payments for the last two price
-    vectors scored.  :meth:`score` reduces them exactly as
-    :func:`revenue_stats` streams the batches, with the same floats.  The
-    two line maximizers move one price of an offer and return its exact
-    argmax over the sample with the mean there, summed in sort order,
+    ``values`` is the whole sample, one read-only ``(n_samples, n)``
+    float64 matrix, and ``bounds`` are the row offsets of its batches.  The
+    draw copies one batch at a time into the matrix.  Each row's capped sum
+    and solo payments are kept for the last two price vectors scored; a
+    row's sum does not depend on which rows are summed with it, so they are
+    the floats of the streamed batches.  :meth:`score` reduces them batch
+    by batch as :func:`revenue_stats` streams them, with the same floats.
+    The two line maximizers move one price of an offer and return its
+    exact argmax over the sample with the mean there, summed in sort order,
     which agrees with :meth:`score` to rounding.
     """
 
@@ -242,35 +245,41 @@ class HeldSample:
         _check_samples(n_samples)
         self.n = len(dists)
         self.n_samples = n_samples
-        self.batches = list(_batches(dists, n_samples, seed))
-        for v in self.batches:
-            v.flags.writeable = False
+        self.values = np.empty((n_samples, self.n))
+        self.bounds = [0]
+        for v in _batches(dists, n_samples, seed):
+            start = self.bounds[-1]
+            self.values[start:start + len(v)] = v
+            self.bounds.append(start + len(v))
+        self.values.flags.writeable = False
         self._rows: dict = {}
 
-    def _capped(self, prices) -> list:
-        """Each batch's :func:`_cap_and_solo_sums` for ``prices``.  The two
+    def _capped(self, prices):
+        """:func:`_cap_and_solo_sums` of the sample for ``prices``.  The two
         price vectors used last keep theirs: a search step reads the
         current offer's and scores one trial."""
         key = tuple(prices)
-        parts = self._rows.pop(key, None)
-        if parts is None:
-            parts = [_cap_and_solo_sums(v, key) for v in self.batches]
+        sums = self._rows.pop(key, None)
+        if sums is None:
+            sums = _cap_and_solo_sums(self.values, key)
             if len(self._rows) == 2:
                 del self._rows[next(iter(self._rows))]
-        self._rows[key] = parts
-        return parts
+        self._rows[key] = sums
+        return sums
 
     def sums(self) -> np.ndarray:
         """Each profile's ``sum_i V_i``: :func:`valuation_sums`' values."""
-        return np.concatenate([v.sum(axis=1) for v in self.batches])
+        return self.values.sum(axis=1)
 
     def score(self, offer: BundleOffer) -> RevenueStats:
         """:func:`revenue_stats` of ``offer`` on the held sample."""
         _check_length(offer.n, self.n)
         b = offer.bundle_price
+        cap, solo = self._capped(offer.individual_prices)
+        rows = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         return _stats(b, self.n_samples,
-                      (_select(cap, solo, b)
-                       for cap, solo in self._capped(offer.individual_prices)))
+                      (_select(cap[r], None if solo is None else solo[r], b)
+                       for r in rows))
 
     def best_bundle_price(self, prices) -> tuple[float, float]:
         """:func:`bundle_argmax` of the offer ``(prices, b)`` over ``b``.
@@ -279,12 +288,7 @@ class HeldSample:
         so the row at the returned price accepts there.
         """
         _check_length(len(prices), self.n)
-        parts = self._capped(prices)
-        cap = np.concatenate([c for c, _ in parts])
-        solo = parts[0][1]
-        if solo is not None:
-            solo = np.concatenate([s for _, s in parts])
-        return bundle_argmax(cap, solo)
+        return bundle_argmax(*self._capped(prices))
 
     def best_solo_price(self, prices, i: int, b: float
                         ) -> tuple[float, float]:
@@ -308,15 +312,15 @@ class HeldSample:
         the margin; the line never counts a sale the score would not.
         """
         _check_length(len(prices), self.n)
-        parts = self._capped(prices)
-        cap = np.concatenate([c for c, _ in parts])
-        solo = (np.zeros_like(cap) if parts[0][1] is None
-                else np.concatenate([s for _, s in parts]))
-        x = np.concatenate([v[:, i] for v in self.batches])
+        cap, solo = self._capped(prices)
+        x = self.values[:, i]
         a = prices[i]
         y = x if a is None else np.minimum(x, a)
+        if solo is None:
+            solo = np.zeros_like(cap)
         if a is not None:
-            solo -= np.where(x >= a, a, 0.0)
+            # A new array: the held solo payments stay as they are.
+            solo = solo - np.where(x >= a, a, 0.0)
         t = b - (cap - y) + 2 * self.n * 2.0**-53 * (b + cap)
         t = np.where(cap >= b, np.minimum(t, y),
                      np.maximum(t, np.nextafter(y, math.inf)))

@@ -9,12 +9,12 @@ relative gap to the unreachable upper bound ``mu``.  This module builds the
 offer, evaluates the bound and its Bernstein ingredient, and bounds the
 offer's rejection probability ``P[V < b]`` in closed form (the Chernoff
 bound of the piecewise-linear density, capped by Hoeffding's ``n^-8``).
-Where that bound is below 2**-54 the offer's acceptance probability and
-revenue round to exactly 1 and ``b`` in float64, so the large-bundle check
-needs no sampling; elsewhere it estimates revenue by seeded Monte Carlo.
-The module also optimizes group offers on a Monte Carlo sample, moving one
-price at a time to its exact argmax over that sample.  All of its sampling
-runs on the calling thread.
+That bound ``eps`` makes the large-bundle check exact without sampling:
+the offer's acceptance probability is at least ``1 - eps`` and its revenue
+at least ``b (1 - eps)``.  The module also estimates group revenue by
+seeded Monte Carlo and optimizes group offers on a Monte Carlo sample,
+moving one price at a time to its exact argmax over that sample.  All of
+its sampling runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mc import (MIN_SAMPLES, HeldSample, _seed_tuple, bundle_argmax,
-                  revenue_stats, valuation_sums)
+from ._mc import (MIN_SAMPLES, HeldSample, bundle_argmax, revenue_stats,
+                  valuation_sums)
 from ._search import golden_section_max
 from .bundles import NO_SALE, BundleOffer
 from .single_pricing import optimal_single_price
 from .valuations import ValuationDistribution
 
 __all__ = [
-    "CERTIFY_BELOW",
     "SurplusExtractionReport",
     "chernoff_tail_bound",
     "full_surplus_offer",
@@ -64,9 +63,6 @@ class SurplusExtractionReport:
     #: Upper bound on the rejection probability ``P[V < b]``
     #: (:func:`chernoff_tail_bound`).
     tail_bound: float
-    #: ``"certified"`` when ``tail_bound`` fixes the float64 values of the
-    #: acceptance probability and revenue, ``"mc"`` when they are sampled.
-    method: str
 
     @property
     def passes(self) -> bool:
@@ -166,14 +162,11 @@ def surplus_lower_bound(n: int, mu: float, m: float) -> float:
     return (1.0 - 1.0 / n) * (mu - 2.0 * m * math.sqrt(n * math.log(n)))
 
 
-#: A tail bound below this certifies a large-bundle row.  With ``eps`` below
-#: 2**-54 every value in ``[1 - eps, 1]`` rounds to 1.0 and every value in
-#: ``[b (1 - eps), b]`` to ``b``, so the acceptance probability and the
-#: revenue ``b P[V >= b]`` are exactly 1.0 and ``b`` in float64.  The bound
-#: is computed through its logarithm, whose two terms are about 3e3 at
-#: n = 1e4 and round at 1e-16 relative, an error near 1e-12; the factor
-#: ``1 - 1e-6`` (1e-6 in the logarithm) absorbs it.
-CERTIFY_BELOW = 2.0**-54 * (1.0 - 1e-6)
+#: Relative allowance for rounding in :func:`chernoff_tail_bound`, which is
+#: computed through its logarithm: its two terms are about 3e3 at n = 1e4
+#: and round at 1e-16 relative, an error near 1e-12, and ``1 + 1e-6``
+#: (1e-6 in the logarithm) absorbs it.
+_ROUNDING_ALLOWANCE = 1.0 + 1e-6
 
 
 def chernoff_tail_bound(dist: ValuationDistribution, n: int, b: float
@@ -239,8 +232,9 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
 
     ``mode="full"`` starts from the better of the pure-bundle solution and
     the singles reduction (solo prices at each customer's single-price
-    optimum, ``b`` equal to their sum) and runs ``budget`` sweeps of
-    coordinate ascent over ``(a_1..a_n, b)``.  Each step takes the exact
+    optimum, ``b`` equal to their sum) and runs at most ``budget`` sweeps
+    of coordinate ascent over ``(a_1..a_n, b)``, stopping after the first
+    sweep that moves nothing.  Each step takes the exact
     argmax of one price over the sample
     (:meth:`~bundle_auction_lab._mc.HeldSample.best_solo_price`, then
     :meth:`~bundle_auction_lab._mc.HeldSample.best_bundle_price`), and
@@ -287,52 +281,47 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
         b_best = singles_b
         current = singles_value
     for _ in range(budget):
+        moved = False
         for i in range(n):
             trial = list(prices)
             trial[i], _ = held.best_solo_price(prices, i, b_best)
             value = offer_value(trial, b_best)
             if value > current + 1e-15:
-                prices, current = trial, value
+                prices, current, moved = trial, value, True
         b_cand, _ = held.best_bundle_price(prices)
         value = offer_value(prices, b_cand)
         if value > current + 1e-15:
-            b_best, current = b_cand, value
+            b_best, current, moved = b_cand, value, True
+        if not moved:
+            # Every later sweep would start from this state and repeat it.
+            break
     return BundleOffer(tuple(prices), b_best), current
 
 
 def verify_surplus_extraction(dist: ValuationDistribution,
-                              n_list: Sequence[int], n_samples: int,
-                              seed) -> list[SurplusExtractionReport]:
+                              n_list: Sequence[int]
+                              ) -> list[SurplusExtractionReport]:
     """Run the large-bundle check for each group size in ``n_list``.
 
     For each ``n`` the offer prices ``n`` i.i.d. copies at
-    ``b = mu - 2 M sqrt(n ln n)``.  The row is certified first: when
-    :func:`chernoff_tail_bound` puts the rejection probability below
-    :data:`CERTIFY_BELOW`, the acceptance probability is 1.0, the revenue
-    ``b`` and its standard error 0.0, exactly in float64 and without
-    sampling.  Otherwise Monte Carlo estimates the revenue from
-    ``n_samples`` profiles on the substream ``(*seed, n)``.  Either way the
-    report records whether
-    ``estimate + 4 SE >= (1 - 1/n)(mu - 2 M sqrt(n ln n))`` and
-    ``estimate - 4 SE <= mu``.  Vacuous offers, fewer than 1,000 samples and
-    negative seeds raise, whether or not any row needs them.
+    ``b = mu - 2 M sqrt(n ln n)``, and ``eps`` is
+    :func:`chernoff_tail_bound` with a rounding allowance, an upper bound
+    on the rejection probability ``P[V < b]``.  Each row reports
+    ``1 - eps`` as the acceptance probability and ``b (1 - eps)`` as the
+    revenue, lower bounds on ``P[V >= b]`` and ``b P[V >= b]`` rounded to
+    float64, with standard error 0, and whether that revenue is at least
+    ``(1 - 1/n)(mu - 2 M sqrt(n ln n))`` and at most ``mu``.  Nothing is
+    sampled.  Where ``eps`` is below 2**-54 the two values are exactly 1.0
+    and ``b`` in float64.  Vacuous offers raise.
     """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    seed_tuple = _seed_tuple(seed)
     reports = []
     for n in sorted(int(x) for x in n_list):
         dists = [dist] * n
-        offer = full_surplus_offer(dists)
-        b = offer.bundle_price
+        b = full_surplus_offer(dists).bundle_price
         mu, m = _mu_and_m(dists)
         eps = chernoff_tail_bound(dist, n, b)
-        if eps < CERTIFY_BELOW:
-            method, accept, revenue, se = "certified", 1.0, b, 0.0
-        else:
-            stats = revenue_stats(dists, offer, n_samples, seed_tuple + (n,))
-            method, accept, revenue, se = ("mc", stats.accept_prob,
-                                           stats.mean, stats.std_error)
+        accept = 1.0 - eps * _ROUNDING_ALLOWANCE
+        revenue = b * accept
         t = 2.0 * m * math.sqrt(n * math.log(n))
         lower = surplus_lower_bound(n, mu, m)
         reports.append(SurplusExtractionReport(
@@ -341,13 +330,12 @@ def verify_surplus_extraction(dist: ValuationDistribution,
             bundle_price=b,
             accept_prob_estimate=accept,
             revenue_estimate=revenue,
-            revenue_std_error=se,
+            revenue_std_error=0.0,
             lower_bound=lower,
             upper_bound=mu,
             bernstein_bound=bernstein_upper_bound(n, m, t),
-            lower_bound_ok=revenue + 4.0 * se >= lower,
-            upper_bound_ok=revenue - 4.0 * se <= mu,
+            lower_bound_ok=revenue >= lower,
+            upper_bound_ok=revenue <= mu,
             tail_bound=eps,
-            method=method,
         ))
     return reports

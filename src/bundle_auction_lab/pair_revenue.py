@@ -26,8 +26,8 @@ optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
 from the single-price optima, the five-region decomposition of the positive
 quadrant used to compare the two strategies region by region (priced from
 the offer's case analysis, not by the kernel), and a deterministic
-pair-offer optimizer: one coarse grid, then ``budget`` zoom grids around the
-incumbent, one kernel call each.
+pair-offer optimizer: one coarse grid, then at most ``budget`` zoom grids
+around the incumbent, one kernel call each.
 """
 
 from __future__ import annotations
@@ -620,7 +620,10 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     incumbent ``x`` -- at most 27 offers, 3 for a pure bundle -- and moves
     to the first of highest value; the incumbent is scored first, so it
     keeps a tie.  ``h`` starts at the grid spacing and halves every round.
-    A run thus makes exactly ``1 + budget`` kernel calls.
+    The rounds stop early after the first that scores the incumbent alone,
+    once every step rounds or clips onto it: a halved step still does, so
+    every later round would score that one offer again.  A run thus makes
+    at most ``1 + budget`` kernel calls.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -635,6 +638,8 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
         incumbent = columns[:, int(np.argmax(values))].tolist()
         columns = _mesh(*map(_zoom_axis, incumbent, steps, highs))
         values = pair_expected_revenues_exact(d1, d2, *columns)[0]
+        if columns.shape[1] == 1:
+            break
         steps = [h * 0.5 for h in steps]
 
     best = int(np.argmax(values))

@@ -97,9 +97,7 @@ def test_criterion_3_pair_optimization():
 
 def test_criterion_4_group_surplus_desk_scale():
     with criterion(4, "large-bundle revenue approaches full surplus", 120.0):
-        reports = verify_surplus_extraction(
-            UNIFORM, [100, 1000, 10**4], 10**5, SEED
-        )
+        reports = verify_surplus_extraction(UNIFORM, [100, 1000, 10**4])
         by_n = {r.n: r for r in reports}
         r = by_n[1000]
         b_expected = 500.0 - 2.0 * math.sqrt(1000 * math.log(1000))

@@ -132,19 +132,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^\$\.n_max: must be >= "):
             parse_config(config_text(command="sweep", seed=0, **bounds))
 
-    @pytest.mark.parametrize("command, extra", [
-        ("verify-thm2", {}),
-        ("partition", {"N": 6}),
-    ])
-    def test_sampling_commands_need_1000_samples(self, command, extra):
+    def test_partition_needs_1000_samples(self):
+        # partition is the one command that samples.
         with pytest.raises(ConfigError,
                            match=r"\$\.n_samples: must be >= 1000"):
-            parse_config(config_text(command=command, seed=1, n_samples=999,
-                                     distributions=[UNIFORM_DESC], **extra))
+            parse_config(config_text(command="partition", seed=1, N=6,
+                                     n_samples=999,
+                                     distributions=[UNIFORM_DESC]))
         assert parse_config(config_text(
-            command=command, seed=1, n_samples=1000,
-            distributions=[UNIFORM_DESC], **extra,
+            command="partition", seed=1, N=6, n_samples=1000,
+            distributions=[UNIFORM_DESC],
         )).n_samples == 1000
+
+    def test_verify_thm2_accepts_and_ignores_any_positive_n_samples(self):
+        # verify-thm2 draws nothing, so its n_samples is checked as for the
+        # other commands that do not sample, and neither it nor the seed
+        # moves the rows.
+        def rows(**kwargs):
+            cfg = parse_config(config_text(
+                command="verify-thm2", distributions=[UNIFORM_DESC],
+                n_list=[100], **kwargs))
+            return cfg, run(cfg).rows
+
+        cfg, base = rows(seed=1, n_samples=1)
+        assert cfg.n_samples == 1
+        assert rows(seed=8, n_samples=10**5)[1] == base
+        with pytest.raises(ConfigError,
+                           match=r"\$\.n_samples: must be >= 1$"):
+            rows(seed=1, n_samples=0)
 
     def test_partition_requires_n(self):
         with pytest.raises(ConfigError, match=r"\$\.N"):
@@ -336,30 +351,18 @@ class TestCsv:
         path = CONFIGS / f"{name}.json"
         assert run(parse_config(path.read_text(encoding="utf-8"))).rows
 
-    def test_verify_thm2_footer_names_each_rows_method(self):
-        # The method and the tail bound of each row go to the footer; the
-        # CSV keeps its pinned bytes.
+    def test_verify_thm2_footer_states_each_rows_tail_bound(self):
+        # The tail bound of each row goes to the footer; the CSV keeps its
+        # pinned bytes.
         path = CONFIGS / "verify_thm2_uniform.json"
         report = run(parse_config(path.read_text(encoding="utf-8")))
         data = csv_text(report).encode()
         assert hashlib.sha256(data).hexdigest()[:16] == "9901ae6765cf53d9"
-        assert [n.split(",")[0] for n in report.notes] == [
-            "n=100: certified", "n=1000: certified", "n=10000: certified"]
+        assert [n.split(":")[0] for n in report.notes] == [
+            "n=100", "n=1000", "n=10000"]
         footer = render_footer(report)
-        assert "# note: n=10000: certified, tail bound P[V < b] <= 3.73e-97" in footer
-        assert "certified" not in csv_text(report)
-
-    def test_verify_thm2_footer_names_a_sampled_row(self):
-        fallback = {"type": "piecewise_linear",
-                    "knots": [0, 0.1, 0.45, 0.96, 1],
-                    "densities": [6.1, 0.053, 0.023, 0.355, 59.4]}
-        report = run(parse_config(config_text(
-            command="verify-thm2", seed=3, n_list=[23, 200], n_samples=2000,
-            distributions=[fallback],
-        )))
-        assert report.notes[0].startswith("n=23: mc, tail bound P[V < b] <= 5.")
-        assert report.notes[1].startswith("n=200: certified,")
-        assert "mc" not in csv_text(report)
+        assert "# note: n=10000: tail bound P[V < b] <= 3.73e-97" in footer
+        assert "tail bound" not in csv_text(report)
 
     def test_three_rows_ascending(self):
         cfg = parse_config(config_text(
@@ -419,10 +422,10 @@ class TestCli:
                                           message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(
-            command="verify-thm2", seed=1, n_list=[100], n_samples=5000,
+            command="partition", seed=1, N=6, n_samples=5000,
             distributions=[UNIFORM_DESC],
         ))
-        result = self.run_cli(["verify-thm2", "--config", str(cfg_path),
+        result = self.run_cli(["partition", "--config", str(cfg_path),
                                flag, value])
         assert result.exit_code == 1
         assert message in result.output

@@ -12,7 +12,6 @@ from bundle_auction_lab._mc import (HeldSample, bundle_argmax, revenue_stats,
                                     valuation_sums)
 from bundle_auction_lab import group_revenue
 from bundle_auction_lab.group_revenue import (
-    CERTIFY_BELOW,
     bernstein_sweep,
     bernstein_upper_bound,
     chernoff_tail_bound,
@@ -28,8 +27,8 @@ from oracles import irwin_hall_cdf, variance_simpson
 
 UNIFORM = make_uniform(1.0)
 # A valid density with most of its mass at the two ends of [0, 1]: its
-# full-surplus offer at n = 23 has a tail bound of about 5e-16, too loose to
-# certify, so that row is sampled.
+# full-surplus offer at n = 23 has a tail bound of about 5e-16, above
+# 2**-54, so that row's acceptance probability is not exactly 1.0.
 FALLBACK = make_piecewise_linear((0.0, 0.1, 0.45, 0.96, 1.0),
                                  (6.1, 0.053, 0.023, 0.355, 59.4))
 
@@ -250,6 +249,32 @@ class TestOptimizeGroupOffer:
         )
         assert full_value >= pb_value - 1e-12
 
+    def test_search_stops_after_a_sweep_that_moves_nothing(self,
+                                                           monkeypatch):
+        # A sweep that moves nothing leaves the state as it found it, so
+        # every later sweep would repeat it: a budget of 50 does the work
+        # of at most 10 sweeps and returns the budget-10 result.
+        dists = [TEMPLATE, UNIFORM, TEMPLATE, UNIFORM]
+        lines = []
+        solo, bundle = HeldSample.best_solo_price, HeldSample.best_bundle_price
+
+        def record_solo(self, *args):
+            lines.append("solo")
+            return solo(self, *args)
+
+        def record_bundle(self, *args):
+            lines.append("bundle")
+            return bundle(self, *args)
+
+        monkeypatch.setattr(HeldSample, "best_solo_price", record_solo)
+        monkeypatch.setattr(HeldSample, "best_bundle_price", record_bundle)
+        result = optimize_group_offer(dists, mode="full", budget=50,
+                                      n_samples=2000, seed=7)
+        assert len(lines) <= 10 * (len(dists) + 1)
+        monkeypatch.undo()
+        assert result == optimize_group_offer(dists, mode="full", budget=10,
+                                              n_samples=2000, seed=7)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             optimize_group_offer([UNIFORM], mode="both")
@@ -313,8 +338,9 @@ class TestDrawOnce:
         dists = [TEMPLATE, UNIFORM, TEMPLATE]
         offer = BundleOffer((0.5, NO_SALE, 0.7), 1.4)
         held = HeldSample(dists, 2500, 13)
-        assert len(held.batches) == 3
-        assert not any(v.flags.writeable for v in held.batches)
+        assert held.values.shape == (2500, 3)
+        assert len(held.bounds) - 1 == 3
+        assert not held.values.flags.writeable
         assert held.score(offer) == revenue_stats(dists, offer, 2500, 13)
         assert np.array_equal(held.sums(), valuation_sums(dists, 2500, 13))
 
@@ -378,7 +404,7 @@ def _check_solo_line(held, prices, i, b):
     value at every sample valuation of ``i`` and at every point of a
     2,001-point grid."""
     a, _ = held.best_solo_price(prices, i, b)
-    x = np.concatenate([v[:, i] for v in held.batches])
+    x = held.values[:, i]
     points = np.concatenate((x, np.linspace(0.0, x.max(), 2001)))
     best = held.score(BundleOffer(tuple(_moved(prices, i, a)), b)).mean
     assert best >= max(_scores_at(held, prices, i, b, points))
@@ -389,7 +415,7 @@ def _check_bundle_line(held, prices):
     capped sum and at every point of a 2,001-point grid."""
     b_best, _ = held.best_bundle_price(prices)
     ceiling = [math.inf if p is None else p for p in prices]
-    caps = np.minimum(np.concatenate(held.batches), ceiling).sum(axis=1)
+    caps = np.minimum(held.values, ceiling).sum(axis=1)
     points = np.concatenate((caps, np.linspace(0.0, caps.max(), 2001)))
     best = held.score(BundleOffer(tuple(prices), b_best)).mean
     assert best >= max(_scores_at(held, prices, None, None, points))
@@ -416,7 +442,7 @@ class TestHeldSample:
         dists, mixed = _mixed_group(n)
         held = HeldSample(dists, self.SAMPLES, seed)
         if batch_elements is not None and n > 1:
-            assert len(held.batches) > 1
+            assert len(held.bounds) - 1 > 1
         # Low prices that every customer often pays: at b equal to their
         # left-to-right sum, a row that buys every item ties with b
         # exactly, and the bundle sells on ties.
@@ -544,7 +570,7 @@ class TestHeldSample:
 
 class TestVerifySurplusExtraction:
     def test_desk_scale(self):
-        reports = verify_surplus_extraction(UNIFORM, [100, 1000], 10**5, 20260810)
+        reports = verify_surplus_extraction(UNIFORM, [100, 1000])
         by_n = {r.n: r for r in reports}
         assert set(by_n) == {100, 1000}
         r1000 = by_n[1000]
@@ -559,16 +585,16 @@ class TestVerifySurplusExtraction:
             assert 0.0 <= r.accept_prob_estimate <= 1.0
 
     def test_relative_gap_shrinks(self):
-        reports = verify_surplus_extraction(UNIFORM, [100, 1000], 2000, 3)
+        reports = verify_surplus_extraction(UNIFORM, [100, 1000])
         gaps = [(r.mu - r.revenue_estimate) / r.mu for r in reports]
         assert gaps[0] > gaps[1]
 
     def test_vacuous_n_propagates(self):
         with pytest.raises(ValueError, match="vacuous"):
-            verify_surplus_extraction(UNIFORM, [10, 1000], 2000, 1)
+            verify_surplus_extraction(UNIFORM, [10, 1000])
 
     def test_reports_sorted_by_n(self):
-        reports = verify_surplus_extraction(UNIFORM, [1000, 100], 2000, 8)
+        reports = verify_surplus_extraction(UNIFORM, [1000, 100])
         assert [r.n for r in reports] == [100, 1000]
 
 
@@ -650,54 +676,65 @@ class TestChernoffTailBound:
 
     @given(st.floats(1e-300, 1e300))
     def test_certified_values_round_to_one_and_b(self, b):
-        # Below CERTIFY_BELOW the exact acceptance probability lies in
-        # [1 - eps, 1] and the revenue in [b (1 - eps), b]; both ends round
-        # to the same float64.
-        eps = Fraction(CERTIFY_BELOW)
+        # Up to 2**-54 the exact acceptance probability lies in [1 - eps, 1]
+        # and the revenue in [b (1 - eps), b]; both ends round to the same
+        # float64, so such a row reads exactly 1.0 and b.
+        eps = Fraction(2.0**-54)
         assert float(1 - eps) == 1.0
         assert float(Fraction(b) * (1 - eps)) == b
 
 
 class TestCertifiedRows:
-    def test_shipped_rows_are_certified_without_draws(self, monkeypatch):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("a certified row sampled")
+    """Every row is computed from its tail bound; nothing is sampled."""
 
+    @staticmethod
+    def _refuse_sampling(monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a large-bundle row sampled")
+
+        monkeypatch.setattr(_mc, "_draw", no_sampling)
         monkeypatch.setattr(group_revenue, "revenue_stats", no_sampling)
-        reports = verify_surplus_extraction(UNIFORM, [100, 1000, 10**4],
-                                            10**5, 20260810)
+
+    def test_shipped_rows_are_certified_without_draws(self, monkeypatch):
+        self._refuse_sampling(monkeypatch)
+        reports = verify_surplus_extraction(UNIFORM, [100, 1000, 10**4])
         for r in reports:
-            assert r.method == "certified"
-            assert r.tail_bound < CERTIFY_BELOW
+            assert r.tail_bound < 2.0**-54
             assert r.accept_prob_estimate == 1.0
             assert r.revenue_estimate == r.bundle_price
             assert r.revenue_std_error == 0.0
             assert r.passes
 
-    def test_mixed_run_certifies_one_row_and_samples_the_other(self):
-        reports = verify_surplus_extraction(FALLBACK, [200, 23], 10**4, 8)
-        by_n = {r.n: r for r in reports}
-        assert by_n[200].method == "certified"
-        assert by_n[200].revenue_estimate == by_n[200].bundle_price
-        row = by_n[23]
-        assert row.method == "mc"
-        assert CERTIFY_BELOW < row.tail_bound < 1e-15
-        # The sampled row is exactly today's Monte Carlo call.
-        offer = full_surplus_offer([FALLBACK] * 23)
-        stats = revenue_stats([FALLBACK] * 23, offer, 10**4, (8, 23))
-        assert (row.accept_prob_estimate, row.revenue_estimate,
-                row.revenue_std_error) == (stats.accept_prob, stats.mean,
-                                           stats.std_error)
-        assert row.passes
+    def test_loose_bounds_give_certified_rows_without_draws(self,
+                                                            monkeypatch):
+        # Rows 21 to 30 of this density have bounds above 2**-54, where the
+        # values differ from 1 and b in float64; the row reports them.
+        self._refuse_sampling(monkeypatch)
+        ns = [20, 21, 22, 23, 24, 25, 26, 28, 30, 40]
+        reports = verify_surplus_extraction(FALLBACK, ns)
+        assert [r.n for r in reports] == ns
+        for r in reports:
+            eps = chernoff_tail_bound(FALLBACK, r.n, r.bundle_price)
+            assert r.tail_bound == eps
+            eps *= 1.0 + 1e-6
+            assert r.accept_prob_estimate == 1.0 - eps
+            assert r.revenue_estimate == r.bundle_price * (1.0 - eps)
+            assert r.revenue_std_error == 0.0
+            assert r.passes
+        row = reports[ns.index(23)]
+        assert 2.0**-54 < row.tail_bound < 1e-15
+        assert row.accept_prob_estimate == 0.9999999999999994
+        assert row.revenue_estimate == 1.101409455186473
 
-    def test_too_few_samples_raise_even_when_certified(self):
-        with pytest.raises(ValueError, match="1000 samples"):
-            verify_surplus_extraction(UNIFORM, [1000], 999, 1)
-
-    @pytest.mark.parametrize("seed", [-5, (3, -1)])
-    @pytest.mark.parametrize("dist,n", [(UNIFORM, 100), (FALLBACK, 23)],
-                             ids=["certified", "sampled"])
-    def test_negative_seed_raises_whether_certified_or_sampled(self, dist, n,
-                                                               seed):
-        with pytest.raises(ValueError, match="nonnegative"):
-            verify_surplus_extraction(dist, [n], 1000, seed)
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_bound_holds_the_exact_uniform_tail(self, n):
+        # Irwin-Hall at the shipped rows: the exact rejection probability is
+        # at most the bound, so b (1 - eps) is at most the exact revenue,
+        # which rounds to the reported value.  The bound is within a factor
+        # of about 50 of the exact tail.
+        (r,) = verify_surplus_extraction(UNIFORM, [n])
+        exact = irwin_hall_cdf(n, r.bundle_price)
+        assert 0.0 < exact <= r.tail_bound
+        assert math.log(r.tail_bound) <= math.log(exact) + math.log(n) + 2.0
+        b = Fraction(r.bundle_price)
+        assert float(b * (1 - Fraction(exact))) == r.revenue_estimate

@@ -432,3 +432,27 @@ class TestOptimizePair:
         assert len(calls) == 1 + budget
         assert max(calls[1:]) <= (3 if offer.individual_prices[0] is None
                                   else 27)
+
+    @pytest.mark.parametrize("pure_bundle_only", [False, True])
+    def test_huge_budget_stops_once_a_round_holds_the_incumbent_alone(
+            self, monkeypatch, pure_bundle_only):
+        # On a uniform pair round 52 is the first to score the incumbent
+        # alone, so a budget of 5,000 runs no longer than a budget of 60
+        # and returns the same offer to the bit: every later round would
+        # score that one offer again.
+        calls = []
+        kernel = pair_revenue.pair_expected_revenues_exact
+
+        def counting(*args):
+            calls.append(len(args[-1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(pair_revenue, "pair_expected_revenues_exact",
+                            counting)
+        huge = optimize_pair_offer(UNIFORM, UNIFORM, 5000,
+                                   pure_bundle_only=pure_bundle_only)
+        assert len(calls) <= 61
+        assert calls[-1] == 1 and calls[-2] > 1
+        monkeypatch.undo()
+        assert huge == optimize_pair_offer(UNIFORM, UNIFORM, 60,
+                                           pure_bundle_only=pure_bundle_only)
