@@ -66,6 +66,10 @@ _COMMAND_KEYS = {
     "sweep": frozenset({"n_min", "n_max", "M"}),
 }
 _COMMON_KEYS = frozenset({"command", "seed", "n_samples", "distributions", "out"})
+#: The least and the most distributions each command takes.
+_DIST_COUNTS = {"single-opt": (1, math.inf), "pair-opt": (2, 2),
+                "verify-thm1": (2, 2), "verify-thm2": (1, 1),
+                "partition": (1, 1), "sweep": (0, math.inf)}
 
 
 class ConfigError(ValueError):
@@ -206,6 +210,11 @@ def parse_config(text: str) -> ExperimentConfig:
         build_distribution(d, f"$.distributions[{i}]")
         for i, d in enumerate(descs)
     )
+    least, most = _DIST_COUNTS[command]
+    if not least <= len(built) <= most:
+        wanted = f"exactly {least}" if least == most else f"at least {least}"
+        raise ConfigError(f"$.distributions: command {command!r} needs "
+                          f"{wanted}, got {len(built)}")
 
     kwargs: dict = {}
     if command == "verify-thm1":
@@ -227,6 +236,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if "N" not in raw:
             raise ConfigError("missing required field $.N")
         kwargs["N"] = _integer(raw["N"], "$.N", minimum=1)
+        if kwargs["N"] % 6:
+            raise ConfigError("$.N: must be divisible by 6")
         if "mode" in raw:
             if raw["mode"] not in ("pure_bundle", "full"):
                 raise ConfigError("$.mode: expected 'pure_bundle' or 'full'")
@@ -334,17 +345,6 @@ def render_footer(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_dists(config: ExperimentConfig, count: Optional[int]) -> None:
-    have = len(config.built)
-    if count is not None and have != count:
-        raise ConfigError(
-            f"command {config.command!r} needs exactly {count} distributions, "
-            f"got {have}"
-        )
-    if count is None and have < 1:
-        raise ConfigError(f"command {config.command!r} needs a distribution")
-
-
 def run(config: ExperimentConfig, *,
         out_path: Optional[str] = None) -> RunReport:
     """Execute a config and return (and optionally write) its report.
@@ -386,7 +386,6 @@ def run(config: ExperimentConfig, *,
 
 
 def _run_single_opt(config):
-    _require_dists(config, None)
     rows = []
     for dist in config.built:
         sol = optimal_single_price(dist)
@@ -395,7 +394,6 @@ def _run_single_opt(config):
 
 
 def _run_pair_opt(config):
-    _require_dists(config, 2)
     d1, d2 = config.built
     budget = config.budget or 15
     columns = ("mode", "a_1", "a_2", "bundle_price", "expected_revenue")
@@ -412,7 +410,6 @@ def _run_pair_opt(config):
 
 
 def _run_verify_pair(config):
-    _require_dists(config, 2)
     d1, d2 = config.built
     report = verify_pair_improvement(d1, d2, config.eps_grid or DEFAULT_EPS_GRID)
     columns = ("eps", "source", "accept_prob", "bundle_part", "solo_1",
@@ -430,7 +427,6 @@ def _run_verify_pair(config):
 
 
 def _run_verify_group(config):
-    _require_dists(config, 1)
     n_list = config.n_list or (100, 1000)
     reports = verify_surplus_extraction(config.built[0], n_list)
     columns = ("n", "mu", "bundle_price", "accept_prob", "revenue_estimate",
@@ -482,11 +478,8 @@ def partition_result(config: ExperimentConfig):
     all-singles baseline.  No optimality claim is made: the best per-group
     bundle offers need not form the best mechanism for the population.
     """
-    _require_dists(config, 1)
     dist = config.built[0]
     n_total = config.N
-    if n_total is None or n_total % 6 != 0:
-        raise ConfigError("partition needs $.N divisible by 6")
     budget = config.budget or 10
     mode = config.mode or "full"
     sol = optimal_single_price(dist)

@@ -248,8 +248,10 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     bytes until the call returns (4.8 MB at 100,000 samples of a
     six-customer group), next to a few arrays of ``n_samples`` values per
     line; pure-bundle mode holds only the ``n_samples`` sums.  The returned
-    value is the :func:`revenue_stats` mean of the returned offer.
-    Sampling runs on the calling thread.
+    value is the :func:`revenue_stats` mean of the returned offer in full
+    mode; in pure-bundle mode it is the sorted-sum line's mean at ``b``,
+    which can differ from that mean by about 1e-15.  Sampling runs on the
+    calling thread.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")

@@ -161,6 +161,22 @@ class TestParseConfig:
                            match=r"\$\.n_samples: must be >= 1$"):
             rows(seed=1, n_samples=0)
 
+    @pytest.mark.parametrize("command, count, wanted", [
+        ("verify-thm1", 3, "exactly 2"),
+        ("verify-thm2", 2, "exactly 1"),
+        ("partition", 0, "exactly 1"),
+        ("single-opt", 0, "at least 1"),
+    ])
+    def test_distribution_count_checked_at_parse(self, command, count,
+                                                 wanted):
+        extra = {"N": 6} if command == "partition" else {}
+        with pytest.raises(ConfigError, match=(
+                rf"^\$\.distributions: command '{command}' needs {wanted}, "
+                rf"got {count}$")):
+            parse_config(config_text(command=command, seed=1,
+                                     distributions=[UNIFORM_DESC] * count,
+                                     **extra))
+
     def test_partition_requires_n(self):
         with pytest.raises(ConfigError, match=r"\$\.N"):
             parse_config(config_text(command="partition", seed=1,
@@ -257,20 +273,22 @@ class TestRunCommands:
         assert report.rows[1][a1_idx] is None
 
     def test_distribution_count_enforced(self):
-        cfg = parse_config(config_text(
-            command="pair-opt", seed=1, distributions=[UNIFORM_DESC],
-        ))
-        with pytest.raises(ConfigError, match="exactly 2"):
-            run(cfg)
+        with pytest.raises(ConfigError, match=(
+                r"^\$\.distributions: command 'pair-opt' needs exactly 2, "
+                r"got 1$")):
+            parse_config(config_text(
+                command="pair-opt", seed=1, distributions=[UNIFORM_DESC],
+            ))
 
 
 class TestPartition:
     def test_divisibility_enforced(self):
-        cfg = parse_config(config_text(
-            command="partition", seed=1, N=8, distributions=[UNIFORM_DESC],
-        ))
-        with pytest.raises(ConfigError, match="divisible by 6"):
-            run(cfg)
+        with pytest.raises(ConfigError,
+                           match=r"^\$\.N: must be divisible by 6$"):
+            parse_config(config_text(
+                command="partition", seed=1, N=8,
+                distributions=[UNIFORM_DESC],
+            ))
 
     def test_six_customers(self):
         cfg = parse_config(config_text(
@@ -329,7 +347,8 @@ class TestCsv:
         "pair_opt_uniform": (166, "6b2b241966262e57"),
         "partition_n36": (368, "471531cc58188025"),
         "single_opt_uniform": (52, "06da4ab806740c8d"),
-        "verify_thm1_uniform_pair": (394, "2cf7a18ed1f7f4a4"),
+        "verify_thm1_skewed_pair": (978, "4194718f805f4087"),
+        "verify_thm1_uniform_pair": (394, "b0c08fbeda4139a1"),
         "verify_thm2_uniform": (396, "9901ae6765cf53d9"),
     }
 

@@ -17,7 +17,9 @@ from bundle_auction_lab.pair_revenue import (
     pair_expected_revenue_exact,
     pair_expected_revenues_exact,
     region_expected_revenue,
+    verify_pair_improvement,
 )
+from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
 from oracles import (
@@ -120,6 +122,20 @@ def test_region_bundle_revenues_match_box_reference(case):
         got = region_expected_revenue(d1, d2, p1, p2, eps, label, "bundle")
         ref = region_bundle_revenue_reference(d1, d2, p1, p2, eps, label.value)
         assert abs(got - ref) <= AGREE, (p1, p2, eps, label)
+
+
+@settings(max_examples=150, deadline=None)
+@given(densities(), densities())
+def test_refined_epsilon_beats_a_fine_grid(d1, d2):
+    # The refined epsilon is the exact argmax of the epsilon-line, so no
+    # point of a 2,001-point grid on [0, 0.999 p2*] scores above it.
+    p1 = optimal_single_price(d1).price
+    p2 = optimal_single_price(d2).price
+    report = verify_pair_improvement(d1, d2, (0.5 * p2,))
+    eps = np.linspace(0.0, 0.999 * p2, 2001)
+    line = pair_expected_revenues_exact(d1, d2, p1 + eps, p2, p1 + p2)[0]
+    assert report.refined.breakdown.total >= line.max()
+    assert 0.0 <= report.refined.eps < p2
 
 
 @settings(max_examples=12, deadline=None)
@@ -345,16 +361,16 @@ def test_grid_integrates_each_distinct_acceptance_once(
 
 @pytest.mark.parametrize("dist, p1, p2, pinned", [
     (make_uniform(1.0), 0.5, 0.5,
-     ("0x1.0000000000000p-2", "0x1.c83126e978d50p-4", "0x1.0000000000000p-3",
-      "0x1.47ae147ae1485p-10", "0x1.70a3d70a3d708p-6")),
+     ("0x1.0000000000000p-2", "0x1.c83126e978d4fp-4", "0x1.0000000000000p-3",
+      "0x1.47ae147ae1580p-10", "0x1.70a3d70a3d708p-6")),
     (TEMPLATE, 0.55, 0.45,
-     ("0x1.e36cabae6bc1ep-3", "0x1.56e028e94ab31p-4", "0x1.2440885ef8ffbp-3",
-      "0x1.00bb99ad39d48p-9", "0x1.96f2c6894017cp-6")),
+     ("0x1.e36cabae6bc1ep-3", "0x1.56e028e94ab2fp-4", "0x1.2440885ef8ffbp-3",
+      "0x1.00bb99ad39e20p-9", "0x1.96f2c6894017cp-6")),
 ])
 def test_region_bundle_revenues_are_pinned(dist, p1, p2, pinned):
-    # The five regions' bundle revenues from the epsilon-offer's case
-    # analysis; a change to the CDF, the quadrature or the A4 band integral
-    # that moves a bit shows up here.
+    # The five regions' bundle revenues read off the kernel's breakdown of
+    # the epsilon-offer; a change to the CDF or the kernel that moves a bit
+    # shows up here.
     got = tuple(region_expected_revenue(dist, dist, p1, p2, 0.05, label,
                                         "bundle").hex()
                 for label in RegionLabel)

@@ -326,9 +326,30 @@ class TestVerifyImprovement:
         assert by_eps[0.1].breakdown.total == pytest.approx(0.516, abs=1e-9)
         assert report.improved
         # the exact-revenue curve is 0.5 + eps/4 - eps^2 + eps^3, so the
-        # refinement should land near its stationary point eps = 1/6.
-        assert report.refined.eps == pytest.approx(1.0 / 6.0, abs=1e-3)
+        # refinement lands on its stationary point eps = 1/6, where the
+        # total is 14/27.
+        assert abs(report.refined.eps - 1.0 / 6.0) <= 1e-15
+        assert report.refined.breakdown.total == pytest.approx(
+            14.0 / 27.0, rel=0.0, abs=4 * math.ulp(14.0 / 27.0))
         assert report.best.improvement >= by_eps[0.2].improvement - 1e-12
+
+    def test_skewed_pair_refines_to_the_lines_maximum(self):
+        # The epsilon-line peaks at eps = 0.149, between the default grid's
+        # values, and beats every grid row there.
+        d1 = make_piecewise_linear((0.0, 0.75), (1.5, 1.2))
+        d2 = make_piecewise_linear((0.0, 1.9, 2.0), (0.3, 0.7, 0.7))
+        report = verify_pair_improvement(d1, d2)
+        assert report.refined.eps == pytest.approx(0.149, abs=1e-6)
+        assert report.refined.improvement >= 0.0189
+        assert max(ev.improvement for ev in report.evaluations) < 0.0172
+        assert report.best is report.refined
+
+    def test_refinement_needs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("golden-section search called")
+
+        monkeypatch.setattr(pair_revenue, "golden_section_max", refuse)
+        assert verify_pair_improvement(RAMP, UNIFORM, (0.05, 0.1)).improved
 
     def test_all_suite_pairs_improve(self):
         for d1, d2 in [(UNIFORM, RAMP), (RAMP, UNIFORM), (RAMP, RAMP)]:
