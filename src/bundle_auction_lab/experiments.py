@@ -20,6 +20,7 @@ from typing import Optional
 from . import __version__
 from ._mc import MIN_SAMPLES
 from .group_revenue import (
+    _full_surplus_price,
     bernstein_sweep,
     bernstein_upper_bound,
     group_expected_revenue_mc,
@@ -223,15 +224,29 @@ def parse_config(text: str) -> ExperimentConfig:
             vals = _number_list({"eps_grid": grid}, "eps_grid", "$")
             if not vals:
                 raise ConfigError("$.eps_grid: must be nonempty")
+            # The upper limit, p2*, is the second customer's optimal price
+            # and is checked at run time.
+            for i, v in enumerate(vals):
+                if not v > 0.0:
+                    raise ConfigError(f"$.eps_grid[{i}]: must be > 0")
             kwargs["eps_grid"] = tuple(vals)
     if command == "verify-thm2":
         ns = raw.get("n_list")
         if ns is not None:
             if not isinstance(ns, list) or not ns:
                 raise ConfigError("$.n_list: expected a nonempty list of integers")
-            kwargs["n_list"] = tuple(
-                _integer(x, f"$.n_list[{i}]", minimum=2) for i, x in enumerate(ns)
-            )
+            dist = built[0]
+            for i, x in enumerate(ns):
+                n = _integer(x, f"$.n_list[{i}]", minimum=2)
+                # Each row computes n * mean and sqrt(n ln n) in floats.
+                if n > 2**53:
+                    raise ConfigError(f"$.n_list[{i}]: must be <= 2**53, "
+                                      f"where float(n) is exact")
+                try:
+                    _full_surplus_price(n, n * dist.mean, dist.upper_bound)
+                except ValueError as exc:
+                    raise ConfigError(f"$.n_list[{i}]: {exc}") from exc
+            kwargs["n_list"] = tuple(ns)
     if command == "partition":
         if "N" not in raw:
             raise ConfigError("missing required field $.N")

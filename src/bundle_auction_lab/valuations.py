@@ -28,11 +28,33 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-9
 
-#: Taylor coefficients ``(-1)^j (j + 1) / (j + 2)!`` of
-#: ``h(x) = (1 - e^-x (1 + x)) / x^2``, highest power first; below
-#: ``x = 1/2`` the omitted terms are under 1e-20 of ``h``.
-_H_SERIES = tuple((-1) ** j * (j + 1) / math.factorial(j + 2)
-                  for j in reversed(range(18)))
+#: Taylor coefficients ``(-1)^k / (k! (j + k + 1))`` of
+#: ``A_j(x) = int_0^1 u^j e^{-x u} du`` for j = 1, 2, 3, highest power
+#: first; below ``x = 1/2`` the omitted terms are under 1e-20 of ``A_j``.
+_A_SERIES = tuple(
+    tuple((-1) ** k / (math.factorial(k) * (j + k + 1))
+          for k in reversed(range(18)))
+    for j in (1, 2, 3)
+)
+
+
+def _segment_averages(x: float, count: int) -> list[float]:
+    """``[A_0(x), ..., A_{count-1}(x)]`` for ``x > 0``, ``count <= 4``:
+    Taylor series below ``x = 1/2``, where the closed forms cancel, and
+    above it ``A_j = (j A_{j-1} - e^-x) / x`` (2e-14 relative at j = 3)."""
+    out = [-math.expm1(-x) / x]
+    if x < 0.5:
+        for coeffs in _A_SERIES[:count - 1]:
+            a = 0.0
+            for c in coeffs:
+                a = a * x + c
+            out.append(a)
+    elif count > 1:
+        e = math.exp(-x)
+        out.append((-math.expm1(-x) - x * e) / (x * x))
+        for j in range(2, count):
+            out.append((j * out[-1] - e) / x)
+    return out
 
 
 def _check_knots(ks: np.ndarray, ds: np.ndarray) -> None:
@@ -83,6 +105,9 @@ class ValuationDistribution:
     _slopes: np.ndarray = field(init=False, repr=False, compare=False)
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
     _mean: float = field(init=False, repr=False, compare=False)
+    #: ``(k0, w, d0, s)`` per segment as Python floats for the scalar
+    #: transforms, where numpy's per-call overhead would dominate.
+    _segs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ks = np.asarray(self.knots, dtype=float)
@@ -125,6 +150,8 @@ class ValuationDistribution:
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "_mean", float(m_seg.sum()))
+        object.__setattr__(self, "_segs", tuple(zip(
+            k0.tolist(), widths.tolist(), d0.tolist(), slopes.tolist())))
 
     @property
     def mean(self) -> float:
@@ -165,35 +192,52 @@ class ValuationDistribution:
 
         On a segment ``[k0, k0 + w]`` with density ``d0 + s t`` the integral
         of ``f(v) e^{-theta v}`` is
-        ``e^{-theta k0} w (d0 phi(x) + s w h(x))`` with ``x = theta w``,
-        ``phi(x) = (1 - e^-x) / x`` (through ``expm1``) and
-        ``h(x) = (1 - e^-x (1 + x)) / x^2`` (its Taylor series below
-        ``x = 1/2``, where the closed form cancels).  ``phi`` and ``h`` are
-        the averages of ``e^{-x u}`` and ``u e^{-x u}`` over ``u`` in
-        ``[0, 1]``, so the bracket is the average of the positive
-        ``f(k0 + w u) e^{-x u}`` and does not cancel.  The segments are
-        combined by a log-sum-exp, so large ``theta`` does not underflow.
+        ``e^{-theta k0} w (d0 A_0(x) + s w A_1(x))`` with ``x = theta w``
+        and the averages ``A_j(x)`` of ``u^j e^{-x u}`` over ``u`` in
+        ``[0, 1]`` (:func:`_segment_averages`), so the bracket is the
+        average of the positive ``f(k0 + w u) e^{-x u}`` and does not
+        cancel.  The segments are combined by a log-sum-exp, so large
+        ``theta`` does not underflow.
         """
         if not theta > 0.0:
             raise ValueError("theta must be positive")
-        # Scalar math: a distribution has a handful of segments, and numpy's
-        # per-call overhead would dominate.
         terms = []
-        for k0, w, d0, s in zip(self._knots[:-1].tolist(),
-                                self._widths.tolist(),
-                                self._dens[:-1].tolist(),
-                                self._slopes.tolist()):
-            x = theta * w
-            phi = -math.expm1(-x) / x
-            if x < 0.5:
-                h = 0.0
-                for c in _H_SERIES:
-                    h = h * x + c
-            else:
-                h = (-math.expm1(-x) - x * math.exp(-x)) / (x * x)
+        for k0, w, d0, s in self._segs:
+            phi, h = _segment_averages(theta * w, 2)
             terms.append(math.log(w * (d0 * phi + s * w * h)) - theta * k0)
         top = max(terms)
         return top + math.log(sum(math.exp(t - top) for t in terms))
+
+    def tilted_moments(self, theta: float) -> tuple[float, float]:
+        """Mean and variance of the law ``f(v) e^{-theta v} / E
+        e^{-theta V}``, ``theta > 0``: ``-d/dtheta`` and ``d^2/dtheta^2``
+        of :meth:`log_laplace`, in closed form.
+
+        On a segment, ``u = (v - k0) / w`` has moments
+        ``(d0 A_j + s w A_{j+1}) / (d0 A_0 + s w A_1)``, ratios of positive
+        averages; the segments mix with :meth:`log_laplace`'s weights.
+        """
+        if not theta > 0.0:
+            raise ValueError("theta must be positive")
+        logs, means, variances = [], [], []
+        for k0, w, d0, s in self._segs:
+            a0, a1, a2, a3 = _segment_averages(theta * w, 4)
+            sw = s * w
+            z = d0 * a0 + sw * a1
+            r1 = (d0 * a1 + sw * a2) / z
+            r2 = (d0 * a2 + sw * a3) / z
+            logs.append(math.log(w * z) - theta * k0)
+            means.append(k0 + w * r1)
+            # Past theta w of about 1e102, A_2 and A_3 underflow to 0 before
+            # A_1 does, which would leave this below 0.
+            variances.append(w * w * max(r2 - r1 * r1, 0.0))
+        top = max(logs)
+        weights = [math.exp(t - top) for t in logs]
+        total = sum(weights)
+        mean = sum(p * m for p, m in zip(weights, means)) / total
+        variance = sum(p * (v + (m - mean) ** 2)
+                       for p, m, v in zip(weights, means, variances)) / total
+        return mean, variance
 
     def quantile(self, u: float) -> float:
         """The unique ``x`` with ``cdf(x) = u``.

@@ -161,6 +161,49 @@ class TestParseConfig:
                            match=r"\$\.n_samples: must be >= 1$"):
             rows(seed=1, n_samples=0)
 
+    @pytest.mark.parametrize("n_list, i, n", [([50], 0, 50),
+                                              ([100, 1000, 30], 2, 30)])
+    def test_verify_thm2_vacuous_n_is_a_config_error(self, n_list, i, n):
+        # Uniform [0, 1] prices the full-surplus bundle at or below 0 up to
+        # n = 67; the run-time error had no config path.
+        with pytest.raises(ConfigError, match=(
+                rf"^\$\.n_list\[{i}\]: bundle price .* is nonpositive: the "
+                rf"construction is vacuous at n={n} ")):
+            parse_config(config_text(command="verify-thm2", seed=1,
+                                     n_list=n_list,
+                                     distributions=[UNIFORM_DESC]))
+
+    def test_verify_thm2_vacuity_follows_the_distribution(self):
+        # At n = 100, 2 M sqrt(n ln n) is 42.9: above mu = 35 for this ramp
+        # (mean 0.35), below mu = 50 for uniform [0, 1].
+        low = {"type": "piecewise_linear", "knots": [0.0, 1.0],
+               "densities": [1.9, 0.1]}
+        with pytest.raises(ConfigError, match=r"^\$\.n_list\[0\]: "):
+            parse_config(config_text(command="verify-thm2", seed=1,
+                                     n_list=[100], distributions=[low]))
+        assert parse_config(config_text(
+            command="verify-thm2", seed=1, n_list=[100],
+            distributions=[UNIFORM_DESC])).n_list == (100,)
+
+    def test_verify_thm2_n_above_2_53_is_a_config_error(self):
+        with pytest.raises(ConfigError,
+                           match=r"^\$\.n_list\[1\]: must be <= 2\*\*53"):
+            parse_config(config_text(command="verify-thm2", seed=1,
+                                     n_list=[100, 2**53 + 1],
+                                     distributions=[UNIFORM_DESC]))
+        cfg = parse_config(config_text(command="verify-thm2", seed=1,
+                                       n_list=[100, 2**53],
+                                       distributions=[UNIFORM_DESC]))
+        assert run(cfg).passed
+
+    @pytest.mark.parametrize("grid, i", [([-0.1], 0), ([0.1, 0.0], 1)])
+    def test_verify_thm1_nonpositive_eps_is_a_config_error(self, grid, i):
+        with pytest.raises(ConfigError,
+                           match=rf"^\$\.eps_grid\[{i}\]: must be > 0$"):
+            parse_config(config_text(command="verify-thm1", seed=1,
+                                     eps_grid=grid,
+                                     distributions=[UNIFORM_DESC] * 2))
+
     @pytest.mark.parametrize("command, count, wanted", [
         ("verify-thm1", 3, "exactly 2"),
         ("verify-thm2", 2, "exactly 1"),

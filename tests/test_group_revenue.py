@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, resolve_outcome
-from bundle_auction_lab import _mc
+from bundle_auction_lab import _mc, _search
 from bundle_auction_lab._mc import (HeldSample, bundle_argmax, revenue_stats,
                                     valuation_sums)
 from bundle_auction_lab import group_revenue
@@ -597,6 +598,27 @@ class TestVerifySurplusExtraction:
         reports = verify_surplus_extraction(UNIFORM, [1000, 100])
         assert [r.n for r in reports] == [100, 1000]
 
+    def test_a_row_holds_nothing_of_size_n(self):
+        # Each row is closed-form in n: no list, tuple or offer of n items
+        # (at n = 1e9 one such list alone would take 8 GB).
+        verify_surplus_extraction(UNIFORM, [10**9])
+        tracemalloc.start()
+        try:
+            (r,) = verify_surplus_extraction(UNIFORM, [10**9])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert r.mu == 5e8
+        assert r.passes
+
+    def test_mu_is_n_times_the_mean(self):
+        # The row's mu is the one chernoff_tail_bound uses; summing 10**4
+        # copies of the mean read 1500.0000000001792.
+        (r,) = verify_surplus_extraction(make_uniform(0.3), [10**4])
+        assert r.mu == 1500.0
+        assert r.upper_bound == 1500.0
+
 
 class TestChernoffTailBound:
     DISTS = {
@@ -665,6 +687,20 @@ class TestChernoffTailBound:
         se = math.sqrt(reject * (1.0 - reject) / samples)
         assert 0.2 < reject <= eps + 4.0 * se
         assert eps < 1.0
+
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_needs_no_golden_section_search(self, name, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("golden-section search called")
+
+        monkeypatch.setattr(group_revenue, "golden_section_max", no_search)
+        monkeypatch.setattr(_search, "golden_section_max", no_search)
+        dist = self.DISTS[name]
+        for n in (6, 50, 1000, 10**6):
+            for frac in (0.05, 0.6, 0.999):
+                # 0 where the bound underflows, far out in the tail.
+                assert 0.0 <= chernoff_tail_bound(dist, n,
+                                                  frac * n * dist.mean) < 1.0
 
     def test_edges(self):
         assert chernoff_tail_bound(UNIFORM, 10, 0.0) == 0.0

@@ -18,6 +18,7 @@ from oracles import (
     ks_statistic,
     laplace_simpson,
     quantile_rationalized,
+    tilted_moments_simpson,
     simpson_between_knots,
 )
 
@@ -154,6 +155,36 @@ class TestLogLaplace:
         for theta in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="theta"):
                 ramp().log_laplace(theta)
+
+
+class TestTiltedMoments:
+    # Uniform, the ramp, the partition benchmark's 3-knot template, and a
+    # 4-segment density with most of its mass at the two ends.
+    CASES = {
+        "uniform": ((0.0, 1.0), (1.0, 1.0)),
+        "ramp": ((0.0, 1.0), (0.5, 1.5)),
+        "template": ((0.0, 0.4, 1.0), (0.6, 1.6, 0.8)),
+        "fallback": ((0.0, 0.1, 0.45, 0.96, 1.0),
+                     (6.1, 0.053, 0.023, 0.355, 59.4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_match_a_dense_composite_rule(self, name):
+        # From theta = 1e-6, where the series branch serves every segment,
+        # to 1e4, where the tilted law sits within 1e-4 of 0.
+        knots, densities = self.CASES[name]
+        d = make_piecewise_linear(knots, densities)
+        for theta in np.geomspace(1e-6, 1e4, 21):
+            mean, var = d.tilted_moments(float(theta))
+            ref_mean, ref_var = tilted_moments_simpson(knots, densities,
+                                                       float(theta))
+            assert mean == pytest.approx(ref_mean, rel=1e-11)
+            assert var == pytest.approx(ref_var, rel=1e-11)
+
+    def test_rejects_nonpositive_theta(self):
+        for theta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="theta"):
+                ramp().tilted_moments(theta)
 
 
 class TestSampling:
