@@ -15,7 +15,15 @@ scores many candidates on one sample draws it once as a
 streaming.  Moving one price of an offer traces a step-and-ramp line over
 the sample, whose maximum is at one of finitely many points set by the
 sample: :func:`bundle_argmax` and :meth:`HeldSample.best_solo_price` sort
-the sample once per line and score every such point exactly.
+the sample once per line and score every such point exactly, ranking the
+sorted points in linear time.
+
+Each row's capped sum and solo payments are the floats of numpy's
+``sum(axis=1)`` of the capped and solo-payment matrices
+(:func:`_cap_and_solo_sums`).  Below :data:`PAIRWISE_COLUMNS` customers
+numpy adds a row left to right from 0, and the sums are built in that
+order, one column pass at a time; from there on numpy sums a row pairwise,
+and the matrices are summed with ``sum(axis=1)`` itself.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ __all__ = ["HeldSample", "RevenueStats", "bundle_argmax", "revenue_stats",
 BATCH_ELEMENTS = 1 << 21
 
 MIN_SAMPLES = 1000
+
+#: numpy's ``sum(axis=1)`` adds rows of fewer values left to right from 0
+#: and rows of this many or more pairwise.
+PAIRWISE_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -87,16 +99,39 @@ def _batches(dists, n_samples, seed):
 
 def _cap_and_solo_sums(v: np.ndarray, prices):
     """Each row's ``sum_i min(V_i, a_i)`` and its solo payments
-    ``sum_i a_i [V_i >= a_i]``, the latter ``None`` when nothing sells solo."""
-    a = np.array([math.inf if p is None else p for p in prices], dtype=float)
-    finite = np.isfinite(a)
-    if not finite.any():
-        # Pure bundle: capped values are the valuations and no solo sales.
-        return v.sum(axis=1), None
-    # The capped matrix is dropped before the solo pass, so a call holds one
-    # temporary the size of ``v`` at a time.
-    cap = np.minimum(v, a).sum(axis=1)
-    return cap, np.where((v >= a) & finite, a, 0.0).sum(axis=1)
+    ``sum_i a_i [V_i >= a_i]``, the latter ``None`` when nothing sells solo.
+
+    Both are numpy's ``sum(axis=1)`` of the capped and payment matrices,
+    to the bit.  Below :data:`PAIRWISE_COLUMNS` columns that sum adds each
+    row left to right from 0, one call per row, which is slow for rows of
+    a few values; here each column is added to running row totals in the
+    same order instead, so the sums are the same floats.  A customer
+    without a solo price adds 0 to the payments, which changes no sum of
+    nonnegative values, and is skipped.
+    """
+    sells = any(a is not None for a in prices)
+    if v.shape[1] >= PAIRWISE_COLUMNS:
+        if not sells:
+            return v.sum(axis=1), None
+        a = np.array([math.inf if p is None else p for p in prices],
+                     dtype=float)
+        # The capped matrix is dropped before the solo pass, so a call
+        # holds one temporary the size of ``v`` at a time.
+        cap = np.minimum(v, a).sum(axis=1)
+        return cap, np.where((v >= a) & np.isfinite(a), a, 0.0).sum(axis=1)
+    rows = len(v)
+    cap = np.zeros(rows)
+    solo = np.zeros(rows) if sells else None
+    scratch = np.empty(rows)
+    bought = np.empty(rows, dtype=bool)
+    for column, a in zip(v.T, prices):
+        if a is None:
+            cap += column
+            continue
+        cap += np.minimum(column, a, out=scratch)
+        np.greater_equal(column, a, out=bought)
+        solo += np.multiply(bought, a, out=scratch)
+    return cap, solo
 
 
 def _select(cap: np.ndarray, solo, b: float):
@@ -162,7 +197,40 @@ def valuation_sums(dists: Sequence[ValuationDistribution], n_samples: int,
     """Seeded samples of ``sum_i V_i``, drawn from the same substreams as
     :func:`revenue_stats` so price searches share common random numbers."""
     return np.concatenate(
-        list(map(lambda v: v.sum(axis=1), _batches(dists, n_samples, seed))))
+        [_cap_and_solo_sums(v, (None,) * len(dists))[0]
+         for v in _batches(dists, n_samples, seed)])
+
+
+def _tie_starts(s: np.ndarray) -> np.ndarray:
+    """The index where each run of equal values of the sorted ``s`` starts,
+    in O(len(s)): ``np.searchsorted(s, s)`` of each distinct value."""
+    new = np.empty(s.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _ranks(t: np.ndarray, x: np.ndarray):
+    """The distinct values ``p`` of the sorted arrays ``t`` and ``x``
+    together, ascending, with ``#{t <= p}`` and ``#{x < p}`` for each:
+    ``np.searchsorted(t, p, "right")`` and ``np.searchsorted(x, p)``.
+
+    A stable argsort of ``t`` then ``x`` is a timsort, which finds the two
+    sorted runs and merges them in linear time.  A running count of ``t``
+    items read at the two ends of each run of equal values gives both
+    counts, whatever the order inside the run.
+    """
+    both = np.concatenate((t, x))
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    starts = _tie_starts(merged)
+    # from_t[k]: items of t among the first k merged values.
+    from_t = np.zeros(merged.size + 1, dtype=np.intp)
+    np.cumsum(order < t.size, out=from_t[1:])
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1:] = merged.size
+    return merged[starts], from_t[ends], starts - from_t[starts]
 
 
 def bundle_argmax(cap: np.ndarray, solo: np.ndarray | None = None
@@ -172,9 +240,12 @@ def bundle_argmax(cap: np.ndarray, solo: np.ndarray | None = None
 
     Between consecutive values of ``cap`` the rows that accept are fixed
     and the mean rises with ``b``, so the maximum is at one of the values.
-    One sort scores them all: ``searchsorted(left)`` counts the rows below
-    each value, ties included, and a prefix sum of ``solo`` in ``cap``
-    order gives what those rows pay.
+    One sort scores them all: where a run of equal values starts, its
+    index counts the rows below the value (found in linear time,
+    :func:`_tie_starts`), and a prefix sum of ``solo`` in ``cap`` order
+    gives what those rows pay.  ``cap`` and ``solo`` are summed as
+    :func:`_cap_and_solo_sums` sums them, left to right below
+    :data:`PAIRWISE_COLUMNS` customers and pairwise from there.
     """
     if solo is None:
         cap = np.sort(cap)
@@ -182,12 +253,12 @@ def bundle_argmax(cap: np.ndarray, solo: np.ndarray | None = None
         order = np.argsort(cap)
         cap = cap[order]
         paid = np.concatenate(([0.0], np.cumsum(solo[order])))
-    below = np.searchsorted(cap, cap, side="left")
-    totals = cap * (cap.size - below)
+    below = _tie_starts(cap)
+    totals = cap[below] * (cap.size - below)
     if solo is not None:
         totals += paid[below]
     k = int(np.argmax(totals))
-    return float(cap[k]), float(totals[k]) / cap.size
+    return float(cap[below[k]]), float(totals[k]) / cap.size
 
 
 def _solo_argmax(x: np.ndarray, t: np.ndarray, solo: np.ndarray,
@@ -207,18 +278,24 @@ def _solo_argmax(x: np.ndarray, t: np.ndarray, solo: np.ndarray,
 
     which rises between breakpoints, jumps up at each ``t`` of A and drops
     just after each ``x`` of B, and is flat beyond the last of them.  So
-    its maximum is at 0, at a ``t >= 0`` of A or at an ``x`` of B; sorting
-    both sets scores every such point with ``searchsorted``.
+    its maximum is at 0, at a ``t >= 0`` of A or at an ``x`` of B.  Both
+    sets are sorted, and :func:`_ranks` merges them in linear time to
+    count each point's rows.  ``solo`` and ``t`` come from row sums taken
+    as :func:`_cap_and_solo_sums` takes them, left to right below
+    :data:`PAIRWISE_COLUMNS` customers and pairwise from there.
     """
     in_a = x >= t
-    order = np.argsort(t[in_a])
-    t_a = t[in_a][order]
+    t_a = t[in_a]
+    order = np.argsort(t_a)
+    t_a = t_a[order]
     gained = np.concatenate(([0.0], np.cumsum((b - solo[in_a])[order])))
     x_b = np.sort(x[~in_a])
-    points = np.concatenate(([0.0], t_a[np.searchsorted(t_a, 0.0):], x_b))
-    bought = np.searchsorted(t_a, points, side="right")
-    paying = (t_a.size - bought
-              + x_b.size - np.searchsorted(x_b, points, side="left"))
+    # The candidate 0 runs with the thresholds from 0 on, so each point's
+    # count of them includes it once and leaves out the ``below`` under 0.
+    below = int(np.searchsorted(t_a, 0.0))
+    points, t_le, x_lt = _ranks(np.concatenate(([0.0], t_a[below:])), x_b)
+    bought = t_le + (below - 1)
+    paying = t_a.size - bought + x_b.size - x_lt
     totals = solo.sum() + gained[bought] + points * paying
     best = totals.max()
     return float(points[totals == best].min()), float(best) / x.size
@@ -229,15 +306,19 @@ class HeldSample:
     ``seed``, drawn once and held for a search that scores many offers on it.
 
     ``values`` is the whole sample, one read-only ``(n_samples, n)``
-    float64 matrix, and ``bounds`` are the row offsets of its batches.  The
-    draw copies one batch at a time into the matrix.  Each row's capped sum
-    and solo payments are kept for the last two price vectors scored; a
-    row's sum does not depend on which rows are summed with it, so they are
-    the floats of the streamed batches.  :meth:`score` reduces them batch
-    by batch as :func:`revenue_stats` streams them, with the same floats.
-    The two line maximizers move one price of an offer and return its
-    exact argmax over the sample with the mean there, summed in sort order,
-    which agrees with :meth:`score` to rounding.
+    float64 matrix, and ``bounds`` are the row offsets of its batches.  A
+    sample of one batch, as every shipped config draws, is held as drawn;
+    a larger one is copied into the matrix one batch at a time.  Each
+    row's capped sum and solo payments (:func:`_cap_and_solo_sums`: added
+    left to right below :data:`PAIRWISE_COLUMNS` customers, by numpy's
+    pairwise ``sum(axis=1)`` from there) are kept for the last two price
+    vectors scored; a row's sum does not depend on which rows are summed
+    with it, so they are the floats of the streamed batches.
+    :meth:`score` reduces them batch by batch as :func:`revenue_stats`
+    streams them, with the same floats.  The two line maximizers move one
+    price of an offer and return its exact argmax over the sample with the
+    mean there, summed in sort order, which agrees with :meth:`score` to
+    rounding.
     """
 
     def __init__(self, dists: Sequence[ValuationDistribution],
@@ -245,12 +326,18 @@ class HeldSample:
         _check_samples(n_samples)
         self.n = len(dists)
         self.n_samples = n_samples
-        self.values = np.empty((n_samples, self.n))
-        self.bounds = [0]
-        for v in _batches(dists, n_samples, seed):
-            start = self.bounds[-1]
-            self.values[start:start + len(v)] = v
-            self.bounds.append(start + len(v))
+        batches = _batches(dists, n_samples, seed)
+        self.values = next(batches)
+        self.bounds = [0, len(self.values)]
+        if self.bounds[-1] < n_samples:
+            # Several batches: copied one at a time into one matrix.
+            held = np.empty((n_samples, self.n))
+            held[:self.bounds[-1]] = self.values
+            for v in batches:
+                start = self.bounds[-1]
+                held[start:start + len(v)] = v
+                self.bounds.append(start + len(v))
+            self.values = held
         self.values.flags.writeable = False
         self._rows: dict = {}
 
@@ -269,7 +356,7 @@ class HeldSample:
 
     def sums(self) -> np.ndarray:
         """Each profile's ``sum_i V_i``: :func:`valuation_sums`' values."""
-        return self.values.sum(axis=1)
+        return _cap_and_solo_sums(self.values, (None,) * self.n)[0]
 
     def score(self, offer: BundleOffer) -> RevenueStats:
         """:func:`revenue_stats` of ``offer`` on the held sample."""
@@ -320,8 +407,8 @@ class HeldSample:
             solo = np.zeros_like(cap)
         if a is not None:
             # A new array: the held solo payments stay as they are.
-            solo = solo - np.where(x >= a, a, 0.0)
+            solo = solo - (x >= a) * a
         t = b - (cap - y) + 2 * self.n * 2.0**-53 * (b + cap)
-        t = np.where(cap >= b, np.minimum(t, y),
-                     np.maximum(t, np.nextafter(y, math.inf)))
-        return _solo_argmax(x, t, solo, b)
+        moved = np.maximum(t, np.nextafter(y, math.inf))
+        np.putmask(moved, cap >= b, np.minimum(t, y))
+        return _solo_argmax(x, moved, solo, b)

@@ -403,6 +403,27 @@ class TestCsv:
         assert (len(data), hashlib.sha256(data).hexdigest()[:16]) == \
             self.PINNED_CONFIGS[name]
 
+    # partition with full offers for a 3-knot template at 20,000 samples,
+    # at two seeds: the benchmark's partition-mix run, whose time is the MC
+    # group search's.  (bytes, sha256[:16]) as for the shipped configs.
+    PINNED_PARTITION_MIX = {
+        1: (399, "503331605dfbd9d4"),
+        101: (398, "8e59c25e94edb3c4"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_PARTITION_MIX))
+    def test_partition_mix_bytes_are_pinned(self, seed):
+        text = config_text(
+            command="partition", seed=seed, n_samples=20_000, N=36, budget=2,
+            mode="full",
+            distributions=[{"type": "piecewise_linear",
+                            "knots": [0.0, 0.4, 1.0],
+                            "densities": [0.6, 1.6, 0.8]}],
+        )
+        data = csv_text(run(parse_config(text))).encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()[:16]) == \
+            self.PINNED_PARTITION_MIX[seed]
+
     @pytest.mark.parametrize("name",
                              sorted(p.stem for p in CONFIGS.glob("*.json")))
     def test_config_runs_on_the_calling_thread(self, name, monkeypatch):

@@ -569,6 +569,174 @@ class TestHeldSample:
         assert bundle_argmax(np.array([2.0, 1.0])) == (1.0, 1.0)
 
 
+# Decimal valuations whose float sums depend on the order of the additions.
+DECIMALS = [0.05, 0.1, 0.2, 0.3, 0.6, 0.7]
+
+
+def _decimal_table(rows, n, seed):
+    return np.random.default_rng(seed).choice(DECIMALS, size=(rows, n))
+
+
+def _numpy_row_sums(v, prices):
+    """The kernel's definition: numpy's ``sum(axis=1)`` of the capped and
+    solo-payment matrices."""
+    a = np.array([math.inf if p is None else p for p in prices])
+    return (np.minimum(v, a).sum(axis=1),
+            np.where((v >= a) & np.isfinite(a), a, 0.0).sum(axis=1))
+
+
+class TestRowSumKernel:
+    """``_mc._cap_and_solo_sums`` gives numpy's own row sums to the bit:
+    column passes left to right below 8 customers, numpy's pairwise
+    ``sum(axis=1)`` from 8 on.  A numpy release that changes its row-sum
+    order fails here."""
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_matches_numpy_row_sums_bit_for_bit(self, n):
+        v = _decimal_table(3000, n, n)
+        rng = np.random.default_rng(100 + n)
+        # NO_SALE, 0, the upper bound M = 1, and prices that tie with values.
+        price_lists = [
+            [NO_SALE] * n,
+            [(NO_SALE, 0.0, 1.0, 0.3)[k % 4] for k in range(n)],
+            [(0.3, NO_SALE, 0.7, 0.0)[k % 4] for k in range(n)],
+            [0.0] * n,
+            [1.0] * n,
+        ] + [[(NO_SALE, 0.0, 0.05, 0.3, 0.7, 1.0)[k]
+              for k in rng.integers(0, 6, n)] for _ in range(4)]
+        for prices in price_lists:
+            want_cap, want_solo = _numpy_row_sums(v, prices)
+            cap, solo = _mc._cap_and_solo_sums(v, prices)
+            assert cap.tobytes() == want_cap.tobytes()
+            if all(p is None for p in prices):
+                assert solo is None
+            else:
+                assert solo.tobytes() == want_solo.tobytes()
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_the_table_tells_summation_orders_apart(self, n):
+        # Another order gives other floats on these rows, so the bitwise
+        # match above pins the order: reversed columns differ from numpy's
+        # sum, and from 8 columns on so does a left-to-right sum.
+        v = _decimal_table(3000, n, n)
+        numpy_sums = v.sum(axis=1)
+        if n != 8:
+            assert not np.array_equal(v[:, ::-1].sum(axis=1), numpy_sums)
+        left_to_right = np.array([_left_to_right(row) for row in v])
+        assert np.array_equal(left_to_right, numpy_sums) == (n < 8)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_held_sample_holds_its_one_batch_as_drawn(self, monkeypatch, n):
+        table = _decimal_table(2000, n, n)
+        drawn = []
+
+        def draw(dists, rows, rng):
+            drawn.append(table.copy())
+            return drawn[-1]
+
+        monkeypatch.setattr(_mc, "_draw", draw)
+        dists = [UNIFORM] * n
+        held = HeldSample(dists, 2000, 0)
+        assert len(drawn) == 1 and held.values is drawn[0]
+        assert not held.values.flags.writeable
+        assert held.bounds == [0, 2000]
+        sums = table.sum(axis=1).tobytes()
+        assert held.sums().tobytes() == sums
+        assert valuation_sums(dists, 2000, 0).tobytes() == sums
+        prices = [(NO_SALE, 0.0, 1.0, 0.3)[k % 4] for k in range(n)]
+        for got, want in zip(held._capped(prices), _numpy_row_sums(table,
+                                                                   prices)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _bundle_argmax_by_search(cap, solo=None):
+    """``bundle_argmax`` with binary searches for the ranks."""
+    if solo is None:
+        cap = np.sort(cap)
+    else:
+        order = np.argsort(cap)
+        cap = cap[order]
+        paid = np.concatenate(([0.0], np.cumsum(solo[order])))
+    below = np.searchsorted(cap, cap, side="left")
+    totals = cap * (cap.size - below)
+    if solo is not None:
+        totals += paid[below]
+    k = int(np.argmax(totals))
+    return float(cap[k]), float(totals[k]) / cap.size
+
+
+def _solo_argmax_by_search(x, t, solo, b):
+    """``_mc._solo_argmax`` with binary searches for the ranks."""
+    in_a = x >= t
+    order = np.argsort(t[in_a])
+    t_a = t[in_a][order]
+    gained = np.concatenate(([0.0], np.cumsum((b - solo[in_a])[order])))
+    x_b = np.sort(x[~in_a])
+    points = np.concatenate(([0.0], t_a[np.searchsorted(t_a, 0.0):], x_b))
+    bought = np.searchsorted(t_a, points, side="right")
+    paying = (t_a.size - bought
+              + x_b.size - np.searchsorted(x_b, points, side="left"))
+    totals = solo.sum() + gained[bought] + points * paying
+    best = totals.max()
+    return float(points[totals == best].min()), float(best) / x.size
+
+
+def _hex(pair):
+    return tuple(v.hex() for v in pair)
+
+
+SORTED_CASES = {
+    "empty": [],
+    "single": [0.3],
+    "all_equal": [0.2] * 7,
+    "ties": sorted(_decimal_table(300, 1, 0).ravel()),
+    "below_zero": [-0.6, -0.3, -0.3, -0.05, 0.0, 0.0, 0.1, 0.3, 0.3, 0.7],
+}
+
+
+class TestLineRanks:
+    """The line maximizers rank sorted points in linear time, with the
+    counts ``np.searchsorted`` gives, so they return the same floats."""
+
+    @pytest.mark.parametrize("name", sorted(SORTED_CASES))
+    def test_tie_starts_match_searchsorted(self, name):
+        s = np.array(SORTED_CASES[name], dtype=float)
+        assert np.array_equal(_mc._tie_starts(s),
+                              np.unique(np.searchsorted(s, s)))
+
+    @pytest.mark.parametrize("t_name", sorted(SORTED_CASES))
+    @pytest.mark.parametrize("x_name", sorted(SORTED_CASES))
+    def test_ranks_match_searchsorted(self, t_name, x_name):
+        t = np.array(SORTED_CASES[t_name], dtype=float)
+        x = np.array(SORTED_CASES[x_name], dtype=float)
+        points, t_le, x_lt = _mc._ranks(t, x)
+        want = np.unique(np.concatenate((t, x)))
+        assert points.tobytes() == want.tobytes()
+        assert np.array_equal(t_le, np.searchsorted(t, want, side="right"))
+        assert np.array_equal(x_lt, np.searchsorted(x, want))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 50, 2000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_line_argmaxes_match_binary_search(self, rows, seed):
+        # Tie-heavy valuations and thresholds, some below 0, some above
+        # every valuation, and payments that tie them.
+        rng = np.random.default_rng((rows, seed))
+        x = rng.choice(DECIMALS, rows)
+        t = rng.choice([-0.3, -0.05, 0.0, 0.1, 0.3, 0.6, 0.7, 0.9], rows)
+        solo = rng.choice([0.0, 0.05, 0.3], rows)
+        for b in (0.0, 0.35, 0.9, 2.0):
+            assert (_hex(_mc._solo_argmax(x, t, solo, b))
+                    == _hex(_solo_argmax_by_search(x, t, solo, b)))
+        # Every row in A, then every row in B.
+        for t_all in (np.full(rows, -0.1), np.full(rows, 0.8)):
+            assert (_hex(_mc._solo_argmax(x, t_all, solo, 0.9))
+                    == _hex(_solo_argmax_by_search(x, t_all, solo, 0.9)))
+        cap = rng.choice([0.0, 0.35, 0.4, 0.75, 1.3], rows)
+        assert _hex(bundle_argmax(cap)) == _hex(_bundle_argmax_by_search(cap))
+        assert (_hex(bundle_argmax(cap, solo))
+                == _hex(_bundle_argmax_by_search(cap, solo)))
+
+
 class TestVerifySurplusExtraction:
     def test_desk_scale(self):
         reports = verify_surplus_extraction(UNIFORM, [100, 1000])
