@@ -24,6 +24,16 @@ Each row's capped sum and solo payments are the floats of numpy's
 numpy adds a row left to right from 0, and the sums are built in that
 order, one column pass at a time; from there on numpy sums a row pairwise,
 and the matrices are summed with ``sum(axis=1)`` itself.
+
+Scratch the size of a sample is neither allocated nor faulted in per call.
+A batch is turned into valuations in place by transforms that work
+through blocks of about ``valuations._BLOCK`` values, and the row sums run
+over blocks of whole rows, so their scratch is one block.  A
+:class:`HeldSample` allocates its scratch once (a :class:`_Workspace` and
+a solo line's two input rows), and its lines and scores write into it
+with ``out=``.  Every value goes through the operations of the plain
+numpy expressions in their order, so neither the blocks nor the reuse
+change a float.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .bundles import BundleOffer
-from .valuations import ValuationDistribution
+from .valuations import _BLOCK, ValuationDistribution
 
 __all__ = ["HeldSample", "RevenueStats", "bundle_argmax", "revenue_stats",
            "valuation_sums"]
@@ -97,7 +107,7 @@ def _batches(dists, n_samples, seed):
                     _batch_rng(entropy, k))
 
 
-def _cap_and_solo_sums(v: np.ndarray, prices):
+def _cap_and_solo_sums(v: np.ndarray, prices, out=None):
     """Each row's ``sum_i min(V_i, a_i)`` and its solo payments
     ``sum_i a_i [V_i >= a_i]``, the latter ``None`` when nothing sells solo.
 
@@ -108,59 +118,84 @@ def _cap_and_solo_sums(v: np.ndarray, prices):
     same order instead, so the sums are the same floats.  A customer
     without a solo price adds 0 to the payments, which changes no sum of
     nonnegative values, and is skipped.
+
+    A row's sums do not depend on the other rows, so ``v`` is taken in
+    blocks of whole rows, and a call's scratch is one block: about
+    ``_BLOCK`` values of the pairwise sums, or one value for each of
+    ``_BLOCK`` rows of the column passes.  The sums are written to the
+    rows of ``out`` (two rows of ``len(v)``, the second unused when
+    nothing sells), by default a new array.
     """
     sells = any(a is not None for a in prices)
-    if v.shape[1] >= PAIRWISE_COLUMNS:
-        if not sells:
-            return v.sum(axis=1), None
-        a = np.array([math.inf if p is None else p for p in prices],
-                     dtype=float)
-        # The capped matrix is dropped before the solo pass, so a call
-        # holds one temporary the size of ``v`` at a time.
-        cap = np.minimum(v, a).sum(axis=1)
-        return cap, np.where((v >= a) & np.isfinite(a), a, 0.0).sum(axis=1)
-    rows = len(v)
-    cap = np.zeros(rows)
-    solo = np.zeros(rows) if sells else None
-    scratch = np.empty(rows)
-    bought = np.empty(rows, dtype=bool)
-    for column, a in zip(v.T, prices):
-        if a is None:
-            cap += column
-            continue
-        cap += np.minimum(column, a, out=scratch)
-        np.greater_equal(column, a, out=bought)
-        solo += np.multiply(bought, a, out=scratch)
+    rows, n = v.shape
+    if out is None:
+        out = np.empty((2 if sells else 1, rows))
+    cap, solo = out[0], (out[1] if sells else None)
+    if n >= PAIRWISE_COLUMNS:
+        a = np.array([math.inf if p is None else p for p in prices])
+        finite = np.isfinite(a)
+        step = max(1, _BLOCK // n)
+        for lo in range(0, rows, step):
+            block = v[lo:lo + step]
+            (np.minimum(block, a) if sells else block).sum(
+                axis=1, out=cap[lo:lo + step])
+            if sells:
+                np.where((block >= a) & finite, a, 0.0).sum(
+                    axis=1, out=solo[lo:lo + step])
+        return cap, solo
+    # The column passes' scratch is one value per row of a block.
+    scratch = np.empty(min(_BLOCK, rows))
+    bought = np.empty(min(_BLOCK, rows), dtype=bool)
+    for lo in range(0, rows, _BLOCK):
+        block, c = v[lo:lo + _BLOCK], cap[lo:lo + _BLOCK]
+        c.fill(0.0)
+        if sells:
+            s = solo[lo:lo + _BLOCK]
+            s.fill(0.0)
+            sc, bo = scratch[:len(block)], bought[:len(block)]
+        for column, p in zip(block.T, prices):
+            if p is None:
+                c += column
+                continue
+            c += np.minimum(column, p, out=sc)
+            np.greater_equal(column, p, out=bo)
+            s += np.multiply(bo, p, out=sc)
     return cap, solo
 
 
-def _select(cap: np.ndarray, solo, b: float):
+def _select(cap: np.ndarray, solo, b: float, rev: np.ndarray,
+            accept: np.ndarray):
     """Each row's revenue, ``b`` where its capped sum reaches ``b`` and its
-    solo payments elsewhere, and whether it takes the bundle."""
-    accept = cap >= b
-    return np.where(accept, b, 0.0 if solo is None else solo), accept
+    solo payments elsewhere, written to ``rev``, which may be ``cap``, and
+    whether it takes the bundle, written to ``accept``."""
+    np.greater_equal(cap, b, out=accept)
+    np.copyto(rev, 0.0 if solo is None else solo)
+    np.putmask(rev, accept, b)
+    return rev, accept
 
 
 def _row_revenues(v: np.ndarray, offer: BundleOffer):
-    return _select(*_cap_and_solo_sums(v, offer.individual_prices),
-                   offer.bundle_price)
+    cap, solo = _cap_and_solo_sums(v, offer.individual_prices)
+    return _select(cap, solo, offer.bundle_price, cap,
+                   np.empty(len(cap), dtype=bool))
 
 
 def _stats(b: float, n_samples: int, revenues) -> RevenueStats:
     """Reduce each batch's ``(revenues, accepted)`` to partial sums and
-    combine them in batch order."""
+    combine them in batch order; the revenue arrays are overwritten."""
     total = 0.0
     total_sq = 0.0
     accepted = 0
     # Taking one batch at a time lets a streamed sample drop each batch
     # once it is reduced.
     for rev, acc in revenues:
-        # Deviations from b: revenue concentrates near the bundle price for
-        # large groups, so centering there keeps the variance stable.
-        d = rev - b
         total += float(rev.sum())
-        total_sq += float((d * d).sum())
-        accepted += int(acc.sum())
+        # Deviations from b, in place of the revenues, which are not read
+        # again: revenue concentrates near the bundle price for large
+        # groups, so centering there keeps the variance stable.
+        d = np.subtract(rev, b, out=rev)
+        total_sq += float(np.multiply(d, d, out=d).sum())
+        accepted += int(np.count_nonzero(acc))
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * (mean - b) ** 2) / (n_samples - 1))
     return RevenueStats(
@@ -201,16 +236,38 @@ def valuation_sums(dists: Sequence[ValuationDistribution], n_samples: int,
          for v in _batches(dists, n_samples, seed)])
 
 
-def _tie_starts(s: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Scratch arrays for the lines and scores of a sample of ``rows``
+    rows, allocated once and written with ``out=``.
+
+    ``floats`` (four rows) and ``ints`` (three) hold ``rows + 2`` values
+    each: a line merges up to ``rows + 1`` points, and a running count of
+    them has one value more.  ``mask`` is bools of that length.  The
+    functions that take a workspace say which of its arrays they write; a
+    caller keeps its live values in arrays that its callees leave alone.
+    A function called without one builds its own; the rows it does not
+    write stay untouched, so they cost no page faults.
+    """
+
+    def __init__(self, rows: int):
+        self.floats = np.empty((4, rows + 2))
+        self.ints = np.empty((3, rows + 2), dtype=np.intp)
+        self.mask = np.empty(rows + 2, dtype=bool)
+
+
+def _tie_starts(s: np.ndarray, work: _Workspace | None = None
+                ) -> np.ndarray:
     """The index where each run of equal values of the sorted ``s`` starts,
-    in O(len(s)): ``np.searchsorted(s, s)`` of each distinct value."""
-    new = np.empty(s.size, dtype=bool)
+    in O(len(s)): ``np.searchsorted(s, s)`` of each distinct value.  Writes
+    ``work.mask``."""
+    new = (np.empty(s.size, dtype=bool) if work is None
+           else work.mask[:s.size])
     new[:1] = True
     np.not_equal(s[1:], s[:-1], out=new[1:])
     return np.flatnonzero(new)
 
 
-def _ranks(t: np.ndarray, x: np.ndarray):
+def _ranks(t: np.ndarray, x: np.ndarray, work: _Workspace | None = None):
     """The distinct values ``p`` of the sorted arrays ``t`` and ``x``
     together, ascending, with ``#{t <= p}`` and ``#{x < p}`` for each:
     ``np.searchsorted(t, p, "right")`` and ``np.searchsorted(x, p)``.
@@ -218,23 +275,32 @@ def _ranks(t: np.ndarray, x: np.ndarray):
     A stable argsort of ``t`` then ``x`` is a timsort, which finds the two
     sorted runs and merges them in linear time.  A running count of ``t``
     items read at the two ends of each run of equal values gives both
-    counts, whatever the order inside the run.
+    counts, whatever the order inside the run.  Writes ``work.floats[2:]``,
+    ``work.ints`` and ``work.mask``; the three results are views of
+    ``floats[2]``, ``ints[2]`` and ``ints[1]``.
     """
-    both = np.concatenate((t, x))
+    size = t.size + x.size
+    if work is None:
+        work = _Workspace(size)
+    both = np.concatenate((t, x), out=work.floats[2][:size])
     order = np.argsort(both, kind="stable")
-    merged = both[order]
-    starts = _tie_starts(merged)
+    merged = np.take(both, order, out=work.floats[3][:size], mode="clip")
+    starts = _tie_starts(merged, work)
     # from_t[k]: items of t among the first k merged values.
-    from_t = np.zeros(merged.size + 1, dtype=np.intp)
-    np.cumsum(order < t.size, out=from_t[1:])
-    ends = np.empty_like(starts)
+    from_t = work.ints[0][:size + 1]
+    from_t[0] = 0
+    np.cumsum(np.less(order, t.size, out=work.mask[:size]), out=from_t[1:])
+    ends = work.ints[1][:starts.size]
     ends[:-1] = starts[1:]
-    ends[-1:] = merged.size
-    return merged[starts], from_t[ends], starts - from_t[starts]
+    ends[-1:] = size
+    t_le = np.take(from_t, ends, out=work.ints[2][:starts.size], mode="clip")
+    x_lt = np.take(from_t, starts, out=ends, mode="clip")
+    return (np.take(merged, starts, out=both[:starts.size], mode="clip"),
+            t_le, np.subtract(starts, x_lt, out=x_lt))
 
 
-def bundle_argmax(cap: np.ndarray, solo: np.ndarray | None = None
-                  ) -> tuple[float, float]:
+def bundle_argmax(cap: np.ndarray, solo: np.ndarray | None = None,
+                  work: _Workspace | None = None) -> tuple[float, float]:
     """The smallest maximizer ``b`` of ``mean(where(cap >= b, b, solo))``
     over ``b >= 0``, and that mean; ``solo`` is 0 when ``None``.
 
@@ -245,24 +311,37 @@ def bundle_argmax(cap: np.ndarray, solo: np.ndarray | None = None
     :func:`_tie_starts`), and a prefix sum of ``solo`` in ``cap`` order
     gives what those rows pay.  ``cap`` and ``solo`` are summed as
     :func:`_cap_and_solo_sums` sums them, left to right below
-    :data:`PAIRWISE_COLUMNS` customers and pairwise from there.
+    :data:`PAIRWISE_COLUMNS` customers and pairwise from there.  Writes
+    ``work.floats``, ``work.ints[1]`` and ``work.mask``.
     """
+    size = cap.size
+    if work is None:
+        work = _Workspace(size)
+    paid, ordered, totals, gathered = work.floats
+    ordered = ordered[:size]
     if solo is None:
-        cap = np.sort(cap)
+        np.copyto(ordered, cap)
+        ordered.sort()
     else:
         order = np.argsort(cap)
-        cap = cap[order]
-        paid = np.concatenate(([0.0], np.cumsum(solo[order])))
-    below = _tie_starts(cap)
-    totals = cap[below] * (cap.size - below)
+        np.take(cap, order, out=ordered, mode="clip")
+        paid[0] = 0.0
+        np.cumsum(np.take(solo, order, out=totals[:size], mode="clip"),
+                  out=paid[1:size + 1])
+        del order
+    below = _tie_starts(ordered, work)
+    totals = np.take(ordered, below, out=totals[:below.size], mode="clip")
+    totals *= np.subtract(size, below, out=work.ints[1][:below.size])
     if solo is not None:
-        totals += paid[below]
+        totals += np.take(paid, below, out=gathered[:below.size],
+                          mode="clip")
     k = int(np.argmax(totals))
-    return float(cap[below[k]]), float(totals[k]) / cap.size
+    return float(ordered[below[k]]), float(totals[k]) / size
 
 
 def _solo_argmax(x: np.ndarray, t: np.ndarray, solo: np.ndarray,
-                 b: float) -> tuple[float, float]:
+                 b: float, work: _Workspace | None = None
+                 ) -> tuple[float, float]:
     """The least maximizer ``a >= 0`` of the mean revenue when one
     customer, with valuations ``x``, is offered ``a`` solo next to the
     bundle at ``b``, and that mean; ``solo`` is the other customers' solo
@@ -282,23 +361,52 @@ def _solo_argmax(x: np.ndarray, t: np.ndarray, solo: np.ndarray,
     sets are sorted, and :func:`_ranks` merges them in linear time to
     count each point's rows.  ``solo`` and ``t`` come from row sums taken
     as :func:`_cap_and_solo_sums` takes them, left to right below
-    :data:`PAIRWISE_COLUMNS` customers and pairwise from there.
+    :data:`PAIRWISE_COLUMNS` customers and pairwise from there.  Writes
+    ``work.floats``, ``work.ints`` and ``work.mask``.
     """
-    in_a = x >= t
-    t_a = t[in_a]
+    if work is None:
+        work = _Workspace(x.size)
+    gained, line = work.floats[:2]
+    in_a = np.greater_equal(x, t, out=work.mask[:x.size])
+    # Row indices and takes select the same values as boolean indexing,
+    # at a quarter of its cost.
+    rows_a = np.flatnonzero(in_a)
+    k = rows_a.size
+    t_a = np.take(t, rows_a, out=gained[:k], mode="clip")
     order = np.argsort(t_a)
-    t_a = t_a[order]
-    gained = np.concatenate(([0.0], np.cumsum((b - solo[in_a])[order])))
-    x_b = np.sort(x[~in_a])
+    # line: the candidate 0, the sorted thresholds after it, then x_b.
+    sorted_t = np.take(t_a, order, out=line[1:k + 1], mode="clip")
+    pay = np.take(solo, np.take(rows_a, order, out=work.ints[0][:k],
+                                mode="clip"),
+                  out=work.floats[2][:k], mode="clip")
+    np.subtract(b, pay, out=pay)
+    gained[0] = 0.0
+    np.cumsum(pay, out=gained[1:k + 1])
+    del rows_a, order
+    rows_b = np.flatnonzero(np.logical_not(in_a, out=in_a))
+    x_b = np.take(x, rows_b, out=line[k + 1:x.size + 1], mode="clip")
+    x_b.sort()
     # The candidate 0 runs with the thresholds from 0 on, so each point's
     # count of them includes it once and leaves out the ``below`` under 0.
-    below = int(np.searchsorted(t_a, 0.0))
-    points, t_le, x_lt = _ranks(np.concatenate(([0.0], t_a[below:])), x_b)
-    bought = t_le + (below - 1)
-    paying = t_a.size - bought + x_b.size - x_lt
-    totals = solo.sum() + gained[bought] + points * paying
-    best = totals.max()
-    return float(points[totals == best].min()), float(best) / x.size
+    below = int(np.searchsorted(sorted_t, 0.0))
+    line[below] = 0.0
+    points, t_le, x_lt = _ranks(line[below:k + 1], x_b, work)
+    bought = np.add(t_le, below - 1, out=t_le)
+    paying = np.subtract(x.size, bought, out=work.ints[0][:t_le.size])
+    paying -= x_lt
+    totals = np.take(gained, bought, out=line[:t_le.size], mode="clip")
+    totals += solo.sum()
+    totals += np.multiply(points, paying, out=work.floats[3][:t_le.size])
+    # The points ascend, so the first best total is at the least argmax.
+    best = int(np.argmax(totals))
+    return float(points[best]), float(totals[best]) / x.size
+
+
+def _next_up(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.nextafter(y, inf)`` for finite ``y >= +0``, written to ``out``:
+    there the next float up has the next int64 bit pattern."""
+    np.add(y.view(np.int64), 1, out=out.view(np.int64))
+    return out
 
 
 class HeldSample:
@@ -319,6 +427,16 @@ class HeldSample:
     price of an offer and return its exact argmax over the sample with the
     mean there, summed in sort order, which agrees with :meth:`score` to
     rounding.
+
+    The sample holds one :class:`_Workspace` and a solo line's thresholds
+    and payments, and the two price vectors' sums are written into two
+    reused buffers, so a score or a line allocates nothing of the
+    sample's size but its sorts' permutations and the row indices of the
+    subsets it sorts.  Every intermediate is
+    written with ``out=`` in the order the plain expressions evaluate it,
+    and each sort, merge and prefix sum runs on the same values in the
+    same order as in those expressions, so the floats are the same to the
+    bit.
     """
 
     def __init__(self, dists: Sequence[ValuationDistribution],
@@ -340,19 +458,26 @@ class HeldSample:
             self.values = held
         self.values.flags.writeable = False
         self._rows: dict = {}
+        self._work = _Workspace(n_samples)
+        # A solo line's per-row thresholds and payments, its inputs to
+        # :func:`_solo_argmax`.
+        self._threshold, self._payment = np.empty((2, n_samples))
 
     def _capped(self, prices):
         """:func:`_cap_and_solo_sums` of the sample for ``prices``.  The two
         price vectors used last keep theirs: a search step reads the
-        current offer's and scores one trial."""
+        current offer's and scores one trial.  A third vector's sums
+        overwrite the buffer of the one used longest ago, so the arrays
+        returned hold until two other vectors have been summed."""
         key = tuple(prices)
-        sums = self._rows.pop(key, None)
-        if sums is None:
-            sums = _cap_and_solo_sums(self.values, key)
-            if len(self._rows) == 2:
-                del self._rows[next(iter(self._rows))]
-        self._rows[key] = sums
-        return sums
+        entry = self._rows.pop(key, None)
+        if entry is None:
+            buffer = (self._rows.pop(next(iter(self._rows)))[0]
+                      if len(self._rows) == 2
+                      else np.empty((2, self.n_samples)))
+            entry = buffer, _cap_and_solo_sums(self.values, key, out=buffer)
+        self._rows[key] = entry
+        return entry[1]
 
     def sums(self) -> np.ndarray:
         """Each profile's ``sum_i V_i``: :func:`valuation_sums`' values."""
@@ -363,9 +488,11 @@ class HeldSample:
         _check_length(offer.n, self.n)
         b = offer.bundle_price
         cap, solo = self._capped(offer.individual_prices)
+        work = self._work
         rows = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         return _stats(b, self.n_samples,
-                      (_select(cap[r], None if solo is None else solo[r], b)
+                      (_select(cap[r], None if solo is None else solo[r], b,
+                               work.floats[0][r], work.mask[r])
                        for r in rows))
 
     def best_bundle_price(self, prices) -> tuple[float, float]:
@@ -375,7 +502,7 @@ class HeldSample:
         so the row at the returned price accepts there.
         """
         _check_length(len(prices), self.n)
-        return bundle_argmax(*self._capped(prices))
+        return bundle_argmax(*self._capped(prices), self._work)
 
     def best_solo_price(self, prices, i: int, b: float
                         ) -> tuple[float, float]:
@@ -400,15 +527,31 @@ class HeldSample:
         """
         _check_length(len(prices), self.n)
         cap, solo = self._capped(prices)
+        work = self._work
         x = self.values[:, i]
         a = prices[i]
-        y = x if a is None else np.minimum(x, a)
-        if solo is None:
-            solo = np.zeros_like(cap)
-        if a is not None:
-            # A new array: the held solo payments stay as they are.
-            solo = solo - (x >= a) * a
-        t = b - (cap - y) + 2 * self.n * 2.0**-53 * (b + cap)
-        moved = np.maximum(t, np.nextafter(y, math.inf))
-        np.putmask(moved, cap >= b, np.minimum(t, y))
-        return _solo_argmax(x, moved, solo, b)
+        y, t, margin = work.floats[:3, :self.n_samples]
+        mask = work.mask[:self.n_samples]
+        if a is None:
+            y = x
+            if solo is None:
+                solo = self._payment
+                solo.fill(0.0)
+        else:
+            np.minimum(x, a, out=y)
+            # Into the workspace: the held solo payments stay as they are.
+            paid = np.multiply(np.greater_equal(x, a, out=mask), a,
+                               out=self._payment)
+            solo = np.subtract(solo, paid, out=paid)
+        # t = b - (cap - y) + 2 n u (b + cap), evaluated in that order.
+        np.subtract(b, np.subtract(cap, y, out=t), out=t)
+        np.multiply(2 * self.n * 2.0**-53, np.add(b, cap, out=margin),
+                    out=margin)
+        t += margin
+        # Valuations are finite and at least +0, so y is too, and the next
+        # float up is the next bit pattern (np.nextafter costs ten times
+        # more).
+        moved = np.maximum(t, _next_up(y, margin), out=self._threshold)
+        np.putmask(moved, np.greater_equal(cap, b, out=mask),
+                   np.minimum(t, y, out=t))
+        return _solo_argmax(x, moved, solo, b, work)

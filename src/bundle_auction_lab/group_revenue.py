@@ -278,8 +278,9 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     search deterministic.  The sample is drawn once per call as a
     :class:`~bundle_auction_lab._mc.HeldSample`, ``n_samples * n * 8``
     bytes until the call returns (4.8 MB at 100,000 samples of a
-    six-customer group), next to a few arrays of ``n_samples`` values per
-    line; pure-bundle mode holds only the ``n_samples`` sums.  The returned
+    six-customer group), next to its workspace and cached row sums,
+    thirteen arrays of ``n_samples`` values, which every line and score
+    reuses; pure-bundle mode holds only the ``n_samples`` sums.  The returned
     value is the :func:`revenue_stats` mean of the returned offer in full
     mode; in pure-bundle mode it is the sorted-sum line's mean at ``b``,
     which can differ from that mean by about 1e-15.  Sampling runs on the
@@ -303,7 +304,7 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
         return held.score(BundleOffer(tuple(prices), b)).mean
 
     prices: list[Optional[float]] = [NO_SALE] * n
-    b_best, _ = bundle_argmax(held.sums())
+    b_best, _ = bundle_argmax(held.sums(), work=held._work)
     current = offer_value(prices, b_best)
     # Seed the singles reduction (b equal to the sum of the optimal single
     # prices) so the search never settles below independent pricing.

@@ -28,6 +28,9 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-9
 
+#: Values per block of the sampler's and ``_mc``'s scratch (64 KiB).
+_BLOCK = 1 << 13
+
 #: Taylor coefficients ``(-1)^k / (k! (j + k + 1))`` of
 #: ``A_j(x) = int_0^1 u^j e^{-x u} du`` for j = 1, 2, 3, highest power
 #: first; below ``x = 1/2`` the omitted terms are under 1e-20 of ``A_j``.
@@ -255,54 +258,62 @@ class ValuationDistribution:
         """Closed-form inverse CDF for arrays of probabilities.
 
         Solves the segment quadratic ``cum[j] + d*t + s*t^2/2 = u`` in the
-        numerically stable rationalized form
-        ``t = 2 du / (d + sqrt(d*d + 2 s du))``, ``du = u - cum[j]``.
-        :meth:`quantile` and the bulk samplers both use it.
-
-        The result is written to ``out``, which may be ``u`` itself (the
-        sampler transforms its uniform draws in place), or by default to a
-        new array; ``u`` is never written unless it is ``out``.  Each step
-        of the formula is one in-place numpy pass in the formula's order, so
-        the values are bit-identical to evaluating it term by term.  On a
-        zero-slope segment ``sqrt(d*d) == d`` in floats, so the solve is
-        exactly ``u / d``; a uniform density takes that shortcut, and every
-        other density, a one-segment ramp included, the general passes.
+        stable form ``t = 2 du / (d + sqrt(d*d + 2 s du))``,
+        ``du = u - cum[j]``, for :meth:`quantile` and the samplers.  The
+        result goes to ``out``, which may be ``u`` (the sampler works in
+        place), or to a new array; ``u`` is written only if it is ``out``.
+        Each step is one in-place pass in the formula's order, so the
+        values are the formula's, term by term.  A uniform density is
+        exactly ``u / d`` (``sqrt(d*d) == d``); any other, a one-segment
+        ramp included, takes the general passes.  These run over blocks of
+        rows, about ``_BLOCK`` values, reusing one block of scratch, so a
+        call allocates a few blocks whatever the size of ``u``; no value
+        depends on the blocks.
         """
         u = np.asarray(u, dtype=float)
         result = np.empty_like(u) if out is None else out
-        # Passes with out= need arrays (ufuncs return scalars for 0-d input),
-        # so 0-d input is solved through one-element views.
+        # Passes with out= need arrays (ufuncs return scalars for 0-d input).
         u, out = np.atleast_1d(u, result)
         if self._slopes.size == 1 and self._slopes[0] == 0.0:
             np.divide(u, self._dens[0], out=out)
             np.minimum(out, self.upper_bound, out=out)
             return result
-        # The segment of u is the number of interior CDF knots at or below
-        # it: on [0, 1] that is searchsorted(cum, u, "right") - 1 clipped to
-        # the last segment, and a few comparisons cost less than the search.
-        idx = np.zeros(u.shape, dtype=np.intp)
-        for knot in self._cum[1:-1]:
-            idx += u >= knot
-        # Per-segment tables: gathering d*d and 2*s gives the same floats as
-        # squaring and doubling the gathered d and s.
+        rows = len(u)
+        step = max(1, _BLOCK * rows // max(1, u.size))
+        # The segment index, and two floats: 2*du, 2*s*du and d*d are live
+        # at once.
+        shape = (min(step, rows),) + u.shape[1:]
+        idx_block = np.empty(shape, dtype=np.intp)
+        a_block, b_block = np.empty((2,) + shape)
+        # Gathering d*d and 2*s gives the floats of squaring and doubling
+        # the gathered d and s.
         dens = self._dens[:-1]
-        # Two scratch arrays: 2*du, 2*s*du and d*d are live at once.
-        a = np.take(self._cum, idx, mode="clip")
-        np.subtract(u, a, out=a)
-        np.maximum(a, 0.0, out=a)  # du; u is not read after this
-        b = np.take(2.0 * self._slopes, idx, mode="clip")
-        np.multiply(b, a, out=b)  # 2 s du
-        np.multiply(a, 2.0, out=out)  # 2 du
-        np.take(dens * dens, idx, out=a, mode="clip")
-        np.add(a, b, out=a)
-        np.sqrt(a, out=a)
-        np.take(dens, idx, out=b, mode="clip")
-        np.add(b, a, out=a)  # d + disc
-        np.divide(out, a, out=out)  # t
-        np.take(self._widths, idx, out=a, mode="clip")
-        np.minimum(out, a, out=out)
-        np.take(self._knots, idx, out=a, mode="clip")
-        np.add(a, out, out=out)
+        dens_sq, slopes_2 = dens * dens, 2.0 * self._slopes
+        for lo in range(0, rows, step):
+            ub, ob = u[lo:lo + step], out[lo:lo + step]
+            m = len(ub)
+            idx, a, b = idx_block[:m], a_block[:m], b_block[:m]
+            # searchsorted(cum, u, "right") - 1, clipped to the last
+            # segment, by a few comparisons, which cost less.
+            idx.fill(0)
+            for knot in self._cum[1:-1]:
+                idx += ub >= knot
+            np.take(self._cum, idx, out=a, mode="clip")
+            np.subtract(ub, a, out=a)
+            np.maximum(a, 0.0, out=a)  # du; u is not read after this
+            np.take(slopes_2, idx, out=b, mode="clip")
+            np.multiply(b, a, out=b)  # 2 s du
+            np.multiply(a, 2.0, out=ob)  # 2 du
+            np.take(dens_sq, idx, out=a, mode="clip")
+            np.add(a, b, out=a)
+            np.sqrt(a, out=a)
+            np.take(dens, idx, out=b, mode="clip")
+            np.add(b, a, out=a)  # d + disc
+            np.divide(ob, a, out=ob)  # t
+            np.take(self._widths, idx, out=a, mode="clip")
+            np.minimum(ob, a, out=ob)
+            np.take(self._knots, idx, out=a, mode="clip")
+            np.add(a, ob, out=ob)
         return result
 
 

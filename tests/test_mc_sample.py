@@ -7,10 +7,12 @@ estimates.
 """
 
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from bundle_auction_lab import _mc
+from bundle_auction_lab import _mc, valuations
 from bundle_auction_lab._mc import revenue_stats, valuation_sums
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
@@ -89,3 +91,277 @@ def test_the_sample_depends_on_the_batch_size(monkeypatch):
     monkeypatch.setattr(_mc, "BATCH_ELEMENTS", 1 << 12)
     assert default == 12.475
     assert revenue_stats(dists, offer, 5000, 3).mean == 12.34
+
+
+BLOCK = valuations._BLOCK
+
+
+def _quantile_reference(d, u):
+    """The sampler's formula over the whole array at once, with no blocks
+    and no ``out=``: ``knot + min(2 du / (d + sqrt(d d + 2 s du)), w)``."""
+    if d._slopes.size == 1 and d._slopes[0] == 0.0:
+        return np.minimum(u / d._dens[0], d.upper_bound)
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for knot in d._cum[1:-1]:
+        idx += u >= knot
+
+    def at(table):
+        return np.take(table, idx, mode="clip")
+
+    dens = d._dens[:-1]
+    du = np.maximum(u - at(d._cum), 0.0)
+    t = 2.0 * du / (at(dens) + np.sqrt(at(dens * dens) + at(2.0 * d._slopes)
+                                       * du))
+    return at(d._knots) + np.minimum(t, at(d._widths))
+
+
+def _uniforms(shape, seed):
+    """Uniform draws with 0, the CDF's interior knots and values next to
+    them mixed in."""
+    u = np.random.default_rng(seed).random(shape)
+    edges = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+    for d in DISTS.values():
+        for c in d._cum[1:-1]:
+            edges += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+    flat = u.reshape(-1)
+    flat[:len(edges)] = edges[:flat.size]
+    return u
+
+
+class TestSamplerBlocks:
+    """The sampler transforms blocks of about ``_BLOCK`` values; every
+    value is still the unblocked formula's, to the bit."""
+
+    @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                      3 * BLOCK + 5])
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_matches_the_unblocked_formula(self, name, size):
+        d = DISTS[name]
+        u = _uniforms(size, size)
+        kept = u.copy()
+        want = _quantile_reference(d, u).tobytes()
+        assert d._quantile_array(u).tobytes() == want
+        other = np.full_like(u, np.nan)
+        assert d._quantile_array(u, out=other) is other
+        assert other.tobytes() == want
+        assert u.tobytes() == kept.tobytes()
+        assert d._quantile_array(u, out=u) is u
+        assert u.tobytes() == want
+
+    @pytest.mark.parametrize("shape", [(BLOCK // 3 + 1, 3), (5, 3000),
+                                       (2, BLOCK + 3), (BLOCK, 1)])
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_two_dimensional_and_strided_input(self, name, shape):
+        d = DISTS[name]
+        u = _uniforms(shape, 1)
+        want = _quantile_reference(d, u).tobytes()
+        assert d._quantile_array(u).tobytes() == want
+        # A strided view transformed in place, as a mixed batch's columns
+        # are: the other columns stay as they are.
+        wide = np.repeat(u, 2, axis=1)
+        view = wide[:, ::2]
+        d._quantile_array(view, out=view)
+        assert np.ascontiguousarray(view).tobytes() == want
+        assert wide[:, 1::2].tobytes() == u.tobytes()
+
+    def test_scalar_quantile(self):
+        for d in DISTS.values():
+            for q in (0.0, 0.3, 1.0):
+                assert d.quantile(q) == float(_quantile_reference(
+                    d, np.array([q]))[0])
+
+
+class TestNextUp:
+    """A solo line's ``np.nextafter(y, inf)`` is an increment of the bit
+    pattern, exact for the finite ``y >= +0`` it is applied to."""
+
+    def test_matches_nextafter_bit_for_bit(self):
+        tiny = np.nextafter(0.0, 1.0)
+        y = [0.0, tiny, 2 * tiny, np.finfo(float).tiny, 0.1, 0.3, 1.0]
+        y += [np.nextafter(2.0 ** k, 0.0) for k in range(-3, 4)]
+        y += [2.0 ** k for k in range(-3, 4)]
+        y += [d.upper_bound for d in DISTS.values()]
+        y += [np.nextafter(d.upper_bound, 0.0) for d in DISTS.values()]
+        y += [np.finfo(float).max / 2]
+        y = np.array(y)
+        want = np.nextafter(y, np.inf)
+        out = np.full_like(y, np.nan)
+        assert _mc._next_up(y, out) is out
+        assert out.tobytes() == want.tobytes()
+        # A strided column of the held sample works as well.
+        wide = np.repeat(y[:, None], 3, axis=1)
+        assert _mc._next_up(wide[:, 1], out).tobytes() == want.tobytes()
+
+
+def _sums_reference(v, prices):
+    """Each row's capped sum and solo payments as plain numpy expressions:
+    ``sum(axis=1)`` from 8 customers on, running column totals below."""
+    sells = any(a is not None for a in prices)
+    if v.shape[1] >= _mc.PAIRWISE_COLUMNS:
+        a = np.array([np.inf if p is None else p for p in prices])
+        if not sells:
+            return v.sum(axis=1), None
+        return (np.minimum(v, a).sum(axis=1),
+                np.where((v >= a) & np.isfinite(a), a, 0.0).sum(axis=1))
+    cap = np.zeros(len(v))
+    solo = np.zeros(len(v)) if sells else None
+    for column, a in zip(v.T, prices):
+        if a is None:
+            cap += column
+            continue
+        cap += np.minimum(column, a)
+        solo += (column >= a) * a
+    return cap, solo
+
+
+def _score_reference(held, prices, b):
+    """``HeldSample.score``: ``np.where`` revenues reduced batch by batch."""
+    cap, solo = _sums_reference(held.values, prices)
+    total = total_sq = 0.0
+    accepted = 0
+    for lo, hi in zip(held.bounds, held.bounds[1:]):
+        accept = cap[lo:hi] >= b
+        rev = np.where(accept, b, 0.0 if solo is None else solo[lo:hi])
+        d = rev - b
+        total += float(rev.sum())
+        total_sq += float((d * d).sum())
+        accepted += int(accept.sum())
+    rows = held.n_samples
+    mean = total / rows
+    var = max(0.0, (total_sq - rows * (mean - b) ** 2) / (rows - 1))
+    return mean, float(np.sqrt(var / rows)), accepted / rows
+
+
+def _bundle_line_reference(cap, solo=None):
+    """``bundle_argmax`` by a sort, boolean run starts and concatenation."""
+    if solo is None:
+        cap = np.sort(cap)
+    else:
+        order = np.argsort(cap)
+        cap = cap[order]
+        paid = np.concatenate(([0.0], np.cumsum(solo[order])))
+    below = np.flatnonzero(np.concatenate(([True], cap[1:] != cap[:-1])))
+    totals = cap[below] * (cap.size - below)
+    if solo is not None:
+        totals += paid[below]
+    k = int(np.argmax(totals))
+    return float(cap[below[k]]), float(totals[k]) / cap.size
+
+
+def _solo_line_reference(held, prices, i, b):
+    """``HeldSample.best_solo_price`` by ``np.nextafter``, ``np.putmask``,
+    boolean indexing and binary searches for the ranks."""
+    cap, solo = _sums_reference(held.values, prices)
+    x = held.values[:, i]
+    a = prices[i]
+    y = x if a is None else np.minimum(x, a)
+    if solo is None:
+        solo = np.zeros_like(cap)
+    if a is not None:
+        solo = solo - (x >= a) * a
+    t = b - (cap - y) + 2 * held.n * 2.0**-53 * (b + cap)
+    moved = np.maximum(t, np.nextafter(y, np.inf))
+    np.putmask(moved, cap >= b, np.minimum(t, y))
+    in_a = x >= moved
+    t_a = moved[in_a]
+    order = np.argsort(t_a)
+    t_a = t_a[order]
+    gained = np.concatenate(([0.0], np.cumsum((b - solo[in_a])[order])))
+    x_b = np.sort(x[~in_a])
+    below = int(np.searchsorted(t_a, 0.0))
+    line = np.concatenate(([0.0], t_a[below:]))
+    points = np.unique(np.concatenate((line, x_b)))
+    bought = np.searchsorted(line, points, "right") + (below - 1)
+    paying = t_a.size - bought + x_b.size - np.searchsorted(x_b, points)
+    totals = solo.sum() + gained[bought] + points * paying
+    best = totals.max()
+    return float(points[totals == best].min()), float(best) / x.size
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+class TestHeldSampleBits:
+    """A held sample's workspace and its two reused row-sum buffers change
+    no bit: a run of calls that reuses and evicts them gives the floats of
+    the plain numpy expressions."""
+
+    @pytest.mark.parametrize("batch_elements", [1 << 21, 1 << 12])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_calls_in_turn_match_plain_numpy(self, monkeypatch, n,
+                                             batch_elements):
+        monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
+        dists = [DISTS[k] for k in ("template", "ramp", "uniform_1")] * 3
+        held = _mc.HeldSample(dists[:n], 3000, (n, 9))
+        assert (len(held.bounds) == 2) == (batch_elements == 1 << 21)
+        v = held.values
+        # Prices and bundle prices taken from the sample, as the search
+        # takes them, so rows tie with them.
+        first = [NO_SALE, float(v[5, 1])] + [0.4] * (n - 2)
+        second = [float(v[7, 0])] + [NO_SALE] * (n - 1)
+        third = [0.2] * n
+        plain = [NO_SALE] * n
+        b = float(_sums_reference(v, first)[0][11])
+        calls = [("score", first, b), ("solo", first, 0), ("bundle", first),
+                 ("solo", first, 1), ("score", second, b - 0.1),
+                 ("solo", second, 0), ("solo", third, n - 1),
+                 ("score", first, b), ("solo", first, 1), ("bundle", first),
+                 ("bundle", third), ("solo", plain, 2), ("score", plain, b),
+                 ("score", third, b), ("solo", second, 1)]
+        for call in calls:
+            kind, prices = call[:2]
+            if kind == "score":
+                stats = held.score(BundleOffer(tuple(prices), call[2]))
+                got = (stats.mean, stats.std_error, stats.accept_prob)
+                want = _score_reference(held, prices, call[2])
+            elif kind == "solo":
+                got = held.best_solo_price(prices, call[2], b)
+                want = _solo_line_reference(held, prices, call[2], b)
+            else:
+                got = held.best_bundle_price(prices)
+                want = _bundle_line_reference(*_sums_reference(v, prices))
+            assert _hex(got) == _hex(want), call
+        sums = held.sums()
+        assert sums.tobytes() == _sums_reference(v, plain)[0].tobytes()
+        assert (_hex(_mc.bundle_argmax(sums, work=held._work))
+                == _hex(_bundle_line_reference(sums)))
+
+
+def _peak_bytes(call):
+    """Peak traced allocation of ``call()`` after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationBudget:
+    """Scratch the size of a sample is allocated once, not per call."""
+
+    def test_solo_line_allocates_little(self):
+        rows = 20_000
+        held = _mc.HeldSample([DISTS["template"]] * 3, rows, 3)
+        for prices in ([0.5, NO_SALE, 0.7], [NO_SALE] * 3):
+            peak = _peak_bytes(lambda: held.best_solo_price(prices, 0, 1.2))
+            assert peak <= 5 * rows * 8
+
+    @pytest.mark.parametrize("name", ["ramp", "template"])
+    def test_sampler_scratch_is_a_few_blocks(self, name):
+        # Three scratch blocks, a comparison's bools and numpy's buffer
+        # for adding them to the segment index, whatever the size of u.
+        d = DISTS[name]
+        peaks = []
+        for size in (4 * BLOCK, 40 * BLOCK + 3):
+            u0 = _uniforms(size, 2)
+            u = u0.copy()
+
+            def transform():
+                np.copyto(u, u0)
+                d._quantile_array(u, out=u)
+
+            peaks.append(_peak_bytes(transform))
+        assert peaks[0] == peaks[1] <= 5 * BLOCK * 8
