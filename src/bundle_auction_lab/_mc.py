@@ -273,11 +273,14 @@ def _ranks(t: np.ndarray, x: np.ndarray, work: _Workspace | None = None):
     ``np.searchsorted(t, p, "right")`` and ``np.searchsorted(x, p)``.
 
     A stable argsort of ``t`` then ``x`` is a timsort, which finds the two
-    sorted runs and merges them in linear time.  A running count of ``t``
-    items read at the two ends of each run of equal values gives both
-    counts, whatever the order inside the run.  Writes ``work.floats[2:]``,
-    ``work.ints`` and ``work.mask``; the three results are views of
-    ``floats[2]``, ``ints[2]`` and ``ints[1]``.
+    sorted runs and merges them in linear time, keeping each run's order.
+    So the merged item at position ``j`` with ``o = order[j]`` has
+    ``o + 1`` items of ``t`` up to it when it is ``t[o]``, and
+    ``j + len(t) - o`` when it is an item of ``x``.  Read at the last item
+    of each run of equal values, that is ``#{t <= p}``; read at the last
+    item of the run before, it leaves ``#{x < p}`` of the run's start.
+    Writes ``work.floats[2:]``, ``work.ints`` and ``work.mask``; the three
+    results are views of ``floats[2]``, ``ints[2]`` and ``ints[1]``.
     """
     size = t.size + x.size
     if work is None:
@@ -286,17 +289,22 @@ def _ranks(t: np.ndarray, x: np.ndarray, work: _Workspace | None = None):
     order = np.argsort(both, kind="stable")
     merged = np.take(both, order, out=work.floats[3][:size], mode="clip")
     starts = _tie_starts(merged, work)
-    # from_t[k]: items of t among the first k merged values.
-    from_t = work.ints[0][:size + 1]
-    from_t[0] = 0
-    np.cumsum(np.less(order, t.size, out=work.mask[:size]), out=from_t[1:])
-    ends = work.ints[1][:starts.size]
-    ends[:-1] = starts[1:]
-    ends[-1:] = size
-    t_le = np.take(from_t, ends, out=work.ints[2][:starts.size], mode="clip")
-    x_lt = np.take(from_t, starts, out=ends, mode="clip")
-    return (np.take(merged, starts, out=both[:starts.size], mode="clip"),
-            t_le, np.subtract(starts, x_lt, out=x_lt))
+    runs = starts.size
+    last = work.ints[1][:runs]
+    np.subtract(starts[1:], 1, out=last[:-1])
+    last[-1:] = size - 1
+    t_le = np.take(order, last, out=work.ints[2][:runs], mode="clip")
+    if_x = np.subtract(last, t_le, out=work.ints[0][:runs])
+    if_x += t.size
+    t_le += 1
+    # The count that applies is the smaller: an item of t has j >= o, so
+    # o + 1 <= j + len(t) - o, and an item of x has j <= o.
+    np.minimum(t_le, if_x, out=t_le)
+    x_lt = last
+    x_lt[:1] = 0
+    np.subtract(starts[1:], t_le[:-1], out=x_lt[1:])
+    return (np.take(merged, starts, out=both[:runs], mode="clip"),
+            t_le, x_lt)
 
 
 def bundle_argmax(cap: np.ndarray, solo: np.ndarray | None = None,

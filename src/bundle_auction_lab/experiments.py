@@ -412,15 +412,9 @@ def _run_pair_opt(config):
     d1, d2 = config.built
     budget = config.budget or 15
     columns = ("mode", "a_1", "a_2", "bundle_price", "expected_revenue")
-    rows = []
-    offer, value = optimize_pair_offer(d1, d2, budget)
-    rows.append(("full", offer.individual_prices[0], offer.individual_prices[1],
-                 offer.bundle_price, value))
-    offer_pb, value_pb = optimize_pair_offer(
-        d1, d2, budget, pure_bundle_only=True
-    )
-    rows.append(("pure_bundle", offer_pb.individual_prices[0],
-                 offer_pb.individual_prices[1], offer_pb.bundle_price, value_pb))
+    rows = [(mode, *offer.individual_prices, offer.bundle_price, value)
+            for mode, (offer, value) in zip(("full", "pure_bundle"),
+                                            optimize_pair_offer(d1, d2, budget))]
     return columns, rows, None, ()
 
 
@@ -510,8 +504,8 @@ def partition_result(config: ExperimentConfig):
     for size, customers in class_sizes.items():
         group_count = customers / size
         if size == 2:
-            offer, value = optimize_pair_offer(dist, dist, budget,
-                                               grid_points=16)
+            (offer, value), _ = optimize_pair_offer(dist, dist, budget,
+                                                    grid_points=16)
             err = 0.0
         else:
             offer, _ = optimize_group_offer(

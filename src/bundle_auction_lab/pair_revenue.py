@@ -27,7 +27,8 @@ from the single-price optima, the five-region decomposition of the positive
 quadrant used to compare the two strategies region by region (read off
 the kernel's breakdown of the offer), the epsilon-line's exact maximizer,
 and a deterministic pair-offer optimizer: one coarse grid, then at most
-``budget`` zoom grids around the incumbent, one kernel call each.
+``budget`` zoom rounds for the best offer and the best pure bundle
+together, one kernel call each.
 """
 
 from __future__ import annotations
@@ -558,31 +559,7 @@ def verify_pair_improvement(d1: ValuationDistribution,
 def _mesh(ax1, ax2, axb) -> np.ndarray:
     """Columns a1, a2, b of every offer in ``ax1 x ax2 x axb``, ``ax1``
     varying slowest."""
-    grid = np.meshgrid(ax1, ax2, axb, indexing="ij")
-    return np.stack([g.ravel() for g in grid])
-
-
-def _grid_columns(d1, d2, ax1, ax2, axb, pure_bundle_only: bool
-                  ) -> np.ndarray:
-    """Columns a1, a2, b of the optimizer's grid, NaN for NO_SALE, in the
-    order seed offer, then patterns x a1 x a2 x b.
-
-    The per-pattern blocks die with this frame, so they are not held while
-    the grid is evaluated.
-    """
-    if pure_bundle_only:
-        patterns = [(False, False)]
-    else:
-        patterns = [(True, True), (True, False), (False, True), (False, False)]
-    blocks = []
-    if not pure_bundle_only:
-        s1 = optimal_single_price(d1)
-        s2 = optimal_single_price(d2)
-        blocks.append(np.array([[s1.price], [s2.price], [s1.price + s2.price]]))
-    for fin1, fin2 in patterns:
-        blocks.append(_mesh(ax1 if fin1 else [math.nan],
-                            ax2 if fin2 else [math.nan], axb))
-    return np.concatenate(blocks, axis=1)
+    return np.stack(np.meshgrid(ax1, ax2, axb, indexing="ij")).reshape(3, -1)
 
 
 def _zoom_axis(x: float, h: float, hi: float) -> list[float]:
@@ -593,50 +570,71 @@ def _zoom_axis(x: float, h: float, hi: float) -> list[float]:
     return [x] + [v for v in (max(0.0, x - h), min(hi, x + h)) if v != x]
 
 
+def _top(columns, values):
+    """The first column of highest value, as a list, and that value."""
+    k = int(np.argmax(values))
+    return columns[:, k].tolist(), float(values[k])
+
+
 def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
-                        budget: int = 15, *, grid_points: int = 32,
-                        pure_bundle_only: bool = False
-                        ) -> tuple[BundleOffer, float]:
-    """Deterministic search for the best two-customer offer.
+                        budget: int = 15, *, grid_points: int = 32
+                        ) -> tuple[tuple[BundleOffer, float], ...]:
+    """Deterministic search for the best two-customer offer and the best
+    pure bundle: ``((offer, value), (bundle_offer, bundle_value))``.
 
     Stage 1 scans a coarse grid over ``[0, M1] x [0, M2] x [0, M1 + M2]``
     plus the NO_SALE variants of each solo price, and seeds the singles
     optimum as the offer ``(p1*, p2*, p1* + p2*)`` (which reproduces single
-    pricing exactly, so the result always dominates it).  The whole grid is
-    one :func:`pair_expected_revenues_exact` call, whose distinct
-    acceptance integrals are evaluated in chunks of ``_CHUNK`` on the
-    calling thread; the first offer of highest value wins.  On a uniform
-    pair the 32-point grid has 34,849 offers and 9,697 distinct integrals.
+    pricing exactly, so the full result always dominates it).  The whole
+    grid is one :func:`pair_expected_revenues_exact` call, whose distinct
+    acceptance integrals are evaluated in chunks of ``_CHUNK``.  The first
+    offer of highest value seeds the full search, and the first of highest
+    value among the last ``grid_points``, the pure bundles, seeds the
+    pure-bundle search.  On a uniform pair the 32-point grid has 34,849
+    offers and 9,697 distinct integrals.
 
-    Stage 2 runs ``budget`` zoom rounds on the winning sale pattern.  Each
-    round scores, in one kernel call, the offers whose priced coordinates
-    each take ``x``, ``x - h`` or ``x + h`` (clipped to range) around the
-    incumbent ``x`` -- at most 27 offers, 3 for a pure bundle -- and moves
-    to the first of highest value; the incumbent is scored first, so it
-    keeps a tie.  ``h`` starts at the grid spacing and halves every round.
-    The rounds stop early after the first that scores the incumbent alone,
-    once every step rounds or clips onto it: a halved step still does, so
-    every later round would score that one offer again.  A run thus makes
-    at most ``1 + budget`` kernel calls.
+    Stage 2 runs at most ``budget`` zoom rounds, one kernel call each for
+    both searches.  A search's round scores the offers whose priced
+    coordinates each take ``x``, ``x - h`` or ``x + h`` (clipped to range)
+    around its incumbent ``x`` -- at most 27 offers, 3 for a pure bundle --
+    and moves to the first of highest value; the incumbent is scored
+    first, so it keeps a tie.  ``h`` starts at the grid spacing and halves
+    every round.  A search stops after its first round that scores the
+    incumbent alone, once every step rounds or clips onto it: a halved step
+    still does, so every later round would score that one offer again.
+    The rounds end once both have stopped, so a run makes at most
+    ``1 + budget`` kernel calls.  An offer's value does not depend on its
+    batch, so each answer is the one a search of its own finds.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     highs = (d1.upper_bound, d2.upper_bound, d1.upper_bound + d2.upper_bound)
-    axes = [np.linspace(0.0, hi, grid_points) for hi in highs]
+    ax1, ax2, axb = axes = [np.linspace(0.0, hi, grid_points) for hi in highs]
     steps = [float(ax[1] - ax[0]) for ax in axes]
-    columns = _grid_columns(d1, d2, *axes, pure_bundle_only)
+    p1, p2 = optimal_single_price(d1).price, optimal_single_price(d2).price
+    no = [math.nan]
+    # The singles optimum, then each sale pattern's offers, pure bundles last.
+    columns = np.concatenate([[[p1], [p2], [p1 + p2]]] + [
+        _mesh(x1, x2, axb) for x1 in (ax1, no) for x2 in (ax2, no)], axis=1)
     values = pair_expected_revenues_exact(d1, d2, *columns)[0]
+    best = [_top(columns, values),
+            _top(columns[:, -grid_points:], values[-grid_points:])]
+    live = [0, 1]
     for _ in range(budget):
-        incumbent = columns[:, int(np.argmax(values))].tolist()
-        columns = _mesh(*map(_zoom_axis, incumbent, steps, highs))
-        values = pair_expected_revenues_exact(d1, d2, *columns)[0]
-        if columns.shape[1] == 1:
+        rounds = [_mesh(*map(_zoom_axis, best[i][0], steps, highs))
+                  for i in live]
+        values = pair_expected_revenues_exact(
+            d1, d2, *np.concatenate(rounds, axis=1))[0]
+        # zip drops the empty second part when one search is left.
+        for i, r, v in zip(live, rounds,
+                           np.split(values, [rounds[0].shape[1]])):
+            best[i] = _top(r, v)
+        live = [i for i, r in zip(live, rounds) if r.shape[1] > 1]
+        if not live:
             break
         steps = [h * 0.5 for h in steps]
-
-    best = int(np.argmax(values))
-    a1, a2, b = columns[:, best].tolist()
-    offer = BundleOffer(tuple(None if math.isnan(a) else a for a in (a1, a2)), b)
-    return offer, float(values[best])
+    return tuple((BundleOffer(tuple(None if math.isnan(a) else a
+                                    for a in x[:2]), x[2]), value)
+                 for x, value in best)

@@ -161,12 +161,14 @@ class ValuationDistribution:
         """Exact first moment of the distribution."""
         return self._mean
 
-    def _segment_index(self, arr: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._knots, arr, side="right") - 1
-        # minimum/maximum rather than np.clip, whose Python-level argument
-        # handling costs more than the search on the small arrays the exact
-        # pair engine passes.
-        return np.minimum(np.maximum(idx, 0), self._slopes.size - 1)
+    def _segment_index(self, arr: np.ndarray):
+        """The segment of each value: the count of interior knots at or
+        below it, so below 0 is segment 0 and from M on (NaN included, which
+        sorts last) the last one, as a search of all knots clipped to the
+        segments gives.  A one-segment law returns 0 and does no search."""
+        if self._slopes.size == 1:
+            return 0
+        return np.searchsorted(self._knots[1:-1], arr, side="right")
 
     def pdf(self, v):
         """Density at ``v`` (scalar or array); 0 outside ``[0, M]``."""

@@ -86,12 +86,9 @@ def test_criterion_2_pair_improvement_desk_scale():
 
 def test_criterion_3_pair_optimization():
     with criterion(3, "pair-offer optimization (value and pure-bundle price)", 60.0):
-        _, value = optimize_pair_offer(UNIFORM, UNIFORM, 15)
+        (_, value), (offer_pb, _) = optimize_pair_offer(UNIFORM, UNIFORM, 15)
         assert value >= 0.5443 - 0.002
         assert value > 0.5
-        offer_pb, _ = optimize_pair_offer(
-            UNIFORM, UNIFORM, 15, pure_bundle_only=True
-        )
         assert abs(offer_pb.bundle_price - math.sqrt(2.0 / 3.0)) < 0.02
 
 

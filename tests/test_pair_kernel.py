@@ -354,8 +354,9 @@ def test_grid_integrates_each_distinct_acceptance_once(
 
     monkeypatch.setattr(pair_revenue, "_distinct_accept", grid_accept)
     optimize_pair_offer(dist, dist, 1, grid_points=grid_points)
-    # The zoom rounds are batches of at most 27 offers, too small for the
-    # dedup.
+    # The pure-bundle search reads its grid values from this call, and each
+    # zoom round, both searches' offers together, is a batch of at most
+    # 27 + 3 offers, too small for the dedup.
     assert seen == [(offers, integrals)]
 
 

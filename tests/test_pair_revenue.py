@@ -370,18 +370,89 @@ class TestVerifyImprovement:
             verify_pair_improvement(UNIFORM, UNIFORM, ())
 
 
+#: The pair of configs/verify_thm1_skewed_pair.json: unequal laws and
+#: upper bounds.
+SKEWED_PAIR = (make_piecewise_linear((0.0, 0.75), (1.5, 1.2)),
+               make_piecewise_linear((0.0, 1.9, 2.0), (0.3, 0.7, 0.7)))
+
+
+def _one_mode_search(d1, d2, budget, grid_points, pure_bundle, calls):
+    """The pair optimizer as it searched one sale mode per call: the mode's
+    own grid in one kernel call, then zoom rounds around the first best
+    offer until a round scores the incumbent alone.  Returns the best offer
+    as ``(a1, a2, b, value)`` in ``float.hex``, None for NO_SALE, and
+    appends each call's offer count to ``calls``."""
+    highs = (d1.upper_bound, d2.upper_bound, d1.upper_bound + d2.upper_bound)
+    ax1, ax2, axb = axes = [np.linspace(0.0, hi, grid_points) for hi in highs]
+    steps = [float(ax[1] - ax[0]) for ax in axes]
+
+    def mesh(*axs):
+        return np.stack([g.ravel() for g in np.meshgrid(*axs, indexing="ij")])
+
+    def zoom(x, h, hi):
+        if math.isnan(x):
+            return [x]
+        return [x] + [v for v in (max(0.0, x - h), min(hi, x + h)) if v != x]
+
+    def score(columns):
+        calls.append(columns.shape[1])
+        return pair_revenue.pair_expected_revenues_exact(d1, d2, *columns)[0]
+
+    no = [math.nan]
+    if pure_bundle:
+        columns = mesh(no, no, axb)
+    else:
+        p1 = optimal_single_price(d1).price
+        p2 = optimal_single_price(d2).price
+        columns = np.concatenate(
+            [[[p1], [p2], [p1 + p2]], mesh(ax1, ax2, axb), mesh(ax1, no, axb),
+             mesh(no, ax2, axb), mesh(no, no, axb)], axis=1)
+    values = score(columns)
+    for _ in range(budget):
+        incumbent = columns[:, int(np.argmax(values))].tolist()
+        columns = mesh(*map(zoom, incumbent, steps, highs))
+        values = score(columns)
+        if columns.shape[1] == 1:
+            break
+        steps = [h * 0.5 for h in steps]
+    best = int(np.argmax(values))
+    return tuple(None if math.isnan(x) else x.hex()
+                 for x in (*columns[:, best].tolist(), float(values[best])))
+
+
+def _hex(answer):
+    offer, value = answer
+    return tuple(None if x is None else x.hex()
+                 for x in (*offer.individual_prices, offer.bundle_price, value))
+
+
+class _CountingKernel:
+    """Records the offer count of each kernel call the optimizer makes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        kernel = pair_revenue.pair_expected_revenues_exact
+
+        def counting(*args):
+            self.calls.append(len(args[-1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(pair_revenue, "pair_expected_revenues_exact",
+                            counting)
+
+
 class TestOptimizePair:
     def test_uniform_pair_beats_pure_bundle_optimum(self):
-        offer, value = optimize_pair_offer(UNIFORM, UNIFORM, 10, grid_points=16)
+        (offer, value), _ = optimize_pair_offer(UNIFORM, UNIFORM, 10,
+                                                grid_points=16)
         assert value >= 0.5443310539518174 - 0.002
         assert value > 0.5
         mc, se = pair_expected_revenue_mc(UNIFORM, UNIFORM, offer, 2 * 10**5, 3)
         assert abs(mc - value) <= 4.0 * se
 
     def test_pure_bundle_restriction_recovers_known_price(self):
-        offer, value = optimize_pair_offer(
-            UNIFORM, UNIFORM, 12, grid_points=16, pure_bundle_only=True
-        )
+        _, (offer, value) = optimize_pair_offer(UNIFORM, UNIFORM, 12,
+                                                grid_points=16)
         assert offer.individual_prices == (None, None)
         assert abs(offer.bundle_price - PURE_B_STAR) < 0.02
         assert value == pytest.approx(PURE_B_STAR - PURE_B_STAR**3 / 2, abs=1e-4)
@@ -392,11 +463,11 @@ class TestOptimizePair:
             optimal_single_price(UNIFORM).utility
             + optimal_single_price(skewed).utility
         )
-        _, value = optimize_pair_offer(UNIFORM, skewed, 2, grid_points=8)
+        (_, value), _ = optimize_pair_offer(UNIFORM, skewed, 2, grid_points=8)
         assert value >= singles - 1e-6
 
     def test_mixed_scale_pair(self):
-        _, value = optimize_pair_offer(
+        (_, value), _ = optimize_pair_offer(
             make_uniform(2.0), make_uniform(1.0), 2, grid_points=8
         )
         assert value >= 0.75 - 1e-6
@@ -405,7 +476,7 @@ class TestOptimizePair:
         # R* is the optimum over all mechanisms for U[0,1]^2 (Manelli and
         # Vincent 2006), so no offer may exceed it, and the optimizer comes
         # within 1e-11 of it.
-        _, value = optimize_pair_offer(UNIFORM, UNIFORM, 15)
+        (_, value), _ = optimize_pair_offer(UNIFORM, UNIFORM, 15)
         assert UNIFORM_PAIR_OPTIMUM - 1e-11 <= value <= UNIFORM_PAIR_OPTIMUM
 
     def test_budget_validation(self):
@@ -413,67 +484,74 @@ class TestOptimizePair:
             optimize_pair_offer(UNIFORM, UNIFORM, 0)
 
     @pytest.mark.parametrize("grid_points", [0, 1])
-    @pytest.mark.parametrize("pure_bundle_only", [False, True])
-    def test_grid_points_validation(self, grid_points, pure_bundle_only):
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_grid_points_validation(self, grid_points, skewed):
         # Zero points used to crash in numpy's argmax, and one point to fall
-        # back to a step of a quarter of the range.
+        # back to a step of a quarter of the range; unequal laws and upper
+        # bounds change nothing.
+        d1, d2 = SKEWED_PAIR if skewed else (UNIFORM, UNIFORM)
         with pytest.raises(ValueError, match="grid_points"):
-            optimize_pair_offer(UNIFORM, UNIFORM, 1, grid_points=grid_points,
-                                pure_bundle_only=pure_bundle_only)
+            optimize_pair_offer(d1, d2, 1, grid_points=grid_points)
+
+    @pytest.mark.parametrize("budget", [1, 2, 15, 5000])
+    @pytest.mark.parametrize("grid_points", [8, 16, 32])
+    @pytest.mark.parametrize("pair", ["uniform", "template", "skewed"])
+    def test_joint_search_matches_one_search_per_mode(
+            self, monkeypatch, pair, grid_points, budget):
+        # Each answer is the one its own search finds, to the bit, and each
+        # joint round scores both searches' offers in one kernel call.
+        d1, d2 = {"uniform": (UNIFORM, UNIFORM), "template": (TEMPLATE, TEMPLATE),
+                  "skewed": SKEWED_PAIR}[pair]
+        full_calls, pure_calls = [], []
+        want = (_one_mode_search(d1, d2, budget, grid_points, False, full_calls),
+                _one_mode_search(d1, d2, budget, grid_points, True, pure_calls))
+        counter = _CountingKernel(monkeypatch)
+        got = optimize_pair_offer(d1, d2, budget, grid_points=grid_points)
+        assert tuple(map(_hex, got)) == want
+        rounds = max(len(full_calls), len(pure_calls)) - 1
+        full_calls += [0] * rounds
+        pure_calls += [0] * rounds
+        assert counter.calls == [full_calls[0]] + [
+            f + p for f, p in zip(full_calls[1:rounds + 1],
+                                  pure_calls[1:rounds + 1])]
 
     @pytest.mark.parametrize("d, budget, kwargs, pinned", [
         (UNIFORM, 15, {},
-         ("0x1.55556b5ad6b5bp-1", "0x1.55556b5ad6b5bp-1",
-          "0x1.b94ef7bdef7bep-1", "0x1.1930dfc386e08p-1")),
-        (UNIFORM, 15, {"pure_bundle_only": True},
-         (None, None, "0x1.a20bdef7bdef7p-1", "0x1.16b28f55d7066p-1")),
+         (("0x1.55556b5ad6b5bp-1", "0x1.55556b5ad6b5bp-1",
+           "0x1.b94ef7bdef7bep-1", "0x1.1930dfc386e08p-1"),
+          (None, None, "0x1.a20bdef7bdef7p-1", "0x1.16b28f55d7066p-1"))),
+        (UNIFORM, 15, {"grid_points": 16},
+         (("0x1.5555555555555p-1", "0x1.5555555555555p-1",
+           "0x1.b94eeeeeeeeeep-1", "0x1.1930dfc388c8dp-1"),
+          (None, None, "0x1.a20bbbbbbbbbcp-1", "0x1.16b28f55d565ep-1"))),
         (TEMPLATE, 2, {"grid_points": 16},
-         ("0x1.4444444444444p-1", "0x1.4444444444444p-1",
-          "0x1.999999999999ap-1", "0x1.1e5d52405d505p-1")),
+         (("0x1.4444444444444p-1", "0x1.4444444444444p-1",
+           "0x1.999999999999ap-1", "0x1.1e5d52405d505p-1"),
+          (None, None, "0x1.999999999999ap-1", "0x1.1d4bf8aad7b0fp-1"))),
     ])
     def test_offers_are_pinned_at_one_kernel_call_per_round(
             self, monkeypatch, d, budget, kwargs, pinned):
         # The pins are the offers and values of the compass search that the
-        # zoom rounds replaced: both walk the same dyadic lattice.  The grid
-        # is one kernel call, and each round one more.
-        calls = []
-        kernel = pair_revenue.pair_expected_revenues_exact
+        # zoom rounds replaced, and of the one-mode searches the joint
+        # rounds replaced: all walk the same dyadic lattice.  The grid is
+        # one kernel call, and each round, both modes' offers, one more.
+        counter = _CountingKernel(monkeypatch)
+        got = optimize_pair_offer(d, d, budget, **kwargs)
+        assert tuple(map(_hex, got)) == pinned
+        assert len(counter.calls) == 1 + budget
+        assert max(counter.calls[1:]) <= 27 + 3
 
-        def counting(*args):
-            calls.append(len(args[-1]))
-            return kernel(*args)
-
-        monkeypatch.setattr(pair_revenue, "pair_expected_revenues_exact",
-                            counting)
-        offer, value = optimize_pair_offer(d, d, budget, **kwargs)
-        got = tuple(None if x is None else x.hex()
-                    for x in (*offer.individual_prices, offer.bundle_price,
-                              value))
-        assert got == pinned
-        assert len(calls) == 1 + budget
-        assert max(calls[1:]) <= (3 if offer.individual_prices[0] is None
-                                  else 27)
-
-    @pytest.mark.parametrize("pure_bundle_only", [False, True])
     def test_huge_budget_stops_once_a_round_holds_the_incumbent_alone(
-            self, monkeypatch, pure_bundle_only):
-        # On a uniform pair round 52 is the first to score the incumbent
-        # alone, so a budget of 5,000 runs no longer than a budget of 60
-        # and returns the same offer to the bit: every later round would
-        # score that one offer again.
-        calls = []
-        kernel = pair_revenue.pair_expected_revenues_exact
-
-        def counting(*args):
-            calls.append(len(args[-1]))
-            return kernel(*args)
-
-        monkeypatch.setattr(pair_revenue, "pair_expected_revenues_exact",
-                            counting)
-        huge = optimize_pair_offer(UNIFORM, UNIFORM, 5000,
-                                   pure_bundle_only=pure_bundle_only)
-        assert len(calls) <= 61
-        assert calls[-1] == 1 and calls[-2] > 1
+            self, monkeypatch):
+        # On a uniform pair round 52 is the first to score each search's
+        # incumbent alone, so a budget of 5,000 makes 53 kernel calls, no
+        # more than a budget of 60, and returns the same offers to the bit:
+        # every later round would score those offers again.
+        counter = _CountingKernel(monkeypatch)
+        huge = optimize_pair_offer(UNIFORM, UNIFORM, 5000)
+        assert len(counter.calls) == 53
+        assert counter.calls[0] == 34_849
+        assert counter.calls[-1] == 2 and counter.calls[-2] > 2
+        assert max(counter.calls[1:]) <= 27 + 3
         monkeypatch.undo()
-        assert huge == optimize_pair_offer(UNIFORM, UNIFORM, 60,
-                                           pure_bundle_only=pure_bundle_only)
+        assert huge == optimize_pair_offer(UNIFORM, UNIFORM, 60)

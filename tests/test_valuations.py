@@ -121,6 +121,81 @@ class TestEvaluation:
         assert np.allclose(d.cdf(xs), [d.cdf(float(x)) for x in xs])
 
 
+def _clipped_index(d, arr):
+    """The segment lookup as a search of all knots, clipped to the segments."""
+    idx = np.searchsorted(d._knots, arr, side="right") - 1
+    return np.minimum(np.maximum(idx, 0), d._slopes.size - 1)
+
+
+def _pdf_by_clipped_index(d, v):
+    arr = np.asarray(v, dtype=float)
+    idx = _clipped_index(d, arr)
+    out = d._dens[idx] + d._slopes[idx] * (arr - d._knots[idx])
+    out = np.where((arr < 0.0) | (arr > d.upper_bound), 0.0, out)
+    return float(out) if np.ndim(v) == 0 else out
+
+
+def _cdf_by_clipped_index(d, v):
+    arr = np.asarray(v, dtype=float)
+    idx = _clipped_index(d, arr)
+    t = arr - d._knots[idx]
+    out = d._cum[idx] + (d._dens[idx] + 0.5 * d._slopes[idx] * t) * t
+    out = np.where(arr <= 0.0, 0.0, np.where(arr >= d.upper_bound, 1.0, out))
+    return float(out) if np.ndim(v) == 0 else out
+
+
+SEGMENT_LAWS = {
+    "one": make_uniform(1.0),
+    "one_ramp": make_piecewise_linear((0.0, 2.0), (0.25, 0.75)),
+    "two": make_piecewise_linear((0.0, 0.4, 1.0), (0.6, 1.6, 0.8)),
+    "four": make_piecewise_linear((0.0, 0.3, 1.2, 1.5, 2.0), (1, 4, 0.2, 0.5, 1)),
+}
+
+
+def _segment_probes(d):
+    """Each knot and one ulp either side of it, points below 0 and above M,
+    the infinities, NaN and both zeros."""
+    knots = np.asarray(d.knots)
+    return np.concatenate([
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [-1.0, -5e-324, -0.0, 0.0, d.upper_bound * 2, d.upper_bound + 1.0,
+         -np.inf, np.inf, np.nan, 0.5 * d.upper_bound],
+    ])
+
+
+class TestSegmentIndex:
+    """The one-pass lookup over the interior knots gives the clipped search
+    of all knots, so ``cdf`` and ``pdf`` keep their bytes."""
+
+    @pytest.mark.parametrize("name", sorted(SEGMENT_LAWS))
+    def test_index_matches_the_clipped_search(self, name):
+        d = SEGMENT_LAWS[name]
+        probes = _segment_probes(d)
+        got = np.broadcast_to(d._segment_index(probes), probes.shape)
+        assert np.array_equal(got, _clipped_index(d, probes))
+
+    @pytest.mark.parametrize("name", sorted(SEGMENT_LAWS))
+    # A zero slope times an infinite offset is NaN until the support test
+    # replaces it, in the lab and in the reference alike.
+    @np.errstate(invalid="ignore")
+    def test_cdf_and_pdf_bytes_match_the_clipped_search(self, name):
+        d = SEGMENT_LAWS[name]
+        probes = _segment_probes(d)
+        for fn, ref in ((d.cdf, _cdf_by_clipped_index),
+                        (d.pdf, _pdf_by_clipped_index)):
+            assert fn(probes).tobytes() == ref(d, probes).tobytes()
+            grid = probes[:-1].reshape(-1, 3)
+            got = fn(grid)
+            assert got.shape == grid.shape
+            assert got.tobytes() == ref(d, grid).tobytes()
+            for x in probes.tolist():
+                assert isinstance(fn(x), float)
+                assert (np.float64(fn(np.float64(x))).tobytes()
+                        == np.float64(ref(d, x)).tobytes())
+                assert (np.float64(fn(np.asarray(x))).tobytes()
+                        == np.float64(ref(d, x)).tobytes())
+
+
 class TestLogLaplace:
     # Uniform, the ramp of configs/single_opt_uniform.json, and the
     # partition benchmark's 3-knot template.
