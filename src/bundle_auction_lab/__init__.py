@@ -19,7 +19,8 @@ The package provides:
   pricing, and pair-offer optimization.
 * :mod:`~bundle_auction_lab.group_revenue` -- n-customer pure-bundle offers,
   Bernstein and closed-form Chernoff tail bounds, the near-full-surplus
-  revenue guarantee, Monte Carlo estimation, and group-offer optimization.
+  revenue guarantee, exact revenue and optimization of symmetric offers to
+  small i.i.d. groups, and Monte Carlo estimation as their check.
 * :mod:`~bundle_auction_lab.experiments` -- config-driven experiment runner
   with deterministic, byte-reproducible CSV reports.
 """
@@ -42,6 +43,7 @@ from .group_revenue import (
     bernstein_upper_bound,
     chernoff_tail_bound,
     full_surplus_offer,
+    group_expected_revenue_exact,
     group_expected_revenue_mc,
     optimize_group_offer,
     surplus_lower_bound,
@@ -93,6 +95,7 @@ __all__ = [
     "bernstein_upper_bound",
     "chernoff_tail_bound",
     "full_surplus_offer",
+    "group_expected_revenue_exact",
     "group_expected_revenue_mc",
     "optimize_group_offer",
     "surplus_lower_bound",

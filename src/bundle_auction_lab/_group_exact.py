@@ -1,0 +1,261 @@
+"""Exact revenue of a symmetric offer to an i.i.d. group, many caps at once.
+
+Customer i's capped value ``min(V_i, a)`` has density ``f`` on ``[0, a)``
+and an atom ``q = 1 - F(a)`` at ``a`` (``NO_SALE``, or ``a >= M``, leaves
+``V_i``), so the capped sum ``S_n`` has ``P[S_n < x] = sum_k C(n, k) q^k
+T_{n-k}(x - k a)`` with ``T_j`` the CDF of ``f 1[0, a)`` convolved j
+times.  The engine builds that law by convolving the capped law n - 1
+times.  A law is held in the local basis: breaks, and on each piece a
+polynomial in ``u = x - lo`` about the piece's own left end, so a shift
+only moves the breaks.  Writing ``f 1[0, a) = sum_i v_i [x >= s_i] + w_i
+(x - s_i)_+`` over its breaks ``s_i``, the density of ``S_{j+1}`` is
+``sum_i v_i H(x - s_i) + w_i K(x - s_i) + q h(x - a)``, from ``S_j``'s
+density ``h``, its CDF ``H`` and ``K = int H``.  Each shifted term is
+looked up on the merged breaks by each interval's midpoint (sums of breaks
+equal in exact arithmetic can differ by an ulp, and a lookup by the left
+end then takes the piece before) and Taylor-shifted to the interval's left
+end.  Every array carries one line per cap, so a grid of caps costs the
+numpy calls of one.
+
+The offer ``(a, ..., a, b)`` earns ``R(b) = b P[S_n >= b] + n a q
+P[a + S_{n-1} < b]``, piecewise polynomial in ``b`` on the breaks of
+``S_n`` and continuous from the left: ties buy, and the last break is the
+all-capped atom at the float sum of the n caps, added left to right as
+:func:`~bundle_auction_lab.bundles.resolve_outcome` adds them.  Past it
+the bundle never sells and ``R = n a q``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .valuations import ValuationDistribution
+
+#: The largest group the engine takes (pieces of degree 24).
+MAX_GROUP = 12
+
+_COLUMNS = 2 * MAX_GROUP + 3
+_POWERS = np.arange(_COLUMNS)
+_INVERSE = 1.0 / np.arange(1, _COLUMNS + 1)
+_BINOM = np.array([[math.comb(m, k) for k in range(_COLUMNS)]
+                   for m in range(_COLUMNS)], dtype=float)
+
+
+def _powers(t: np.ndarray, d: int) -> np.ndarray:
+    """``t[..., None] ** arange(d)`` by running products, which cost far
+    less than ``np.power`` and round within ``d`` ulps."""
+    out = np.empty(t.shape + (d,))
+    out[..., 0] = 1.0
+    out[..., 1:] = t[..., None]
+    return np.cumprod(out, axis=-1, out=out)
+
+
+def _taylor(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``c(u + delta)`` as coefficients in ``u``, for rows ``c`` (lowest
+    degree first) and one shift per row: ``delta^-k (B^T (c_m
+    delta^m))_k`` with the binomial matrix ``B``, which rounds as the
+    direct sums do.  Below ``1e-10``, where that could underflow, the
+    first-order shift is exact to rounding."""
+    d = c.shape[-1]
+    tiny = np.abs(delta) < 1e-10
+    power = _powers(np.where(tiny, 1.0, delta), d)
+    shifted = (c * power) @ _BINOM[:d, :d] / power
+    if tiny.any():
+        first = c[tiny]
+        first[:, :-1] += delta[tiny, None] * first[:, 1:] * _POWERS[1:d]
+        shifted[tiny] = first
+    return shifted
+
+
+def _count(x: np.ndarray, t: np.ndarray, strict: bool = False) -> np.ndarray:
+    """``np.searchsorted(x[g], t[g], "left" if strict else "right")`` for
+    every row ``g`` at once."""
+    flat = t.reshape(len(x), -1, 1)
+    below = x[:, None, :] < flat if strict else x[:, None, :] <= flat
+    return below.sum(axis=-1).reshape(t.shape)
+
+
+def _step(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The density pieces ``h`` on the breaks ``x``, its CDF and the CDF's
+    integral, as :func:`_shifted` reads them: ``(3, lines, pieces + 2,
+    degree + 3)``.  Below 0 all three are 0; from the last break on the
+    density is 0, the CDF 1 and its integral rises with slope 1."""
+    g, p, d = h.shape
+    width = _powers(x[:, 1:] - x[:, :-1], d + 2)[..., 1:]
+    tables = np.zeros((3, g, p + 2, d + 2))
+    h_rows, cdf, second = tables[:, :, 1:-1]
+    h_rows[..., :d] = h
+    cdf[..., 1:-1] = h * _INVERSE[:d]
+    second[..., 2:] = cdf[..., 1:-1] * _INVERSE[1:d + 1]
+    total = np.cumsum((cdf[..., 1:] * width).sum(axis=-1), axis=1)
+    cdf[:, 1:, 0] = second[:, 1:, 1] = total[:, :-1]
+    total = np.cumsum((second[..., 1:] * width).sum(axis=-1), axis=1)
+    second[:, 1:, 0] = total[:, :-1]
+    tables[1, :, -1, 0] = 1.0
+    tables[2, :, -1, 0] = total[:, -1]
+    tables[2, :, -1, 1] = 1.0
+    return tables
+
+
+def _shifted(x: np.ndarray, tables: np.ndarray, shifts: np.ndarray,
+             y: np.ndarray) -> np.ndarray:
+    """Each table moved right by its shift, on the intervals of ``y``.
+
+    Per line, ``tables[:, t]`` holds a zero row (below ``x[:, 0]``), one
+    row per piece of ``x`` and a last row from ``x[:, -1]`` on, and
+    ``shifts[:, t]`` is its shift.  Returns the coefficients about each
+    interval's left end, ``(lines, shifts, intervals, degree + 1)``.
+    """
+    g, t, size = tables.shape[:3]
+    mid = 0.5 * (y[:, :-1] + y[:, 1:])
+    rows = _count(x, mid[:, None] - shifts[..., None])
+    origin = np.concatenate((x[:, :1], x), axis=1).ravel()
+    start = origin[rows + size * np.arange(g)[:, None, None]]
+    delta = (y[:, None, :-1] - shifts[..., None]) - start
+    offset = size * np.arange(g * t).reshape(g, t, 1)
+    return _taylor(tables.reshape(g * t * size, -1)[rows + offset], delta)
+
+
+def _merged(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Per line, the distinct sums of a break and a shift, ascending, padded
+    with the largest: the pieces after a line's last break have width 0."""
+    y = (x[:, :, None] + shifts[:, None, :]).reshape(len(x), -1)
+    y.sort(axis=1)
+    y[:, 1:][y[:, 1:] == y[:, :-1]] = np.inf
+    y.sort(axis=1)
+    y = y[:, :max(2, np.isfinite(y).sum(axis=1).max())]
+    return np.where(y < np.inf, y, (x[:, -1] + shifts[:, -1])[:, None])
+
+
+def _laws(dist: ValuationDistribution, n: int, prices):
+    """One line per cap of ``prices`` (``None`` for ``NO_SALE``): the
+    breaks of ``S_n`` and its CDF ``P[S_n < x]`` on each piece, ``(breaks,
+    table)`` of ``S_{n-1}``'s CDF as :func:`_shifted` reads it, ``q`` and
+    the caps."""
+    m = dist.upper_bound
+    caps = np.array([m if a is None else min(a, m) for a in prices])
+    q = np.where(caps < m, 1.0 - dist.cdf(caps), 0.0)
+    # The capped density's breaks: 0, the knots below the cap, the cap,
+    # and the knots above it moved onto the cap as pieces of width 0.
+    inner = np.minimum(dist._knots[1:-1], caps[:, None])
+    x = np.concatenate((np.zeros((len(caps), 1)), inner, caps[:, None]),
+                       axis=1)
+    h = np.broadcast_to(np.stack([dist._dens[:-1], dist._slopes], axis=1),
+                        (len(caps), x.shape[1] - 1, 2))
+    # The weights of h, H and K in each shifted term: the atom, and the
+    # density's jumps in value and in slope.
+    ends = np.zeros(x.shape + (2,))
+    ends[:, :-1] += h
+    ends[:, 1:] -= h
+    ends[:, 1:, 0] -= h[..., 1] * (x[:, 1:] - x[:, :-1])
+    weights = np.concatenate((np.zeros(x.shape + (1,)), ends), axis=2)
+    weights[:, -1, 0] = q
+    shifts = x
+    # S_0 = 0: no pieces, and P[S_0 < t] = 1 from t = 0 on.
+    previous = (np.zeros((len(caps), 1)),
+                np.broadcast_to([[0.0], [1.0]], (len(caps), 2, 1)))
+    for _ in range(n - 1):
+        tables = _step(x, h)
+        previous = (x, tables[1])
+        terms = np.einsum("gti,igpk->gtpk", weights, tables)
+        y = _merged(x, shifts)
+        h = _shifted(x, terms, shifts, y).sum(axis=1)
+        x = y
+    return x, _step(x, h)[1, :, 1:-1, :-1], previous, q, caps
+
+
+def _value(x: np.ndarray, pieces: np.ndarray, above: np.ndarray,
+           line: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each ``t[i]`` on line ``line[i]`` of the piecewise polynomial,
+    continuous from the left: 0 up to the line's first break and
+    ``above[line]`` past its last."""
+    j = _count(x[line], t[:, None], strict=True)[:, 0] - 1
+    inside = np.clip(j, 0, pieces.shape[1] - 1)
+    u = t - x[line, inside]
+    got = (pieces[line, inside] * _powers(u, pieces.shape[2])).sum(axis=-1)
+    return np.where(j < 0, 0.0,
+                    np.where(j >= pieces.shape[1], above[line], got))
+
+
+def capped_sum_cdf(dist: ValuationDistribution, n: int, a, t) -> np.ndarray:
+    """``P[min(V_1, a) + ... + min(V_n, a) < t]`` at each ``t`` for i.i.d.
+    ``V_i ~ dist`` (``a=None`` for ``NO_SALE``), exact to rounding."""
+    x, cdf, _, _, _ = _laws(dist, n, [a])
+    t = np.asarray(t, dtype=float).ravel()
+    return _value(x, cdf, np.ones(1), np.zeros(t.size, dtype=int), t)
+
+
+def bundle_lines(dist: ValuationDistribution, n: int, prices):
+    """``R(b)`` of the offer ``(a, ..., a, b)`` to n i.i.d. customers, one
+    line per ``a`` of ``prices`` (``None`` for ``NO_SALE``): ``(breaks,
+    pieces, tail)``, read by :func:`line_values`."""
+    x, cdf, (xp, table), q, caps = _laws(dist, n, prices)
+    keep = -cdf
+    keep[..., 0] += 1.0
+    pieces = np.zeros(cdf.shape[:2] + (cdf.shape[2] + 1,))
+    # b P[S_n >= b], with b = lo + u on each piece.
+    pieces[..., :-1] = x[:, :-1, None] * keep
+    pieces[..., 1:] += keep
+    tail = n * caps * q
+    solo = _shifted(xp, table[:, None], caps[:, None], x)[:, 0]
+    pieces[..., :solo.shape[-1]] += tail[:, None, None] * solo
+    return x, pieces, tail
+
+
+def line_values(lines, line, b) -> np.ndarray:
+    """``R(b[i])`` on line ``line[i]`` of :func:`bundle_lines`."""
+    x, pieces, tail = lines
+    return _value(x, pieces, tail, np.asarray(line),
+                  np.asarray(b, dtype=float))
+
+
+def line_argmaxes(lines) -> tuple[np.ndarray, np.ndarray]:
+    """The least maximizer ``b`` of each line of :func:`bundle_lines`, and
+    ``R`` there.
+
+    The supremum of ``R`` is at a break (``R`` is continuous from the
+    left) or at a real stationary point inside a piece that can beat the
+    best break: one whose largest Bernstein coefficient, an upper bound,
+    does.  Those pieces' derivatives are solved in one eigenvalue call per
+    degree, the real parts polished by a Newton step.  Every candidate is
+    scored by :func:`line_values`, so each value is its line's at ``b``.
+    """
+    x, pieces, _ = lines
+    g, j, d = pieces.shape
+    w = x[:, 1:] - x[:, :-1]
+    scaled = pieces * _powers(w, d)
+    bernstein = scaled @ (_BINOM[:d, :d].T / _BINOM[d - 1, :d, None])
+    # The last coefficient is R at the piece's right end.
+    real = w > 0.0
+    best = np.where(real, bernstein[..., -1], 0.0).max(axis=1, initial=0.0)
+    gi, ji = np.nonzero(real & (bernstein.max(axis=-1) > best[:, None]))
+    slope = scaled[gi, ji, 1:] * _POWERS[1:d]
+    big = np.abs(slope) > 1e-13 * np.abs(slope).max(axis=1, keepdims=True)
+    degree = np.where(big.any(axis=1), d - 2 - np.argmax(big[:, ::-1], axis=1),
+                      0)
+    lines_of = [np.repeat(np.arange(g), j + 1)]
+    candidates = [x.ravel()]
+    for k in set(degree[degree > 0].tolist()):
+        rows = degree == k
+        c = slope[rows, :k + 1]
+        companion = np.zeros((len(c), k, k))
+        companion[:, 1:, :-1] = np.eye(k - 1)
+        companion[:, :, -1] = -c[:, :k] / c[:, k:]
+        s = np.linalg.eigvals(companion).real
+        power = _powers(s, k + 1)
+        p = (c[:, None] * power).sum(axis=-1)
+        dp = (c[:, None, 1:] * _POWERS[1:k + 1] * power[..., :-1]).sum(axis=-1)
+        with np.errstate(all="ignore"):
+            s = s - p / dp
+        inside = (s > 0.0) & (s < 1.0)
+        lo = x[gi[rows], ji[rows], None]
+        lines_of.append(np.broadcast_to(gi[rows, None], s.shape)[inside])
+        candidates.append((lo + s * w[gi[rows], ji[rows], None])[inside])
+    line = np.concatenate(lines_of)
+    b = np.concatenate(candidates)
+    values = line_values(lines, line, b)
+    order = np.lexsort((b, -values, line))
+    first = order[np.searchsorted(line[order], np.arange(g))]
+    return b[first], values[first]

@@ -1,27 +1,24 @@
 """Command-line interface: thin dispatch onto the experiment runner.
 
-Usage: ``bundle-auction-lab <subcommand> --config <path> [--out <path>]
-[--seed N] [--samples N]``.  Flags override the matching config fields and
-pass the same checks.  The CSV goes to ``--out`` (or stdout); run metadata
-goes to stderr.  Exit status is 0 on success and 1 when a verify-style
-subcommand's check fails (the failure is data -- the full CSV is still
-emitted).
+Usage: ``bundle-auction-lab <subcommand> --config <path> [--out <path>]``.
+The CSV goes to ``--out`` (or stdout); run metadata goes to stderr.  Exit
+status is 0 on success and 1 when a verify-style subcommand's check fails
+(the failure is data -- the full CSV is still emitted).
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .experiments import (ConfigError, emit_csv, parse_config, render_footer,
-                          run, serialize_config)
+                          run)
 
 
-def _execute(command: str, config_path: str, out, seed, samples) -> None:
+def _execute(command: str, config_path: str, out) -> None:
     try:
         config = parse_config(Path(config_path).read_text(encoding="utf-8"))
         if config.command != command:
@@ -29,11 +26,6 @@ def _execute(command: str, config_path: str, out, seed, samples) -> None:
                 f"config is for command {config.command!r}, "
                 f"invoked as {command!r}"
             )
-        overrides = {key: value for key, value in
-                     (("seed", seed), ("n_samples", samples))
-                     if value is not None}
-        # The flags pass the same checks as the config fields they replace.
-        config = parse_config(serialize_config(replace(config, **overrides)))
     except ConfigError as exc:
         raise click.ClickException(str(exc))
 
@@ -55,12 +47,8 @@ def _subcommand(name: str, help_text: str):
                   help="JSON experiment config.")
     @click.option("--out", type=click.Path(dir_okay=False), default=None,
                   help="CSV output path (default: stdout).")
-    @click.option("--seed", type=int, default=None,
-                  help="Override the config seed.")
-    @click.option("--samples", type=int, default=None,
-                  help="Override the config sample count.")
-    def command(config_path, out, seed, samples):
-        _execute(name, config_path, out, seed, samples)
+    def command(config_path, out):
+        _execute(name, config_path, out)
 
     command.__doc__ = help_text
     return main.command(name)(command)

@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from ._mc import MIN_SAMPLES
 from .group_revenue import (
     _full_surplus_price,
     bernstein_sweep,
     bernstein_upper_bound,
-    group_expected_revenue_mc,
     optimize_group_offer,
     verify_surplus_extraction,
 )
@@ -197,12 +195,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if seed >= 1 << 64:
         raise ConfigError("$.seed: must fit in 64 bits")
 
-    # Only partition samples; Monte Carlo needs MIN_SAMPLES.  The other
-    # commands accept and ignore n_samples.
-    n_samples = _integer(
-        raw.get("n_samples", DEFAULT_N_SAMPLES), "$.n_samples",
-        minimum=MIN_SAMPLES if command == "partition" else 1,
-    )
+    # No command samples; seed and n_samples are accepted and ignored.
+    n_samples = _integer(raw.get("n_samples", DEFAULT_N_SAMPLES),
+                         "$.n_samples", minimum=1)
 
     descs = raw.get("distributions", [])
     if not isinstance(descs, list):
@@ -483,7 +478,9 @@ def partition_result(config: ExperimentConfig):
     Every group of a given size faces the same optimization problem, so each
     size is optimized once and scaled by its group count (``N`` divisible by
     6 keeps the per-size headcounts integral; group counts may be
-    fractional).  Rows report per-group and per-customer revenue next to the
+    fractional).  Every value is exact, so the standard-error column is 0;
+    ``budget`` is the zoom rounds of the pair search and of each group's
+    search.  Rows report per-group and per-customer revenue next to the
     all-singles baseline.  No optimality claim is made: the best per-group
     bundle offers need not form the best mechanism for the population.
     """
@@ -506,20 +503,12 @@ def partition_result(config: ExperimentConfig):
         if size == 2:
             (offer, value), _ = optimize_pair_offer(dist, dist, budget,
                                                     grid_points=16)
-            err = 0.0
         else:
-            offer, _ = optimize_group_offer(
-                [dist] * size, mode=mode, budget=budget,
-                n_samples=config.n_samples, seed=(config.seed, size),
-            )
-            # Re-estimate on a held-out stream: the optimizer's own value is
-            # biased upward by the maximization over sampling noise.
-            value, err = group_expected_revenue_mc(
-                [dist] * size, offer, config.n_samples, (config.seed, size, 1)
-            )
+            offer, value = optimize_group_offer([dist] * size, mode=mode,
+                                                budget=budget)
         total_mixed += group_count * value
         rows.append((size, customers, group_count, offer.bundle_price,
-                     value, err, value / size, group_count * value))
+                     value, 0.0, value / size, group_count * value))
 
     notes = (
         "per-group optima only; the best bundle offers per group need not be "

@@ -13,23 +13,25 @@ bound of the piecewise-linear density, its exponent minimized by Newton on
 the large-bundle check exact without sampling: the offer's acceptance
 probability is at least ``1 - eps`` and its revenue at least
 ``b (1 - eps)``, and for i.i.d. customers each ``n`` costs O(1) time and
-memory.  The module also estimates group revenue by
-seeded Monte Carlo and optimizes group offers on a Monte Carlo sample,
-moving one price at a time to its exact argmax over that sample.  All of
-its sampling runs on the calling thread.
+memory.  For small i.i.d. groups the module prices a symmetric offer
+``(a, ..., a, b)`` or a pure bundle exactly (:mod:`._group_exact`) and
+optimizes it: the best ``b`` of each ``a`` exactly, and ``a`` by a grid
+and zoom rounds.  Seeded Monte Carlo estimates of any group offer remain as
+the independent check of that engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._mc import (MIN_SAMPLES, HeldSample, bundle_argmax, revenue_stats,
-                  valuation_sums)
-# Unused here: bench/tracer.py patches this name.
+from ._group_exact import MAX_GROUP, bundle_lines, line_argmaxes, line_values
+# valuation_sums and golden_section_max are unused here: bench/tracer.py
+# patches these names.
+from ._mc import revenue_stats, valuation_sums  # noqa: F401
 from ._search import golden_section_max  # noqa: F401
 from .bundles import NO_SALE, BundleOffer
 from .single_pricing import optimal_single_price
@@ -42,6 +44,7 @@ __all__ = [
     "bernstein_upper_bound",
     "bernstein_sweep",
     "surplus_lower_bound",
+    "group_expected_revenue_exact",
     "group_expected_revenue_mc",
     "optimize_group_offer",
     "verify_surplus_extraction",
@@ -252,85 +255,95 @@ def group_expected_revenue_mc(dists: Sequence[ValuationDistribution],
     return stats.mean, stats.std_error
 
 
-def optimize_group_offer(dists: Sequence[ValuationDistribution],
-                         mode: str = "pure_bundle", budget: int = 2,
-                         n_samples: int = 100_000, seed=0
-                         ) -> tuple[BundleOffer, float]:
-    """Search for a high-revenue group offer under the MC estimator.
+def _iid_law(dists: Sequence[ValuationDistribution]) -> ValuationDistribution:
+    """The one distribution of an i.i.d. group of 1 to ``MAX_GROUP``
+    customers, the groups the exact engine takes."""
+    if not 1 <= len(dists) <= MAX_GROUP:
+        raise ValueError(f"dists: the exact group engine takes 1 to "
+                         f"{MAX_GROUP} customers, got {len(dists)}")
+    first = dists[0]
+    if any(d is not first and d != first for d in dists):
+        raise ValueError("dists: the exact group engine takes i.i.d. "
+                         "customers, one distribution for all")
+    return first
 
-    ``mode="pure_bundle"`` fixes every solo price at ``NO_SALE`` and takes
-    the exact best bundle price for one common set of sampled valuation
-    sums (:func:`~bundle_auction_lab._mc.bundle_argmax`).
 
-    ``mode="full"`` starts from the better of the pure-bundle solution and
-    the singles reduction (solo prices at each customer's single-price
-    optimum, ``b`` equal to their sum) and runs at most ``budget`` sweeps
-    of coordinate ascent over ``(a_1..a_n, b)``, stopping after the first
-    sweep that moves nothing.  Each step takes the exact
-    argmax of one price over the sample
-    (:meth:`~bundle_auction_lab._mc.HeldSample.best_solo_price`, then
-    :meth:`~bundle_auction_lab._mc.HeldSample.best_bundle_price`), and
-    moves there if the :func:`revenue_stats` mean of the moved offer beats
-    the current one.  ``NO_SALE`` for a customer scores as a price above
-    every sampled valuation, the flat end of that customer's line, so the
-    line's argmax covers it.  Every evaluation reuses the same seed (common
-    random numbers), which keeps comparisons noise-free and the whole
-    search deterministic.  The sample is drawn once per call as a
-    :class:`~bundle_auction_lab._mc.HeldSample`, ``n_samples * n * 8``
-    bytes until the call returns (4.8 MB at 100,000 samples of a
-    six-customer group), next to its workspace and cached row sums,
-    thirteen arrays of ``n_samples`` values, which every line and score
-    reuses; pure-bundle mode holds only the ``n_samples`` sums.  The returned
-    value is the :func:`revenue_stats` mean of the returned offer in full
-    mode; in pure-bundle mode it is the sorted-sum line's mean at ``b``,
-    which can differ from that mean by about 1e-15.  Sampling runs on the
-    calling thread.
+def group_expected_revenue_exact(dists: Sequence[ValuationDistribution],
+                                 offer: BundleOffer) -> float:
+    """Exact expected revenue of a symmetric offer ``(a, ..., a, b)``, or a
+    pure bundle, to an i.i.d. group of at most ``MAX_GROUP`` customers.
+
+    The law of the capped sum is built in closed form (:mod:`._group_exact`);
+    ties buy, so at ``b`` equal to the float sum of the n caps the group
+    whose every value reaches ``a`` takes the bundle, as in
+    :func:`~bundle_auction_lab.bundles.resolve_outcome`.  Groups of other
+    sizes or laws, and offers with unequal solo prices, raise ValueError.
     """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    if offer.n != len(dists):
+        raise ValueError("offer and distribution list must have equal length")
+    dist = _iid_law(dists)
+    prices = set(offer.individual_prices)
+    if len(prices) > 1:
+        raise ValueError("offer: the exact group engine takes one solo price "
+                         "for every customer, or NO_SALE for all")
+    lines = bundle_lines(dist, offer.n, [prices.pop()])
+    return float(line_values(lines, [0], [offer.bundle_price])[0])
+
+
+def optimize_group_offer(dists: Sequence[ValuationDistribution],
+                         mode: str = "pure_bundle", budget: int = 15
+                         ) -> tuple[BundleOffer, float]:
+    """The best symmetric offer to an i.i.d. group, by exact revenue, and
+    its value (:func:`group_expected_revenue_exact` of the offer).
+
+    For a solo price ``a`` the revenue is piecewise polynomial in ``b``,
+    and its exact maximum is at a break or a real stationary point
+    (:func:`~bundle_auction_lab._group_exact.line_argmaxes`, which solves
+    every ``a`` of a round at once).
+    ``mode="pure_bundle"`` returns the best pure bundle.  ``mode="full"``
+    searches ``a`` as :func:`~bundle_auction_lab.pair_revenue.
+    optimize_pair_offer` does: the single-price optimum ``p*``, a 16-point
+    grid on ``[0, M]`` and ``NO_SALE``, then at most ``budget`` zoom rounds
+    that score ``a`` plus or minus a step (clipped to ``[0, M]``), which
+    starts at the grid spacing and halves every round; the first of
+    highest value wins, and the search stops after a round that scores the
+    incumbent alone.  The line of ``p*`` holds the singles offer
+    ``(p*, ..., p*, n p*)``, worth ``n`` times the single-price revenue,
+    and the ``NO_SALE`` line is the pure-bundle search, so the result is
+    worth at least both.
+    """
     if mode not in ("pure_bundle", "full"):
         raise ValueError("mode must be 'pure_bundle' or 'full'")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    dist = _iid_law(dists)
     n = len(dists)
-    if n < 1:
-        raise ValueError("need at least one customer")
+
+    def best(prices, incumbent=()):
+        """The first ``(value, a, b)`` of highest value, the incumbent's
+        first: every line of ``prices`` is built and solved at once."""
+        bs, values = line_argmaxes(bundle_lines(dist, n, prices))
+        return max([*incumbent, *zip(values.tolist(), prices, bs.tolist())],
+                   key=lambda r: r[0])
 
     if mode == "pure_bundle":
-        b_best, value = bundle_argmax(valuation_sums(dists, n_samples, seed))
-        return BundleOffer((NO_SALE,) * n, b_best), value
-
-    held = HeldSample(dists, n_samples, seed)
-
-    def offer_value(prices, b) -> float:
-        return held.score(BundleOffer(tuple(prices), b)).mean
-
-    prices: list[Optional[float]] = [NO_SALE] * n
-    b_best, _ = bundle_argmax(held.sums(), work=held._work)
-    current = offer_value(prices, b_best)
-    # Seed the singles reduction (b equal to the sum of the optimal single
-    # prices) so the search never settles below independent pricing.
-    singles = [optimal_single_price(d).price for d in dists]
-    singles_b = sum(singles)
-    singles_value = offer_value(singles, singles_b)
-    if singles_value > current:
-        prices = list(singles)
-        b_best = singles_b
-        current = singles_value
+        value, _, b = best([NO_SALE])
+        return BundleOffer((NO_SALE,) * n, b), value
+    grid = np.linspace(0.0, dist.upper_bound, 16)
+    step = float(grid[1] - grid[0])
+    incumbent = best([optimal_single_price(dist).price, *grid.tolist(),
+                      NO_SALE])
     for _ in range(budget):
-        moved = False
-        for i in range(n):
-            trial = list(prices)
-            trial[i], _ = held.best_solo_price(prices, i, b_best)
-            value = offer_value(trial, b_best)
-            if value > current + 1e-15:
-                prices, current, moved = trial, value, True
-        b_cand, _ = held.best_bundle_price(prices)
-        value = offer_value(prices, b_cand)
-        if value > current + 1e-15:
-            b_best, current, moved = b_cand, value, True
-        if not moved:
-            # Every later sweep would start from this state and repeat it.
+        a = incumbent[1]
+        trials = [] if a is None else [
+            t for t in (max(0.0, a - step), min(dist.upper_bound, a + step))
+            if t != a]
+        if not trials:
             break
-    return BundleOffer(tuple(prices), b_best), current
+        incumbent = best(trials, (incumbent,))
+        step *= 0.5
+    value, a, b = incumbent
+    return BundleOffer((a,) * n, b), value
 
 
 def verify_surplus_extraction(dist: ValuationDistribution,

@@ -174,7 +174,9 @@ class ValuationDistribution:
         """Density at ``v`` (scalar or array); 0 outside ``[0, M]``."""
         arr = np.asarray(v, dtype=float)
         idx = self._segment_index(arr)
-        t = arr - self._knots[idx]
+        # Clipped, so a zero slope never meets an infinite offset.
+        t = np.clip(arr, 0.0, self.upper_bound)
+        t -= self._knots[idx]
         out = self._dens[idx] + self._slopes[idx] * t
         out = np.where((arr < 0.0) | (arr > self.upper_bound), 0.0, out)
         return float(out) if np.ndim(v) == 0 else out
@@ -187,7 +189,8 @@ class ValuationDistribution:
         """
         arr = np.asarray(v, dtype=float)
         idx = self._segment_index(arr)
-        t = arr - self._knots[idx]
+        t = np.clip(arr, 0.0, self.upper_bound)
+        t -= self._knots[idx]
         out = self._cum[idx] + (self._dens[idx] + 0.5 * self._slopes[idx] * t) * t
         out = np.where(arr <= 0.0, 0.0, np.where(arr >= self.upper_bound, 1.0, out))
         return float(out) if np.ndim(v) == 0 else out

@@ -353,3 +353,86 @@ def tilted_moments_simpson(knots, densities, theta: float
     total = integral(np.ones_like)
     mean = integral(lambda v: v) / total
     return mean, integral(lambda v: (v - mean) ** 2) / total
+
+
+# --- Exact rational reference for symmetric group offers --------------------
+
+
+def _truncated_power(s, order, t):
+    """``(t - s)_+^order / order!`` at ``t``, 0 where ``t <= s``."""
+    return (t - s) ** order / factorial(order) if t > s else Fraction(0)
+
+
+def capped_law_fraction(knots, densities, a):
+    """The law of ``min(V, a)`` in exact rationals, for ``V`` with the
+    piecewise-linear density through ``(knots, densities)`` normalized
+    exactly (``a=None`` for no cap).
+
+    It is a dict ``{(s, m): c}`` over truncated powers
+    ``c (x - s)_+^m / m!``, with ``m = -1`` the unit atom at ``s``; these
+    convolve by adding shifts and orders:
+    ``(s, m) * (t, l) = (s + t, m + l + 1)``.
+    """
+    ks = [Fraction(k) for k in knots]
+    ds = [Fraction(d) for d in densities]
+    total = sum((d0 + d1) * (k1 - k0) / 2
+                for k0, k1, d0, d1 in zip(ks, ks[1:], ds, ds[1:]))
+    ds = [d / total for d in ds]
+    cap = ks[-1] if a is None else min(Fraction(a), ks[-1])
+    law: dict = {}
+
+    def add(key, c):
+        law[key] = law.get(key, 0) + c
+
+    mass = Fraction(0)
+    for k0, k1, d0, d1 in zip(ks, ks[1:], ds, ds[1:]):
+        hi = min(k1, cap)
+        if hi <= k0:
+            break
+        slope = (d1 - d0) / (k1 - k0)
+        end = d0 + slope * (hi - k0)
+        add((k0, 0), d0)
+        add((k0, 1), slope)
+        add((hi, 0), -end)
+        add((hi, 1), -slope)
+        mass += (d0 + end) * (hi - k0) / 2
+    if mass < 1:
+        add((cap, -1), 1 - mass)
+    return law
+
+
+def _convolve(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (s, m), c in p.items():
+        for (t, l), d in q.items():
+            key = (s + t, m + l + 1)
+            out[key] = out.get(key, 0) + c * d
+    return out
+
+
+def capped_sum_cdfs_fraction(knots, densities, n: int, a, ts):
+    """``P[S_n < t]`` for each ``t`` and the law of ``S_n``, the sum of n
+    i.i.d. ``min(V_i, a)``, in exact rationals (``n <= 6`` or so)."""
+    law = capped_law_fraction(knots, densities, a)
+    power = {(Fraction(0), -1): Fraction(1)}
+    for _ in range(n):
+        power = _convolve(power, law)
+    return [sum(c * _truncated_power(s, m + 1, Fraction(t))
+                for (s, m), c in power.items()) for t in ts]
+
+
+def symmetric_revenue_fraction(knots, densities, n: int, a, b) -> Fraction:
+    """Exact expected revenue of ``(a, ..., a, b)`` to n i.i.d. customers
+    (``a=None`` for a pure bundle): ``b P[S_n >= b] + n a q P[a + S_{n-1}
+    < b]`` with ``q = P[V >= a]``, every comparison in exact arithmetic."""
+    b = Fraction(b)
+    (below,) = capped_sum_cdfs_fraction(knots, densities, n, a, [b])
+    revenue = b * (1 - below)
+    if a is not None:
+        law = capped_law_fraction(knots, densities, a)
+        q = law.get((min(Fraction(a), Fraction(knots[-1])), -1), 0)
+        if q:
+            (solo,) = capped_sum_cdfs_fraction(knots, densities, n - 1, a,
+                                               [b - Fraction(a)])
+            revenue += n * Fraction(a) * q * solo
+    return revenue

@@ -41,8 +41,13 @@ def test_every_traced_attribute_exists():
                         ("bundle_auction_lab._mc", "_batch_rng"),
                         ("bundle_auction_lab._mc", "_row_revenues"),
                         ("bundle_auction_lab.group_revenue", "revenue_stats"),
-                        ("bundle_auction_lab.group_revenue", "valuation_sums")):
+                        ("bundle_auction_lab.group_revenue", "valuation_sums"),
+                        ("bundle_auction_lab.group_revenue",
+                         "golden_section_max"),
+                        ("bundle_auction_lab.experiments",
+                         "optimize_group_offer")):
         assert (owner, attr) in names
+    assert lab._mc.BATCH_ELEMENTS > 0
 
 
 def _traced_smoke(workload):
@@ -63,9 +68,10 @@ def test_traced_pair_benchmark_smoke():
 
 
 def test_traced_partition_benchmark_smoke():
-    # The group search draws each sample once: the optimizer's draws and
-    # the held-out re-estimate's draws never repeat an earlier substream.
+    # Every group of the partition is priced exactly: nothing is drawn.
     metrics = _traced_smoke("partition-mix")
+    assert metrics["mc.batches"]["value"] == 0
+    assert metrics["mc.elements"]["value"] == 0
     assert metrics["mc.repeat_draw_share"]["value"] == 0
 
 

@@ -132,17 +132,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^\$\.n_max: must be >= "):
             parse_config(config_text(command="sweep", seed=0, **bounds))
 
-    def test_partition_needs_1000_samples(self):
-        # partition is the one command that samples.
+    def test_partition_accepts_and_ignores_any_positive_n_samples(self):
+        # partition is exact, so n_samples and the seed are checked as for
+        # every other command and move no row.
+        def rows(**kwargs):
+            cfg = parse_config(config_text(
+                command="partition", N=6, budget=1,
+                distributions=[UNIFORM_DESC], **kwargs))
+            return cfg, run(cfg).rows
+
+        cfg, base = rows(seed=1, n_samples=1)
+        assert cfg.n_samples == 1
+        assert rows(seed=8, n_samples=10**5)[1] == base
         with pytest.raises(ConfigError,
-                           match=r"\$\.n_samples: must be >= 1000"):
-            parse_config(config_text(command="partition", seed=1, N=6,
-                                     n_samples=999,
-                                     distributions=[UNIFORM_DESC]))
-        assert parse_config(config_text(
-            command="partition", seed=1, N=6, n_samples=1000,
-            distributions=[UNIFORM_DESC],
-        )).n_samples == 1000
+                           match=r"\$\.n_samples: must be >= 1$"):
+            rows(seed=1, n_samples=0)
 
     def test_verify_thm2_accepts_and_ignores_any_positive_n_samples(self):
         # verify-thm2 draws nothing, so its n_samples is checked as for the
@@ -350,11 +354,11 @@ class TestPartition:
         per_customer = cols.index("per_customer_revenue")
         assert rows[2][per_customer] >= 0.2721
         assert rows[2][per_customer] > 0.25
-        # per-customer revenue weakly increases with group size (4 SE slack)
+        # every value is exact, and per-customer revenue rises with group size
         se = cols.index("per_group_std_error")
+        assert all(row[se] == 0.0 for row in rows.values())
         for small, big in ((2, 3), (3, 6)):
-            slack = 4.0 * (rows[small][se] / small + rows[big][se] / big)
-            assert rows[big][per_customer] >= rows[small][per_customer] - slack
+            assert rows[big][per_customer] > rows[small][per_customer]
         assert any("baseline" in note for note in report.notes)
 
 
@@ -383,12 +387,12 @@ class TestCsv:
         assert first.encode() == second.encode()
 
     # (bytes, sha256[:16]) of each shipped config's CSV; a config without a
-    # pin fails.  Every output of the exact pair engine, the MC group search,
-    # the large-bundle check and the single-price solver shows up here.
+    # pin fails.  Every output of the exact pair and group engines, the
+    # large-bundle check and the single-price solver shows up here.
     PINNED_CONFIGS = {
         "bernstein_sweep": (1447, "10dee7a41bf06624"),
         "pair_opt_uniform": (166, "6b2b241966262e57"),
-        "partition_n36": (368, "471531cc58188025"),
+        "partition_n36": (338, "2b0f85a55bdc08df"),
         "single_opt_uniform": (52, "06da4ab806740c8d"),
         "verify_thm1_skewed_pair": (978, "4194718f805f4087"),
         "verify_thm1_uniform_pair": (394, "b0c08fbeda4139a1"),
@@ -403,12 +407,13 @@ class TestCsv:
         assert (len(data), hashlib.sha256(data).hexdigest()[:16]) == \
             self.PINNED_CONFIGS[name]
 
-    # partition with full offers for a 3-knot template at 20,000 samples,
-    # at two seeds: the benchmark's partition-mix run, whose time is the MC
-    # group search's.  (bytes, sha256[:16]) as for the shipped configs.
+    # partition with full offers for a 3-knot template at two seeds: the
+    # benchmark's partition-mix run, whose time is the exact group
+    # searches'.  Nothing samples, so both seeds give the same bytes.
+    # (bytes, sha256[:16]) as for the shipped configs.
     PINNED_PARTITION_MIX = {
-        1: (399, "503331605dfbd9d4"),
-        101: (398, "8e59c25e94edb3c4"),
+        1: (370, "f7a50843b792c40c"),
+        101: (370, "f7a50843b792c40c"),
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED_PARTITION_MIX))
@@ -483,35 +488,18 @@ class TestCli:
         assert result.exit_code == 0
         assert out_path.read_text().splitlines()[0] == "p_star,u_star"
 
-    def test_flags_override_config(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_text(
-            command="verify-thm2", seed=1, n_list=[100], n_samples=5000,
-            distributions=[UNIFORM_DESC],
-        ))
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        base = ["verify-thm2", "--config", str(cfg_path), "--samples", "2000"]
-        r1 = self.run_cli(base + ["--out", str(out_a), "--seed", "9"])
-        r2 = self.run_cli(base + ["--out", str(out_b), "--seed", "9"])
-        assert r1.exit_code == 0 and r2.exit_code == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--samples", "500", r"$.n_samples: must be >= 1000"),
-        ("--seed", "-1", r"$.seed: must be >= 0"),
-    ])
-    def test_flags_pass_the_config_checks(self, tmp_path, flag, value,
-                                          message):
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    def test_sampling_flags_are_gone(self, tmp_path, flag):
+        # No command samples, so there is no seed or sample count to set.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(
             command="partition", seed=1, N=6, n_samples=5000,
             distributions=[UNIFORM_DESC],
         ))
-        result = self.run_cli(["partition", "--config", str(cfg_path),
-                               flag, value])
-        assert result.exit_code == 1
-        assert message in result.output
+        result = CliRunner().invoke(main, ["partition", "--config",
+                                           str(cfg_path), flag, "9"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and flag in result.output
 
     def test_command_mismatch_is_an_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

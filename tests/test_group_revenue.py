@@ -9,22 +9,28 @@ from hypothesis import strategies as st
 
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, resolve_outcome
 from bundle_auction_lab import _mc, _search
-from bundle_auction_lab._mc import (HeldSample, bundle_argmax, revenue_stats,
-                                    valuation_sums)
+from bundle_auction_lab import _group_exact
+from bundle_auction_lab._group_exact import (bundle_lines, capped_sum_cdf,
+                                             line_argmaxes, line_values)
+from bundle_auction_lab._mc import revenue_stats, valuation_sums
 from bundle_auction_lab import group_revenue
 from bundle_auction_lab.group_revenue import (
     bernstein_sweep,
     bernstein_upper_bound,
     chernoff_tail_bound,
     full_surplus_offer,
+    group_expected_revenue_exact,
     group_expected_revenue_mc,
     optimize_group_offer,
     surplus_lower_bound,
     verify_surplus_extraction,
 )
+from bundle_auction_lab.pair_revenue import pair_expected_revenue_exact
+from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
-from oracles import irwin_hall_cdf, variance_simpson
+from oracles import (capped_sum_cdfs_fraction, irwin_hall_cdf,
+                     symmetric_revenue_fraction, variance_simpson)
 
 UNIFORM = make_uniform(1.0)
 # A valid density with most of its mass at the two ends of [0, 1]: its
@@ -186,109 +192,270 @@ class TestGroupMonteCarlo:
             group_expected_revenue_mc([UNIFORM] * 2, BundleOffer((NO_SALE,) * 2, 0.5), 10, 0)
 
 
+TEMPLATE = make_piecewise_linear((0.0, 0.4, 1.0), (0.6, 1.6, 0.8))
+# A skewed 4-knot law: mass piled near 0, a dip, then a rising end.
+SKEWED = make_piecewise_linear((0.0, 0.15, 0.5, 1.0), (2.6, 0.9, 0.3, 1.4))
+# Knots whose sums agree only to an ulp: 0.4 + 1.15 is 1.5499999999999998
+# and 0.75 + 0.8 is 1.55.
+ULP_SUMS = make_piecewise_linear((0.0, 0.4, 0.75, 0.8, 1.15, 1.5),
+                                 (1.0, 2.0, 1.5, 0.5, 1.0, 2.0))
+
+
+def _exact(dist, n, a, b):
+    return group_expected_revenue_exact([dist] * n, BundleOffer((a,) * n, b))
+
+
+class TestExactGroupRevenue:
+    """The exact engine against independent oracles: Irwin-Hall, the pair
+    kernel, exact rationals and Monte Carlo."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_uniform_pure_bundle_is_irwin_hall(self, n):
+        bs = np.linspace(0.0, n, 61)[1:-1]
+        got = capped_sum_cdf(UNIFORM, n, NO_SALE, bs)
+        want = np.array([irwin_hall_cdf(n, b) for b in bs])
+        assert np.abs(got - want).max() <= 1e-13
+        for b, cdf in zip(bs[::6].tolist(), want[::6]):
+            assert abs(_exact(UNIFORM, n, NO_SALE, b) - b * (1.0 - cdf)) <= 1e-13
+
+    @pytest.mark.parametrize("dist", [UNIFORM, TEMPLATE, SKEWED, ULP_SUMS])
+    def test_pairs_match_the_pair_kernel(self, dist):
+        m = dist.upper_bound
+        caps = [NO_SALE, 0.0, m, *dist.knots[1:-1], 0.3 * m, 0.77 * m]
+        for a in caps:
+            top = 2.0 * m if a is None else a + a
+            for b in [*np.linspace(0.0, top, 23).tolist(), top]:
+                want = pair_expected_revenue_exact(
+                    dist, dist, BundleOffer((a, a), b)).total
+                assert abs(_exact(dist, 2, a, b) - want) <= 1e-14, (a, b)
+
+    @pytest.mark.parametrize("dist", [UNIFORM, TEMPLATE, SKEWED])
+    def test_matches_exact_rationals(self, dist):
+        # Caps on a knot and 1e-12 and 1e-9 to either side of it; b off
+        # the all-capped tie, where float and exact sums of the caps differ.
+        knot = dist.knots[1] if len(dist.knots) > 2 else 0.5
+        caps = [NO_SALE, knot, knot - 1e-12, knot + 1e-12, knot - 1e-9,
+                knot + 1e-9, 0.73]
+        for n, a in zip((1, 2, 3, 4, 5, 6, 6), caps):
+            top = n * (dist.upper_bound if a is None else a)
+            for frac in (0.13, 0.47, 0.81, 0.97):
+                b = frac * top
+                want = symmetric_revenue_fraction(dist.knots, dist.densities,
+                                                  n, a, b)
+                assert abs(_exact(dist, n, a, b) - float(want)) <= 1e-13, (
+                    n, a, b)
+
+    @pytest.mark.parametrize("n, a", [(2, NO_SALE), (2, 1.15), (2, 0.8),
+                                      (3, NO_SALE), (3, 0.8)])
+    def test_break_sums_that_agree_to_an_ulp(self, n, a):
+        # Each merged interval looks a term's piece up by its midpoint; by
+        # its left end, the ulp-wide interval at 1.55 took the wrong piece.
+        bs = [1.3, 1.549, 1.5499999999999998, 1.55, 1.5500000000000003,
+              1.551, 2.0]
+        bs = [b for b in bs if a is None or b <= n * a]
+        want = capped_sum_cdfs_fraction(ULP_SUMS.knots, ULP_SUMS.densities,
+                                        n, a, bs)
+        got = capped_sum_cdf(ULP_SUMS, n, a, bs)
+        assert np.abs(got - np.array([float(w) for w in want])).max() <= 1e-13
+        for b in bs:
+            want = symmetric_revenue_fraction(ULP_SUMS.knots,
+                                              ULP_SUMS.densities, n, a, b)
+            assert abs(_exact(ULP_SUMS, n, a, b) - float(want)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_monte_carlo_agrees_within_4_se(self, n):
+        dists = [TEMPLATE] * n
+        offer, value = optimize_group_offer(dists, mode="full", budget=4)
+        stats = revenue_stats(dists, offer, 10**6, (31, n))
+        assert abs(stats.mean - value) <= 4.0 * stats.std_error
+        bundle = BundleOffer((NO_SALE,) * n, 0.4 * n)
+        stats = revenue_stats(dists, bundle, 10**6, (32, n))
+        assert (abs(stats.mean - group_expected_revenue_exact(dists, bundle))
+                <= 4.0 * stats.std_error)
+
+    @pytest.mark.parametrize("dist", [UNIFORM, TEMPLATE])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_the_singles_offer_sells_the_bundle_on_its_tie(self, dist, n):
+        # At b equal to the float sum of the n caps, a group whose every
+        # value reaches p* ties with b and takes the bundle on every path.
+        sol = optimal_single_price(dist)
+        p = sol.price
+        offer = BundleOffer((p,) * n, sum((p,) * n))
+        assert resolve_outcome(offer, (p,) * n).bundle_accepted
+        assert resolve_outcome(offer, (dist.upper_bound,) + (p,) * (n - 1)
+                               ).bundle_accepted
+        assert not resolve_outcome(offer, (0.5 * p,) + (p,) * (n - 1)
+                                   ).bundle_accepted
+        assert abs(group_expected_revenue_exact([dist] * n, offer)
+                   - n * sol.utility) <= 4 * n * 2.0**-53
+        # Every sampled row whose values all reach p* has capped sum b.
+        dists, rows, seed = [dist] * n, 20_000, (33, n)
+        v = np.concatenate(list(_mc._batches(dists, rows, seed)))
+        stats = revenue_stats(dists, offer, rows, seed)
+        assert stats.accept_prob == np.count_nonzero(
+            np.all(v >= p, axis=1)) / rows
+
+    def test_zero_and_uncapped_solo_prices(self):
+        for n in (1, 3):
+            assert _exact(TEMPLATE, n, 0.0, 0.0) == 0.0
+            assert _exact(TEMPLATE, n, 0.0, 0.5) == 0.0
+            for b in (0.3, 1.1 * n / 3):
+                pure = _exact(TEMPLATE, n, NO_SALE, b)
+                assert _exact(TEMPLATE, n, 1.0, b) == pure
+                assert _exact(TEMPLATE, n, 2.5, b) == pure
+
+    def test_rejects_groups_it_does_not_take(self):
+        offer3 = BundleOffer((0.5,) * 3, 1.0)
+        with pytest.raises(ValueError, match="^dists: .*i.i.d."):
+            group_expected_revenue_exact([UNIFORM, TEMPLATE, UNIFORM], offer3)
+        with pytest.raises(ValueError, match="^offer: .*one solo price"):
+            group_expected_revenue_exact([UNIFORM] * 3,
+                                         BundleOffer((0.5, 0.5, 0.6), 1.0))
+        with pytest.raises(ValueError, match="^offer: "):
+            group_expected_revenue_exact([UNIFORM] * 2,
+                                         BundleOffer((0.5, NO_SALE), 1.0))
+        with pytest.raises(ValueError, match="^dists: .*1 to 12 customers"):
+            group_expected_revenue_exact([UNIFORM] * 13,
+                                         BundleOffer((NO_SALE,) * 13, 6.0))
+        with pytest.raises(ValueError, match="equal length"):
+            group_expected_revenue_exact([UNIFORM] * 2, offer3)
+
+
 class TestOptimizeGroupOffer:
     def test_pure_bundle_two_uniforms(self):
-        offer, value = optimize_group_offer(
-            [UNIFORM, UNIFORM], mode="pure_bundle", n_samples=10**6, seed=42
-        )
+        offer, value = optimize_group_offer([UNIFORM, UNIFORM],
+                                            mode="pure_bundle")
         assert all(a is None for a in offer.individual_prices)
-        assert abs(offer.bundle_price - math.sqrt(2.0 / 3.0)) < 0.02
-        assert value == pytest.approx(0.5443310539518174, abs=0.003)
+        assert offer.bundle_price == pytest.approx(math.sqrt(2.0 / 3.0),
+                                                   abs=1e-12)
+        assert value == pytest.approx((2.0 / 3.0) * math.sqrt(2.0 / 3.0),
+                                      abs=1e-15)
 
     def test_bundle_price_beats_grid_scan(self):
-        n_samples, seed = 10**6, 42
-        offer, value = optimize_group_offer(
-            [UNIFORM, UNIFORM], mode="pure_bundle", n_samples=n_samples, seed=seed
-        )
-        sums = np.sort(valuation_sums([UNIFORM, UNIFORM], n_samples, seed))
-
-        def mean_revenue(b):
-            return b * (n_samples - np.searchsorted(sums, b, side="left")) / n_samples
-
-        grid_vals = mean_revenue(np.linspace(0.0, 2.0, 500))
-        assert abs(value - grid_vals.max()) <= 0.02
-        # Same samples: the exact argmax beats every grid point and every
-        # sampled sum.
-        assert value >= grid_vals.max()
-        assert value == mean_revenue(offer.bundle_price) == mean_revenue(sums).max()
+        # Irwin-Hall: the pure bundle of n uniforms earns b (1 - IH_n(b)).
+        for n in (3, 6):
+            offer, value = optimize_group_offer([UNIFORM] * n,
+                                                mode="pure_bundle")
+            grid = [b * (1.0 - irwin_hall_cdf(n, b))
+                    for b in np.linspace(0.0, n, 2001).tolist()]
+            assert value >= max(grid)
+            assert value - max(grid) <= 1e-6
+            assert value == _exact(UNIFORM, n, NO_SALE, offer.bundle_price)
 
     def test_pure_bundle_beats_lower_bound(self):
-        for n in (50, 200):
-            _, value = optimize_group_offer(
-                [UNIFORM] * n, mode="pure_bundle", n_samples=10**5, seed=4
-            )
+        # The exact optimum is at least the certified max_b b (1 - eps(b)),
+        # with eps the closed-form Chernoff bound on rejection.
+        for n in (6, 12):
+            _, value = optimize_group_offer([UNIFORM] * n, mode="pure_bundle")
+            certified = max(b * (1.0 - chernoff_tail_bound(UNIFORM, n, b))
+                            for b in np.linspace(0.0, n / 2.0, 200).tolist())
+            assert value >= certified > 0.0
             assert value >= surplus_lower_bound(n, 0.5 * n, 1.0)
 
     def test_full_mode_single_customer_reduces_to_single_price(self):
-        offer, value = optimize_group_offer(
-            [UNIFORM], mode="full", budget=2, n_samples=5 * 10**5, seed=11
-        )
+        offer, value = optimize_group_offer([UNIFORM], mode="full", budget=2)
         a = offer.individual_prices[0]
         effective = min(offer.bundle_price, math.inf if a is None else a)
-        assert value == pytest.approx(0.25, abs=0.004)
-        assert effective == pytest.approx(0.5, abs=0.05)
+        assert value == pytest.approx(0.25, abs=1e-15)
+        assert effective == pytest.approx(0.5, abs=1e-12)
 
     def test_full_mode_dominates_singles_for_skewed_distribution(self):
-        # Mass piled near zero makes the pure bundle weak; the seeded
-        # singles reduction keeps the optimizer at or above independent
-        # pricing (up to Monte Carlo noise on the evaluation).
-        from bundle_auction_lab.single_pricing import optimal_single_price
+        # Mass piled near zero makes the pure bundle weak; the singles
+        # offer lies on the line of p*, so the search never ends below
+        # independent pricing.
         skewed = make_piecewise_linear((0.0, 0.02, 1.0), (80.0, 2.0, 0.02))
         singles = 3 * optimal_single_price(skewed).utility
-        _, value = optimize_group_offer(
-            [skewed] * 3, mode="full", budget=1, n_samples=10**5, seed=6
-        )
-        est_se = 4.0 * 0.002  # generous slack for the CRN evaluation noise
-        assert value >= singles - est_se
+        _, value = optimize_group_offer([skewed] * 3, mode="full", budget=1)
+        assert value >= singles
 
     def test_full_mode_never_below_pure_bundle(self):
-        pb_offer, pb_value = optimize_group_offer(
-            [UNIFORM] * 3, mode="pure_bundle", n_samples=10**5, seed=9
-        )
-        _, full_value = optimize_group_offer(
-            [UNIFORM] * 3, mode="full", budget=2, n_samples=10**5, seed=9
-        )
-        assert full_value >= pb_value - 1e-12
+        # Nor below singles: both hold exactly, with no allowance.
+        for dist in (UNIFORM, TEMPLATE, SKEWED, FALLBACK):
+            singles = optimal_single_price(dist).utility
+            for n in (2, 3, 4, 6):
+                group = [dist] * n
+                pure, pure_value = optimize_group_offer(group,
+                                                        mode="pure_bundle")
+                offer, value = optimize_group_offer(group, mode="full",
+                                                    budget=3)
+                assert value >= pure_value
+                assert value >= n * singles
+                assert value == group_expected_revenue_exact(group, offer)
+                assert pure_value == group_expected_revenue_exact(group, pure)
+
+    def test_pair_matches_the_pair_optimizer(self):
+        # Symmetric offers reach R* on a uniform pair.
+        _, value = optimize_group_offer([UNIFORM] * 2, mode="full")
+        assert value == pytest.approx(0.5492010046202292, abs=1e-12)
+
+    @pytest.mark.parametrize("dist, n, figure", [
+        (UNIFORM, 3, 0.875179), (UNIFORM, 6, 1.939239),
+        (TEMPLATE, 3, 0.896409), (TEMPLATE, 6, 1.995667)])
+    def test_reaches_a_dense_symmetric_search(self, dist, n, figure):
+        # A dense exact search over symmetric offers found these values.
+        _, value = optimize_group_offer([dist] * n, mode="full")
+        assert value >= figure - 1e-6
 
     def test_search_stops_after_a_sweep_that_moves_nothing(self,
                                                            monkeypatch):
-        # A sweep that moves nothing leaves the state as it found it, so
-        # every later sweep would repeat it: a budget of 50 does the work
-        # of at most 10 sweeps and returns the budget-10 result.
-        dists = [TEMPLATE, UNIFORM, TEMPLATE, UNIFORM]
-        lines = []
-        solo, bundle = HeldSample.best_solo_price, HeldSample.best_bundle_price
+        # Once every step rounds onto the incumbent, a halved step does too,
+        # so every later round would score it alone again.
+        calls = []
+        lines = group_revenue.bundle_lines
 
-        def record_solo(self, *args):
-            lines.append("solo")
-            return solo(self, *args)
+        def counted(dist, n, prices):
+            calls.append(len(prices))
+            return lines(dist, n, prices)
 
-        def record_bundle(self, *args):
-            lines.append("bundle")
-            return bundle(self, *args)
-
-        monkeypatch.setattr(HeldSample, "best_solo_price", record_solo)
-        monkeypatch.setattr(HeldSample, "best_bundle_price", record_bundle)
-        result = optimize_group_offer(dists, mode="full", budget=50,
-                                      n_samples=2000, seed=7)
-        assert len(lines) <= 10 * (len(dists) + 1)
+        monkeypatch.setattr(group_revenue, "bundle_lines", counted)
+        result = optimize_group_offer([TEMPLATE] * 3, mode="full",
+                                      budget=500)
+        rounds = len(calls) - 1
+        assert calls[0] == 18 and 40 < rounds < 100
+        assert all(c <= 2 for c in calls[1:])
         monkeypatch.undo()
-        assert result == optimize_group_offer(dists, mode="full", budget=10,
-                                              n_samples=2000, seed=7)
+        assert result == optimize_group_offer([TEMPLATE] * 3, mode="full",
+                                              budget=rounds)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mode"):
             optimize_group_offer([UNIFORM], mode="both")
-        with pytest.raises(ValueError):
-            optimize_group_offer([UNIFORM], n_samples=10)
+        with pytest.raises(ValueError, match="budget"):
+            optimize_group_offer([UNIFORM], mode="full", budget=0)
+        with pytest.raises(ValueError, match="^dists: "):
+            optimize_group_offer([], mode="full")
+        with pytest.raises(ValueError, match="^dists: "):
+            optimize_group_offer([UNIFORM] * 13)
+        with pytest.raises(ValueError, match="^dists: "):
+            optimize_group_offer([UNIFORM, TEMPLATE], mode="full")
 
 
-TEMPLATE = make_piecewise_linear((0.0, 0.4, 1.0), (0.6, 1.6, 0.8))
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+# Decimal valuations whose float sums depend on the order of the additions.
+DECIMALS = [0.05, 0.1, 0.2, 0.3, 0.6, 0.7]
+
+
+def _decimal_table(rows, n, seed):
+    return np.random.default_rng(seed).choice(DECIMALS, size=(rows, n))
+
+
+def _numpy_row_sums(v, prices):
+    """The kernel's definition: numpy's ``sum(axis=1)`` of the capped and
+    solo-payment matrices."""
+    a = np.array([math.inf if p is None else p for p in prices])
+    return (np.minimum(v, a).sum(axis=1),
+            np.where((v >= a) & np.isfinite(a), a, 0.0).sum(axis=1))
 
 
 class TestDrawOnce:
-    """Full-mode search draws its sample once and scores every candidate on
-    the held batches, with the same floats as streaming them."""
+    """The exact search draws no sample; the streamed estimate that checks
+    it draws each batch once, with the floats of the batches held whole."""
 
     @pytest.mark.parametrize("size", [3, 6])
     @pytest.mark.parametrize("batch_elements", [None, 3000])
@@ -313,125 +480,91 @@ class TestDrawOnce:
             return draw(dists, rows, rng)
 
         monkeypatch.setattr(_mc, "_draw", counting_draw)
-        optimize_group_offer([TEMPLATE] * size, mode="full", budget=1,
-                             n_samples=n_samples, seed=(5, size))
+        dists = [TEMPLATE] * size
+        offer, _ = optimize_group_offer(dists, mode="full", budget=1)
+        assert drawn == [] and calls == []
+        revenue_stats(dists, offer, n_samples, (5, size))
         assert drawn == list(range(math.ceil(n_samples / rows)))
         assert len(calls) == len(drawn) and sum(calls) == n_samples
         if batch_elements is not None:
             assert len(drawn) > 1
 
     @pytest.mark.parametrize("batch_elements", [None, 3000])
-    def test_value_matches_streaming_estimate(self, monkeypatch, batch_elements):
+    def test_value_matches_streaming_estimate(self, monkeypatch,
+                                              batch_elements):
         if batch_elements is not None:
             monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
-        # Above 7 customers a solo-price trial is summed in another order
-        # than the streamed estimate, but the returned value is still its
-        # full score.
+        # Above 7 customers numpy sums a row pairwise; the exact value is
+        # still within 4 SE of the streamed estimate of its offer.
         for size in (3, 6, 9):
             dists = [TEMPLATE] * size
-            offer, value = optimize_group_offer(
-                dists, mode="full", budget=1, n_samples=2500, seed=(9, size)
-            )
-            assert value == revenue_stats(dists, offer, 2500, (9, size)).mean
+            offer, value = optimize_group_offer(dists, mode="full", budget=1)
+            stats = revenue_stats(dists, offer, 20_000, (9, size))
+            assert abs(stats.mean - value) <= 4.0 * stats.std_error
 
     def test_held_batches_match_streaming(self, monkeypatch):
         monkeypatch.setattr(_mc, "BATCH_ELEMENTS", 3000)
         dists = [TEMPLATE, UNIFORM, TEMPLATE]
         offer = BundleOffer((0.5, NO_SALE, 0.7), 1.4)
-        held = HeldSample(dists, 2500, 13)
-        assert held.values.shape == (2500, 3)
-        assert len(held.bounds) - 1 == 3
-        assert not held.values.flags.writeable
-        assert held.score(offer) == revenue_stats(dists, offer, 2500, 13)
-        assert np.array_equal(held.sums(), valuation_sums(dists, 2500, 13))
+        held = list(_mc._batches(dists, 2500, 13))
+        assert [len(v) for v in held] == [1000, 1000, 500]
+        outcomes = [resolve_outcome(offer, tuple(row))
+                    for v in held for row in v]
+        stats = revenue_stats(dists, offer, 2500, 13)
+        assert stats.accept_prob == sum(o.bundle_accepted
+                                        for o in outcomes) / 2500
+        assert stats.mean == pytest.approx(
+            sum(o.seller_revenue for o in outcomes) / 2500, rel=1e-14)
+        assert (valuation_sums(dists, 2500, 13).tobytes()
+                == np.concatenate([v.sum(axis=1) for v in held]).tobytes())
 
     def test_wrong_length_offer_raises_with_held_batches(self):
         dists = [TEMPLATE] * 3
-        held = HeldSample(dists, 1000, 1)
-        with pytest.raises(ValueError, match="equal length"):
-            held.score(BundleOffer((NO_SALE,) * 2, 1.0))
-        with pytest.raises(ValueError, match="equal length"):
-            held.best_bundle_price([NO_SALE] * 2)
-        with pytest.raises(ValueError, match="equal length"):
-            held.best_solo_price([NO_SALE] * 4, 0, 1.0)
-        with pytest.raises(ValueError, match="equal length"):
-            revenue_stats(dists, BundleOffer((NO_SALE,) * 2, 1.0), 1000, 1)
+        for offer in (BundleOffer((NO_SALE,) * 2, 1.0),
+                      BundleOffer((0.5,) * 4, 1.0)):
+            with pytest.raises(ValueError, match="equal length"):
+                revenue_stats(dists, offer, 1000, 1)
+            with pytest.raises(ValueError, match="equal length"):
+                group_expected_revenue_exact(dists, offer)
 
-    def test_held_batches_of_another_size_raise(self):
-        # A held sample has the size it was drawn with; below the Monte
-        # Carlo minimum it is not drawn at all.
-        with pytest.raises(ValueError, match="1000 samples"):
-            HeldSample([TEMPLATE] * 3, 999, 1)
-        assert HeldSample([TEMPLATE] * 3, 1000, 1).sums().shape == (1000,)
+    def test_held_batches_of_another_size_raise(self, monkeypatch):
+        # A sample has the size it was asked for, however it is batched;
+        # below the Monte Carlo minimum nothing is drawn at all.
+        offer = BundleOffer((NO_SALE,) * 3, 1.0)
 
+        def no_draw(dists, rows, rng):
+            raise AssertionError("drawn")
 
-RAMP = make_piecewise_linear((0.0, 1.0), (0.5, 1.5))
-MIXED = [TEMPLATE, UNIFORM, make_uniform(0.3), RAMP, FALLBACK]
-
-
-def _mixed_group(n):
-    """Mixed distributions with prices that include ``NO_SALE``, 0 and M."""
-    dists = [MIXED[k % len(MIXED)] for k in range(n)]
-    prices = [(NO_SALE, 0.0, 1.0, 0.55)[k % 4] for k in range(n)]
-    prices = [None if p is None else p * d.upper_bound
-              for p, d in zip(prices, dists)]
-    return dists, prices
+        with monkeypatch.context() as patch:
+            patch.setattr(_mc, "_draw", no_draw)
+            with pytest.raises(ValueError, match="1000 samples"):
+                revenue_stats([TEMPLATE] * 3, offer, 999, 1)
+        assert valuation_sums([TEMPLATE] * 3, 1000, 1).shape == (1000,)
+        monkeypatch.setattr(_mc, "BATCH_ELEMENTS", 3000)
+        assert valuation_sums([TEMPLATE] * 3, 2500, 1).shape == (2500,)
+        assert revenue_stats([TEMPLATE] * 3, offer, 2500, 1).n_samples == 2500
 
 
-def _left_to_right(values):
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def _moved(prices, i, a):
-    trial = list(prices)
-    trial[i] = a
-    return trial
-
-
-def _scores_at(held, prices, i, b, points):
-    """``held.score`` of the offer ``(prices, b)`` with customer ``i``'s
-    price (or, for ``i=None``, the bundle price) at each point."""
-    if i is None:
-        return [held.score(BundleOffer(tuple(prices), q)).mean for q in points]
-    return [held.score(BundleOffer(tuple(_moved(prices, i, q)), b)).mean
-            for q in points]
-
-
-def _check_solo_line(held, prices, i, b):
-    """Customer ``i``'s solo-price line: its argmax scores at least the
-    value at every sample valuation of ``i`` and at every point of a
-    2,001-point grid."""
-    a, _ = held.best_solo_price(prices, i, b)
-    x = held.values[:, i]
-    points = np.concatenate((x, np.linspace(0.0, x.max(), 2001)))
-    best = held.score(BundleOffer(tuple(_moved(prices, i, a)), b)).mean
-    assert best >= max(_scores_at(held, prices, i, b, points))
-
-
-def _check_bundle_line(held, prices):
-    """The bundle line: its argmax scores at least the value at every row's
-    capped sum and at every point of a 2,001-point grid."""
-    b_best, _ = held.best_bundle_price(prices)
-    ceiling = [math.inf if p is None else p for p in prices]
-    caps = np.minimum(held.values, ceiling).sum(axis=1)
-    points = np.concatenate((caps, np.linspace(0.0, caps.max(), 2001)))
-    best = held.score(BundleOffer(tuple(prices), b_best)).mean
-    assert best >= max(_scores_at(held, prices, None, None, points))
+def _check_line(lines, g, b_best, best, points=()):
+    """Line ``g``'s argmax: ``best`` is the line's value at ``b_best`` and
+    at least its value at each of ``points``, at every break of the line
+    and at every point of a 2,001-point grid past its last break, up to
+    rounding: past the last break the line reads its tail ``n a q``, which
+    the last break's piece reaches only to an ulp or two."""
+    x = lines[0][g]
+    candidates = np.concatenate((np.asarray(points, dtype=float), x,
+                                 np.linspace(0.0, 1.05 * x[-1], 2001)))
+    assert line_values(lines, [g], [b_best])[0] == best
+    values = line_values(lines, np.full(candidates.size, g), candidates)
+    assert best >= values.max() - 1e-15
 
 
 class TestHeldSample:
-    """The line maximizers: each returns a price whose streamed estimate
-    agrees with the line's value to rounding and is at least the estimate
-    at every other price tried."""
+    """The exact lines against a held Monte Carlo sample: a line's argmax
+    is worth at least the line's value at every sampled capped sum and grid
+    point, and the lines agree with the streamed estimate within 4 SE."""
 
-    SAMPLES = 2000
-
-    def _streamed(self, dists, prices, b, seed):
-        offer = BundleOffer(tuple(prices), b)
-        return revenue_stats(dists, offer, self.SAMPLES, seed).mean
+    SAMPLES = 20_000
 
     @pytest.mark.parametrize("batch_elements", [None, 3000])
     @pytest.mark.parametrize("n", range(1, 8))
@@ -440,156 +573,125 @@ class TestHeldSample:
         if batch_elements is not None:
             monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
         seed = (21, n)
-        dists, mixed = _mixed_group(n)
-        held = HeldSample(dists, self.SAMPLES, seed)
-        if batch_elements is not None and n > 1:
-            assert len(held.bounds) - 1 > 1
-        # Low prices that every customer often pays: at b equal to their
-        # left-to-right sum, a row that buys every item ties with b
-        # exactly, and the bundle sells on ties.
-        low = [(0.1 + 0.013 * j) * d.upper_bound for j, d in enumerate(dists)]
-        tie = _left_to_right(low)
-        total_m = sum(d.upper_bound for d in dists)
-        for prices, b in ((mixed, 0.4 * total_m),
-                          (mixed, _left_to_right(p for p in mixed if p)),
-                          (low, tie)):
-            offer = BundleOffer(tuple(prices), b)
-            assert held.score(offer) == revenue_stats(dists, offer,
-                                                      self.SAMPLES, seed)
-            for i, d in enumerate(dists):
-                a, value = held.best_solo_price(prices, i, b)
-                best = self._streamed(dists, _moved(prices, i, a), b, seed)
-                assert value == pytest.approx(best, rel=1e-14)
-                for q in (0.0, d.upper_bound, 0.3 * d.upper_bound, NO_SALE,
-                          prices[i]):
-                    assert best >= self._streamed(dists, _moved(prices, i, q),
-                                                  b, seed)
-            b_best, value = held.best_bundle_price(prices)
-            best = self._streamed(dists, prices, b_best, seed)
-            assert value == pytest.approx(best, rel=1e-14)
-            for q in (0.0, 0.5, tie, total_m, b):
-                assert best >= self._streamed(dists, prices, q, seed)
+        dists = [TEMPLATE] * n
+        # NO_SALE, 0, p*, a cap inside a piece and M; b at the line's
+        # argmax, inside the support and, for a cap, at the float sum of
+        # the n caps, where the bundle sells on ties.
+        prices = [NO_SALE, 0.0, optimal_single_price(TEMPLATE).price, 0.3,
+                  1.0]
+        lines = bundle_lines(TEMPLATE, n, prices)
+        bs, values = line_argmaxes(lines)
+        for g, a in enumerate(prices):
+            points = [float(bs[g]), 0.4 * n]
+            if a is not None:
+                points.append(_left_to_right([a] * n))
+            for b in points:
+                offer = BundleOffer((a,) * n, b)
+                value = line_values(lines, [g], [b])[0]
+                # Scored alone, an offer is worth what its line says.
+                assert group_expected_revenue_exact(dists, offer) == value
+                # At b = n M nothing varies and SE is 0; the engine is
+                # exact to rounding there.
+                stats = revenue_stats(dists, offer, self.SAMPLES, seed)
+                assert (abs(stats.mean - value)
+                        <= 4.0 * stats.std_error + 1e-14), (a, b)
+            _check_line(lines, g, bs[g], values[g])
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_rows_are_summed_in_numpy_order(self, monkeypatch, n):
         # Decimal valuations whose float sums depend on the order of the
         # additions, so many rows tie with a bundle price at such a sum.
-        # The bundle line takes its prices from the row sums the score
-        # compares with b, so the row that sets b buys there and the best
-        # b scores at least every row sum; a solo-price line is exact at
-        # the current price, so its argmax scores at least that.
-        rng = np.random.default_rng(n)
-        table = rng.choice([0.05, 0.1, 0.2, 0.3, 0.6, 0.7], size=(2000, n))
+        # Below 8 values numpy adds a row left to right, as resolve_outcome
+        # does, and the engine puts its all-capped atom at the caps' left-
+        # to-right sum, so the three paths sell on the same ties.
+        table = _decimal_table(1000, n, n)
         monkeypatch.setattr(_mc, "_draw", lambda dists, rows, r: table.copy())
         dists = [UNIFORM] * n
-        held = HeldSample(dists, 2000, 0)
-        sums = [_left_to_right(row) for row in table[:40]]
-        for prices in ([NO_SALE] * n, [0.2] + [NO_SALE] * (n - 1),
-                       [NO_SALE] * (n - 1) + [0.3]):
-            ceiling = [math.inf if p is None else p for p in prices]
-            b_best, value = held.best_bundle_price(prices)
-            best = self._streamed(dists, prices, b_best, 0)
-            assert value == pytest.approx(best, rel=1e-14)
-            for q in np.unique(np.minimum(table, ceiling).sum(axis=1)):
-                assert best >= self._streamed(dists, prices, q, 0)
-            for b in sorted(set(sums))[::3]:
-                for i in range(n):
-                    a, _ = held.best_solo_price(prices, i, b)
-                    assert (self._streamed(dists, _moved(prices, i, a), b, 0)
-                            >= self._streamed(dists, prices, b, 0))
+        for a in (NO_SALE, 0.2, 0.3):
+            if a is not None:
+                x = bundle_lines(UNIFORM, n, [a])[0]
+                assert x[0, -1] == _left_to_right([a] * n)
+            ceiling = math.inf if a is None else a
+            sums = np.unique(np.minimum(table, ceiling).sum(axis=1))
+            for b in sums[::max(1, len(sums) // 8)].tolist():
+                offer = BundleOffer((a,) * n, b)
+                stats = revenue_stats(dists, offer, 1000, 0)
+                outcomes = [resolve_outcome(offer, tuple(row))
+                            for row in table]
+                assert stats.accept_prob == sum(o.bundle_accepted
+                                                for o in outcomes) / 1000
+                assert stats.mean == pytest.approx(
+                    sum(o.seller_revenue for o in outcomes) / 1000,
+                    rel=1e-14)
 
     @pytest.mark.parametrize("n", [8, 11])
     def test_coordinate_line_agrees_above_seven_columns(self, n):
         # numpy sums rows of 8 or more pairwise; the lines hold there too.
         seed = (22, n)
-        dists, prices = _mixed_group(n)
-        held = HeldSample(dists, self.SAMPLES, seed)
-        b = 0.45 * sum(d.upper_bound for d in dists)
-        for i in (0, n // 2, n - 1):
-            a, value = held.best_solo_price(prices, i, b)
-            best = self._streamed(dists, _moved(prices, i, a), b, seed)
-            assert value == pytest.approx(best, rel=1e-12)
-            for q in (0.5 * dists[i].upper_bound, NO_SALE, prices[i]):
-                assert best >= self._streamed(dists, _moved(prices, i, q), b,
-                                              seed)
-        b_best, value = held.best_bundle_price(prices)
-        best = self._streamed(dists, prices, b_best, seed)
-        assert value == pytest.approx(best, rel=1e-12)
-        assert best >= self._streamed(dists, prices, b, seed)
+        dists = [TEMPLATE] * n
+        prices = [NO_SALE, 0.5, 0.8]
+        lines = bundle_lines(TEMPLATE, n, prices)
+        bs, values = line_argmaxes(lines)
+        for g, a in enumerate(prices):
+            for b in (float(bs[g]), 0.45 * n):
+                offer = BundleOffer((a,) * n, b)
+                stats = revenue_stats(dists, offer, self.SAMPLES, seed)
+                value = line_values(lines, [g], [b])[0]
+                assert abs(stats.mean - value) <= 4.0 * stats.std_error
+            _check_line(lines, g, bs[g], values[g])
 
     def test_search_path_matches_full_scoring(self, monkeypatch):
-        # At every step of a search, scoring every sample valuation and
-        # grid point in full finds nothing better than the line's argmax.
-        dists = [MIXED[k % len(MIXED)] for k in range(4)]
+        # At every step of a search, scoring every break and grid point in
+        # full finds nothing better than the line's argmax, and the value
+        # returned is the offer's own exact value.
+        dists = [TEMPLATE] * 4
         steps = []
-        solo, bundle = HeldSample.best_solo_price, HeldSample.best_bundle_price
+        build = group_revenue.bundle_lines
 
-        def record_solo(self, prices, i, b):
-            steps.append((self, list(prices), i, b))
-            return solo(self, prices, i, b)
+        def record(dist, n, prices):
+            steps.append(build(dist, n, prices))
+            return steps[-1]
 
-        def record_bundle(self, prices):
-            steps.append((self, list(prices), None, None))
-            return bundle(self, prices)
-
-        monkeypatch.setattr(HeldSample, "best_solo_price", record_solo)
-        monkeypatch.setattr(HeldSample, "best_bundle_price", record_bundle)
-        offer, value = optimize_group_offer(dists, mode="full", budget=1,
-                                            n_samples=1000, seed=3)
+        monkeypatch.setattr(group_revenue, "bundle_lines", record)
+        offer, value = optimize_group_offer(dists, mode="full", budget=2)
         monkeypatch.undo()
-        assert [i for _, _, i, _ in steps] == [0, 1, 2, 3, None]
-        held = steps[0][0]
-        assert value == held.score(offer).mean
-        for _, prices, i, b in steps:
-            if i is None:
-                _check_bundle_line(held, prices)
-            else:
-                _check_solo_line(held, prices, i, b)
+        assert [len(lines[0]) for lines in steps] == [18, 2, 2]
+        assert value == group_expected_revenue_exact(dists, offer)
+        for lines in steps:
+            bs, values = line_argmaxes(lines)
+            for g in range(len(bs)):
+                _check_line(lines, g, bs[g], values[g])
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_argmax_beats_every_sample_point_and_grid_point(self, n):
-        dists, _ = _mixed_group(n)
-        held = HeldSample(dists, 1000, (23, n))
+        dist = (UNIFORM, TEMPLATE, SKEWED)[n % 3]
         rng = np.random.default_rng(n)
-        prices = [None if rng.random() < 0.3 else rng.uniform() * d.upper_bound
-                  for d in dists]
-        b = rng.uniform(0.3, 0.8) * sum(d.upper_bound for d in dists)
-        for i in range(n):
-            _check_solo_line(held, prices, i, b)
-        _check_bundle_line(held, prices)
+        prices = [NO_SALE, *rng.uniform(0.0, dist.upper_bound, 3).tolist()]
+        v = np.concatenate(list(_mc._batches([dist] * n, 1000, (23, n))))
+        lines = bundle_lines(dist, n, prices)
+        bs, values = line_argmaxes(lines)
+        for g, a in enumerate(prices):
+            caps = np.minimum(v, math.inf if a is None else a).sum(axis=1)
+            _check_line(lines, g, bs[g], values[g], caps)
 
     def test_bundle_argmax_takes_the_least_best_price(self):
-        # b = 2 sells to three rows: 6 beats 1 * 4 and 3 * 1.  A solo
-        # payment below the bundle price is added for the row that rejects.
-        cap = np.array([3.0, 2.0, 1.0, 2.0])
-        assert bundle_argmax(cap) == (2.0, 1.5)
-        assert bundle_argmax(cap, np.array([0.0, 0.0, 0.5, 0.0])) == (2.0,
-                                                                      1.625)
-        # Both prices take 2 in all: the lesser wins.
-        assert bundle_argmax(np.array([2.0, 1.0])) == (1.0, 1.0)
-
-
-# Decimal valuations whose float sums depend on the order of the additions.
-DECIMALS = [0.05, 0.1, 0.2, 0.3, 0.6, 0.7]
-
-
-def _decimal_table(rows, n, seed):
-    return np.random.default_rng(seed).choice(DECIMALS, size=(rows, n))
-
-
-def _numpy_row_sums(v, prices):
-    """The kernel's definition: numpy's ``sum(axis=1)`` of the capped and
-    solo-payment matrices."""
-    a = np.array([math.inf if p is None else p for p in prices])
-    return (np.minimum(v, a).sum(axis=1),
-            np.where((v >= a) & np.isfinite(a), a, 0.0).sum(axis=1))
+        # Two pieces, 4u(1 - u) on [0, 1) and on [1, 2), both reach 1 at
+        # their midpoints: the lesser price wins.
+        pieces = np.zeros((1, 2, 3))
+        pieces[0, :, 1:] = (4.0, -4.0)
+        lines = (np.array([[0.0, 1.0, 2.0]]), pieces, np.zeros(1))
+        bs, values = line_argmaxes(lines)
+        assert (bs.tolist(), values.tolist()) == ([0.5], [1.0])
+        # A cap of 0 earns nothing at any b: the least b, 0, wins.
+        bs, values = line_argmaxes(bundle_lines(TEMPLATE, 3, [0.0]))
+        assert (bs.tolist(), values.tolist()) == ([0.0], [0.0])
 
 
 class TestRowSumKernel:
-    """``_mc._cap_and_solo_sums`` gives numpy's own row sums to the bit:
-    column passes left to right below 8 customers, numpy's pairwise
-    ``sum(axis=1)`` from 8 on.  A numpy release that changes its row-sum
-    order fails here."""
+    """``_mc._cap_and_solo_sums`` gives numpy's own row sums to the bit,
+    and numpy adds a row left to right below 8 values and pairwise from 8
+    on.  The sample pins rest on that order, so a numpy release that
+    changes it fails here."""
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_numpy_row_sums_bit_for_bit(self, n):
@@ -625,6 +727,7 @@ class TestRowSumKernel:
         left_to_right = np.array([_left_to_right(row) for row in v])
         assert np.array_equal(left_to_right, numpy_sums) == (n < 8)
 
+
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_held_sample_holds_its_one_batch_as_drawn(self, monkeypatch, n):
         table = _decimal_table(2000, n, n)
@@ -636,53 +739,20 @@ class TestRowSumKernel:
 
         monkeypatch.setattr(_mc, "_draw", draw)
         dists = [UNIFORM] * n
-        held = HeldSample(dists, 2000, 0)
-        assert len(drawn) == 1 and held.values is drawn[0]
-        assert not held.values.flags.writeable
-        assert held.bounds == [0, 2000]
-        sums = table.sum(axis=1).tobytes()
-        assert held.sums().tobytes() == sums
-        assert valuation_sums(dists, 2000, 0).tobytes() == sums
+        sums = valuation_sums(dists, 2000, 0)
+        assert len(drawn) == 1
+        assert sums.tobytes() == table.sum(axis=1).tobytes()
         prices = [(NO_SALE, 0.0, 1.0, 0.3)[k % 4] for k in range(n)]
-        for got, want in zip(held._capped(prices), _numpy_row_sums(table,
-                                                                   prices)):
-            assert got.tobytes() == want.tobytes()
-
-
-def _bundle_argmax_by_search(cap, solo=None):
-    """``bundle_argmax`` with binary searches for the ranks."""
-    if solo is None:
-        cap = np.sort(cap)
-    else:
-        order = np.argsort(cap)
-        cap = cap[order]
-        paid = np.concatenate(([0.0], np.cumsum(solo[order])))
-    below = np.searchsorted(cap, cap, side="left")
-    totals = cap * (cap.size - below)
-    if solo is not None:
-        totals += paid[below]
-    k = int(np.argmax(totals))
-    return float(cap[k]), float(totals[k]) / cap.size
-
-
-def _solo_argmax_by_search(x, t, solo, b):
-    """``_mc._solo_argmax`` with binary searches for the ranks."""
-    in_a = x >= t
-    order = np.argsort(t[in_a])
-    t_a = t[in_a][order]
-    gained = np.concatenate(([0.0], np.cumsum((b - solo[in_a])[order])))
-    x_b = np.sort(x[~in_a])
-    points = np.concatenate(([0.0], t_a[np.searchsorted(t_a, 0.0):], x_b))
-    bought = np.searchsorted(t_a, points, side="right")
-    paying = (t_a.size - bought
-              + x_b.size - np.searchsorted(x_b, points, side="left"))
-    totals = solo.sum() + gained[bought] + points * paying
-    best = totals.max()
-    return float(points[totals == best].min()), float(best) / x.size
+        cap, solo = _numpy_row_sums(table, prices)
+        b = float(np.median(cap))
+        stats = revenue_stats(dists, BundleOffer(tuple(prices), b), 2000, 0)
+        assert len(drawn) == 2
+        assert stats.accept_prob == np.count_nonzero(cap >= b) / 2000
+        assert stats.mean == float(np.where(cap >= b, b, solo).sum()) / 2000
 
 
 def _hex(pair):
-    return tuple(v.hex() for v in pair)
+    return tuple(float(v).hex() for v in pair)
 
 
 SORTED_CASES = {
@@ -694,47 +764,88 @@ SORTED_CASES = {
 }
 
 
+def _line_values_by_search(lines, line, b):
+    """``line_values`` with one binary search per point for its piece."""
+    x, pieces, tail = lines
+    d = pieces.shape[2]
+    out = []
+    for g, t in zip(line, b):
+        j = int(np.searchsorted(x[g], t, side="left")) - 1
+        if j < 0:
+            out.append(0.0)
+        elif j >= pieces.shape[1]:
+            out.append(float(tail[g]))
+        else:
+            u = np.cumprod(np.concatenate(([1.0], np.full(d - 1, t - x[g, j]))))
+            out.append(float((pieces[g, j] * u).sum()))
+    return np.array(out)
+
+
 class TestLineRanks:
-    """The line maximizers rank sorted points in linear time, with the
-    counts ``np.searchsorted`` gives, so they return the same floats."""
+    """The exact engine ranks points on every line at once, with the counts
+    ``np.searchsorted`` gives each line alone, so it returns the same
+    floats."""
 
     @pytest.mark.parametrize("name", sorted(SORTED_CASES))
     def test_tie_starts_match_searchsorted(self, name):
         s = np.array(SORTED_CASES[name], dtype=float)
-        assert np.array_equal(_mc._tie_starts(s),
+        starts = _group_exact._count(s[None], s[None], strict=True)[0]
+        assert np.array_equal(starts, np.searchsorted(s, s))
+        assert np.array_equal(np.unique(starts),
                               np.unique(np.searchsorted(s, s)))
+        if s.size:
+            # The merged breaks keep one of each run of ties.
+            merged = _group_exact._merged(s[None], np.zeros((1, 1)))[0]
+            want = np.unique(s)
+            assert merged[:want.size].tobytes() == want.tobytes()
+            assert np.all(merged[want.size:] == s[-1])
 
     @pytest.mark.parametrize("t_name", sorted(SORTED_CASES))
     @pytest.mark.parametrize("x_name", sorted(SORTED_CASES))
     def test_ranks_match_searchsorted(self, t_name, x_name):
         t = np.array(SORTED_CASES[t_name], dtype=float)
         x = np.array(SORTED_CASES[x_name], dtype=float)
-        points, t_le, x_lt = _mc._ranks(t, x)
-        want = np.unique(np.concatenate((t, x)))
-        assert points.tobytes() == want.tobytes()
-        assert np.array_equal(t_le, np.searchsorted(t, want, side="right"))
-        assert np.array_equal(x_lt, np.searchsorted(x, want))
+        # Two lines at once: the second doubled, which keeps every order.
+        xs, ts = np.stack((x, 2.0 * x)), np.stack((t, 2.0 * t))
+        for strict, side in ((False, "right"), (True, "left")):
+            got = _group_exact._count(xs, ts, strict=strict)
+            assert got.shape == ts.shape
+            for row in got:
+                assert np.array_equal(row, np.searchsorted(x, t, side=side))
+        if x.size and t.size:
+            merged = _group_exact._merged(x[None], t[None])[0]
+            want = np.unique(np.add.outer(x, t))
+            assert merged[:want.size].tobytes() == want.tobytes()
+            assert np.all(merged[want.size:] == x[-1] + t[-1])
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 50, 2000])
     @pytest.mark.parametrize("seed", range(4))
     def test_line_argmaxes_match_binary_search(self, rows, seed):
-        # Tie-heavy valuations and thresholds, some below 0, some above
-        # every valuation, and payments that tie them.
+        # Tie-heavy caps, many lines at once: NO_SALE, 0, the knots, M,
+        # caps above M and a cap inside a piece.
+        n = seed + 1
+        dist = (TEMPLATE, ULP_SUMS)[seed % 2]
+        m = dist.upper_bound
+        choices = [NO_SALE, 0.0, *dist.knots[1:], 1.5 * m, 0.3 * m]
         rng = np.random.default_rng((rows, seed))
-        x = rng.choice(DECIMALS, rows)
-        t = rng.choice([-0.3, -0.05, 0.0, 0.1, 0.3, 0.6, 0.7, 0.9], rows)
-        solo = rng.choice([0.0, 0.05, 0.3], rows)
-        for b in (0.0, 0.35, 0.9, 2.0):
-            assert (_hex(_mc._solo_argmax(x, t, solo, b))
-                    == _hex(_solo_argmax_by_search(x, t, solo, b)))
-        # Every row in A, then every row in B.
-        for t_all in (np.full(rows, -0.1), np.full(rows, 0.8)):
-            assert (_hex(_mc._solo_argmax(x, t_all, solo, 0.9))
-                    == _hex(_solo_argmax_by_search(x, t_all, solo, 0.9)))
-        cap = rng.choice([0.0, 0.35, 0.4, 0.75, 1.3], rows)
-        assert _hex(bundle_argmax(cap)) == _hex(_bundle_argmax_by_search(cap))
-        assert (_hex(bundle_argmax(cap, solo))
-                == _hex(_bundle_argmax_by_search(cap, solo)))
+        prices = [choices[k] for k in rng.integers(0, len(choices), rows)]
+        lines = bundle_lines(dist, n, prices)
+        bs, values = line_argmaxes(lines)
+        line = np.arange(rows)
+        assert (_hex(line_values(lines, line, bs))
+                == _hex(_line_values_by_search(lines, line, bs)))
+        assert _hex(values) == _hex(_line_values_by_search(lines, line, bs))
+        # Each line solved alone gives the floats it has in the batch.
+        for a in set(prices):
+            alone = bundle_lines(dist, n, [a])
+            b_alone, value_alone = line_argmaxes(alone)
+            g = prices.index(a)
+            assert _hex((bs[g], values[g])) == _hex((b_alone[0],
+                                                     value_alone[0]))
+            _check_line(alone, 0, b_alone[0], value_alone[0])
+            grid = np.linspace(0.0, alone[0][0, -1], 41)
+            assert (_hex(line_values(alone, np.zeros(41, dtype=int), grid))
+                    == _hex(_line_values_by_search(alone, [0] * 41, grid)))
 
 
 class TestVerifySurplusExtraction:
@@ -826,6 +937,17 @@ class TestChernoffTailBound:
             # The bound is exponentially tight: its log is within
             # log(n) + 2 of the exact tail's.
             assert math.log(eps) <= math.log(exact) + math.log(n) + 2.0
+
+    @pytest.mark.parametrize("name", ["template", "fallback"])
+    def test_bounds_the_exact_tail_of_nonuniform_laws(self, name):
+        # The exact pure-bundle law: P[V_1 + ... + V_n < b] from the
+        # capped-sum engine with no cap.
+        dist = self.DISTS[name]
+        for n in range(1, 13):
+            bs = np.linspace(0.0, n * dist.mean, 26)[1:]
+            exact = capped_sum_cdf(dist, n, NO_SALE, bs)
+            for b, tail in zip(bs.tolist(), exact.tolist()):
+                assert chernoff_tail_bound(dist, n, b) >= tail, (n, b)
 
     @pytest.mark.parametrize("name", sorted(DISTS))
     def test_reaches_the_minimum_of_a_dense_theta_grid(self, name):

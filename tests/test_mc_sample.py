@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bundle_auction_lab import _mc, valuations
+from bundle_auction_lab._group_exact import bundle_lines, line_argmaxes
 from bundle_auction_lab._mc import revenue_stats, valuation_sums
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
@@ -171,33 +172,11 @@ class TestSamplerBlocks:
                     d, np.array([q]))[0])
 
 
-class TestNextUp:
-    """A solo line's ``np.nextafter(y, inf)`` is an increment of the bit
-    pattern, exact for the finite ``y >= +0`` it is applied to."""
-
-    def test_matches_nextafter_bit_for_bit(self):
-        tiny = np.nextafter(0.0, 1.0)
-        y = [0.0, tiny, 2 * tiny, np.finfo(float).tiny, 0.1, 0.3, 1.0]
-        y += [np.nextafter(2.0 ** k, 0.0) for k in range(-3, 4)]
-        y += [2.0 ** k for k in range(-3, 4)]
-        y += [d.upper_bound for d in DISTS.values()]
-        y += [np.nextafter(d.upper_bound, 0.0) for d in DISTS.values()]
-        y += [np.finfo(float).max / 2]
-        y = np.array(y)
-        want = np.nextafter(y, np.inf)
-        out = np.full_like(y, np.nan)
-        assert _mc._next_up(y, out) is out
-        assert out.tobytes() == want.tobytes()
-        # A strided column of the held sample works as well.
-        wide = np.repeat(y[:, None], 3, axis=1)
-        assert _mc._next_up(wide[:, 1], out).tobytes() == want.tobytes()
-
-
 def _sums_reference(v, prices):
     """Each row's capped sum and solo payments as plain numpy expressions:
     ``sum(axis=1)`` from 8 customers on, running column totals below."""
     sells = any(a is not None for a in prices)
-    if v.shape[1] >= _mc.PAIRWISE_COLUMNS:
+    if v.shape[1] >= 8:
         a = np.array([np.inf if p is None else p for p in prices])
         if not sells:
             return v.sum(axis=1), None
@@ -214,68 +193,22 @@ def _sums_reference(v, prices):
     return cap, solo
 
 
-def _score_reference(held, prices, b):
-    """``HeldSample.score``: ``np.where`` revenues reduced batch by batch."""
-    cap, solo = _sums_reference(held.values, prices)
+def _score_reference(v, bounds, prices, b):
+    """``revenue_stats``: ``np.where`` revenues reduced batch by batch."""
+    cap, solo = _sums_reference(v, prices)
     total = total_sq = 0.0
     accepted = 0
-    for lo, hi in zip(held.bounds, held.bounds[1:]):
+    for lo, hi in zip(bounds, bounds[1:]):
         accept = cap[lo:hi] >= b
         rev = np.where(accept, b, 0.0 if solo is None else solo[lo:hi])
         d = rev - b
         total += float(rev.sum())
         total_sq += float((d * d).sum())
         accepted += int(accept.sum())
-    rows = held.n_samples
+    rows = len(v)
     mean = total / rows
     var = max(0.0, (total_sq - rows * (mean - b) ** 2) / (rows - 1))
     return mean, float(np.sqrt(var / rows)), accepted / rows
-
-
-def _bundle_line_reference(cap, solo=None):
-    """``bundle_argmax`` by a sort, boolean run starts and concatenation."""
-    if solo is None:
-        cap = np.sort(cap)
-    else:
-        order = np.argsort(cap)
-        cap = cap[order]
-        paid = np.concatenate(([0.0], np.cumsum(solo[order])))
-    below = np.flatnonzero(np.concatenate(([True], cap[1:] != cap[:-1])))
-    totals = cap[below] * (cap.size - below)
-    if solo is not None:
-        totals += paid[below]
-    k = int(np.argmax(totals))
-    return float(cap[below[k]]), float(totals[k]) / cap.size
-
-
-def _solo_line_reference(held, prices, i, b):
-    """``HeldSample.best_solo_price`` by ``np.nextafter``, ``np.putmask``,
-    boolean indexing and binary searches for the ranks."""
-    cap, solo = _sums_reference(held.values, prices)
-    x = held.values[:, i]
-    a = prices[i]
-    y = x if a is None else np.minimum(x, a)
-    if solo is None:
-        solo = np.zeros_like(cap)
-    if a is not None:
-        solo = solo - (x >= a) * a
-    t = b - (cap - y) + 2 * held.n * 2.0**-53 * (b + cap)
-    moved = np.maximum(t, np.nextafter(y, np.inf))
-    np.putmask(moved, cap >= b, np.minimum(t, y))
-    in_a = x >= moved
-    t_a = moved[in_a]
-    order = np.argsort(t_a)
-    t_a = t_a[order]
-    gained = np.concatenate(([0.0], np.cumsum((b - solo[in_a])[order])))
-    x_b = np.sort(x[~in_a])
-    below = int(np.searchsorted(t_a, 0.0))
-    line = np.concatenate(([0.0], t_a[below:]))
-    points = np.unique(np.concatenate((line, x_b)))
-    bought = np.searchsorted(line, points, "right") + (below - 1)
-    paying = t_a.size - bought + x_b.size - np.searchsorted(x_b, points)
-    totals = solo.sum() + gained[bought] + points * paying
-    best = totals.max()
-    return float(points[totals == best].min()), float(best) / x.size
 
 
 def _hex(values):
@@ -283,49 +216,39 @@ def _hex(values):
 
 
 class TestHeldSampleBits:
-    """A held sample's workspace and its two reused row-sum buffers change
-    no bit: a run of calls that reuses and evicts them gives the floats of
-    the plain numpy expressions."""
+    """Streamed estimates of one held seed, called in turn, give the floats
+    of the plain numpy expressions on the sample's batches: the in-place
+    passes over each batch change no bit."""
 
     @pytest.mark.parametrize("batch_elements", [1 << 21, 1 << 12])
     @pytest.mark.parametrize("n", [3, 8])
     def test_calls_in_turn_match_plain_numpy(self, monkeypatch, n,
                                              batch_elements):
         monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
-        dists = [DISTS[k] for k in ("template", "ramp", "uniform_1")] * 3
-        held = _mc.HeldSample(dists[:n], 3000, (n, 9))
-        assert (len(held.bounds) == 2) == (batch_elements == 1 << 21)
-        v = held.values
-        # Prices and bundle prices taken from the sample, as the search
-        # takes them, so rows tie with them.
+        dists = ([DISTS[k] for k in ("template", "ramp", "uniform_1")]
+                 * 3)[:n]
+        rows, seed = 3000, (n, 9)
+        batches = list(_mc._batches(dists, rows, seed))
+        assert (len(batches) == 1) == (batch_elements == 1 << 21)
+        v = np.concatenate(batches)
+        bounds = np.cumsum([0] + [len(batch) for batch in batches]).tolist()
+        # Prices and bundle prices taken from the sample, so rows tie with
+        # them.
         first = [NO_SALE, float(v[5, 1])] + [0.4] * (n - 2)
         second = [float(v[7, 0])] + [NO_SALE] * (n - 1)
         third = [0.2] * n
         plain = [NO_SALE] * n
         b = float(_sums_reference(v, first)[0][11])
-        calls = [("score", first, b), ("solo", first, 0), ("bundle", first),
-                 ("solo", first, 1), ("score", second, b - 0.1),
-                 ("solo", second, 0), ("solo", third, n - 1),
-                 ("score", first, b), ("solo", first, 1), ("bundle", first),
-                 ("bundle", third), ("solo", plain, 2), ("score", plain, b),
-                 ("score", third, b), ("solo", second, 1)]
-        for call in calls:
-            kind, prices = call[:2]
-            if kind == "score":
-                stats = held.score(BundleOffer(tuple(prices), call[2]))
-                got = (stats.mean, stats.std_error, stats.accept_prob)
-                want = _score_reference(held, prices, call[2])
-            elif kind == "solo":
-                got = held.best_solo_price(prices, call[2], b)
-                want = _solo_line_reference(held, prices, call[2], b)
-            else:
-                got = held.best_bundle_price(prices)
-                want = _bundle_line_reference(*_sums_reference(v, prices))
-            assert _hex(got) == _hex(want), call
-        sums = held.sums()
-        assert sums.tobytes() == _sums_reference(v, plain)[0].tobytes()
-        assert (_hex(_mc.bundle_argmax(sums, work=held._work))
-                == _hex(_bundle_line_reference(sums)))
+        for prices, price in ((first, b), (second, b - 0.1), (third, b),
+                              (first, b), (plain, b), (third, 0.0),
+                              (second, b)):
+            stats = revenue_stats(dists, BundleOffer(tuple(prices), price),
+                                  rows, seed)
+            got = (stats.mean, stats.std_error, stats.accept_prob)
+            want = _score_reference(v, bounds, prices, price)
+            assert _hex(got) == _hex(want), (prices, price)
+        assert (valuation_sums(dists, rows, seed).tobytes()
+                == _sums_reference(v, plain)[0].tobytes())
 
 
 def _peak_bytes(call):
@@ -340,14 +263,17 @@ def _peak_bytes(call):
 
 
 class TestAllocationBudget:
-    """Scratch the size of a sample is allocated once, not per call."""
+    """Scratch does not grow with the sample: the sampler's is a few
+    blocks, and an exact revenue line holds no sample at all."""
 
     def test_solo_line_allocates_little(self):
+        # A solo price's revenue line is exact and holds no sample: a few
+        # dozen pieces, not the columns of a 20,000-row sample.
         rows = 20_000
-        held = _mc.HeldSample([DISTS["template"]] * 3, rows, 3)
-        for prices in ([0.5, NO_SALE, 0.7], [NO_SALE] * 3):
-            peak = _peak_bytes(lambda: held.best_solo_price(prices, 0, 1.2))
-            assert peak <= 5 * rows * 8
+        for prices in ([0.5], [0.7]):
+            peak = _peak_bytes(lambda: line_argmaxes(
+                bundle_lines(DISTS["template"], 3, prices)))
+            assert peak <= rows * 8 // 2
 
     @pytest.mark.parametrize("name", ["ramp", "template"])
     def test_sampler_scratch_is_a_few_blocks(self, name):
