@@ -19,8 +19,8 @@ The package provides:
   pricing, and pair-offer optimization.
 * :mod:`~bundle_auction_lab.group_revenue` -- n-customer pure-bundle offers,
   Bernstein and closed-form Chernoff tail bounds, the near-full-surplus
-  revenue guarantee, exact revenue and optimization of symmetric offers to
-  small i.i.d. groups, and Monte Carlo estimation as their check.
+  revenue guarantee, exact revenue and optimization of offers to small
+  groups, pairs included, and Monte Carlo estimation as their check.
 * :mod:`~bundle_auction_lab.experiments` -- config-driven experiment runner
   with deterministic, byte-reproducible CSV reports.
 """

@@ -1,28 +1,32 @@
-"""Exact revenue of a symmetric offer to an i.i.d. group, many caps at once.
+"""Exact revenue of offers to a group of classes of i.i.d. customers, many
+offers at once.
 
-Customer i's capped value ``min(V_i, a)`` has density ``f`` on ``[0, a)``
-and an atom ``q = 1 - F(a)`` at ``a`` (``NO_SALE``, or ``a >= M``, leaves
-``V_i``), so the capped sum ``S_n`` has ``P[S_n < x] = sum_k C(n, k) q^k
-T_{n-k}(x - k a)`` with ``T_j`` the CDF of ``f 1[0, a)`` convolved j
-times.  The engine builds that law by convolving the capped law n - 1
-times.  A law is held in the local basis: breaks, and on each piece a
-polynomial in ``u = x - lo`` about the piece's own left end, so a shift
-only moves the breaks.  Writing ``f 1[0, a) = sum_i v_i [x >= s_i] + w_i
-(x - s_i)_+`` over its breaks ``s_i``, the density of ``S_{j+1}`` is
-``sum_i v_i H(x - s_i) + w_i K(x - s_i) + q h(x - a)``, from ``S_j``'s
-density ``h``, its CDF ``H`` and ``K = int H``.  Each shifted term is
-looked up on the merged breaks by each interval's midpoint (sums of breaks
-equal in exact arithmetic can differ by an ulp, and a lookup by the left
-end then takes the piece before) and Taylor-shifted to the interval's left
-end.  Every array carries one line per cap, so a grid of caps costs the
-numpy calls of one.
+A group is given as classes ``(dist, count)``, with one solo price ``a``
+per class.  A customer's capped value ``min(V, a)`` has density ``f`` on
+``[0, a)`` and an atom ``q = 1 - F(a)`` at ``a`` (``NO_SALE``, or ``a >=
+M``, leaves ``V``), and the capped sum ``S`` of the group is built by
+convolving the capped laws of its members in turn, class by class.  A law
+is held in the local basis: breaks, and on each piece a polynomial in ``u
+= x - lo`` about the piece's own left end, so a shift only moves the
+breaks.  Writing a capped density ``f 1[0, a) = sum_i v_i [x >= s_i] +
+w_i (x - s_i)_+`` over its breaks ``s_i``, the density of a sum ``S'``
+plus that member is ``sum_i v_i H(x - s_i) + w_i K(x - s_i) + q h(x -
+a)``, from ``S'``'s density ``h``, its CDF ``H`` and ``K = int H``.  Each
+shifted term is looked up on the merged breaks by each interval's midpoint
+(sums of breaks equal in exact arithmetic can differ by an ulp, and a
+lookup by the left end then takes the piece before) and Taylor-shifted to
+the interval's left end.  Every array carries one line per offer, so a
+grid of offers costs the numpy calls of one.
 
-The offer ``(a, ..., a, b)`` earns ``R(b) = b P[S_n >= b] + n a q
-P[a + S_{n-1} < b]``, piecewise polynomial in ``b`` on the breaks of
-``S_n`` and continuous from the left: ties buy, and the last break is the
-all-capped atom at the float sum of the n caps, added left to right as
-:func:`~bundle_auction_lab.bundles.resolve_outcome` adds them.  Past it
-the bundle never sells and ``R = n a q``.
+An offer earns ``R(b) = b P[S >= b] + sum_c count_c a_c q_c P[a_c + S_c <
+b]``, where ``S_c`` leaves out one member of class c: for the last class
+the sum before its last convolution, for the others a sum of its own.
+``R`` is piecewise polynomial in ``b`` on the breaks of ``S`` and
+continuous from the left: ties buy, and the last break is the all-capped
+atom at the float sum of the caps, added left to right class by class as
+:func:`~bundle_auction_lab.bundles.resolve_outcome` adds them when each
+class's customers are adjacent.  Past it the bundle never sells and ``R =
+sum_c count_c a_c q_c``.
 """
 
 from __future__ import annotations
@@ -129,10 +133,10 @@ def _merged(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return np.where(y < np.inf, y, (x[:, -1] + shifts[:, -1])[:, None])
 
 
-def _laws(dist: ValuationDistribution, n: int, prices):
-    """One line per cap of ``prices`` (``None`` for ``NO_SALE``): the
-    breaks of ``S_n`` and its CDF ``P[S_n < x]`` on each piece, ``(breaks,
-    table)`` of ``S_{n-1}``'s CDF as :func:`_shifted` reads it, ``q`` and
+def _capped(dist: ValuationDistribution, prices):
+    """The law of ``min(V, a)`` for ``V ~ dist``, one line per cap of
+    ``prices`` (``None`` for ``NO_SALE``): its breaks, its density pieces,
+    the weights of each shifted term of a convolution with it, ``q`` and
     the caps."""
     m = dist.upper_bound
     caps = np.array([m if a is None else min(a, m) for a in prices])
@@ -152,18 +156,41 @@ def _laws(dist: ValuationDistribution, n: int, prices):
     ends[:, 1:, 0] -= h[..., 1] * (x[:, 1:] - x[:, :-1])
     weights = np.concatenate((np.zeros(x.shape + (1,)), ends), axis=2)
     weights[:, -1, 0] = q
-    shifts = x
+    return x, h, weights, q, caps
+
+
+def _sum_law(capped, members):
+    """The capped sum of ``members``, indices into ``capped``, convolved in
+    their order: its breaks and density pieces, and ``(breaks, table)`` of
+    the CDF of the sum without its last member, as :func:`_shifted` reads
+    it."""
+    x, h = capped[members[0]][:2]
     # S_0 = 0: no pieces, and P[S_0 < t] = 1 from t = 0 on.
-    previous = (np.zeros((len(caps), 1)),
-                np.broadcast_to([[0.0], [1.0]], (len(caps), 2, 1)))
-    for _ in range(n - 1):
+    previous = (np.zeros((len(x), 1)),
+                np.broadcast_to([[0.0], [1.0]], (len(x), 2, 1)))
+    for c in members[1:]:
+        shifts, _, weights = capped[c][:3]
         tables = _step(x, h)
         previous = (x, tables[1])
         terms = np.einsum("gti,igpk->gtpk", weights, tables)
         y = _merged(x, shifts)
         h = _shifted(x, terms, shifts, y).sum(axis=1)
         x = y
-    return x, _step(x, h)[1, :, 1:-1, :-1], previous, q, caps
+    return x, h, previous
+
+
+def _laws(classes, prices):
+    """The capped law of each class, one line per entry of ``prices`` (a
+    solo price per class, ``None`` for ``NO_SALE``), the group's members
+    as class indices, class by class, the breaks of their capped sum ``S``
+    and its CDF ``P[S < x]`` on each piece, and ``(breaks, table)`` of the
+    CDF of ``S`` without its last member."""
+    capped = [_capped(dist, [line[c] for line in prices])
+              for c, (dist, _) in enumerate(classes)]
+    members = [c for c, (_, count) in enumerate(classes)
+               for _ in range(count)]
+    x, h, last = _sum_law(capped, members)
+    return capped, members, x, _step(x, h)[1, :, 1:-1, :-1], last
 
 
 def _value(x: np.ndarray, pieces: np.ndarray, above: np.ndarray,
@@ -179,28 +206,43 @@ def _value(x: np.ndarray, pieces: np.ndarray, above: np.ndarray,
                     np.where(j >= pieces.shape[1], above[line], got))
 
 
-def capped_sum_cdf(dist: ValuationDistribution, n: int, a, t) -> np.ndarray:
-    """``P[min(V_1, a) + ... + min(V_n, a) < t]`` at each ``t`` for i.i.d.
-    ``V_i ~ dist`` (``a=None`` for ``NO_SALE``), exact to rounding."""
-    x, cdf, _, _, _ = _laws(dist, n, [a])
+def capped_sum_cdf(classes, caps, t) -> np.ndarray:
+    """``P[S < t]`` at each ``t``, exact to rounding, for the capped sum
+    ``S`` of a group given as ``(dist, count)`` classes of i.i.d.
+    customers, with one cap per class of ``caps`` (``None`` for
+    ``NO_SALE``)."""
+    _, _, x, cdf, _ = _laws(classes, [caps])
     t = np.asarray(t, dtype=float).ravel()
     return _value(x, cdf, np.ones(1), np.zeros(t.size, dtype=int), t)
 
 
-def bundle_lines(dist: ValuationDistribution, n: int, prices):
-    """``R(b)`` of the offer ``(a, ..., a, b)`` to n i.i.d. customers, one
-    line per ``a`` of ``prices`` (``None`` for ``NO_SALE``): ``(breaks,
-    pieces, tail)``, read by :func:`line_values`."""
-    x, cdf, (xp, table), q, caps = _laws(dist, n, prices)
+def bundle_lines(classes, prices):
+    """``R(b)`` of offers to a group given as ``(dist, count)`` classes of
+    i.i.d. customers, one line per entry of ``prices``, a solo price per
+    class (``None`` for ``NO_SALE``): ``(breaks, pieces, tail)``, read by
+    :func:`line_values`."""
+    capped, members, x, cdf, last = _laws(classes, prices)
     keep = -cdf
     keep[..., 0] += 1.0
     pieces = np.zeros(cdf.shape[:2] + (cdf.shape[2] + 1,))
-    # b P[S_n >= b], with b = lo + u on each piece.
+    # b P[S >= b], with b = lo + u on each piece.
     pieces[..., :-1] = x[:, :-1, None] * keep
     pieces[..., 1:] += keep
-    tail = n * caps * q
-    solo = _shifted(xp, table[:, None], caps[:, None], x)[:, 0]
-    pieces[..., :solo.shape[-1]] += tail[:, None, None] * solo
+    tail = 0.0
+    for c, (_, count) in enumerate(classes):
+        # Class c sells count a q P[a + S_c < b], where S_c leaves out one
+        # of its members: for the last class, the sum's own last member.
+        xp, table = last
+        if c < len(classes) - 1:
+            rest = list(members)
+            rest.remove(c)
+            xp, hp, _ = _sum_law(capped, rest)
+            table = _step(xp, hp)[1]
+        _, _, _, q, caps = capped[c]
+        sells = count * caps * q
+        solo = _shifted(xp, table[:, None], caps[:, None], x)[:, 0]
+        pieces[..., :solo.shape[-1]] += sells[:, None, None] * solo
+        tail = tail + sells
     return x, pieces, tail
 
 
@@ -216,11 +258,12 @@ def line_argmaxes(lines) -> tuple[np.ndarray, np.ndarray]:
     ``R`` there.
 
     The supremum of ``R`` is at a break (``R`` is continuous from the
-    left) or at a real stationary point inside a piece that can beat the
-    best break: one whose largest Bernstein coefficient, an upper bound,
-    does.  Those pieces' derivatives are solved in one eigenvalue call per
-    degree, the real parts polished by a Newton step.  Every candidate is
-    scored by :func:`line_values`, so each value is its line's at ``b``.
+    left), just past the last break, or at a real stationary point inside a
+    piece that can beat the best break: one whose largest Bernstein
+    coefficient, an upper bound, does.  Those pieces' derivatives are
+    solved in one eigenvalue call per degree, the real parts polished by a
+    Newton step.  Every candidate is scored by :func:`line_values`, so each
+    value is its line's at ``b``.
     """
     x, pieces, _ = lines
     g, j, d = pieces.shape
@@ -235,8 +278,10 @@ def line_argmaxes(lines) -> tuple[np.ndarray, np.ndarray]:
     big = np.abs(slope) > 1e-13 * np.abs(slope).max(axis=1, keepdims=True)
     degree = np.where(big.any(axis=1), d - 2 - np.argmax(big[:, ::-1], axis=1),
                       0)
-    lines_of = [np.repeat(np.arange(g), j + 1)]
-    candidates = [x.ravel()]
+    # Past its last break a line reads its tail, which the last piece
+    # reaches only to an ulp or two.
+    lines_of = [np.repeat(np.arange(g), j + 1), np.arange(g)]
+    candidates = [x.ravel(), np.nextafter(x[:, -1], np.inf)]
     for k in set(degree[degree > 0].tolist()):
         rows = degree == k
         c = slope[rows, :k + 1]

@@ -1,11 +1,10 @@
 """Config-driven experiment runner with deterministic CSV reports.
 
-Configs are strict JSON: unknown keys are rejected with their path, the seed
-is mandatory, and distributions are validated at parse time.  Reports
-serialize to CSV with a fixed header, floats at 12 significant digits and a
-deterministic row order, so rerunning a config with the same seed reproduces
-the output byte for byte; wall time and other run metadata live in the
-report footer, never in the CSV.
+Configs are strict JSON: unknown keys are rejected with their path, and
+distributions are validated at parse time.  Reports serialize to CSV with a
+fixed header, floats at 12 significant digits and a deterministic row
+order, so rerunning a config reproduces the output byte for byte; wall time
+and other run metadata live in the report footer, never in the CSV.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
 COMMANDS = ("single-opt", "pair-opt", "verify-thm1", "verify-thm2",
             "partition", "sweep")
 
-DEFAULT_N_SAMPLES = 100_000
 #: ``sweep``'s upper group size when the config gives no ``n_max``.
 SWEEP_N_MAX = 10**6
 #: The largest ``n_max`` a ``sweep`` config may ask for: the sweep checks
@@ -78,8 +76,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    seed: int
-    n_samples: int = DEFAULT_N_SAMPLES
     distributions: tuple = ()
     eps_grid: Optional[tuple[float, ...]] = None
     n_list: Optional[tuple[int, ...]] = None
@@ -189,15 +185,11 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     _reject_unknown(raw, _COMMON_KEYS | _COMMAND_KEYS[command], "$")
 
-    if "seed" not in raw:
-        raise ConfigError("missing required field $.seed")
-    seed = _integer(raw["seed"], "$.seed", minimum=0)
-    if seed >= 1 << 64:
+    # No command samples: seed and n_samples are optional, checked and
+    # ignored.
+    if _integer(raw.get("seed", 0), "$.seed", minimum=0) >= 1 << 64:
         raise ConfigError("$.seed: must fit in 64 bits")
-
-    # No command samples; seed and n_samples are accepted and ignored.
-    n_samples = _integer(raw.get("n_samples", DEFAULT_N_SAMPLES),
-                         "$.n_samples", minimum=1)
+    _integer(raw.get("n_samples", 1), "$.n_samples", minimum=1)
 
     descs = raw.get("distributions", [])
     if not isinstance(descs, list):
@@ -279,8 +271,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
     return ExperimentConfig(
         command=command,
-        seed=seed,
-        n_samples=n_samples,
         distributions=tuple(descs),
         out=out,
         built=built,
@@ -292,8 +282,6 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Canonical JSON for a config; `parse_config` round-trips it."""
     doc: dict = {
         "command": config.command,
-        "seed": config.seed,
-        "n_samples": config.n_samples,
         "distributions": list(config.distributions),
     }
     for key in ("eps_grid", "n_list"):
@@ -478,11 +466,13 @@ def partition_result(config: ExperimentConfig):
     Every group of a given size faces the same optimization problem, so each
     size is optimized once and scaled by its group count (``N`` divisible by
     6 keeps the per-size headcounts integral; group counts may be
-    fractional).  Every value is exact, so the standard-error column is 0;
-    ``budget`` is the zoom rounds of the pair search and of each group's
-    search.  Rows report per-group and per-customer revenue next to the
-    all-singles baseline.  No optimality claim is made: the best per-group
-    bundle offers need not form the best mechanism for the population.
+    fractional).  Every size runs the one exact group search
+    (:func:`~bundle_auction_lab.group_revenue.optimize_group_offer`) in
+    the config's ``mode``, with ``budget`` zoom rounds, and every value is
+    exact, so the standard-error column is 0.  Rows report per-group and
+    per-customer revenue next to the all-singles baseline.  No optimality
+    claim is made: the best per-group bundle offers need not form the best
+    mechanism for the population.
     """
     dist = config.built[0]
     n_total = config.N
@@ -500,12 +490,8 @@ def partition_result(config: ExperimentConfig):
     total_mixed = 0.0
     for size, customers in class_sizes.items():
         group_count = customers / size
-        if size == 2:
-            (offer, value), _ = optimize_pair_offer(dist, dist, budget,
-                                                    grid_points=16)
-        else:
-            offer, value = optimize_group_offer([dist] * size, mode=mode,
-                                                budget=budget)
+        offer, value = optimize_group_offer([dist] * size, mode=mode,
+                                            budget=budget)
         total_mixed += group_count * value
         rows.append((size, customers, group_count, offer.bundle_price,
                      value, 0.0, value / size, group_count * value))

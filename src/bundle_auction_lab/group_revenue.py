@@ -13,15 +13,17 @@ bound of the piecewise-linear density, its exponent minimized by Newton on
 the large-bundle check exact without sampling: the offer's acceptance
 probability is at least ``1 - eps`` and its revenue at least
 ``b (1 - eps)``, and for i.i.d. customers each ``n`` costs O(1) time and
-memory.  For small i.i.d. groups the module prices a symmetric offer
-``(a, ..., a, b)`` or a pure bundle exactly (:mod:`._group_exact`) and
-optimizes it: the best ``b`` of each ``a`` exactly, and ``a`` by a grid
-and zoom rounds.  Seeded Monte Carlo estimates of any group offer remain as
-the independent check of that engine.
+memory.  For groups of up to 12 customers the module prices any offer
+exactly (:mod:`._group_exact`), and searches the offers that give
+customers of one law one solo price, pairs included: the best ``b`` of
+each line of solo prices exactly, and the solo prices by a grid and zoom
+rounds.  Seeded Monte Carlo estimates of any group offer remain as the
+independent check of that engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -255,95 +257,103 @@ def group_expected_revenue_mc(dists: Sequence[ValuationDistribution],
     return stats.mean, stats.std_error
 
 
-def _iid_law(dists: Sequence[ValuationDistribution]) -> ValuationDistribution:
-    """The one distribution of an i.i.d. group of 1 to ``MAX_GROUP``
-    customers, the groups the exact engine takes."""
-    if not 1 <= len(dists) <= MAX_GROUP:
+def _classes(keys) -> dict:
+    """Each distinct key with its count, in order of first appearance: the
+    classes of i.i.d. customers the exact engine takes, for a group of 1
+    to ``MAX_GROUP`` customers."""
+    if not 1 <= len(keys) <= MAX_GROUP:
         raise ValueError(f"dists: the exact group engine takes 1 to "
-                         f"{MAX_GROUP} customers, got {len(dists)}")
-    first = dists[0]
-    if any(d is not first and d != first for d in dists):
-        raise ValueError("dists: the exact group engine takes i.i.d. "
-                         "customers, one distribution for all")
-    return first
+                         f"{MAX_GROUP} customers, got {len(keys)}")
+    counts: dict = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def group_expected_revenue_exact(dists: Sequence[ValuationDistribution],
                                  offer: BundleOffer) -> float:
-    """Exact expected revenue of a symmetric offer ``(a, ..., a, b)``, or a
-    pure bundle, to an i.i.d. group of at most ``MAX_GROUP`` customers.
+    """Exact expected revenue of an offer to a group of at most
+    ``MAX_GROUP`` customers.
 
-    The law of the capped sum is built in closed form (:mod:`._group_exact`);
-    ties buy, so at ``b`` equal to the float sum of the n caps the group
-    whose every value reaches ``a`` takes the bundle, as in
-    :func:`~bundle_auction_lab.bundles.resolve_outcome`.  Groups of other
-    sizes or laws, and offers with unequal solo prices, raise ValueError.
+    Customers with equal laws and solo prices form a class, and the law of
+    the capped sum is built in closed form class by class
+    (:mod:`._group_exact`).  Ties buy: at ``b`` equal to the float sum of
+    the caps, added class by class, the group whose every value reaches its
+    cap takes the bundle, as in
+    :func:`~bundle_auction_lab.bundles.resolve_outcome` when each class's
+    customers are adjacent.  Groups of other sizes raise ValueError.
     """
     if offer.n != len(dists):
         raise ValueError("offer and distribution list must have equal length")
-    dist = _iid_law(dists)
-    prices = set(offer.individual_prices)
-    if len(prices) > 1:
-        raise ValueError("offer: the exact group engine takes one solo price "
-                         "for every customer, or NO_SALE for all")
-    lines = bundle_lines(dist, offer.n, [prices.pop()])
+    counts = _classes(list(zip(dists, offer.individual_prices)))
+    lines = bundle_lines([(d, k) for (d, _), k in counts.items()],
+                         [[a for _, a in counts]])
     return float(line_values(lines, [0], [offer.bundle_price])[0])
 
 
 def optimize_group_offer(dists: Sequence[ValuationDistribution],
                          mode: str = "pure_bundle", budget: int = 15
                          ) -> tuple[BundleOffer, float]:
-    """The best symmetric offer to an i.i.d. group, by exact revenue, and
-    its value (:func:`group_expected_revenue_exact` of the offer).
+    """The best offer to a group of at most ``MAX_GROUP`` customers of at
+    most two distinct laws that gives customers of one law one solo price,
+    by exact revenue, and its value (:func:`group_expected_revenue_exact`
+    of the offer).
 
-    For a solo price ``a`` the revenue is piecewise polynomial in ``b``,
-    and its exact maximum is at a break or a real stationary point
+    For solo prices ``(a_1, ..., a_k)``, one per distinct law, the revenue
+    is piecewise polynomial in ``b``, and its exact maximum is at a break
+    or a real stationary point
     (:func:`~bundle_auction_lab._group_exact.line_argmaxes`, which solves
-    every ``a`` of a round at once).
-    ``mode="pure_bundle"`` returns the best pure bundle.  ``mode="full"``
-    searches ``a`` as :func:`~bundle_auction_lab.pair_revenue.
-    optimize_pair_offer` does: the single-price optimum ``p*``, a 16-point
-    grid on ``[0, M]`` and ``NO_SALE``, then at most ``budget`` zoom rounds
-    that score ``a`` plus or minus a step (clipped to ``[0, M]``), which
-    starts at the grid spacing and halves every round; the first of
-    highest value wins, and the search stops after a round that scores the
-    incumbent alone.  The line of ``p*`` holds the singles offer
-    ``(p*, ..., p*, n p*)``, worth ``n`` times the single-price revenue,
-    and the ``NO_SALE`` line is the pure-bundle search, so the result is
-    worth at least both.
+    every line of a round at once).  ``mode="pure_bundle"`` returns the
+    best pure bundle.  ``mode="full"`` scores every combination of each
+    law's single-price optimum ``p*``, a 16-point grid on ``[0, M]`` and
+    ``NO_SALE``, then runs at most ``budget`` zoom rounds that score every
+    combination of each priced coordinate, plus or minus its step (clipped
+    to ``[0, M]``), around the incumbent; a step starts at its grid's
+    spacing and halves every round.  The first of highest value wins, the
+    incumbent first, and the search stops after a round that scores the
+    incumbent alone.  The line of the ``p*`` holds the singles offer, worth
+    the sum of the single-price revenues, and the ``NO_SALE`` line is the
+    pure-bundle search, so the result is worth at least both.
     """
     if mode not in ("pure_bundle", "full"):
         raise ValueError("mode must be 'pure_bundle' or 'full'")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    dist = _iid_law(dists)
-    n = len(dists)
+    counts = _classes(dists)
+    laws = list(counts)
+    if len(laws) > 2:
+        # The first round scores 18**k lines, 5,832 at k = 3.
+        raise ValueError(f"dists: the offer search takes at most two "
+                         f"distinct laws, got {len(laws)}")
+    classes = list(counts.items())
 
-    def best(prices, incumbent=()):
-        """The first ``(value, a, b)`` of highest value, the incumbent's
-        first: every line of ``prices`` is built and solved at once."""
-        bs, values = line_argmaxes(bundle_lines(dist, n, prices))
-        return max([*incumbent, *zip(values.tolist(), prices, bs.tolist())],
+    def best(lines, incumbent=()):
+        """The first ``(value, prices, b)`` of highest value, the
+        incumbent's first: every line is built and solved at once."""
+        bs, values = line_argmaxes(bundle_lines(classes, lines))
+        return max([*incumbent, *zip(values.tolist(), lines, bs.tolist())],
                    key=lambda r: r[0])
 
     if mode == "pure_bundle":
-        value, _, b = best([NO_SALE])
-        return BundleOffer((NO_SALE,) * n, b), value
-    grid = np.linspace(0.0, dist.upper_bound, 16)
-    step = float(grid[1] - grid[0])
-    incumbent = best([optimal_single_price(dist).price, *grid.tolist(),
-                      NO_SALE])
-    for _ in range(budget):
-        a = incumbent[1]
-        trials = [] if a is None else [
-            t for t in (max(0.0, a - step), min(dist.upper_bound, a + step))
-            if t != a]
-        if not trials:
-            break
-        incumbent = best(trials, (incumbent,))
-        step *= 0.5
-    value, a, b = incumbent
-    return BundleOffer((a,) * n, b), value
+        value, prices, b = best([(NO_SALE,) * len(laws)])
+    else:
+        grids = [np.linspace(0.0, d.upper_bound, 16) for d in laws]
+        steps = [float(grid[1] - grid[0]) for grid in grids]
+        incumbent = best(list(itertools.product(*(
+            [optimal_single_price(d).price, *grid.tolist(), NO_SALE]
+            for d, grid in zip(laws, grids)))))
+        for _ in range(budget):
+            around = [[a] if a is None else [a] + [
+                t for t in (max(0.0, a - h), min(d.upper_bound, a + h))
+                if t != a] for a, h, d in zip(incumbent[1], steps, laws)]
+            # The first combination is the incumbent's own.
+            trials = list(itertools.product(*around))[1:]
+            if not trials:
+                break
+            incumbent = best(trials, (incumbent,))
+            steps = [h * 0.5 for h in steps]
+        value, prices, b = incumbent
+    return BundleOffer(tuple(prices[laws.index(d)] for d in dists), b), value
 
 
 def verify_surplus_extraction(dist: ValuationDistribution,

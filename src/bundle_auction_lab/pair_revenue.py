@@ -15,20 +15,18 @@ to rounding.
 :func:`pair_expected_revenues_exact` does this for a batch of offers at
 once: every offer's pieces go into one padded (offers x pieces x 2) node
 array, and the densities are evaluated on it in one call each.  Single
-offers, the epsilon grid, and the optimizer's grid and zoom rounds all go
-through this one kernel.  An offer the group cannot accept
-(``b > a_1 + a_2``) takes no integral, and a large batch such as the
-optimizer's grid integrates each of its distinct acceptance probabilities
-once.
+offers and the epsilon grid go through this one kernel, and an offer the
+group cannot accept (``b > a_1 + a_2``) takes no integral.  The kernel's
+breakdown of an offer by source is what the region revenues read, and the
+tests hold the exact group engine (:mod:`._group_exact`) to it.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
 from the single-price optima, the five-region decomposition of the positive
 quadrant used to compare the two strategies region by region (read off
-the kernel's breakdown of the offer), the epsilon-line's exact maximizer,
-and a deterministic pair-offer optimizer: one coarse grid, then at most
-``budget`` zoom rounds for the best offer and the best pure bundle
-together, one kernel call each.
+the kernel's breakdown of the offer), and the epsilon-line's exact
+maximizer.  The pair-offer optimizer is the exact group search run on the
+pair in both sale modes; it makes no kernel call.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from ._quad import integrate_with_breakpoints
 # Unused here: bench/tracer.py patches this name.
 from ._search import golden_section_max  # noqa: F401
 from .bundles import BundleOffer
+from .group_revenue import optimize_group_offer
 from .single_pricing import optimal_single_price
 from .valuations import ValuationDistribution
 
@@ -96,12 +95,6 @@ class RegionLabel(Enum):
     A3 = "A3"
     A4 = "A4"
     A5 = "A5"
-
-
-#: Acceptance integrals per kernel call, and offers per slice of the solo
-#: parts, in a large batch such as the optimizer's grid: the padded node
-#: array of a slice (integrals x pieces x 2) stays under a MiB.
-_CHUNK = 2048
 
 
 def _capped_integrand(d1: ValuationDistribution, d2: ValuationDistribution,
@@ -213,44 +206,6 @@ def _solo_parts(price, sells, other_eff, b, tail_cdf, gap_cdf) -> np.ndarray:
     return np.where(sells & (tail > 0.0), price * tail * (1.0 - saturated), 0.0)
 
 
-def _distinct_accept(d1, d2, a1_eff, a2_eff, b) -> np.ndarray:
-    """:func:`_accept_probs`, integrating each distinct value once.
-
-    Offers the group cannot accept are 0.0 (:func:`_can_accept`).  Where
-    ``a_2 >= b`` customer 2's cap never binds: ``b - a_2 <= 0`` is no
-    breakpoint, and ``b <= c1 + a_2`` holds wherever ``x > 0``, so the
-    pieces and the integrand are those of ``a_2 = NO_SALE``, and such
-    offers share the key ``(a_1, inf, b)``.  Customer 1's cap does not fold
-    so: ``a_1`` stays a breakpoint when ``b <= a_1 < M_1``.  The keys are
-    sorted, each distinct one is integrated once, in ``_CHUNK``-integral
-    slices, and the values are scattered back.  A row of
-    :func:`_accept_probs` depends on no other row, so every value equals
-    the one the offer gets on its own, bit for bit.
-    """
-    accept = np.zeros(b.size)
-    live = np.flatnonzero(_can_accept(a1_eff, a2_eff, b))
-    if live.size == 0:
-        return accept
-    k1 = a1_eff[live]
-    k2 = np.where(a2_eff[live] >= b[live], np.inf, a2_eff[live])
-    kb = b[live]
-    order = np.lexsort((kb, k2, k1))
-    # One key at a time, so a large batch holds one extra copy at most.
-    k1 = k1[order]
-    k2 = k2[order]
-    kb = kb[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1]) | (kb[1:] != kb[:-1])
-    k1, k2, kb = k1[first], k2[first], kb[first]
-    distinct = np.concatenate([
-        _accept_probs(d1, d2, k1[i:i + _CHUNK], k2[i:i + _CHUNK],
-                      kb[i:i + _CHUNK])
-        for i in range(0, kb.size, _CHUNK)
-    ])
-    accept[live[order]] = distinct[np.cumsum(first) - 1]
-    return accept
-
-
 def pair_expected_revenues_exact(d1: ValuationDistribution,
                                  d2: ValuationDistribution,
                                  a1, a2, b) -> np.ndarray:
@@ -261,13 +216,7 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     shape ``(5, offers)`` whose rows are the fields of
     :class:`PairRevenueBreakdown` in order: total, bundle part, the two solo
     parts and the acceptance probability.  Each offer's values equal those
-    of :func:`pair_expected_revenue_exact`.  A batch of more than ``_CHUNK``
-    offers integrates each distinct acceptance probability once
-    (:func:`_distinct_accept`); a smaller one, such as an optimizer zoom
-    round or the epsilon grid, is integrated as given, because the sort and
-    scatter cost it 10-20% and it has few integrals to save.  The solo parts
-    and totals are assembled in ``_CHUNK``-offer slices, so their
-    temporaries do not grow with the batch.
+    of :func:`pair_expected_revenue_exact`.
     """
     a1, a2, b = (np.asarray(x, dtype=float).ravel()
                  for x in np.broadcast_arrays(a1, a2, b))
@@ -279,22 +228,18 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
     a1_eff = np.where(sells1, a1, np.inf)
     a2_eff = np.where(sells2, a2, np.inf)
-    accept_probs = _distinct_accept if b.size > _CHUNK else _accept_probs
-    accept = accept_probs(d1, d2, a1_eff, a2_eff, b)
     parts = np.empty((5, b.size))
-    parts[4] = accept
-    for i in range(0, b.size, _CHUNK):
-        c = slice(i, i + _CHUNK)
-        # A solo price of 0 stands in for NO_SALE inside the CDFs;
-        # _solo_parts zeroes those terms.
-        p1 = np.where(sells1[c], a1[c], 0.0)
-        p2 = np.where(sells2[c], a2[c], 0.0)
-        tail1, gap1 = d1.cdf(np.stack([p1, b[c] - p2]))
-        tail2, gap2 = d2.cdf(np.stack([p2, b[c] - p1]))
-        parts[2, c] = _solo_parts(p1, sells1[c], a2_eff[c], b[c], tail1, gap2)
-        parts[3, c] = _solo_parts(p2, sells2[c], a1_eff[c], b[c], tail2, gap1)
-        parts[1, c] = b[c] * parts[4, c]
-        parts[0, c] = parts[1, c] + parts[2, c] + parts[3, c]
+    parts[4] = _accept_probs(d1, d2, a1_eff, a2_eff, b)
+    # A solo price of 0 stands in for NO_SALE inside the CDFs; _solo_parts
+    # zeroes those terms.
+    p1 = np.where(sells1, a1, 0.0)
+    p2 = np.where(sells2, a2, 0.0)
+    tail1, gap1 = d1.cdf(np.stack([p1, b - p2]))
+    tail2, gap2 = d2.cdf(np.stack([p2, b - p1]))
+    parts[2] = _solo_parts(p1, sells1, a2_eff, b, tail1, gap2)
+    parts[3] = _solo_parts(p2, sells2, a1_eff, b, tail2, gap1)
+    parts[1] = b * parts[4]
+    parts[0] = parts[1] + parts[2] + parts[3]
     return parts
 
 
@@ -556,85 +501,19 @@ def verify_pair_improvement(d1: ValuationDistribution,
     )
 
 
-def _mesh(ax1, ax2, axb) -> np.ndarray:
-    """Columns a1, a2, b of every offer in ``ax1 x ax2 x axb``, ``ax1``
-    varying slowest."""
-    return np.stack(np.meshgrid(ax1, ax2, axb, indexing="ij")).reshape(3, -1)
-
-
-def _zoom_axis(x: float, h: float, hi: float) -> list[float]:
-    """``x``, then ``x - h`` and ``x + h`` clipped to ``[0, hi]``, without a
-    value that clips onto ``x``; a NaN (``NO_SALE``) coordinate stays NaN."""
-    if math.isnan(x):
-        return [x]
-    return [x] + [v for v in (max(0.0, x - h), min(hi, x + h)) if v != x]
-
-
-def _top(columns, values):
-    """The first column of highest value, as a list, and that value."""
-    k = int(np.argmax(values))
-    return columns[:, k].tolist(), float(values[k])
-
-
 def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
-                        budget: int = 15, *, grid_points: int = 32
+                        budget: int = 15
                         ) -> tuple[tuple[BundleOffer, float], ...]:
-    """Deterministic search for the best two-customer offer and the best
-    pure bundle: ``((offer, value), (bundle_offer, bundle_value))``.
+    """The best two-customer offer and the best pure bundle, by exact
+    revenue: ``((offer, value), (bundle_offer, bundle_value))``.
 
-    Stage 1 scans a coarse grid over ``[0, M1] x [0, M2] x [0, M1 + M2]``
-    plus the NO_SALE variants of each solo price, and seeds the singles
-    optimum as the offer ``(p1*, p2*, p1* + p2*)`` (which reproduces single
-    pricing exactly, so the full result always dominates it).  The whole
-    grid is one :func:`pair_expected_revenues_exact` call, whose distinct
-    acceptance integrals are evaluated in chunks of ``_CHUNK``.  The first
-    offer of highest value seeds the full search, and the first of highest
-    value among the last ``grid_points``, the pure bundles, seeds the
-    pure-bundle search.  On a uniform pair the 32-point grid has 34,849
-    offers and 9,697 distinct integrals.
-
-    Stage 2 runs at most ``budget`` zoom rounds, one kernel call each for
-    both searches.  A search's round scores the offers whose priced
-    coordinates each take ``x``, ``x - h`` or ``x + h`` (clipped to range)
-    around its incumbent ``x`` -- at most 27 offers, 3 for a pure bundle --
-    and moves to the first of highest value; the incumbent is scored
-    first, so it keeps a tie.  ``h`` starts at the grid spacing and halves
-    every round.  A search stops after its first round that scores the
-    incumbent alone, once every step rounds or clips onto it: a halved step
-    still does, so every later round would score that one offer again.
-    The rounds end once both have stopped, so a run makes at most
-    ``1 + budget`` kernel calls.  An offer's value does not depend on its
-    batch, so each answer is the one a search of its own finds.
+    This is :func:`~bundle_auction_lab.group_revenue.optimize_group_offer`
+    on the pair in both modes: the best ``b`` of every line of solo prices
+    exactly, one solo price per distinct law (so an i.i.d. pair gets a
+    symmetric offer), and at most ``budget`` zoom rounds over the solo
+    prices.  The full search scores the singles optimum ``(p1*, p2*,
+    p1* + p2*)`` and the pure bundles among its lines, so its result is
+    worth at least both.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    highs = (d1.upper_bound, d2.upper_bound, d1.upper_bound + d2.upper_bound)
-    ax1, ax2, axb = axes = [np.linspace(0.0, hi, grid_points) for hi in highs]
-    steps = [float(ax[1] - ax[0]) for ax in axes]
-    p1, p2 = optimal_single_price(d1).price, optimal_single_price(d2).price
-    no = [math.nan]
-    # The singles optimum, then each sale pattern's offers, pure bundles last.
-    columns = np.concatenate([[[p1], [p2], [p1 + p2]]] + [
-        _mesh(x1, x2, axb) for x1 in (ax1, no) for x2 in (ax2, no)], axis=1)
-    values = pair_expected_revenues_exact(d1, d2, *columns)[0]
-    best = [_top(columns, values),
-            _top(columns[:, -grid_points:], values[-grid_points:])]
-    live = [0, 1]
-    for _ in range(budget):
-        rounds = [_mesh(*map(_zoom_axis, best[i][0], steps, highs))
-                  for i in live]
-        values = pair_expected_revenues_exact(
-            d1, d2, *np.concatenate(rounds, axis=1))[0]
-        # zip drops the empty second part when one search is left.
-        for i, r, v in zip(live, rounds,
-                           np.split(values, [rounds[0].shape[1]])):
-            best[i] = _top(r, v)
-        live = [i for i, r in zip(live, rounds) if r.shape[1] > 1]
-        if not live:
-            break
-        steps = [h * 0.5 for h in steps]
-    return tuple((BundleOffer(tuple(None if math.isnan(a) else a
-                                    for a in x[:2]), x[2]), value)
-                 for x, value in best)
+    return tuple(optimize_group_offer([d1, d2], mode, budget)
+                 for mode in ("full", "pure_bundle"))

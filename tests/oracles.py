@@ -355,7 +355,7 @@ def tilted_moments_simpson(knots, densities, theta: float
     return mean, integral(lambda v: (v - mean) ** 2) / total
 
 
-# --- Exact rational reference for symmetric group offers --------------------
+# --- Exact rational reference for group offers ------------------------------
 
 
 def _truncated_power(s, order, t):
@@ -410,29 +410,49 @@ def _convolve(p: dict, q: dict) -> dict:
     return out
 
 
-def capped_sum_cdfs_fraction(knots, densities, n: int, a, ts):
-    """``P[S_n < t]`` for each ``t`` and the law of ``S_n``, the sum of n
-    i.i.d. ``min(V_i, a)``, in exact rationals (``n <= 6`` or so)."""
-    law = capped_law_fraction(knots, densities, a)
+def class_sum_cdfs_fraction(classes, ts):
+    """``P[S < t]`` for each ``t``, in exact rationals, for the capped sum
+    ``S`` of a group of classes ``(knots, densities, count, a)``: ``count``
+    i.i.d. customers of the law through ``(knots, densities)``, each
+    capped at ``a`` (``None`` for no cap), up to 6 customers or so."""
     power = {(Fraction(0), -1): Fraction(1)}
-    for _ in range(n):
-        power = _convolve(power, law)
+    for knots, densities, count, a in classes:
+        law = capped_law_fraction(knots, densities, a)
+        for _ in range(count):
+            power = _convolve(power, law)
     return [sum(c * _truncated_power(s, m + 1, Fraction(t))
                 for (s, m), c in power.items()) for t in ts]
 
 
-def symmetric_revenue_fraction(knots, densities, n: int, a, b) -> Fraction:
-    """Exact expected revenue of ``(a, ..., a, b)`` to n i.i.d. customers
-    (``a=None`` for a pure bundle): ``b P[S_n >= b] + n a q P[a + S_{n-1}
-    < b]`` with ``q = P[V >= a]``, every comparison in exact arithmetic."""
+def class_revenue_fraction(classes, b) -> Fraction:
+    """Exact expected revenue of an offer to a group of classes ``(knots,
+    densities, count, a)``, each class's customers at solo price ``a``
+    (``None`` for ``NO_SALE``): ``b P[S >= b]`` plus, per class, ``count a
+    q P[a + S' < b]`` with ``q = P[V >= a]`` and ``S'`` the capped sum
+    without one of its customers, every comparison in exact arithmetic."""
     b = Fraction(b)
-    (below,) = capped_sum_cdfs_fraction(knots, densities, n, a, [b])
+    (below,) = class_sum_cdfs_fraction(classes, [b])
     revenue = b * (1 - below)
-    if a is not None:
+    for i, (knots, densities, count, a) in enumerate(classes):
+        if a is None:
+            continue
         law = capped_law_fraction(knots, densities, a)
         q = law.get((min(Fraction(a), Fraction(knots[-1])), -1), 0)
         if q:
-            (solo,) = capped_sum_cdfs_fraction(knots, densities, n - 1, a,
-                                               [b - Fraction(a)])
-            revenue += n * Fraction(a) * q * solo
+            rest = list(classes)
+            rest[i] = (knots, densities, count - 1, a)
+            (solo,) = class_sum_cdfs_fraction(rest, [b - Fraction(a)])
+            revenue += count * Fraction(a) * q * solo
     return revenue
+
+
+def capped_sum_cdfs_fraction(knots, densities, n: int, a, ts):
+    """``P[S_n < t]`` for each ``t``, the sum of n i.i.d. ``min(V_i, a)``,
+    in exact rationals (``n <= 6`` or so)."""
+    return class_sum_cdfs_fraction([(knots, densities, n, a)], ts)
+
+
+def symmetric_revenue_fraction(knots, densities, n: int, a, b) -> Fraction:
+    """Exact expected revenue of ``(a, ..., a, b)`` to n i.i.d. customers
+    (``a=None`` for a pure bundle)."""
+    return class_revenue_fraction([(knots, densities, n, a)], b)

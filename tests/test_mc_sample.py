@@ -272,7 +272,7 @@ class TestAllocationBudget:
         rows = 20_000
         for prices in ([0.5], [0.7]):
             peak = _peak_bytes(lambda: line_argmaxes(
-                bundle_lines(DISTS["template"], 3, prices)))
+                bundle_lines([(DISTS["template"], 3)], [prices])))
             assert peak <= rows * 8 // 2
 
     @pytest.mark.parametrize("name", ["ramp", "template"])

@@ -12,8 +12,6 @@ from bundle_auction_lab.bundles import BundleOffer
 from bundle_auction_lab.pair_revenue import (
     RegionLabel,
     _accept_probs,
-    _distinct_accept,
-    optimize_pair_offer,
     pair_expected_revenue_exact,
     pair_expected_revenues_exact,
     region_expected_revenue,
@@ -217,8 +215,9 @@ def test_grid_is_bit_identical_to_reference(d1, d2):
 
 @st.composite
 def pruned_and_folded_batches(draw):
-    """Batches that mix every case the dedup prunes or folds: offers
-    the group cannot accept, ``a2 > b``, ``a2 == b``, ``a1 >= b``, ties
+    """Batches that mix every case the kernel prunes and the caps that
+    never bind: offers the group cannot accept, ``a2 > b``, ``a2 == b``,
+    ``a1 >= b``, ties
     ``b == a1 + a2``, exact duplicates, ``NO_SALE`` on either side, ``b = 0``
     and ``-0.0`` prices."""
     d1 = draw(densities())
@@ -237,7 +236,7 @@ def pruned_and_folded_batches(draw):
             ((a1, a2), b),                           # exact duplicate
             ((a1, b + a2), b),                       # a2 > b
             ((a1, b), b),                            # a2 == b
-            ((a1, None), b),                         # folds onto a2 >= b
+            ((a1, None), b),                         # as a2 >= b
             ((b + a1, a2), b),                       # a1 > b
             ((b, a2), b),                            # a1 == b
             ((None, a2), b),
@@ -256,15 +255,10 @@ def pruned_and_folded_batches(draw):
 @settings(max_examples=40, deadline=None)
 @given(pruned_and_folded_batches())
 def test_pruned_and_folded_offers_are_bit_identical(case):
-    # Integrating each distinct acceptance once gives every offer the value
-    # it gets without the dedup; each offer's values in a batch equal those
-    # of the offer alone, bit for bit, and the reference within AGREE.
+    # Each offer's values in a batch equal those of the offer alone, bit
+    # for bit, and the reference within AGREE.
     d1, d2, batch = case
     a1, a2, b = _columns(batch)
-    a1_eff = np.where(np.isnan(a1), np.inf, a1)
-    a2_eff = np.where(np.isnan(a2), np.inf, a2)
-    assert (_distinct_accept(d1, d2, a1_eff, a2_eff, b).tobytes()
-            == _accept_probs(d1, d2, a1_eff, a2_eff, b).tobytes())
     parts = pair_expected_revenues_exact(d1, d2, a1, a2, b)
     for i, (prices, bi) in enumerate(batch):
         single = pair_expected_revenue_exact(d1, d2, BundleOffer(prices, bi))
@@ -320,14 +314,13 @@ def test_a_cap_of_customer_2_at_or_above_b_is_no_sale():
     assert not np.array_equal(capped, uncapped)
 
 
-def test_a_batch_above_one_chunk_matches_its_slices():
-    # Above _CHUNK offers the batch integrates each distinct acceptance
-    # once; its slices of at most _CHUNK offers are integrated as given.
+def test_a_large_batch_matches_its_slices():
+    # Rows are independent: in a batch of 3,993 offers, NO_SALE on either
+    # side included, each offer gets the bits its slice of 1,000 gives it.
     axis = np.linspace(0.0, 1.0, 9)
     a1, a2, b = (g.ravel() for g in np.meshgrid(
         np.append(axis, np.nan), np.append(axis, np.nan),
         np.linspace(0.0, 2.0, 33), indexing="ij"))
-    assert b.size > pair_revenue._CHUNK
     whole = pair_expected_revenues_exact(TEMPLATE, TEMPLATE, a1, a2, b)
     sliced = np.concatenate([
         pair_expected_revenues_exact(TEMPLATE, TEMPLATE, a1[i:i + 1000],
@@ -335,29 +328,6 @@ def test_a_batch_above_one_chunk_matches_its_slices():
         for i in range(0, b.size, 1000)
     ], axis=1)
     assert whole.tobytes() == sliced.tobytes()
-
-
-@pytest.mark.parametrize("dist, grid_points, offers, integrals", [
-    (make_uniform(1.0), 32, 34_849, 9_697),   # configs/pair_opt_uniform.json
-    (TEMPLATE, 16, 4_625, 1_411),             # partition's pair grid
-])
-def test_grid_integrates_each_distinct_acceptance_once(
-        monkeypatch, dist, grid_points, offers, integrals):
-    counter = _CountingIntegrals(monkeypatch)
-    seen = []
-
-    def grid_accept(d1, d2, a1_eff, a2_eff, b):
-        before = counter.rows
-        accept = _distinct_accept(d1, d2, a1_eff, a2_eff, b)
-        seen.append((b.size, counter.rows - before))
-        return accept
-
-    monkeypatch.setattr(pair_revenue, "_distinct_accept", grid_accept)
-    optimize_pair_offer(dist, dist, 1, grid_points=grid_points)
-    # The pure-bundle search reads its grid values from this call, and each
-    # zoom round, both searches' offers together, is a batch of at most
-    # 27 + 3 offers, too small for the dedup.
-    assert seen == [(offers, integrals)]
 
 
 @pytest.mark.parametrize("dist, p1, p2, pinned", [

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bundle_auction_lab import pair_revenue
+from bundle_auction_lab import group_revenue, pair_revenue
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, group_rational_accepts
+from bundle_auction_lab.group_revenue import optimize_group_offer
 from bundle_auction_lab.pair_revenue import (
     RegionLabel,
     classify_region,
@@ -370,54 +371,14 @@ class TestVerifyImprovement:
             verify_pair_improvement(UNIFORM, UNIFORM, ())
 
 
+def _ulps(x: float, want: float) -> float:
+    return abs(x - want) / math.ulp(want)
+
+
 #: The pair of configs/verify_thm1_skewed_pair.json: unequal laws and
 #: upper bounds.
 SKEWED_PAIR = (make_piecewise_linear((0.0, 0.75), (1.5, 1.2)),
                make_piecewise_linear((0.0, 1.9, 2.0), (0.3, 0.7, 0.7)))
-
-
-def _one_mode_search(d1, d2, budget, grid_points, pure_bundle, calls):
-    """The pair optimizer as it searched one sale mode per call: the mode's
-    own grid in one kernel call, then zoom rounds around the first best
-    offer until a round scores the incumbent alone.  Returns the best offer
-    as ``(a1, a2, b, value)`` in ``float.hex``, None for NO_SALE, and
-    appends each call's offer count to ``calls``."""
-    highs = (d1.upper_bound, d2.upper_bound, d1.upper_bound + d2.upper_bound)
-    ax1, ax2, axb = axes = [np.linspace(0.0, hi, grid_points) for hi in highs]
-    steps = [float(ax[1] - ax[0]) for ax in axes]
-
-    def mesh(*axs):
-        return np.stack([g.ravel() for g in np.meshgrid(*axs, indexing="ij")])
-
-    def zoom(x, h, hi):
-        if math.isnan(x):
-            return [x]
-        return [x] + [v for v in (max(0.0, x - h), min(hi, x + h)) if v != x]
-
-    def score(columns):
-        calls.append(columns.shape[1])
-        return pair_revenue.pair_expected_revenues_exact(d1, d2, *columns)[0]
-
-    no = [math.nan]
-    if pure_bundle:
-        columns = mesh(no, no, axb)
-    else:
-        p1 = optimal_single_price(d1).price
-        p2 = optimal_single_price(d2).price
-        columns = np.concatenate(
-            [[[p1], [p2], [p1 + p2]], mesh(ax1, ax2, axb), mesh(ax1, no, axb),
-             mesh(no, ax2, axb), mesh(no, no, axb)], axis=1)
-    values = score(columns)
-    for _ in range(budget):
-        incumbent = columns[:, int(np.argmax(values))].tolist()
-        columns = mesh(*map(zoom, incumbent, steps, highs))
-        values = score(columns)
-        if columns.shape[1] == 1:
-            break
-        steps = [h * 0.5 for h in steps]
-    best = int(np.argmax(values))
-    return tuple(None if math.isnan(x) else x.hex()
-                 for x in (*columns[:, best].tolist(), float(values[best])))
 
 
 def _hex(answer):
@@ -426,36 +387,20 @@ def _hex(answer):
                  for x in (*offer.individual_prices, offer.bundle_price, value))
 
 
-class _CountingKernel:
-    """Records the offer count of each kernel call the optimizer makes."""
-
-    def __init__(self, monkeypatch):
-        self.calls = []
-        kernel = pair_revenue.pair_expected_revenues_exact
-
-        def counting(*args):
-            self.calls.append(len(args[-1]))
-            return kernel(*args)
-
-        monkeypatch.setattr(pair_revenue, "pair_expected_revenues_exact",
-                            counting)
-
-
 class TestOptimizePair:
     def test_uniform_pair_beats_pure_bundle_optimum(self):
-        (offer, value), _ = optimize_pair_offer(UNIFORM, UNIFORM, 10,
-                                                grid_points=16)
+        (offer, value), _ = optimize_pair_offer(UNIFORM, UNIFORM, 10)
         assert value >= 0.5443310539518174 - 0.002
         assert value > 0.5
         mc, se = pair_expected_revenue_mc(UNIFORM, UNIFORM, offer, 2 * 10**5, 3)
         assert abs(mc - value) <= 4.0 * se
 
     def test_pure_bundle_restriction_recovers_known_price(self):
-        _, (offer, value) = optimize_pair_offer(UNIFORM, UNIFORM, 12,
-                                                grid_points=16)
+        # max_b b (1 - b^2 / 2) is at b = sqrt(2/3), worth (2/3) sqrt(2/3).
+        _, (offer, value) = optimize_pair_offer(UNIFORM, UNIFORM, 12)
         assert offer.individual_prices == (None, None)
-        assert abs(offer.bundle_price - PURE_B_STAR) < 0.02
-        assert value == pytest.approx(PURE_B_STAR - PURE_B_STAR**3 / 2, abs=1e-4)
+        assert _ulps(offer.bundle_price, PURE_B_STAR) <= 2
+        assert _ulps(value, (2.0 / 3.0) * PURE_B_STAR) <= 4
 
     def test_dominates_singles_for_skewed_partner(self):
         skewed = make_piecewise_linear((0.0, 0.05, 1.0), (30.0, 2.0, 0.05))
@@ -463,95 +408,105 @@ class TestOptimizePair:
             optimal_single_price(UNIFORM).utility
             + optimal_single_price(skewed).utility
         )
-        (_, value), _ = optimize_pair_offer(UNIFORM, skewed, 2, grid_points=8)
-        assert value >= singles - 1e-6
+        (_, value), _ = optimize_pair_offer(UNIFORM, skewed, 2)
+        assert value >= singles
 
     def test_mixed_scale_pair(self):
         (_, value), _ = optimize_pair_offer(
-            make_uniform(2.0), make_uniform(1.0), 2, grid_points=8
+            make_uniform(2.0), make_uniform(1.0), 2
         )
-        assert value >= 0.75 - 1e-6
+        assert value >= 0.75
 
     def test_uniform_pair_reaches_the_mixed_bundling_optimum(self):
         # R* is the optimum over all mechanisms for U[0,1]^2 (Manelli and
-        # Vincent 2006), so no offer may exceed it, and the optimizer comes
-        # within 1e-11 of it.
-        (_, value), _ = optimize_pair_offer(UNIFORM, UNIFORM, 15)
-        assert UNIFORM_PAIR_OPTIMUM - 1e-11 <= value <= UNIFORM_PAIR_OPTIMUM
+        # Vincent 2006), reached at solo prices 2/3 and bundle price
+        # (4 - sqrt 2)/3.
+        (offer, value), _ = optimize_pair_offer(UNIFORM, UNIFORM, 15)
+        assert _ulps(value, UNIFORM_PAIR_OPTIMUM) <= 4
+        assert offer.individual_prices == (2.0 / 3.0, 2.0 / 3.0)
+        assert _ulps(offer.bundle_price, (4.0 - math.sqrt(2.0)) / 3.0) <= 2
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             optimize_pair_offer(UNIFORM, UNIFORM, 0)
 
-    @pytest.mark.parametrize("grid_points", [0, 1])
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_grid_points_validation(self, grid_points, skewed):
-        # Zero points used to crash in numpy's argmax, and one point to fall
-        # back to a step of a quarter of the range; unequal laws and upper
-        # bounds change nothing.
-        d1, d2 = SKEWED_PAIR if skewed else (UNIFORM, UNIFORM)
-        with pytest.raises(ValueError, match="grid_points"):
-            optimize_pair_offer(d1, d2, 1, grid_points=grid_points)
+    @pytest.mark.parametrize("d1, d2", [
+        (UNIFORM, make_piecewise_linear((0.0, 0.05, 1.0), (30.0, 2.0, 0.05))),
+        (make_uniform(2.0), UNIFORM),
+        (TEMPLATE, RAMP),
+    ], ids=["uniform-spike", "u2-uniform", "template-ramp"])
+    def test_mixed_pair_offers_score_as_the_pair_kernel_says(self, d1, d2):
+        # A mixed pair searches one solo price per customer; each answer's
+        # value is the pair kernel's for its offer, and the full offer is
+        # worth at least the pure bundle and the singles.
+        (offer, value), (bundle, bundle_value) = optimize_pair_offer(d1, d2, 6)
+        for o, v in ((offer, value), (bundle, bundle_value)):
+            assert abs(pair_expected_revenue_exact(d1, d2, o).total - v) <= 1e-13
+        assert value >= bundle_value
+        assert value >= (optimal_single_price(d1).utility
+                         + optimal_single_price(d2).utility)
 
     @pytest.mark.parametrize("budget", [1, 2, 15, 5000])
-    @pytest.mark.parametrize("grid_points", [8, 16, 32])
-    @pytest.mark.parametrize("pair", ["uniform", "template", "skewed"])
-    def test_joint_search_matches_one_search_per_mode(
-            self, monkeypatch, pair, grid_points, budget):
-        # Each answer is the one its own search finds, to the bit, and each
-        # joint round scores both searches' offers in one kernel call.
+    @pytest.mark.parametrize("pair", ["uniform", "template", "skewed",
+                                      "template-ramp"])
+    def test_each_answer_is_the_group_search_in_its_mode(self, pair, budget):
+        # Each answer is optimize_group_offer's on the pair in its own mode,
+        # to the bit; the pair kernel, an independent integrator, gives each
+        # offer the value returned, and the full offer is worth at least the
+        # pure bundle.
         d1, d2 = {"uniform": (UNIFORM, UNIFORM), "template": (TEMPLATE, TEMPLATE),
-                  "skewed": SKEWED_PAIR}[pair]
-        full_calls, pure_calls = [], []
-        want = (_one_mode_search(d1, d2, budget, grid_points, False, full_calls),
-                _one_mode_search(d1, d2, budget, grid_points, True, pure_calls))
-        counter = _CountingKernel(monkeypatch)
-        got = optimize_pair_offer(d1, d2, budget, grid_points=grid_points)
-        assert tuple(map(_hex, got)) == want
-        rounds = max(len(full_calls), len(pure_calls)) - 1
-        full_calls += [0] * rounds
-        pure_calls += [0] * rounds
-        assert counter.calls == [full_calls[0]] + [
-            f + p for f, p in zip(full_calls[1:rounds + 1],
-                                  pure_calls[1:rounds + 1])]
+                  "skewed": SKEWED_PAIR, "template-ramp": (TEMPLATE, RAMP)}[pair]
+        got = optimize_pair_offer(d1, d2, budget)
+        want = tuple(optimize_group_offer([d1, d2], mode, budget)
+                     for mode in ("full", "pure_bundle"))
+        assert tuple(map(_hex, got)) == tuple(map(_hex, want))
+        for offer, value in got:
+            assert abs(pair_expected_revenue_exact(d1, d2, offer).total
+                       - value) <= 1e-14
+        assert got[0][1] >= got[1][1]
 
-    @pytest.mark.parametrize("d, budget, kwargs, pinned", [
-        (UNIFORM, 15, {},
-         (("0x1.55556b5ad6b5bp-1", "0x1.55556b5ad6b5bp-1",
-           "0x1.b94ef7bdef7bep-1", "0x1.1930dfc386e08p-1"),
-          (None, None, "0x1.a20bdef7bdef7p-1", "0x1.16b28f55d7066p-1"))),
-        (UNIFORM, 15, {"grid_points": 16},
+    @pytest.mark.parametrize("d1, d2, budget, pinned", [
+        (UNIFORM, UNIFORM, 15,
          (("0x1.5555555555555p-1", "0x1.5555555555555p-1",
-           "0x1.b94eeeeeeeeeep-1", "0x1.1930dfc388c8dp-1"),
-          (None, None, "0x1.a20bbbbbbbbbcp-1", "0x1.16b28f55d565ep-1"))),
-        (TEMPLATE, 2, {"grid_points": 16},
+           "0x1.b94ebbbab2d76p-1", "0x1.1930dfc38c67dp-1"),
+          (None, None, "0x1.a20bd700c2c3ep-1", "0x1.16b28f55d72d4p-1"))),
+        (TEMPLATE, TEMPLATE, 2,                    # partition's template pair
          (("0x1.4444444444444p-1", "0x1.4444444444444p-1",
-           "0x1.999999999999ap-1", "0x1.1e5d52405d505p-1"),
-          (None, None, "0x1.999999999999ap-1", "0x1.1d4bf8aad7b0fp-1"))),
-    ])
-    def test_offers_are_pinned_at_one_kernel_call_per_round(
-            self, monkeypatch, d, budget, kwargs, pinned):
-        # The pins are the offers and values of the compass search that the
-        # zoom rounds replaced, and of the one-mode searches the joint
-        # rounds replaced: all walk the same dyadic lattice.  The grid is
-        # one kernel call, and each round, both modes' offers, one more.
-        counter = _CountingKernel(monkeypatch)
-        got = optimize_pair_offer(d, d, budget, **kwargs)
-        assert tuple(map(_hex, got)) == pinned
-        assert len(counter.calls) == 1 + budget
-        assert max(counter.calls[1:]) <= 27 + 3
+           "0x1.9cbf7fb10a89ep-1", "0x1.1e62bc7649b84p-1"),
+          (None, None, "0x1.95429dd6d7400p-1", "0x1.1d584bf312b02p-1"))),
+        (*SKEWED_PAIR, 15,
+         (("0x1.05c2666666665p-1", "0x1.7777777777777p+0",
+           "0x1.54a723b4d1f4cp+0", "0x1.aefb94fdf059fp-1"),
+          (None, None, "0x1.4b8577da6b6c6p+0", "0x1.a20cae3294c7cp-1"))),
+    ], ids=["uniform", "template", "skewed"])
+    def test_offers_are_pinned_without_a_pair_kernel_call(
+            self, monkeypatch, d1, d2, budget, pinned):
+        # The search solves its lines on the exact group engine: neither
+        # the pair kernel nor its integrator runs.
+        def fail(*args, **kwargs):
+            raise AssertionError("the pair kernel ran")
+
+        monkeypatch.setattr(pair_revenue, "pair_expected_revenues_exact", fail)
+        monkeypatch.setattr(pair_revenue, "integrate_with_breakpoints", fail)
+        assert tuple(map(_hex, optimize_pair_offer(d1, d2, budget))) == pinned
 
     def test_huge_budget_stops_once_a_round_holds_the_incumbent_alone(
             self, monkeypatch):
-        # On a uniform pair round 52 is the first to score each search's
-        # incumbent alone, so a budget of 5,000 makes 53 kernel calls, no
-        # more than a budget of 60, and returns the same offers to the bit:
-        # every later round would score those offers again.
-        counter = _CountingKernel(monkeypatch)
+        # On a uniform pair the solo price's step, 1/15 halved each round,
+        # falls below half an ulp of 2/3 after 51 rounds, so the next round
+        # has no neighbour to score and the search stops: a budget of 5,000
+        # solves 1 + 51 rounds of lines in the full mode and one in the
+        # pure-bundle mode, and returns what a budget of 60 does, to the bit.
+        solves = []
+        solve = group_revenue.line_argmaxes
+
+        def counting(lines):
+            solves.append(1)
+            return solve(lines)
+
+        monkeypatch.setattr(group_revenue, "line_argmaxes", counting)
         huge = optimize_pair_offer(UNIFORM, UNIFORM, 5000)
-        assert len(counter.calls) == 53
-        assert counter.calls[0] == 34_849
-        assert counter.calls[-1] == 2 and counter.calls[-2] > 2
-        assert max(counter.calls[1:]) <= 27 + 3
+        assert len(solves) == 1 + 51 + 1
         monkeypatch.undo()
-        assert huge == optimize_pair_offer(UNIFORM, UNIFORM, 60)
+        assert tuple(map(_hex, huge)) == tuple(map(_hex, optimize_pair_offer(
+            UNIFORM, UNIFORM, 60)))
