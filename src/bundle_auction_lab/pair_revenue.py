@@ -25,8 +25,8 @@ optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
 from the single-price optima, the five-region decomposition of the positive
 quadrant used to compare the two strategies region by region (read off
 the kernel's breakdown of the offer), and the epsilon-line's exact
-maximizer.  The pair-offer optimizer is the exact group search run on the
-pair in both sale modes; it makes no kernel call.
+maximizer.  The pair-offer optimizer is one exact group search on the
+pair, which gives both sale modes' answers; it makes no pair-kernel call.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ._quad import integrate_with_breakpoints
 # Unused here: bench/tracer.py patches this name.
 from ._search import golden_section_max  # noqa: F401
 from .bundles import BundleOffer
-from .group_revenue import optimize_group_offer
+from .group_revenue import _offer_search
 from .single_pricing import optimal_single_price
 from .valuations import ValuationDistribution
 
@@ -508,12 +508,13 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     revenue: ``((offer, value), (bundle_offer, bundle_value))``.
 
     This is :func:`~bundle_auction_lab.group_revenue.optimize_group_offer`
-    on the pair in both modes: the best ``b`` of every line of solo prices
-    exactly, one solo price per distinct law (so an i.i.d. pair gets a
-    symmetric offer), and at most ``budget`` zoom rounds over the solo
-    prices.  The full search scores the singles optimum ``(p1*, p2*,
-    p1* + p2*)`` and the pure bundles among its lines, so its result is
-    worth at least both.
+    on the pair in both modes, from one search: the best ``b`` of every
+    line of solo prices exactly, one solo price per distinct law (so an
+    i.i.d. pair gets a symmetric offer), and at most ``budget`` zoom
+    rounds over the solo prices, several to a call.  The pure bundle is
+    the grid's all-``NO_SALE`` line, which the pure-bundle search solves
+    alone to the same floats.  The full search scores the singles optimum
+    ``(p1*, p2*, p1* + p2*)`` and the pure bundles among its lines, so its
+    result is worth at least both.
     """
-    return tuple(optimize_group_offer([d1, d2], mode, budget)
-                 for mode in ("full", "pure_bundle"))
+    return _offer_search([d1, d2], budget)

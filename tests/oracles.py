@@ -456,3 +456,54 @@ def symmetric_revenue_fraction(knots, densities, n: int, a, b) -> Fraction:
     """Exact expected revenue of ``(a, ..., a, b)`` to n i.i.d. customers
     (``a=None`` for a pure bundle)."""
     return class_revenue_fraction([(knots, densities, n, a)], b)
+
+
+def sequential_offer_search(dists, mode: str, budget: int, calls=None):
+    """The exact offer search with one kernel call per zoom round, as
+    ``optimize_group_offer`` ran it before it solved several rounds to a
+    call: the reference that batched search must match to the bit.
+
+    Unlike the rest of this module it shares the exact group engine
+    (``bundle_lines`` and ``line_argmaxes``) with the library: it checks
+    the order of the search, not the engine.  Each call's line count is
+    appended to ``calls`` when given, so ``len(calls) - 1`` is the number
+    of zoom rounds of a full search.
+    """
+    import itertools
+
+    from bundle_auction_lab._group_exact import bundle_lines, line_argmaxes
+    from bundle_auction_lab.bundles import BundleOffer
+    from bundle_auction_lab.single_pricing import optimal_single_price
+
+    counts: dict = {}
+    for d in dists:
+        counts[d] = counts.get(d, 0) + 1
+    laws = list(counts)
+    classes = list(counts.items())
+
+    def best(lines, incumbent=()):
+        if calls is not None:
+            calls.append(len(lines))
+        bs, values = line_argmaxes(bundle_lines(classes, lines))
+        return max([*incumbent, *zip(values.tolist(), lines, bs.tolist())],
+                   key=lambda r: r[0])
+
+    if mode == "pure_bundle":
+        value, prices, b = best([(None,) * len(laws)])
+    else:
+        grids = [np.linspace(0.0, d.upper_bound, 16) for d in laws]
+        steps = [float(grid[1] - grid[0]) for grid in grids]
+        incumbent = best(list(itertools.product(*(
+            [optimal_single_price(d).price, *grid.tolist(), None]
+            for d, grid in zip(laws, grids)))))
+        for _ in range(budget):
+            around = [[a] if a is None else [a] + [
+                t for t in (max(0.0, a - h), min(d.upper_bound, a + h))
+                if t != a] for a, h, d in zip(incumbent[1], steps, laws)]
+            trials = list(itertools.product(*around))[1:]
+            if not trials:
+                break
+            incumbent = best(trials, (incumbent,))
+            steps = [h * 0.5 for h in steps]
+        value, prices, b = incumbent
+    return BundleOffer(tuple(prices[laws.index(d)] for d in dists), b), value

@@ -26,14 +26,15 @@ from bundle_auction_lab.group_revenue import (
     surplus_lower_bound,
     verify_surplus_extraction,
 )
-from bundle_auction_lab.pair_revenue import (pair_expected_revenue_exact,
+from bundle_auction_lab.pair_revenue import (optimize_pair_offer,
+                                             pair_expected_revenue_exact,
                                              pair_expected_revenues_exact)
 from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
 from oracles import (capped_sum_cdfs_fraction, class_revenue_fraction,
-                     irwin_hall_cdf, symmetric_revenue_fraction,
-                     variance_simpson)
+                     irwin_hall_cdf, sequential_offer_search,
+                     symmetric_revenue_fraction, variance_simpson)
 
 UNIFORM = make_uniform(1.0)
 # A valid density with most of its mass at the two ends of [0, 1]: its
@@ -218,6 +219,26 @@ CLASS_PAIRS = {
     "template-iid": (TEMPLATE, TEMPLATE),
     "skewed-iid": (SKEWED, SKEWED),
 }
+
+
+#: A tent law: mass piled at the middle of [0, 1].
+TENT = make_piecewise_linear((0.0, 0.5, 1.0), (0.2, 1.8, 0.2))
+#: The laws and groups of two laws whose batched offer searches are held
+#: to the search that solves one round per call.
+SEARCH_LAWS = {"uniform": UNIFORM, "template": TEMPLATE, "ramp": RAMP,
+               "spike": SPIKE, "tent": TENT}
+TWO_LAW_GROUPS = {"template-ramp": [TEMPLATE, RAMP],
+                  "uniform-spike": [UNIFORM, SPIKE],
+                  "template-ramp-template": [TEMPLATE, RAMP, TEMPLATE],
+                  "tent-uniform-uniform": [TENT, UNIFORM, UNIFORM],
+                  "spike-tent-4": [SPIKE, TENT, SPIKE, TENT]}
+
+
+def _offer_hex(answer):
+    """An ``(offer, value)`` answer in ``float.hex``."""
+    offer, value = answer
+    return tuple(None if x is None else x.hex()
+                 for x in (*offer.individual_prices, offer.bundle_price, value))
 
 
 def _exact(dist, n, a, b):
@@ -480,11 +501,55 @@ class TestOptimizeGroupOffer:
         ([TEMPLATE] * 3, 18, 2), ([TEMPLATE, RAMP, TEMPLATE], 18 * 18, 8),
     ], ids=["iid-triple", "two-laws"])
     def test_search_stops_after_a_sweep_that_moves_nothing(
-            self, monkeypatch, group, grid, most):
+            self, group, grid, most):
         # Once every step rounds onto the incumbent, a halved step does too,
         # so every later round would score it alone again.  A law's
         # coordinate takes p*, 16 grid points and NO_SALE, and a round the
-        # neighbours of the incumbent on every coordinate.
+        # neighbours of the incumbent on every coordinate.  The rounds are
+        # counted on the reference search, which solves one per call.
+        calls = []
+        want = sequential_offer_search(group, "full", 500, calls)
+        rounds = len(calls) - 1
+        assert calls[0] == grid and 40 < rounds < 100
+        assert all(c <= most for c in calls[1:])
+        result = optimize_group_offer(group, mode="full", budget=500)
+        assert result == want
+        assert result == optimize_group_offer(group, mode="full",
+                                              budget=rounds)
+
+    @pytest.mark.parametrize("group", [
+        *(pytest.param([dist] * n, id=f"{name}-{n}")
+          for name, dist in SEARCH_LAWS.items() for n in range(1, 7)),
+        *(pytest.param(group, id=name) for name, group in TWO_LAW_GROUPS.items()),
+    ])
+    def test_batched_rounds_match_one_round_per_call(self, group):
+        # Solving several rounds to a call, and the pure bundle off the
+        # grid, gives the offers and values of solving one round per call,
+        # to the bit: a line's b and value do not depend on the other
+        # lines of its call.  That rests on matmul (_taylor, the Bernstein
+        # transform) and eigvals giving a row the same floats in any batch.
+        for budget in (1, 2, 3, 7, 15, 40, 500):
+            got = optimize_group_offer(group, mode="full", budget=budget)
+            want = sequential_offer_search(group, "full", budget)
+            assert _offer_hex(got) == _offer_hex(want), budget
+        want = sequential_offer_search(group, "pure_bundle", 1)
+        assert _offer_hex(optimize_group_offer(group)) == _offer_hex(want)
+        if len(group) == 2:
+            got = optimize_pair_offer(*group, 15)
+            want = tuple(sequential_offer_search(group, mode, 15)
+                         for mode in ("full", "pure_bundle"))
+            assert tuple(map(_offer_hex, got)) == tuple(map(_offer_hex, want))
+
+    @pytest.mark.parametrize("group", [[UNIFORM] * 2, [TEMPLATE] * 3,
+                                       [TEMPLATE, RAMP, TEMPLATE],
+                                       [UNIFORM, TENT]],
+                             ids=["uniform-pair", "template-triple",
+                                  "two-laws", "uniform-tent"])
+    def test_no_call_scores_more_lines_than_the_grid(self, monkeypatch, group):
+        # Rounds solved ahead share a call only up to the grid's line
+        # count, so a batched search never holds more lines than its grid
+        # round did (the uniform pair's calls of 18 at budget 5,000, in
+        # tests/test_pair_revenue.py, are where the bound binds).
         calls = []
         lines = group_revenue.bundle_lines
 
@@ -493,13 +558,11 @@ class TestOptimizeGroupOffer:
             return lines(classes, prices)
 
         monkeypatch.setattr(group_revenue, "bundle_lines", counted)
-        result = optimize_group_offer(group, mode="full", budget=500)
-        rounds = len(calls) - 1
-        assert calls[0] == grid and 40 < rounds < 100
-        assert all(c <= most for c in calls[1:])
-        monkeypatch.undo()
-        assert result == optimize_group_offer(group, mode="full",
-                                              budget=rounds)
+        for budget in (15, 500):
+            calls.clear()
+            optimize_group_offer(group, mode="full", budget=budget)
+            assert calls[0] in (18, 18 * 18)
+            assert max(calls[1:]) <= calls[0], calls
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("name", ["uniform", "template", "ramp",

@@ -22,7 +22,8 @@ from bundle_auction_lab.pair_revenue import (
 from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
-from oracles import pair_revenue_riemann, ramp_pure_bundle_revenue
+from oracles import (pair_revenue_riemann, ramp_pure_bundle_revenue,
+                     sequential_offer_search)
 
 UNIFORM = make_uniform(1.0)
 RAMP = make_piecewise_linear((0.0, 1.0), (0.5, 1.5))
@@ -490,23 +491,51 @@ class TestOptimizePair:
         monkeypatch.setattr(pair_revenue, "integrate_with_breakpoints", fail)
         assert tuple(map(_hex, optimize_pair_offer(d1, d2, budget))) == pinned
 
-    def test_huge_budget_stops_once_a_round_holds_the_incumbent_alone(
-            self, monkeypatch):
-        # On a uniform pair the solo price's step, 1/15 halved each round,
-        # falls below half an ulp of 2/3 after 51 rounds, so the next round
-        # has no neighbour to score and the search stops: a budget of 5,000
-        # solves 1 + 51 rounds of lines in the full mode and one in the
-        # pure-bundle mode, and returns what a budget of 60 does, to the bit.
-        solves = []
+    @staticmethod
+    def _call_sizes(monkeypatch, d1, d2, budget):
+        """The answer of ``optimize_pair_offer`` and the number of lines of
+        each of its kernel calls."""
+        sizes = []
         solve = group_revenue.line_argmaxes
 
         def counting(lines):
-            solves.append(1)
+            sizes.append(len(lines[0]))
             return solve(lines)
 
         monkeypatch.setattr(group_revenue, "line_argmaxes", counting)
-        huge = optimize_pair_offer(UNIFORM, UNIFORM, 5000)
-        assert len(solves) == 1 + 51 + 1
+        answer = optimize_pair_offer(d1, d2, budget)
         monkeypatch.undo()
+        return answer, sizes
+
+    def test_uniform_pair_takes_five_kernel_calls(self, monkeypatch):
+        # The incumbent 2/3 is on the grid and holds through all 15 rounds,
+        # so they take 1 + 2 + 4 + 8 rounds to a call, and the pure bundle
+        # is the grid's NO_SALE line: 5 calls where one per round took 17.
+        answer, sizes = self._call_sizes(monkeypatch, UNIFORM, UNIFORM, 15)
+        assert sizes == [18, 2, 4, 8, 16]
+        calls = []
+        want = (sequential_offer_search([UNIFORM] * 2, "full", 15, calls),
+                sequential_offer_search([UNIFORM] * 2, "pure_bundle", 15,
+                                        calls))
+        assert len(calls) == 17
+        assert tuple(map(_hex, answer)) == tuple(map(_hex, want))
+
+    def test_huge_budget_stops_once_a_round_holds_the_incumbent_alone(
+            self, monkeypatch):
+        # On a uniform pair the solo price's step, 1/15 halved each round,
+        # falls below half an ulp of the incumbent after 51 rounds, so the
+        # next round has no neighbour to score and the search stops: one
+        # round per call solves 1 + 51 rounds of lines.  Several rounds to a
+        # call, in at most the grid's 18 lines, it takes 12 calls: round 31
+        # moves the solo price by its step, 1/15 * 2**-30, for an ulp of
+        # revenue, so the two rounds solved after it in the same call are
+        # dropped and the next call holds one round.
+        # A budget of 5,000 returns what a budget of 60 does, to the bit.
+        huge, sizes = self._call_sizes(monkeypatch, UNIFORM, UNIFORM, 5000)
+        assert sizes == [18, 2, 4, 8, 16, 18, 18, 2, 4, 8, 16, 10]
+        rounds = []
+        want = sequential_offer_search([UNIFORM] * 2, "full", 5000, rounds)
+        assert rounds == [18] + [2] * 51
+        assert _hex(huge[0]) == _hex(want)
         assert tuple(map(_hex, huge)) == tuple(map(_hex, optimize_pair_offer(
             UNIFORM, UNIFORM, 60)))
