@@ -14,9 +14,10 @@ The package provides:
   price and the interior fixed-point optimum.
 * :mod:`~bundle_auction_lab.bundles` -- bundle offers, the group-rational
   acceptance rule, payment-split witnesses, and realized outcomes.
-* :mod:`~bundle_auction_lab.pair_revenue` -- exact two-customer expected
-  revenue, the epsilon-offer construction that strictly beats optimal single
-  pricing, and pair-offer optimization.
+* :mod:`~bundle_auction_lab.pair_revenue` -- the breakdown of two-customer
+  expected revenue by source, read off the exact group engine, the
+  epsilon-offer construction that strictly beats optimal single pricing,
+  and pair-offer optimization.
 * :mod:`~bundle_auction_lab.group_revenue` -- n-customer pure-bundle offers,
   Bernstein and closed-form Chernoff tail bounds, the near-full-surplus
   revenue guarantee, exact revenue and optimization of offers to small

@@ -206,21 +206,12 @@ def _value(x: np.ndarray, pieces: np.ndarray, above: np.ndarray,
                     np.where(j >= pieces.shape[1], above[line], got))
 
 
-def capped_sum_cdf(classes, caps, t) -> np.ndarray:
-    """``P[S < t]`` at each ``t``, exact to rounding, for the capped sum
-    ``S`` of a group given as ``(dist, count)`` classes of i.i.d.
-    customers, with one cap per class of ``caps`` (``None`` for
-    ``NO_SALE``)."""
-    _, _, x, cdf, _ = _laws(classes, [caps])
-    t = np.asarray(t, dtype=float).ravel()
-    return _value(x, cdf, np.ones(1), np.zeros(t.size, dtype=int), t)
-
-
 def bundle_lines(classes, prices):
     """``R(b)`` of offers to a group given as ``(dist, count)`` classes of
     i.i.d. customers, one line per entry of ``prices``, a solo price per
     class (``None`` for ``NO_SALE``): ``(breaks, pieces, tail)``, read by
-    :func:`line_values`."""
+    :func:`line_values`, then the pieces of ``P[S < x]`` and of ``P[S >=
+    x]`` on the same breaks, read by :func:`capped_sum_cdf`."""
     capped, members, x, cdf, last = _laws(classes, prices)
     keep = -cdf
     keep[..., 0] += 1.0
@@ -243,14 +234,34 @@ def bundle_lines(classes, prices):
         solo = _shifted(xp, table[:, None], caps[:, None], x)[:, 0]
         pieces[..., :solo.shape[-1]] += sells[:, None, None] * solo
         tail = tail + sells
-    return x, pieces, tail
+    return x, pieces, tail, cdf, keep
 
 
 def line_values(lines, line, b) -> np.ndarray:
     """``R(b[i])`` on line ``line[i]`` of :func:`bundle_lines`."""
-    x, pieces, tail = lines
+    x, pieces, tail = lines[:3]
     return _value(x, pieces, tail, np.asarray(line),
                   np.asarray(b, dtype=float))
+
+
+def capped_sum_cdf(lines, line, t) -> tuple[np.ndarray, np.ndarray]:
+    """``P[S < t[i]]`` and ``P[S >= t[i]]``, exact to rounding, for the
+    capped sum ``S`` of the group on line ``line[i]`` of
+    :func:`bundle_lines`; ``line`` and ``t`` broadcast.
+
+    Each is read off its own pieces: the first keeps its precision in the
+    lower tail, and the second is the factor of the line's bundle term
+    ``b P[S >= b]``.  They are exactly 0 and 1 for ``t <= 0``, and exactly
+    1 and 0 past the all-capped atom (ties buy).
+    """
+    line, t = np.broadcast_arrays(np.asarray(line),
+                                  np.asarray(t, dtype=float))
+    line, t = line.ravel(), t.ravel()
+    x, _, _, cdf, keep = lines
+    g = len(x)
+    above = _value(x, keep, np.zeros(g), line, t)
+    return (_value(x, cdf, np.ones(g), line, t),
+            np.where(t <= 0.0, 1.0, above))
 
 
 def line_argmaxes(lines) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +276,7 @@ def line_argmaxes(lines) -> tuple[np.ndarray, np.ndarray]:
     Newton step.  Every candidate is scored by :func:`line_values`, so each
     value is its line's at ``b``.
     """
-    x, pieces, _ = lines
+    x, pieces = lines[:2]
     g, j, d = pieces.shape
     w = x[:, 1:] - x[:, :-1]
     scaled = pieces * _powers(w, d)

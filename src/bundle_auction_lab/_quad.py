@@ -1,11 +1,16 @@
 """Two-point Gauss-Legendre quadrature on breakpoint pieces.
 
-The pair revenue integrands have kinks at a known, finite set of abscissae.
-Between two breakpoints the integrand is a cubic (a linear density times a
-quadratic CDF), and the two-point Gauss-Legendre rule is exact for cubics.
-Its nodes are interior, so a piece never samples the neighboring branch of
-the integrand at a shared breakpoint unless the piece is a few ulps wide;
-such a piece adds at most its width times the integrand's maximum.
+No code in the package calls this module: every exact pair value comes
+from the exact group engine (:mod:`._group_exact`).  It stays only because
+``bench/tracer.py`` patches ``pair_revenue.integrate_with_breakpoints``
+by name; it goes when the benchmark stops patching lab attributes.
+
+Between two breakpoints of an integrand that is a cubic there (a linear
+density times a quadratic CDF), the two-point Gauss-Legendre rule is
+exact.  Its nodes are interior, so a piece never samples the neighboring
+branch of the integrand at a shared breakpoint unless the piece is a few
+ulps wide; such a piece adds at most its width times the integrand's
+maximum.
 """
 
 from __future__ import annotations

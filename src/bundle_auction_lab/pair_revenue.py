@@ -3,30 +3,23 @@
 For a pair offer ``(a_1, a_2, b)`` the realized revenue is piecewise
 constant in the valuations: ``b`` on the acceptance set
 ``min(V_1, a_1) + min(V_2, a_2) >= b`` and the applicable solo prices on its
-complement.  Conditioning on ``V_1`` reduces the acceptance probability to a
-one-dimensional integral
+complement.
 
-    P[accept] = integral f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1)] dv
-
-whose integrand is a cubic between known breakpoints, so the two-point
-Gauss-Legendre rule on each piece (:mod:`._quad`) evaluates it exactly, up
-to rounding.
-
-:func:`pair_expected_revenues_exact` does this for a batch of offers at
-once: every offer's pieces go into one padded (offers x pieces x 2) node
-array, and the densities are evaluated on it in one call each.  Single
-offers and the epsilon grid go through this one kernel, and an offer the
-group cannot accept (``b > a_1 + a_2``) takes no integral.  The kernel's
-breakdown of an offer by source is what the region revenues read, and the
-tests hold the exact group engine (:mod:`._group_exact`) to it.
+:func:`pair_expected_revenues_exact` prices a batch of offers on the exact
+group engine (:mod:`._group_exact`): every offer is one line of a single
+build of the pair ``[(d1, 1), (d2, 1)]``.  The total is the line's value
+at ``b`` and the acceptance probability is ``P[S >= b]`` for the capped
+sum ``S``, read from the same build; the solo parts are closed forms.  The
+engine is the pair's only exact path, so ``pair-opt``, ``partition`` and
+``verify-thm1`` price a pair offer the same way.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
 from the single-price optima, the five-region decomposition of the positive
 quadrant used to compare the two strategies region by region (read off
-the kernel's breakdown of the offer), and the epsilon-line's exact
-maximizer.  The pair-offer optimizer is one exact group search on the
-pair, which gives both sale modes' answers; it makes no pair-kernel call.
+the breakdown of the offer), and the epsilon-line's exact maximizer.  The
+pair-offer optimizer is one exact group search on the pair, which gives
+both sale modes' answers.
 """
 
 from __future__ import annotations
@@ -39,8 +32,10 @@ from enum import Enum
 
 import numpy as np
 
+from ._group_exact import bundle_lines, capped_sum_cdf, line_values
 from ._mc import revenue_stats
-from ._quad import integrate_with_breakpoints
+# Unused here: bench/tracer.py patches this name.
+from ._quad import integrate_with_breakpoints  # noqa: F401
 # Unused here: bench/tracer.py patches this name.
 from ._search import golden_section_max  # noqa: F401
 from .bundles import BundleOffer
@@ -76,8 +71,9 @@ DEFAULT_EPS_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 class PairRevenueBreakdown:
     """Expected revenue of a pair offer, split by source.
 
-    ``total = bundle_part + solo_part_1 + solo_part_2`` with
-    ``bundle_part = b * accept_probability``.
+    ``total = bundle_part + solo_part_1 + solo_part_2`` up to rounding,
+    with ``bundle_part = b * accept_probability``.  The total is the exact
+    engine's value of the offer, so it is not the float sum of the parts.
     """
 
     total: float
@@ -97,95 +93,6 @@ class RegionLabel(Enum):
     A5 = "A5"
 
 
-def _capped_integrand(d1: ValuationDistribution, d2: ValuationDistribution,
-                      a1_eff, a2_eff, b):
-    """``v -> f_1(v) * P[min(V_2, a_2) >= b - min(v, a_1)]``.
-
-    The offer parameters are scalars or arrays that broadcast against ``v``,
-    so one definition serves a single offer and a padded batch of them.
-    """
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        c1 = np.minimum(v, a1_eff)
-        x = b - c1
-        # Tie convention: "x <= a2" is evaluated as b <= c1 + a2 so the
-        # saturated plateau (c1 == a1) matches _solo_parts.
-        inner = np.maximum(0.0, 1.0 - d2.cdf(x))
-        q = np.where(x <= 0.0, 1.0, np.where(b <= c1 + a2_eff, inner, 0.0))
-        return d1.pdf(v) * q
-
-    return integrand
-
-
-def _breakpoints(d1, d2, a1_eff, a2_eff, b):
-    """Each offer's distinct integrand breakpoints in ``[0, M_1]``.
-
-    ``b`` itself is among ``b - knots2``, since the first knot is 0.
-
-    Returns ``(pts, pieces)``: row ``i`` of ``pts`` holds the sorted distinct
-    points of offer ``i`` followed by copies of ``M_1``, and ``pieces[i]``
-    is the number of nonempty pieces between them.
-    """
-    n = b.size
-    hi1 = d1.upper_bound
-    cand = np.concatenate([
-        np.stack([a1_eff, b - a2_eff], axis=1),
-        np.broadcast_to(np.asarray(d1.knots), (n, len(d1.knots))),
-        b[:, None] - np.asarray(d2.knots),
-    ], axis=1)
-    inside = np.isfinite(cand) & (cand > 0.0) & (cand < hi1)
-    pts = np.concatenate(
-        [np.zeros((n, 1)), np.full((n, 1), hi1), np.where(inside, cand, np.inf)],
-        axis=1,
-    )
-    pts.sort(axis=1)
-    pts[:, 1:][pts[:, 1:] == pts[:, :-1]] = np.inf
-    pts.sort(axis=1)
-    distinct = np.count_nonzero(pts < np.inf, axis=1)
-    pts = pts[:, :distinct.max()]
-    return np.where(pts < np.inf, pts, hi1), distinct - 1
-
-
-def _can_accept(a1_eff, a2_eff, b):
-    """Where the group may accept at all: ``b <= a_1 + a_2``.
-
-    Elsewhere the acceptance integrand is 0.0 at every node, so the
-    probability is exactly 0.0 without an integral: rounding is monotone, so
-    ``c1 + a2 <= a1 + a2 < b`` for every ``c1 = min(v, a1)``, and the
-    ``x <= 0`` branch would need ``b <= c1 <= a1``.
-    """
-    return b <= a1_eff + a2_eff
-
-
-def _accept_probs(d1: ValuationDistribution, d2: ValuationDistribution,
-                  a1_eff, a2_eff, b) -> np.ndarray:
-    """``P[group accepts]`` per offer.
-
-    The arguments after the distributions are 1-D arrays of one length; an
-    infinite solo price is ``NO_SALE``.  Offers the group cannot accept
-    (:func:`_can_accept`) are 0.0 without an integral.  Every other offer's
-    breakpoint pieces go into one padded (offers x pieces x 2) node array,
-    so ``d1.pdf`` and ``d2.cdf`` run once on it.  A row's value depends on
-    no other row (:func:`integrate_with_breakpoints`), so an offer gets the
-    same bits in any batch.
-    """
-    prob = np.zeros(b.shape)
-    live = _can_accept(a1_eff, a2_eff, b)
-    if not live.all():
-        a1_eff, a2_eff, b = a1_eff[live], a2_eff[live], b[live]
-    if b.size == 0:
-        return prob
-
-    pts, pieces = _breakpoints(d1, d2, a1_eff, a2_eff, b)
-    col = (slice(None), None, None)
-    integrand = _capped_integrand(d1, d2, a1_eff[col], a2_eff[col], b[col])
-    sums = integrate_with_breakpoints(integrand, pts, pieces)
-    # Clip as max/min on Python floats do, keeping the sign of a zero sum.
-    sums = np.where(0.0 > sums, 0.0, sums)
-    prob[live] = np.where(1.0 < sums, 1.0, sums)
-    return prob
-
-
 def _solo_parts(price, sells, other_eff, b, tail_cdf, gap_cdf) -> np.ndarray:
     """``a_i * P[V_i >= a_i] * (1 - P[min(V_other, a_other) >= b - a_i])``.
 
@@ -197,7 +104,7 @@ def _solo_parts(price, sells, other_eff, b, tail_cdf, gap_cdf) -> np.ndarray:
     the same way everywhere (ties buy).  The branch predicate is therefore
     evaluated as ``b <= a_i + a_other`` in the original quantities --
     never via the rounded difference ``b - a_i`` -- so both customers'
-    solo terms and the acceptance integrand agree bit for bit.
+    solo terms agree bit for bit.
     """
     x = b - price
     saturated = np.where(x <= 0.0, 1.0, np.where(
@@ -215,8 +122,11 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     ``NO_SALE``, and an infinite price is rejected.  Returns an array of
     shape ``(5, offers)`` whose rows are the fields of
     :class:`PairRevenueBreakdown` in order: total, bundle part, the two solo
-    parts and the acceptance probability.  Each offer's values equal those
-    of :func:`pair_expected_revenue_exact`.
+    parts and the acceptance probability.  Each offer is a line of one
+    exact engine build of the pair ``[(d1, 1), (d2, 1)]``, which gives its
+    total and ``P[min(V_1, a_1) + min(V_2, a_2) >= b]``: exactly 1 at
+    ``b <= 0`` and exactly 0 past ``a_1 + a_2`` (ties buy).  Each offer's
+    values equal those of :func:`pair_expected_revenue_exact`.
     """
     a1, a2, b = (np.asarray(x, dtype=float).ravel()
                  for x in np.broadcast_arrays(a1, a2, b))
@@ -225,11 +135,19 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     if any(np.any(a < 0.0) or np.any(np.isinf(a)) for a in (a1, a2)):
         raise ValueError(
             "individual prices must be finite and nonnegative, or NO_SALE")
+    parts = np.empty((5, b.size))
+    if b.size == 0:
+        return parts
     sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
     a1_eff = np.where(sells1, a1, np.inf)
     a2_eff = np.where(sells2, a2, np.inf)
-    parts = np.empty((5, b.size))
-    parts[4] = _accept_probs(d1, d2, a1_eff, a2_eff, b)
+    prices = zip(np.where(sells1, a1, None).tolist(),
+                 np.where(sells2, a2, None).tolist())
+    lines = bundle_lines([(d1, 1), (d2, 1)], list(prices))
+    line = np.arange(b.size)
+    parts[0] = line_values(lines, line, b)
+    parts[4] = np.clip(capped_sum_cdf(lines, line, b)[1], 0.0, 1.0)
+    parts[1] = b * parts[4]
     # A solo price of 0 stands in for NO_SALE inside the CDFs; _solo_parts
     # zeroes those terms.
     p1 = np.where(sells1, a1, 0.0)
@@ -238,8 +156,6 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     tail2, gap2 = d2.cdf(np.stack([p2, b - p1]))
     parts[2] = _solo_parts(p1, sells1, a2_eff, b, tail1, gap2)
     parts[3] = _solo_parts(p2, sells2, a1_eff, b, tail2, gap1)
-    parts[1] = b * parts[4]
-    parts[0] = parts[1] + parts[2] + parts[3]
     return parts
 
 
@@ -248,9 +164,9 @@ def pair_expected_revenue_exact(d1: ValuationDistribution,
                                 offer: BundleOffer) -> PairRevenueBreakdown:
     """Exact expected revenue of a two-customer offer.
 
-    The acceptance probability is a two-point Gauss-Legendre sum on each
-    breakpoint piece, exact for its cubic integrand; the solo parts reduce to
-    closed forms because the capped value of a solo buyer is constant:
+    The total and the acceptance probability come from the exact group
+    engine; the solo parts reduce to closed forms because the capped value
+    of a solo buyer is constant:
     ``solo_i = a_i * P[V_i >= a_i] * P[other capped value < b - a_i]``.
     This is :func:`pair_expected_revenues_exact` on a batch of one.
     """
@@ -366,10 +282,10 @@ def region_expected_revenue(d1: ValuationDistribution,
     ``(p1, p2)``; ``strategy="bundle"`` uses the epsilon-offer
     ``(p1 + eps, p2, b = p1 + p2)``.  These are the per-region quantities
     whose comparison establishes the strict improvement of pair bundling.
-    The bundle revenues come from the kernel's breakdown of the offer: the
+    The bundle revenues come from the exact breakdown of the offer: the
     pair buys the bundle on all of A1 and A5; never on A2 (``solo_part_1``)
     or A3 (``solo_part_2``); and on A4 where the pair accepts but is in
-    neither A1 nor A5, so A4 carries the kernel's absolute rounding.
+    neither A1 nor A5, so A4 carries the breakdown's absolute rounding.
     """
     _check_region_params(p1, p2, eps)
     lo1, hi1, lo2, hi2 = region_box(p1, p2, eps, label)
@@ -458,7 +374,7 @@ def verify_pair_improvement(d1: ValuationDistribution,
     Solves each customer's single-price optimum, evaluates the epsilon-offer
     exactly for every grid value (each must satisfy ``0 < eps < p2*``), and
     refines epsilon to the best of :func:`_epsilon_candidates` on
-    ``[0, 0.999 p2*]``, all in one kernel call; ties go to the smaller
+    ``[0, 0.999 p2*]``, all in one engine build; ties go to the smaller
     epsilon, and the grid keeps a tie with the refined offer.  ``improved``
     is true when the best offer beats the singles benchmark by more than
     ``IMPROVEMENT_TOL``; existence of such an epsilon is guaranteed for

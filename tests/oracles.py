@@ -119,13 +119,13 @@ def split_exists_bruteforce(valuations, prices, bundle_price: float) -> bool:
     raise ValueError("oracle supports n in {2, 3}")
 
 
-# --- Per-offer reference for the batched exact pair kernel -----------------
+# --- Per-offer reference for exact pair revenue -----------------------------
 #
 # One offer at a time: its own breakpoint list, three-point Gauss-Legendre on
-# each piece, and the solo parts in closed form.  The rule is exact to degree
-# 5, so it is exact on the cubic pieces, and it shares no node or weight with
-# the engine's two-point rule, so the kernel is checked against the scalar
-# formulas, not against itself.
+# each piece of the one-dimensional acceptance integral, and the solo parts
+# in closed form.  The rule is exact to degree 5, so it is exact on the cubic
+# pieces, and it shares no code with the exact group engine, which convolves
+# piecewise-polynomial laws instead of integrating.
 
 _GAUSS3_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
 _GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0

@@ -26,15 +26,14 @@ from bundle_auction_lab.group_revenue import (
     surplus_lower_bound,
     verify_surplus_extraction,
 )
-from bundle_auction_lab.pair_revenue import (optimize_pair_offer,
-                                             pair_expected_revenue_exact,
-                                             pair_expected_revenues_exact)
+from bundle_auction_lab.pair_revenue import optimize_pair_offer
 from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
 from oracles import (capped_sum_cdfs_fraction, class_revenue_fraction,
-                     irwin_hall_cdf, sequential_offer_search,
-                     symmetric_revenue_fraction, variance_simpson)
+                     irwin_hall_cdf, pair_revenue_reference,
+                     sequential_offer_search, symmetric_revenue_fraction,
+                     variance_simpson)
 
 UNIFORM = make_uniform(1.0)
 # A valid density with most of its mass at the two ends of [0, 1]: its
@@ -252,27 +251,27 @@ def _iid_lines(dist, n, prices):
 
 
 class TestExactGroupRevenue:
-    """The exact engine against independent oracles: Irwin-Hall, the pair
-    kernel, exact rationals and Monte Carlo."""
+    """The exact engine against independent oracles: Irwin-Hall, the
+    per-offer three-point Gauss-Legendre reference, exact rationals and
+    Monte Carlo."""
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_uniform_pure_bundle_is_irwin_hall(self, n):
         bs = np.linspace(0.0, n, 61)[1:-1]
-        got = capped_sum_cdf([(UNIFORM, n)], [NO_SALE], bs)
+        got = capped_sum_cdf(_iid_lines(UNIFORM, n, [NO_SALE]), 0, bs)[0]
         want = np.array([irwin_hall_cdf(n, b) for b in bs])
         assert np.abs(got - want).max() <= 1e-13
         for b, cdf in zip(bs[::6].tolist(), want[::6]):
             assert abs(_exact(UNIFORM, n, NO_SALE, b) - b * (1.0 - cdf)) <= 1e-13
 
     @pytest.mark.parametrize("dist", [UNIFORM, TEMPLATE, SKEWED, ULP_SUMS])
-    def test_pairs_match_the_pair_kernel(self, dist):
+    def test_pairs_match_the_per_offer_reference(self, dist):
         m = dist.upper_bound
         caps = [NO_SALE, 0.0, m, *dist.knots[1:-1], 0.3 * m, 0.77 * m]
         for a in caps:
             top = 2.0 * m if a is None else a + a
             for b in [*np.linspace(0.0, top, 23).tolist(), top]:
-                want = pair_expected_revenue_exact(
-                    dist, dist, BundleOffer((a, a), b)).total
+                want = pair_revenue_reference(dist, dist, (a, a), b)[0]
                 assert abs(_exact(dist, 2, a, b) - want) <= 1e-14, (a, b)
 
     @pytest.mark.parametrize("dist", [UNIFORM, TEMPLATE, SKEWED])
@@ -301,7 +300,7 @@ class TestExactGroupRevenue:
         bs = [b for b in bs if a is None or b <= n * a]
         want = capped_sum_cdfs_fraction(ULP_SUMS.knots, ULP_SUMS.densities,
                                         n, a, bs)
-        got = capped_sum_cdf([(ULP_SUMS, n)], [a], bs)
+        got = capped_sum_cdf(_iid_lines(ULP_SUMS, n, [a]), 0, bs)[0]
         assert np.abs(got - np.array([float(w) for w in want])).max() <= 1e-13
         for b in bs:
             want = symmetric_revenue_fraction(ULP_SUMS.knots,
@@ -351,7 +350,7 @@ class TestExactGroupRevenue:
                 assert _exact(TEMPLATE, n, 2.5, b) == pure
 
     @pytest.mark.parametrize("name", sorted(CLASS_PAIRS))
-    def test_class_lines_match_the_pair_kernel(self, name):
+    def test_class_lines_match_the_per_offer_reference(self, name):
         # Every pair of solo prices, one line each: NO_SALE, 0, M, a cap
         # inside a piece, and caps on each knot and 1e-12 to either side;
         # b on a grid, at the all-capped tie a1 + a2 and at a1 + M2.
@@ -372,9 +371,8 @@ class TestExactGroupRevenue:
             c2 = d2.upper_bound if a2 is None else a2
             bs = np.append(np.linspace(0.0, c1 + c2, 11),
                            [c1 + c2, c1 + d2.upper_bound])
-            want = pair_expected_revenues_exact(
-                d1, d2, math.nan if a1 is None else a1,
-                math.nan if a2 is None else a2, bs)[0]
+            want = np.array([pair_revenue_reference(d1, d2, (a1, a2), b)[0]
+                             for b in bs.tolist()])
             got = line_values(lines, np.full(bs.size, g), bs)
             worst = max(worst, float(np.abs(got - want).max()))
         # The worst is 1.9e-14, on the spike.
@@ -934,7 +932,7 @@ SORTED_CASES = {
 
 def _line_values_by_search(lines, line, b):
     """``line_values`` with one binary search per point for its piece."""
-    x, pieces, tail = lines
+    x, pieces, tail = lines[:3]
     d = pieces.shape[2]
     out = []
     for g, t in zip(line, b):
@@ -1113,7 +1111,7 @@ class TestChernoffTailBound:
         dist = self.DISTS[name]
         for n in range(1, 13):
             bs = np.linspace(0.0, n * dist.mean, 26)[1:]
-            exact = capped_sum_cdf([(dist, n)], [NO_SALE], bs)
+            exact = capped_sum_cdf(_iid_lines(dist, n, [NO_SALE]), 0, bs)[0]
             for b, tail in zip(bs.tolist(), exact.tolist()):
                 assert chernoff_tail_bound(dist, n, b) >= tail, (n, b)
 

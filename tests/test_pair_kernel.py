@@ -1,4 +1,5 @@
-"""The batched exact pair kernel against the per-offer reference formulas."""
+"""The batched exact pair breakdown against the per-offer reference
+formulas, which share no code with the exact group engine it reads."""
 
 import math
 
@@ -11,7 +12,6 @@ from bundle_auction_lab import pair_revenue
 from bundle_auction_lab.bundles import BundleOffer
 from bundle_auction_lab.pair_revenue import (
     RegionLabel,
-    _accept_probs,
     pair_expected_revenue_exact,
     pair_expected_revenues_exact,
     region_expected_revenue,
@@ -162,8 +162,6 @@ def test_rounding_offer_agrees_with_reference():
 def test_empty_batch():
     u = make_uniform(1.0)
     assert pair_expected_revenues_exact(u, u, [], [], []).shape == (5, 0)
-    empty = np.array([])
-    assert _accept_probs(u, u, empty, empty, empty).shape == (0,)
 
 
 def test_batch_rejects_bad_inputs():
@@ -270,27 +268,14 @@ def test_pruned_and_folded_offers_are_bit_identical(case):
         assert np.max(np.abs(parts[:, i] - ref)) <= AGREE, (prices, bi)
 
 
-class _CountingIntegrals:
-    """Counts the rows (integrals) of every batched quadrature call."""
-
-    def __init__(self, monkeypatch):
-        self.rows = 0
-        self._inner = pair_revenue.integrate_with_breakpoints
-        monkeypatch.setattr(pair_revenue, "integrate_with_breakpoints", self)
-
-    def __call__(self, f, pts, pieces):
-        self.rows += pts.shape[0]
-        return self._inner(f, pts, pieces)
-
-
-def test_offers_the_group_cannot_accept_take_no_integral(monkeypatch):
-    counter = _CountingIntegrals(monkeypatch)
+def test_offers_the_group_cannot_accept_are_never_accepted():
+    # Past the float sum a1 + a2 the capped sum never reaches b, so the
+    # acceptance probability is exactly 0.0, as the box reference says.
     a1 = np.array([0.2, 0.0, 0.5, 0.3])
     a2 = np.array([0.3, 0.0, 0.25, 0.3])
     b = np.array([np.nextafter(0.5, 1.0), 1e-300, 0.76, 1.9])
-    assert not pair_revenue._can_accept(a1, a2, b).any()
-    accept = _accept_probs(TEMPLATE, TEMPLATE, a1, a2, b)
-    assert counter.rows == 0
+    assert (b > a1 + a2).all()
+    accept = pair_expected_revenues_exact(TEMPLATE, TEMPLATE, a1, a2, b)[4]
     assert accept.tobytes() == np.zeros(4).tobytes()
     for prices, bi in zip(zip(a1, a2), b):
         ref = accept_prob_box_reference(TEMPLATE, TEMPLATE, *prices, bi,
@@ -298,20 +283,21 @@ def test_offers_the_group_cannot_accept_take_no_integral(monkeypatch):
         assert ref == 0.0
 
 
-def test_a_cap_of_customer_2_at_or_above_b_is_no_sale():
+def test_a_cap_at_or_above_b_is_no_sale_for_either_customer():
+    # min(V, a) with a >= b reaches b exactly when V does, so either
+    # customer's cap folds into NO_SALE bit for bit.
     d1 = make_piecewise_linear((0.0, 0.3, 0.9, 1.7), (0.4, 2.0, 0.7, 0.2))
     d2 = make_piecewise_linear((0.0, 0.5, 1.1, 1.5), (1.5, 0.3, 1.0, 0.6))
     b = np.linspace(0.0, 3.2, 41)
-    a1 = np.full(b.size, 0.8)
-    for a2 in (b, b + 0.3, np.full(b.size, 3.2)):
-        assert (_accept_probs(d1, d2, a1, a2, b).tobytes()
-                == _accept_probs(d1, d2, a1, np.full(b.size, np.inf),
-                                 b).tobytes())
-    # Customer 1's cap does not fold: a1 is a breakpoint for b <= a1 < M1.
-    a2 = np.full(b.size, np.inf)
-    capped = _accept_probs(d1, d2, b + 0.3, a2, b)
-    uncapped = _accept_probs(d1, d2, np.full(b.size, np.inf), a2, b)
-    assert not np.array_equal(capped, uncapped)
+    other = np.full(b.size, 0.8)
+    no_sale = np.full(b.size, np.nan)
+    for cap in (b, b + 0.3, np.full(b.size, 3.2)):
+        assert (pair_expected_revenues_exact(d1, d2, other, cap, b).tobytes()
+                == pair_expected_revenues_exact(d1, d2, other, no_sale,
+                                                b).tobytes())
+        assert (pair_expected_revenues_exact(d1, d2, cap, other, b).tobytes()
+                == pair_expected_revenues_exact(d1, d2, no_sale, other,
+                                                b).tobytes())
 
 
 def test_a_large_batch_matches_its_slices():
@@ -333,16 +319,45 @@ def test_a_large_batch_matches_its_slices():
 @pytest.mark.parametrize("dist, p1, p2, pinned", [
     (make_uniform(1.0), 0.5, 0.5,
      ("0x1.0000000000000p-2", "0x1.c83126e978d4fp-4", "0x1.0000000000000p-3",
-      "0x1.47ae147ae1580p-10", "0x1.70a3d70a3d708p-6")),
+      "0x1.47ae147ae1380p-10", "0x1.70a3d70a3d708p-6")),
     (TEMPLATE, 0.55, 0.45,
      ("0x1.e36cabae6bc1ep-3", "0x1.56e028e94ab2fp-4", "0x1.2440885ef8ffbp-3",
       "0x1.00bb99ad39e20p-9", "0x1.96f2c6894017cp-6")),
 ])
 def test_region_bundle_revenues_are_pinned(dist, p1, p2, pinned):
-    # The five regions' bundle revenues read off the kernel's breakdown of
-    # the epsilon-offer; a change to the CDF or the kernel that moves a bit
+    # The five regions' bundle revenues read off the exact breakdown of
+    # the epsilon-offer; a change to the CDF or the engine that moves a bit
     # shows up here.
     got = tuple(region_expected_revenue(dist, dist, p1, p2, 0.05, label,
                                         "bundle").hex()
                 for label in RegionLabel)
     assert got == pinned
+
+
+def test_uniform_a4_bundle_revenue_is_its_closed_form():
+    # On U[0,1]^2 at p1 = p2 = 1/2 the pair in A4 = [1/2, 1/2 + eps) x
+    # [1/2 - eps, 1/2) buys the bundle b = 1 on the triangle v1 + v2 >= 1,
+    # of area eps^2 / 2: 1/800 at eps = 0.05.  A4 is a difference of
+    # probabilities near 1, so it keeps their absolute rounding, about
+    # half an ulp of 1.
+    u = make_uniform(1.0)
+    a4 = region_expected_revenue(u, u, 0.5, 0.5, 0.05, RegionLabel.A4,
+                                 "bundle")
+    assert abs(a4 - 1 / 800) <= 5.7e-17
+
+
+def test_theorem_1_runs_without_the_pair_integrator(monkeypatch):
+    # The epsilon-line and the five region revenues come from the exact
+    # group engine; the Gauss-Legendre integrator is never called.
+    def fail(*args, **kwargs):
+        raise AssertionError("the pair integrator ran")
+
+    monkeypatch.setattr(pair_revenue, "integrate_with_breakpoints", fail)
+    for dist, p1, p2 in ((make_uniform(1.0), 0.5, 0.5), (TEMPLATE, 0.55, 0.45)):
+        assert verify_pair_improvement(dist, dist).improved
+        for label in RegionLabel:
+            ref = region_bundle_revenue_reference(dist, dist, p1, p2, 0.05,
+                                                  label.value)
+            got = region_expected_revenue(dist, dist, p1, p2, 0.05, label,
+                                          "bundle")
+            assert abs(got - ref) <= AGREE

@@ -22,8 +22,8 @@ from bundle_auction_lab.pair_revenue import (
 from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
-from oracles import (pair_revenue_riemann, ramp_pure_bundle_revenue,
-                     sequential_offer_search)
+from oracles import (pair_revenue_reference, pair_revenue_riemann,
+                     ramp_pure_bundle_revenue, sequential_offer_search)
 
 UNIFORM = make_uniform(1.0)
 RAMP = make_piecewise_linear((0.0, 1.0), (0.5, 1.5))
@@ -382,6 +382,13 @@ SKEWED_PAIR = (make_piecewise_linear((0.0, 0.75), (1.5, 1.2)),
                make_piecewise_linear((0.0, 1.9, 2.0), (0.3, 0.7, 0.7)))
 
 
+def _reference_total(d1, d2, offer):
+    """The offer's expected revenue by the per-offer reference, which
+    shares no code with the exact group engine."""
+    return pair_revenue_reference(d1, d2, offer.individual_prices,
+                                  offer.bundle_price)[0]
+
+
 def _hex(answer):
     offer, value = answer
     return tuple(None if x is None else x.hex()
@@ -436,13 +443,13 @@ class TestOptimizePair:
         (make_uniform(2.0), UNIFORM),
         (TEMPLATE, RAMP),
     ], ids=["uniform-spike", "u2-uniform", "template-ramp"])
-    def test_mixed_pair_offers_score_as_the_pair_kernel_says(self, d1, d2):
+    def test_mixed_pair_offers_score_as_the_reference_says(self, d1, d2):
         # A mixed pair searches one solo price per customer; each answer's
-        # value is the pair kernel's for its offer, and the full offer is
-        # worth at least the pure bundle and the singles.
+        # value is the per-offer reference's for its offer, and the full
+        # offer is worth at least the pure bundle and the singles.
         (offer, value), (bundle, bundle_value) = optimize_pair_offer(d1, d2, 6)
         for o, v in ((offer, value), (bundle, bundle_value)):
-            assert abs(pair_expected_revenue_exact(d1, d2, o).total - v) <= 1e-13
+            assert abs(_reference_total(d1, d2, o) - v) <= 1e-13
         assert value >= bundle_value
         assert value >= (optimal_single_price(d1).utility
                          + optimal_single_price(d2).utility)
@@ -452,9 +459,9 @@ class TestOptimizePair:
                                       "template-ramp"])
     def test_each_answer_is_the_group_search_in_its_mode(self, pair, budget):
         # Each answer is optimize_group_offer's on the pair in its own mode,
-        # to the bit; the pair kernel, an independent integrator, gives each
-        # offer the value returned, and the full offer is worth at least the
-        # pure bundle.
+        # to the bit; the per-offer reference, an independent integrator,
+        # gives each offer the value returned, and the full offer is worth
+        # at least the pure bundle.
         d1, d2 = {"uniform": (UNIFORM, UNIFORM), "template": (TEMPLATE, TEMPLATE),
                   "skewed": SKEWED_PAIR, "template-ramp": (TEMPLATE, RAMP)}[pair]
         got = optimize_pair_offer(d1, d2, budget)
@@ -462,8 +469,7 @@ class TestOptimizePair:
                      for mode in ("full", "pure_bundle"))
         assert tuple(map(_hex, got)) == tuple(map(_hex, want))
         for offer, value in got:
-            assert abs(pair_expected_revenue_exact(d1, d2, offer).total
-                       - value) <= 1e-14
+            assert abs(_reference_total(d1, d2, offer) - value) <= 1e-14
         assert got[0][1] >= got[1][1]
 
     @pytest.mark.parametrize("d1, d2, budget, pinned", [
@@ -483,9 +489,9 @@ class TestOptimizePair:
     def test_offers_are_pinned_without_a_pair_kernel_call(
             self, monkeypatch, d1, d2, budget, pinned):
         # The search solves its lines on the exact group engine: neither
-        # the pair kernel nor its integrator runs.
+        # the pair breakdown nor the quadrature runs.
         def fail(*args, **kwargs):
-            raise AssertionError("the pair kernel ran")
+            raise AssertionError("the pair breakdown ran")
 
         monkeypatch.setattr(pair_revenue, "pair_expected_revenues_exact", fail)
         monkeypatch.setattr(pair_revenue, "integrate_with_breakpoints", fail)
