@@ -15,13 +15,14 @@ The package provides:
 * :mod:`~bundle_auction_lab.bundles` -- bundle offers, the group-rational
   acceptance rule, payment-split witnesses, and realized outcomes.
 * :mod:`~bundle_auction_lab.pair_revenue` -- the breakdown of two-customer
-  expected revenue by source, read off the exact group engine, the
-  epsilon-offer construction that strictly beats optimal single pricing,
-  and pair-offer optimization.
+  expected revenue by source, every part read off one build of the exact
+  group engine, the epsilon-offer construction that strictly beats
+  optimal single pricing, and pair-offer optimization.
 * :mod:`~bundle_auction_lab.group_revenue` -- n-customer pure-bundle offers,
   Bernstein and closed-form Chernoff tail bounds, the near-full-surplus
   revenue guarantee, exact revenue and optimization of offers to small
-  groups, pairs included, and Monte Carlo estimation as their check.
+  groups, pairs included, and Monte Carlo estimation as their check (for
+  pairs too).
 * :mod:`~bundle_auction_lab.experiments` -- config-driven experiment runner
   with deterministic, byte-reproducible CSV reports.
 """
@@ -60,7 +61,6 @@ from .pair_revenue import (
     optimize_pair_offer,
     pair_bundle_accepts,
     pair_expected_revenue_exact,
-    pair_expected_revenue_mc,
     region_expected_revenue,
     region_probability,
     verify_pair_improvement,
@@ -110,7 +110,6 @@ __all__ = [
     "optimize_pair_offer",
     "pair_bundle_accepts",
     "pair_expected_revenue_exact",
-    "pair_expected_revenue_mc",
     "region_expected_revenue",
     "region_probability",
     "verify_pair_improvement",

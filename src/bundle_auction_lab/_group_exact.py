@@ -50,7 +50,7 @@ _BINOM = np.array([[math.comb(m, k) for k in range(_COLUMNS)]
 def _powers(t: np.ndarray, d: int) -> np.ndarray:
     """``t[..., None] ** arange(d)`` by running products, which cost far
     less than ``np.power`` and round within ``d`` ulps."""
-    out = np.empty(t.shape + (d,))
+    out = np.empty(t.shape + (d,), dtype=t.dtype)
     out[..., 0] = 1.0
     out[..., 1:] = t[..., None]
     return np.cumprod(out, axis=-1, out=out)
@@ -87,8 +87,9 @@ def _step(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     degree + 3)``.  Below 0 all three are 0; from the last break on the
     density is 0, the CDF 1 and its integral rises with slope 1."""
     g, p, d = h.shape
+    x = x.astype(h.dtype, copy=False)
     width = _powers(x[:, 1:] - x[:, :-1], d + 2)[..., 1:]
-    tables = np.zeros((3, g, p + 2, d + 2))
+    tables = np.zeros((3, g, p + 2, d + 2), dtype=h.dtype)
     h_rows, cdf, second = tables[:, :, 1:-1]
     h_rows[..., :d] = h
     cdf[..., 1:-1] = h * _INVERSE[:d]
@@ -117,6 +118,7 @@ def _shifted(x: np.ndarray, tables: np.ndarray, shifts: np.ndarray,
     rows = _count(x, mid[:, None] - shifts[..., None])
     origin = np.concatenate((x[:, :1], x), axis=1).ravel()
     start = origin[rows + size * np.arange(g)[:, None, None]]
+    y = y.astype(tables.dtype, copy=False)
     delta = (y[:, None, :-1] - shifts[..., None]) - start
     offset = size * np.arange(g * t).reshape(g, t, 1)
     return _taylor(tables.reshape(g * t * size, -1)[rows + offset], delta)
@@ -133,11 +135,11 @@ def _merged(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return np.where(y < np.inf, y, (x[:, -1] + shifts[:, -1])[:, None])
 
 
-def _capped(dist: ValuationDistribution, prices):
+def _capped(dist: ValuationDistribution, prices, dtype=np.float64):
     """The law of ``min(V, a)`` for ``V ~ dist``, one line per cap of
-    ``prices`` (``None`` for ``NO_SALE``): its breaks, its density pieces,
-    the weights of each shifted term of a convolution with it, ``q`` and
-    the caps."""
+    ``prices`` (``None`` for ``NO_SALE``): its breaks, its density pieces
+    and the weights of each shifted term of a convolution with it, both in
+    ``dtype``, ``q`` and the caps."""
     m = dist.upper_bound
     caps = np.array([m if a is None else min(a, m) for a in prices])
     q = np.where(caps < m, 1.0 - dist.cdf(caps), 0.0)
@@ -146,15 +148,18 @@ def _capped(dist: ValuationDistribution, prices):
     inner = np.minimum(dist._knots[1:-1], caps[:, None])
     x = np.concatenate((np.zeros((len(caps), 1)), inner, caps[:, None]),
                        axis=1)
-    h = np.broadcast_to(np.stack([dist._dens[:-1], dist._slopes], axis=1),
+    h = np.broadcast_to(np.stack([dist._dens[:-1], dist._slopes],
+                                 axis=1).astype(dtype),
                         (len(caps), x.shape[1] - 1, 2))
     # The weights of h, H and K in each shifted term: the atom, and the
     # density's jumps in value and in slope.
-    ends = np.zeros(x.shape + (2,))
+    ends = np.zeros(x.shape + (2,), dtype=dtype)
     ends[:, :-1] += h
     ends[:, 1:] -= h
-    ends[:, 1:, 0] -= h[..., 1] * (x[:, 1:] - x[:, :-1])
-    weights = np.concatenate((np.zeros(x.shape + (1,)), ends), axis=2)
+    ends[:, 1:, 0] -= h[..., 1] * np.diff(x.astype(dtype, copy=False),
+                                          axis=1)
+    weights = np.concatenate((np.zeros(x.shape + (1,), dtype=dtype), ends),
+                             axis=2)
     weights[:, -1, 0] = q
     return x, h, weights, q, caps
 
@@ -163,7 +168,8 @@ def _sum_law(capped, members):
     """The capped sum of ``members``, indices into ``capped``, convolved in
     their order: its breaks and density pieces, and ``(breaks, table)`` of
     the CDF of the sum without its last member, as :func:`_shifted` reads
-    it."""
+    it.  The convolutions run in the laws' dtype; what they return is
+    float64."""
     x, h = capped[members[0]][:2]
     # S_0 = 0: no pieces, and P[S_0 < t] = 1 from t = 0 on.
     previous = (np.zeros((len(x), 1)),
@@ -171,12 +177,12 @@ def _sum_law(capped, members):
     for c in members[1:]:
         shifts, _, weights = capped[c][:3]
         tables = _step(x, h)
-        previous = (x, tables[1])
+        previous = (x, np.asarray(tables[1], dtype=float))
         terms = np.einsum("gti,igpk->gtpk", weights, tables)
         y = _merged(x, shifts)
         h = _shifted(x, terms, shifts, y).sum(axis=1)
         x = y
-    return x, h, previous
+    return x, np.asarray(h, dtype=float), previous
 
 
 def _laws(classes, prices):
@@ -185,10 +191,20 @@ def _laws(classes, prices):
     as class indices, class by class, the breaks of their capped sum ``S``
     and its CDF ``P[S < x]`` on each piece, and ``(breaks, table)`` of the
     CDF of ``S`` without its last member."""
-    capped = [_capped(dist, [line[c] for line in prices])
-              for c, (dist, _) in enumerate(classes)]
     members = [c for c, (_, count) in enumerate(classes)
                for _ in range(count)]
+    # A pair's law is one convolution, run in long double.  A steep piece
+    # of the member's density gives slope weights of about +-1/width that
+    # cancel against each other, times K up to the sum's support: in
+    # float64, P[S < b] of a pair missed its exact value by up to 1.6e-14.
+    # The 64-bit significand of x86-64's long double, with the shifts
+    # taken exactly, brings that under 1e-15 (where long double is
+    # float64, nothing changes).  Larger groups keep float64: numpy's long
+    # double matrix products skip BLAS, and the partition search would
+    # take twice as long.
+    dtype = np.longdouble if len(members) == 2 else np.float64
+    capped = [_capped(dist, [line[c] for line in prices], dtype)
+              for c, (dist, _) in enumerate(classes)]
     x, h, last = _sum_law(capped, members)
     return capped, members, x, _step(x, h)[1, :, 1:-1, :-1], last
 
@@ -211,7 +227,8 @@ def bundle_lines(classes, prices):
     i.i.d. customers, one line per entry of ``prices``, a solo price per
     class (``None`` for ``NO_SALE``): ``(breaks, pieces, tail)``, read by
     :func:`line_values`, then the pieces of ``P[S < x]`` and of ``P[S >=
-    x]`` on the same breaks, read by :func:`capped_sum_cdf`."""
+    x]`` on the same breaks and, per class, ``count a q`` and the pieces
+    of ``P[a + S_c < x]``, all read by :func:`capped_sum_cdf`."""
     capped, members, x, cdf, last = _laws(classes, prices)
     keep = -cdf
     keep[..., 0] += 1.0
@@ -220,6 +237,7 @@ def bundle_lines(classes, prices):
     pieces[..., :-1] = x[:, :-1, None] * keep
     pieces[..., 1:] += keep
     tail = 0.0
+    solos = []
     for c, (_, count) in enumerate(classes):
         # Class c sells count a q P[a + S_c < b], where S_c leaves out one
         # of its members: for the last class, the sum's own last member.
@@ -234,7 +252,8 @@ def bundle_lines(classes, prices):
         solo = _shifted(xp, table[:, None], caps[:, None], x)[:, 0]
         pieces[..., :solo.shape[-1]] += sells[:, None, None] * solo
         tail = tail + sells
-    return x, pieces, tail, cdf, keep
+        solos.append((sells, solo))
+    return x, pieces, tail, cdf, keep, solos
 
 
 def line_values(lines, line, b) -> np.ndarray:
@@ -244,24 +263,29 @@ def line_values(lines, line, b) -> np.ndarray:
                   np.asarray(b, dtype=float))
 
 
-def capped_sum_cdf(lines, line, t) -> tuple[np.ndarray, np.ndarray]:
+def capped_sum_cdf(lines, line, t) -> tuple[np.ndarray, ...]:
     """``P[S < t[i]]`` and ``P[S >= t[i]]``, exact to rounding, for the
     capped sum ``S`` of the group on line ``line[i]`` of
-    :func:`bundle_lines`; ``line`` and ``t`` broadcast.
+    :func:`bundle_lines`, then each class's solo term ``count a q P[a +
+    S_c < t[i]]`` in class order; ``line`` and ``t`` broadcast.
 
     Each is read off its own pieces: the first keeps its precision in the
     lower tail, and the second is the factor of the line's bundle term
     ``b P[S >= b]``.  They are exactly 0 and 1 for ``t <= 0``, and exactly
-    1 and 0 past the all-capped atom (ties buy).
+    1 and 0 past the all-capped atom (ties buy).  A solo term is 0 up to
+    ``t = 0`` and ``count a q`` past the all-capped atom, and at the atom
+    the tie goes to the bundle.
     """
     line, t = np.broadcast_arrays(np.asarray(line),
                                   np.asarray(t, dtype=float))
     line, t = line.ravel(), t.ravel()
-    x, _, _, cdf, keep = lines
+    x, _, _, cdf, keep, solos = lines
     g = len(x)
     above = _value(x, keep, np.zeros(g), line, t)
     return (_value(x, cdf, np.ones(g), line, t),
-            np.where(t <= 0.0, 1.0, above))
+            np.where(t <= 0.0, 1.0, above),
+            *(sells[line] * _value(x, solo, np.ones(g), line, t)
+              for sells, solo in solos))
 
 
 def line_argmaxes(lines) -> tuple[np.ndarray, np.ndarray]:

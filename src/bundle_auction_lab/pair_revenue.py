@@ -1,4 +1,4 @@
-"""Exact and Monte Carlo expected revenue for two-customer bundle offers.
+"""Exact expected revenue for two-customer bundle offers.
 
 For a pair offer ``(a_1, a_2, b)`` the realized revenue is piecewise
 constant in the valuations: ``b`` on the acceptance set
@@ -7,11 +7,14 @@ complement.
 
 :func:`pair_expected_revenues_exact` prices a batch of offers on the exact
 group engine (:mod:`._group_exact`): every offer is one line of a single
-build of the pair ``[(d1, 1), (d2, 1)]``.  The total is the line's value
-at ``b`` and the acceptance probability is ``P[S >= b]`` for the capped
-sum ``S``, read from the same build; the solo parts are closed forms.  The
-engine is the pair's only exact path, so ``pair-opt``, ``partition`` and
-``verify-thm1`` price a pair offer the same way.
+build of the pair ``[(d1, 1), (d2, 1)]``.  All five parts are read off
+that line at ``b``: the total, the acceptance probability ``P[S >= b]``
+for the capped sum ``S``, and each customer's solo term, which the engine
+adds into the total.  The engine is the pair's only exact path, and it
+alone settles ties, so ``pair-opt``, ``partition`` and ``verify-thm1``
+price a pair offer the same way.  The Monte Carlo check of a pair is
+:func:`~bundle_auction_lab.group_revenue.group_expected_revenue_mc` on
+``[d1, d2]``.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built
@@ -33,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from ._group_exact import bundle_lines, capped_sum_cdf, line_values
-from ._mc import revenue_stats
+# Unused here: bench/tracer.py patches this name.
+from ._mc import revenue_stats  # noqa: F401
 # Unused here: bench/tracer.py patches this name.
 from ._quad import integrate_with_breakpoints  # noqa: F401
 # Unused here: bench/tracer.py patches this name.
@@ -51,7 +55,6 @@ __all__ = [
     "PairImprovementReport",
     "pair_expected_revenue_exact",
     "pair_expected_revenues_exact",
-    "pair_expected_revenue_mc",
     "epsilon_offer",
     "classify_region",
     "region_box",
@@ -72,8 +75,9 @@ class PairRevenueBreakdown:
     """Expected revenue of a pair offer, split by source.
 
     ``total = bundle_part + solo_part_1 + solo_part_2`` up to rounding,
-    with ``bundle_part = b * accept_probability``.  The total is the exact
-    engine's value of the offer, so it is not the float sum of the parts.
+    with ``bundle_part = b * accept_probability``.  All five are read off
+    one line of the exact engine, whose total sums the parts' pieces before
+    it is evaluated, so it is not the float sum of the parts.
     """
 
     total: float
@@ -93,26 +97,6 @@ class RegionLabel(Enum):
     A5 = "A5"
 
 
-def _solo_parts(price, sells, other_eff, b, tail_cdf, gap_cdf) -> np.ndarray:
-    """``a_i * P[V_i >= a_i] * (1 - P[min(V_other, a_other) >= b - a_i])``.
-
-    ``price`` is ``a_i``, and the term is 0 where ``sells`` is false
-    (``NO_SALE``); ``other_eff`` is ``a_other``, infinite for ``NO_SALE``;
-    ``tail_cdf`` is ``F_i(a_i)`` and ``gap_cdf`` is ``F_other(b - a_i)``.
-    The capped value ``min(V, a)`` has an atom at ``a``, so the boundary
-    case ``b = a_i + a_other`` has positive probability and must resolve
-    the same way everywhere (ties buy).  The branch predicate is therefore
-    evaluated as ``b <= a_i + a_other`` in the original quantities --
-    never via the rounded difference ``b - a_i`` -- so both customers'
-    solo terms agree bit for bit.
-    """
-    x = b - price
-    saturated = np.where(x <= 0.0, 1.0, np.where(
-        b > price + other_eff, 0.0, 1.0 - gap_cdf))
-    tail = 1.0 - tail_cdf
-    return np.where(sells & (tail > 0.0), price * tail * (1.0 - saturated), 0.0)
-
-
 def pair_expected_revenues_exact(d1: ValuationDistribution,
                                  d2: ValuationDistribution,
                                  a1, a2, b) -> np.ndarray:
@@ -123,9 +107,11 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     shape ``(5, offers)`` whose rows are the fields of
     :class:`PairRevenueBreakdown` in order: total, bundle part, the two solo
     parts and the acceptance probability.  Each offer is a line of one
-    exact engine build of the pair ``[(d1, 1), (d2, 1)]``, which gives its
-    total and ``P[min(V_1, a_1) + min(V_2, a_2) >= b]``: exactly 1 at
-    ``b <= 0`` and exactly 0 past ``a_1 + a_2`` (ties buy).  Each offer's
+    exact engine build of the pair ``[(d1, 1), (d2, 1)]``, which gives all
+    five: its total, ``P[min(V_1, a_1) + min(V_2, a_2) >= b]`` (exactly 1
+    at ``b <= 0`` and exactly 0 past ``a_1 + a_2``, ties buy) and each
+    class's solo term ``a_i P[V_i >= a_i] P[a_i + min(V_j, a_j) < b]``,
+    whose tie at the all-capped atom goes to the bundle.  Each offer's
     values equal those of :func:`pair_expected_revenue_exact`.
     """
     a1, a2, b = (np.asarray(x, dtype=float).ravel()
@@ -138,24 +124,14 @@ def pair_expected_revenues_exact(d1: ValuationDistribution,
     parts = np.empty((5, b.size))
     if b.size == 0:
         return parts
-    sells1, sells2 = ~np.isnan(a1), ~np.isnan(a2)
-    a1_eff = np.where(sells1, a1, np.inf)
-    a2_eff = np.where(sells2, a2, np.inf)
-    prices = zip(np.where(sells1, a1, None).tolist(),
-                 np.where(sells2, a2, None).tolist())
+    prices = zip(np.where(np.isnan(a1), None, a1).tolist(),
+                 np.where(np.isnan(a2), None, a2).tolist())
     lines = bundle_lines([(d1, 1), (d2, 1)], list(prices))
     line = np.arange(b.size)
     parts[0] = line_values(lines, line, b)
-    parts[4] = np.clip(capped_sum_cdf(lines, line, b)[1], 0.0, 1.0)
+    _, accept, parts[2], parts[3] = capped_sum_cdf(lines, line, b)
+    parts[4] = np.clip(accept, 0.0, 1.0)
     parts[1] = b * parts[4]
-    # A solo price of 0 stands in for NO_SALE inside the CDFs; _solo_parts
-    # zeroes those terms.
-    p1 = np.where(sells1, a1, 0.0)
-    p2 = np.where(sells2, a2, 0.0)
-    tail1, gap1 = d1.cdf(np.stack([p1, b - p2]))
-    tail2, gap2 = d2.cdf(np.stack([p2, b - p1]))
-    parts[2] = _solo_parts(p1, sells1, a2_eff, b, tail1, gap2)
-    parts[3] = _solo_parts(p2, sells2, a1_eff, b, tail2, gap1)
     return parts
 
 
@@ -164,11 +140,10 @@ def pair_expected_revenue_exact(d1: ValuationDistribution,
                                 offer: BundleOffer) -> PairRevenueBreakdown:
     """Exact expected revenue of a two-customer offer.
 
-    The total and the acceptance probability come from the exact group
-    engine; the solo parts reduce to closed forms because the capped value
-    of a solo buyer is constant:
-    ``solo_i = a_i * P[V_i >= a_i] * P[other capped value < b - a_i]``.
-    This is :func:`pair_expected_revenues_exact` on a batch of one.
+    Every part comes from one line of the exact group engine, the solo
+    parts as ``solo_i = a_i * P[V_i >= a_i] * P[a_i + other capped value <
+    b]``.  This is :func:`pair_expected_revenues_exact` on a batch of
+    one.
     """
     if offer.n != 2:
         raise ValueError("pair revenue needs a two-customer offer")
@@ -180,17 +155,6 @@ def pair_expected_revenue_exact(d1: ValuationDistribution,
 def _breakdown(parts: np.ndarray) -> PairRevenueBreakdown:
     """The breakdown of one column of :func:`pair_expected_revenues_exact`."""
     return PairRevenueBreakdown(*(float(x) for x in parts))
-
-
-def pair_expected_revenue_mc(d1: ValuationDistribution,
-                             d2: ValuationDistribution,
-                             offer: BundleOffer, n_samples: int,
-                             seed) -> tuple[float, float]:
-    """Monte Carlo estimate ``(mean, std_error)``; deterministic given seed."""
-    if offer.n != 2:
-        raise ValueError("pair revenue needs a two-customer offer")
-    stats = revenue_stats([d1, d2], offer, n_samples, seed)
-    return stats.mean, stats.std_error
 
 
 def epsilon_offer(p1: float, p2: float, eps: float) -> BundleOffer:

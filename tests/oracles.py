@@ -446,6 +446,36 @@ def class_revenue_fraction(classes, b) -> Fraction:
     return revenue
 
 
+def pair_solo_parts_fraction(laws, prices, b) -> list:
+    """Each customer's solo part ``a_i q_i P[a_i + min(V_j, a_j) < b]`` of
+    a pair offer in exact rationals, for laws ``(knots, densities)`` and
+    solo prices ``(a1, a2)`` (``None`` for ``NO_SALE``).
+
+    The tie rule is the lab's: the all-capped atom sits at the float sum
+    of the caps, where ties buy the bundle.  Every other comparison is
+    exact, in the rationals of the float inputs.
+    """
+    caps = [knots[-1] if a is None else min(a, knots[-1])
+            for (knots, _), a in zip(laws, prices)]
+    capped = [capped_law_fraction(knots, densities, a)
+              for (knots, densities), a in zip(laws, prices)]
+    out = []
+    for i, a in enumerate(prices):
+        j = 1 - i
+        if a is None:
+            out.append(Fraction(0))
+            continue
+        q = capped[i].get((Fraction(caps[i]), -1), 0)
+        other = dict(capped[j])
+        atom = other.pop((Fraction(caps[j]), -1), 0)
+        below = sum(c * _truncated_power(s, m + 1, Fraction(b) - Fraction(a))
+                    for (s, m), c in other.items())
+        if caps[i] + caps[j] < b:
+            below += atom
+        out.append(Fraction(a) * q * below)
+    return out
+
+
 def capped_sum_cdfs_fraction(knots, densities, n: int, a, ts):
     """``P[S_n < t]`` for each ``t``, the sum of n i.i.d. ``min(V_i, a)``,
     in exact rationals (``n <= 6`` or so)."""

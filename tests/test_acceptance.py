@@ -12,6 +12,7 @@ from bundle_auction_lab.bundles import NO_SALE, BundleOffer, group_rational_acce
 from bundle_auction_lab.experiments import csv_text, parse_config, run
 from bundle_auction_lab.group_revenue import (
     bernstein_sweep,
+    group_expected_revenue_mc,
     surplus_lower_bound,
     verify_surplus_extraction,
 )
@@ -20,7 +21,6 @@ from bundle_auction_lab.pair_revenue import (
     epsilon_offer,
     optimize_pair_offer,
     pair_expected_revenue_exact,
-    pair_expected_revenue_mc,
     region_expected_revenue,
     region_probability,
     verify_pair_improvement,
@@ -204,7 +204,8 @@ def test_criterion_7_consistency_suite():
     with criterion(7, "exact vs MC, region partition, reproducible CSV", 120.0):
         for i, (d1, d2, offer) in enumerate(PAIR_OFFER_SUITE):
             exact = pair_expected_revenue_exact(d1, d2, offer).total
-            est, se = pair_expected_revenue_mc(d1, d2, offer, 10**6, SEED + i)
+            est, se = group_expected_revenue_mc([d1, d2], offer, 10**6,
+                                                SEED + i)
             assert abs(exact - est) <= 4.0 * se + 1e-12, (offer, exact, est, se)
 
         p1 = p2 = 0.5

@@ -1,7 +1,9 @@
 """The batched exact pair breakdown against the per-offer reference
-formulas, which share no code with the exact group engine it reads."""
+formulas, which share no code with the exact group engine it reads, and
+its solo parts against exact rationals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
 from oracles import (
     accept_prob_box_reference,
+    class_sum_cdfs_fraction,
     pair_revenue_reference,
     pair_revenue_riemann,
+    pair_solo_parts_fraction,
     region_bundle_revenue_reference,
 )
 
@@ -321,7 +325,7 @@ def test_a_large_batch_matches_its_slices():
      ("0x1.0000000000000p-2", "0x1.c83126e978d4fp-4", "0x1.0000000000000p-3",
       "0x1.47ae147ae1380p-10", "0x1.70a3d70a3d708p-6")),
     (TEMPLATE, 0.55, 0.45,
-     ("0x1.e36cabae6bc1ep-3", "0x1.56e028e94ab2fp-4", "0x1.2440885ef8ffbp-3",
+     ("0x1.e36cabae6bc1ep-3", "0x1.56e028e94ab2ep-4", "0x1.2440885ef8ffbp-3",
       "0x1.00bb99ad39e20p-9", "0x1.96f2c6894017cp-6")),
 ])
 def test_region_bundle_revenues_are_pinned(dist, p1, p2, pinned):
@@ -332,6 +336,80 @@ def test_region_bundle_revenues_are_pinned(dist, p1, p2, pinned):
                                         "bundle").hex()
                 for label in RegionLabel)
     assert got == pinned
+
+
+@pytest.mark.parametrize("d1, d2", [
+    (make_uniform(1.0), make_uniform(1.0)),
+    (TEMPLATE, TEMPLATE),
+    (make_piecewise_linear((0.0, 0.3, 0.9, 1.7), (0.4, 2.0, 0.7, 0.2)),
+     make_piecewise_linear((0.0, 0.5, 1.1, 1.5), (1.5, 0.3, 1.0, 0.6))),
+], ids=["uniform", "template", "four-knot"])
+def test_solo_parts_match_exact_rationals(d1, d2):
+    # Both solo parts, read off the engine's line, against exact rationals
+    # of the float inputs: NO_SALE, caps on knots and beyond the support,
+    # and b on a grid, at the all-capped tie a1 + a2 (0.1 + 0.2 is not
+    # 0.3), an ulp to either side of it and at a_i plus each knot of the
+    # other law (exactly a knot for a_i = 0.5).  The worst is 8.0e-17.
+    def caps(d):
+        m = d.upper_bound
+        return [None, 0.1, 0.2, 0.5, 0.37 * m, m, 1.3 * m, *d.knots[1:-1]]
+
+    def cap(d, a):
+        return d.upper_bound if a is None else min(a, d.upper_bound)
+
+    batch = []
+    for a1 in caps(d1):
+        for a2 in caps(d2):
+            tie = cap(d1, a1) + cap(d2, a2)
+            bs = [*np.linspace(0.0, tie, 5).tolist(), np.nextafter(tie, 0.0),
+                  np.nextafter(tie, np.inf), tie + 0.1]
+            bs += [] if a1 is None else [a1 + k for k in d2.knots]
+            bs += [] if a2 is None else [a2 + k for k in d1.knots]
+            batch += [((a1, a2), float(b)) for b in bs]
+    solos = pair_expected_revenues_exact(d1, d2, *_columns(batch))[2:4]
+    laws = [(d.knots, d.densities) for d in (d1, d2)]
+    for (prices, b), got in zip(batch, solos.T.tolist()):
+        want = pair_solo_parts_fraction(laws, prices, b)
+        assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= 4e-16, (
+            prices, b)
+
+
+# Laws on which the float64 pair engine failed AGREE.
+STEEP = make_piecewise_linear(
+    (0.0, 0.07500000000000001, 1.3125, 1.5),
+    (5.701559020044543, 0.4751299183370453, 0.41573867854491464,
+     1.9005196733481813))
+STEEP_SHORT = make_piecewise_linear(
+    (0.0, 0.05574761472083077, 0.5096924774475956, 1.0193849548951912),
+    (2.0208120195710473, 0.14926452417286146, 1.1022611015842076,
+     1.4696814687789435))
+STEEP_RAMP = make_piecewise_linear(
+    (0.0, 0.07568359375, 0.60546875, 1.2109375),
+    (2.8281799546876685, 0.7070449886719171, 0.4419031179199482,
+     1.4140899773438342))
+
+
+@pytest.mark.parametrize("d1, d2", [
+    (STEEP, STEEP),
+    (STEEP_SHORT, STEEP_SHORT),
+    (make_piecewise_linear((0.0, 1.0), (2.0, 4.0)), STEEP_RAMP),
+], ids=["steep", "steep-short", "ramp-steep"])
+def test_steep_pair_acceptance_matches_exact_rationals(d1, d2):
+    # A density piece of slope about -70 gives convolution weights that
+    # cancel each other: in float64, P[S >= b] missed its exact value by
+    # up to 1.6e-14 on these laws, and b times that failed AGREE.  The
+    # pair's convolution runs in long double, whose 64-bit significand
+    # (x86-64) brings the worst under 3e-16, uncapped and capped.
+    m1, m2 = d1.upper_bound, d2.upper_bound
+    for a1, a2 in [(None, None), (0.6 * m1, 0.8 * m2)]:
+        bs = [*np.linspace(0.0, m1 + m2, 41).tolist(), 2.0]
+        batch = [((a1, a2), b) for b in bs]
+        accept = pair_expected_revenues_exact(d1, d2, *_columns(batch))[4]
+        below = class_sum_cdfs_fraction(
+            [(d.knots, d.densities, 1, a) for d, a in ((d1, a1), (d2, a2))],
+            bs)
+        for b, got, want in zip(bs, accept.tolist(), below):
+            assert abs(Fraction(got) - (1 - want)) <= 1e-15, (a1, a2, b)
 
 
 def test_uniform_a4_bundle_revenue_is_its_closed_form():

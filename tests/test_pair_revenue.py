@@ -6,7 +6,8 @@ import pytest
 
 from bundle_auction_lab import group_revenue, pair_revenue
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, group_rational_accepts
-from bundle_auction_lab.group_revenue import optimize_group_offer
+from bundle_auction_lab.group_revenue import (group_expected_revenue_mc,
+                                              optimize_group_offer)
 from bundle_auction_lab.pair_revenue import (
     RegionLabel,
     classify_region,
@@ -14,7 +15,6 @@ from bundle_auction_lab.pair_revenue import (
     optimize_pair_offer,
     pair_bundle_accepts,
     pair_expected_revenue_exact,
-    pair_expected_revenue_mc,
     region_expected_revenue,
     region_probability,
     verify_pair_improvement,
@@ -152,33 +152,36 @@ class TestExactRevenue:
 
 
 class TestMonteCarlo:
+    # The Monte Carlo check of a pair is the group estimator on [d1, d2].
     def test_degenerate_matches_exact(self):
-        est, se = pair_expected_revenue_mc(
-            UNIFORM, UNIFORM, BundleOffer((0.5, 0.5), 1.0), 10**5, 2024
+        est, se = group_expected_revenue_mc(
+            [UNIFORM, UNIFORM], BundleOffer((0.5, 0.5), 1.0), 10**5, 2024
         )
         assert abs(est - 0.5) <= 4.0 * se
 
     def test_zero_bundle_price_is_exactly_zero(self):
-        est, se = pair_expected_revenue_mc(
-            UNIFORM, UNIFORM, BundleOffer((0.7, 0.9), 0.0), 10**4, 7
+        est, se = group_expected_revenue_mc(
+            [UNIFORM, UNIFORM], BundleOffer((0.7, 0.9), 0.0), 10**4, 7
         )
         assert est == 0.0 and se == 0.0
 
     def test_epsilon_offer_matches_exact(self):
-        est, se = pair_expected_revenue_mc(
-            UNIFORM, UNIFORM, epsilon_offer(0.5, 0.5, 0.1), 10**5, 99
+        est, se = group_expected_revenue_mc(
+            [UNIFORM, UNIFORM], epsilon_offer(0.5, 0.5, 0.1), 10**5, 99
         )
         assert abs(est - 0.516) <= 4.0 * se
 
     def test_seed_determinism(self):
-        args = (UNIFORM, RAMP, BundleOffer((0.6, NO_SALE), 0.9), 10**4)
-        assert pair_expected_revenue_mc(*args, 5) == pair_expected_revenue_mc(*args, 5)
-        assert pair_expected_revenue_mc(*args, 5) != pair_expected_revenue_mc(*args, 6)
+        args = ([UNIFORM, RAMP], BundleOffer((0.6, NO_SALE), 0.9), 10**4)
+        assert (group_expected_revenue_mc(*args, 5)
+                == group_expected_revenue_mc(*args, 5))
+        assert (group_expected_revenue_mc(*args, 5)
+                != group_expected_revenue_mc(*args, 6))
 
     def test_minimum_samples_enforced(self):
         with pytest.raises(ValueError):
-            pair_expected_revenue_mc(
-                UNIFORM, UNIFORM, BundleOffer((0.5, 0.5), 1.0), 10, 1
+            group_expected_revenue_mc(
+                [UNIFORM, UNIFORM], BundleOffer((0.5, 0.5), 1.0), 10, 1
             )
 
 
@@ -400,7 +403,8 @@ class TestOptimizePair:
         (offer, value), _ = optimize_pair_offer(UNIFORM, UNIFORM, 10)
         assert value >= 0.5443310539518174 - 0.002
         assert value > 0.5
-        mc, se = pair_expected_revenue_mc(UNIFORM, UNIFORM, offer, 2 * 10**5, 3)
+        mc, se = group_expected_revenue_mc([UNIFORM, UNIFORM], offer,
+                                           2 * 10**5, 3)
         assert abs(mc - value) <= 4.0 * se
 
     def test_pure_bundle_restriction_recovers_known_price(self):
@@ -479,10 +483,10 @@ class TestOptimizePair:
           (None, None, "0x1.a20bd700c2c3ep-1", "0x1.16b28f55d72d4p-1"))),
         (TEMPLATE, TEMPLATE, 2,                    # partition's template pair
          (("0x1.4444444444444p-1", "0x1.4444444444444p-1",
-           "0x1.9cbf7fb10a89ep-1", "0x1.1e62bc7649b84p-1"),
-          (None, None, "0x1.95429dd6d7400p-1", "0x1.1d584bf312b02p-1"))),
-        (*SKEWED_PAIR, 15,
-         (("0x1.05c2666666665p-1", "0x1.7777777777777p+0",
+           "0x1.9cbf7fb10a89dp-1", "0x1.1e62bc7649b84p-1"),
+          (None, None, "0x1.95429dd6d73ffp-1", "0x1.1d584bf312b03p-1"))),
+        (*SKEWED_PAIR, 15,                         # a2 >= b: a tie in a2
+         (("0x1.05c2666666665p-1", "0x1.5dddddddddddep+0",
            "0x1.54a723b4d1f4cp+0", "0x1.aefb94fdf059fp-1"),
           (None, None, "0x1.4b8577da6b6c6p+0", "0x1.a20cae3294c7cp-1"))),
     ], ids=["uniform", "template", "skewed"])
