@@ -345,18 +345,21 @@ def _offer_search(dists, budget: int):
         [optimal_single_price(d).price, *g.tolist(), NO_SALE]
         for d, g in zip(laws, grids)))))
     incumbent = first_best(grid)
-    depth, left = 1, budget
+    # The first zoom call holds every round that fits in one law's axis of
+    # the grid (p*, the grid points and NO_SALE), later calls as many as
+    # fit in the grid round.
+    depth, most, left = budget, len(grids[0]) + 2, budget
     while left:
-        # Score the next rounds as if the incumbent holds through them, in
-        # no more lines than the grid round.
+        # Score the next rounds as if the incumbent holds through them.
         batch = []
         for trials in itertools.islice(_rounds(incumbent[1], steps, laws),
                                        min(depth, left)):
-            if sum(map(len, batch)) + len(trials) > len(grid):
+            if sum(map(len, batch)) + len(trials) > most:
                 break
             batch.append(trials)
         if not batch:
             break
+        most = len(grid)
         rows = iter(scored([t for trials in batch for t in trials]))
         # Replay them in order, the incumbent first in each; the rounds
         # after one that moves are void.
@@ -369,7 +372,7 @@ def _offer_search(dists, budget: int):
                 incumbent, depth = best, 1
                 break
         else:
-            depth *= 2
+            depth = 2 * len(batch)
     return tuple((BundleOffer(tuple(prices[laws.index(d)] for d in dists), b),
                   value) for value, prices, b in (incumbent, grid[-1]))
 
@@ -401,13 +404,15 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
 
     One call solves several rounds: the rounds ahead are built as if the
     incumbent holds through them, solved together, and replayed in order,
-    and those after the first round that moves are dropped.  A call holds
-    one round after a move and twice as many rounds after a call in which
-    none moved, in at most as many lines as the grid round.  A line's
-    ``b`` and value do not depend on the other lines of its call, so the
-    answer is that of solving the rounds one at a time, to the bit; on a
-    uniform pair at budget 15 the search makes 5 calls where one per round
-    made 16.
+    and those after the first round that moves are dropped.  The first
+    zoom call holds every round that fits in one law's axis of the grid
+    (18 lines).  After that a call holds one round after a move and twice
+    as many rounds as the last call held after a call in which none
+    moved, in at most as many lines as the grid round.  A line's ``b``
+    and value do not depend on the other lines of its call, so the answer
+    is that of solving the rounds one at a time, to the bit; on a uniform
+    pair at budget 15 the search makes 3 calls (18, 18 and 12 lines)
+    where one per round made 16.
 
     Nearly all of a two-law search's time and memory is its 324-line grid
     round, and both grow fast with the group: on a 2-core machine at

@@ -391,10 +391,13 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     on the pair in both modes, from one search: the best ``b`` of every
     line of solo prices exactly, one solo price per distinct law (so an
     i.i.d. pair gets a symmetric offer), and at most ``budget`` zoom
-    rounds over the solo prices, several to a call.  The pure bundle is
-    the grid's all-``NO_SALE`` line, which the pure-bundle search solves
-    alone to the same floats.  The full search scores the singles optimum
-    ``(p1*, p2*, p1* + p2*)`` and the pure bundles among its lines, so its
-    result is worth at least both.
+    rounds over the solo prices, several to a call: the first zoom call
+    holds every round that fits in 18 lines, one law's axis of the grid,
+    and a call after one that moved nothing holds twice as many rounds.
+    The pure bundle is the grid's all-``NO_SALE`` line, which the
+    pure-bundle search solves alone to the same floats, so a uniform pair
+    at budget 15 takes 3 engine calls for both answers.  The full search
+    scores the singles optimum ``(p1*, p2*, p1* + p2*)`` and the pure
+    bundles among its lines, so its result is worth at least both.
     """
     return _offer_search([d1, d2], budget)

@@ -231,6 +231,31 @@ TWO_LAW_GROUPS = {"template-ramp": [TEMPLATE, RAMP],
                   "template-ramp-template": [TEMPLATE, RAMP, TEMPLATE],
                   "tent-uniform-uniform": [TENT, UNIFORM, UNIFORM],
                   "spike-tent-4": [SPIKE, TENT, SPIKE, TENT]}
+#: Every group of the searches above, by its test id.
+SEARCH_GROUPS = {**{f"{name}-{n}": [dist] * n
+                    for name, dist in SEARCH_LAWS.items()
+                    for n in range(1, 7)},
+                 **TWO_LAW_GROUPS}
+#: The engine calls of each group's search at budgets 2, 15 and 500 when
+#: every run of zoom calls started at one round and doubled, as the
+#: search did before its first zoom call filled a grid axis.
+DOUBLING_CALLS = {
+    "uniform-1": (3, 5, 10), "uniform-2": (3, 5, 12),
+    "uniform-3": (3, 8, 17), "uniform-4": (3, 5, 12),
+    "uniform-5": (3, 14, 27), "uniform-6": (3, 15, 30),
+    "template-1": (3, 5, 12), "template-2": (3, 16, 29),
+    "template-3": (3, 15, 33), "template-4": (3, 14, 28),
+    "template-5": (3, 15, 30), "template-6": (3, 12, 25),
+    "ramp-1": (3, 5, 13), "ramp-2": (3, 14, 30), "ramp-3": (3, 15, 29),
+    "ramp-4": (3, 16, 28), "ramp-5": (3, 10, 21), "ramp-6": (3, 11, 24),
+    "spike-1": (3, 5, 15), "spike-2": (3, 11, 29), "spike-3": (3, 11, 30),
+    "spike-4": (3, 14, 29), "spike-5": (3, 13, 28), "spike-6": (3, 11, 25),
+    "tent-1": (3, 5, 10), "tent-2": (3, 11, 26), "tent-3": (3, 13, 23),
+    "tent-4": (3, 11, 23), "tent-5": (3, 15, 27), "tent-6": (3, 15, 28),
+    "template-ramp": (3, 14, 33), "uniform-spike": (3, 16, 36),
+    "template-ramp-template": (3, 16, 34),
+    "tent-uniform-uniform": (3, 16, 35), "spike-tent-4": (3, 16, 28),
+}
 
 
 def _offer_hex(answer):
@@ -339,6 +364,28 @@ class TestExactGroupRevenue:
         stats = revenue_stats(dists, offer, rows, seed)
         assert stats.accept_prob == np.count_nonzero(
             np.all(v >= p, axis=1)) / rows
+
+    @pytest.mark.parametrize("name", ["uniform", "template", "skewed",
+                                      "spike", "fallback"])
+    def test_cdf_only_step_is_the_full_steps_cdf(self, name):
+        # bundle_lines reads only the CDF table of a sum's law and of a
+        # left-out member's law, and builds it alone with the same floats:
+        # on a pair's long double convolution step, on a pair's sum and on
+        # float64 groups of 3 to 6.
+        dist = {"uniform": UNIFORM, "template": TEMPLATE, "skewed": SKEWED,
+                "spike": SPIKE, "fallback": FALLBACK}[name]
+        prices = [NO_SALE, 0.0, 0.3, 0.77, dist.upper_bound]
+        wide = [_group_exact._capped(dist, prices, np.longdouble)]
+        laws = [wide[0][:2], _group_exact._sum_law(wide, [0, 0])[:2]]
+        capped = [_group_exact._capped(dist, prices)]
+        laws += [_group_exact._sum_law(capped, [0] * n)[:2]
+                 for n in range(3, 7)]
+        assert laws[0][1].dtype == np.longdouble
+        for x, h in laws:
+            full = _group_exact._step(x, h)[1]
+            alone = _group_exact._step(x, h, True)
+            assert alone.dtype == full.dtype and alone.shape == full.shape
+            assert alone.tobytes() == full.tobytes()
 
     def test_zero_and_uncapped_solo_prices(self):
         for n in (1, 3):
@@ -561,6 +608,42 @@ class TestOptimizeGroupOffer:
             optimize_group_offer(group, mode="full", budget=budget)
             assert calls[0] in (18, 18 * 18)
             assert max(calls[1:]) <= calls[0], calls
+
+    @staticmethod
+    def _call_sizes(monkeypatch, group, budget):
+        """The lines of each engine call of the full search."""
+        sizes = []
+        lines = group_revenue.bundle_lines
+
+        def counted(classes, prices):
+            sizes.append(len(prices))
+            return lines(classes, prices)
+
+        monkeypatch.setattr(group_revenue, "bundle_lines", counted)
+        optimize_group_offer(group, mode="full", budget=budget)
+        monkeypatch.undo()
+        return sizes
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
+    def test_first_zoom_call_fits_one_grid_axis(self, monkeypatch, name):
+        # The first zoom call holds the rounds that fit in one law's axis
+        # of the grid: p*, 16 grid points and NO_SALE.
+        for budget in (2, 15, 500):
+            sizes = self._call_sizes(monkeypatch, SEARCH_GROUPS[name], budget)
+            assert sizes[0] in (18, 18 * 18) and sizes[1] <= 18, sizes
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
+    def test_no_more_calls_than_doubling_from_one_round(self, monkeypatch,
+                                                        name):
+        calls = tuple(len(self._call_sizes(monkeypatch, SEARCH_GROUPS[name],
+                                           budget))
+                      for budget in (2, 15, 500))
+        assert all(c <= d for c, d in zip(calls, DOUBLING_CALLS[name])), calls
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_budget_two_takes_one_zoom_call(self, monkeypatch, n):
+        # Both rounds of partition's search fit in the first zoom call.
+        assert self._call_sizes(monkeypatch, [TEMPLATE] * n, 2) == [18, 4]
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("name", ["uniform", "template", "ramp",
@@ -821,7 +904,8 @@ class TestHeldSample:
         monkeypatch.setattr(group_revenue, "bundle_lines", record)
         offer, value = optimize_group_offer(dists, mode="full", budget=2)
         monkeypatch.undo()
-        assert [len(lines[0]) for lines in steps] == [18, 2, 2]
+        # The grid, then both zoom rounds in one call.
+        assert [len(lines[0]) for lines in steps] == [18, 4]
         assert value == group_expected_revenue_exact(dists, offer)
         for lines in steps:
             bs, values = line_argmaxes(lines)

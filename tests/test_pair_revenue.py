@@ -517,12 +517,14 @@ class TestOptimizePair:
         monkeypatch.undo()
         return answer, sizes
 
-    def test_uniform_pair_takes_five_kernel_calls(self, monkeypatch):
-        # The incumbent 2/3 is on the grid and holds through all 15 rounds,
-        # so they take 1 + 2 + 4 + 8 rounds to a call, and the pure bundle
-        # is the grid's NO_SALE line: 5 calls where one per round took 17.
+    def test_uniform_pair_takes_three_kernel_calls(self, monkeypatch):
+        # The incumbent 2/3 is on the grid and holds through all 15 rounds.
+        # The first zoom call holds the 9 rounds of 2 lines that fit in one
+        # axis of the grid (p*, 16 grid points, NO_SALE), and the next the
+        # 6 rounds left, and the pure bundle is the grid's NO_SALE line: 3
+        # calls where one per round took 17.
         answer, sizes = self._call_sizes(monkeypatch, UNIFORM, UNIFORM, 15)
-        assert sizes == [18, 2, 4, 8, 16]
+        assert sizes == [18, 18, 12]
         calls = []
         want = (sequential_offer_search([UNIFORM] * 2, "full", 15, calls),
                 sequential_offer_search([UNIFORM] * 2, "pure_bundle", 15,
@@ -536,13 +538,15 @@ class TestOptimizePair:
         # falls below half an ulp of the incumbent after 51 rounds, so the
         # next round has no neighbour to score and the search stops: one
         # round per call solves 1 + 51 rounds of lines.  Several rounds to a
-        # call, in at most the grid's 18 lines, it takes 12 calls: round 31
-        # moves the solo price by its step, 1/15 * 2**-30, for an ulp of
-        # revenue, so the two rounds solved after it in the same call are
-        # dropped and the next call holds one round.
+        # call, in at most the grid's 18 lines, it takes 10 calls.  Four
+        # calls hold 9 rounds each.  Round 31, in the fourth, moves the solo
+        # price by its step, 1/15 * 2**-30, for an ulp of revenue, so the
+        # five rounds solved after it in the same call are dropped.  The
+        # next calls hold 1, 2, 4 and 8 rounds, and the last the 5 rounds
+        # left before the step vanishes.
         # A budget of 5,000 returns what a budget of 60 does, to the bit.
         huge, sizes = self._call_sizes(monkeypatch, UNIFORM, UNIFORM, 5000)
-        assert sizes == [18, 2, 4, 8, 16, 18, 18, 2, 4, 8, 16, 10]
+        assert sizes == [18, 18, 18, 18, 18, 2, 4, 8, 16, 10]
         rounds = []
         want = sequential_offer_search([UNIFORM] * 2, "full", 5000, rounds)
         assert rounds == [18] + [2] * 51
