@@ -25,103 +25,21 @@ The package provides:
   pairs too).
 * :mod:`~bundle_auction_lab.experiments` -- config-driven experiment runner
   with deterministic, byte-reproducible CSV reports.
+
+The package re-exports each module's ``__all__``, but not ``experiments``.
 """
 
 __version__ = "0.1.0"
 
-from .bundles import (
-    NO_SALE,
-    BundleOffer,
-    Outcome,
-    ValuationProfile,
-    capped_value,
-    group_rational_accepts,
-    resolve_outcome,
-    witness_split,
-)
-from .group_revenue import (
-    SurplusExtractionReport,
-    bernstein_sweep,
-    bernstein_upper_bound,
-    chernoff_tail_bound,
-    full_surplus_offer,
-    group_expected_revenue_exact,
-    group_expected_revenue_mc,
-    optimize_group_offer,
-    surplus_lower_bound,
-    verify_surplus_extraction,
-)
-from .pair_revenue import (
-    EpsilonEvaluation,
-    PairImprovementReport,
-    PairRevenueBreakdown,
-    RegionLabel,
-    classify_region,
-    epsilon_offer,
-    optimize_pair_offer,
-    pair_bundle_accepts,
-    pair_expected_revenue_exact,
-    region_expected_revenue,
-    region_probability,
-    verify_pair_improvement,
-)
-from .single_pricing import (
-    SinglePriceSolution,
-    expected_revenue,
-    optimal_single_price,
-    revenue_derivative,
-)
-from .valuations import (
-    SmoothnessReport,
-    ValuationDistribution,
-    make_piecewise_linear,
-    make_uniform,
-    sample,
-    sample_one,
-    validate_smoothness,
-)
+from . import bundles, group_revenue, pair_revenue, single_pricing, valuations
+from .bundles import *  # noqa: F403
+from .group_revenue import *  # noqa: F403
+from .pair_revenue import *  # noqa: F403
+from .single_pricing import *  # noqa: F403
+from .valuations import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "NO_SALE",
-    "BundleOffer",
-    "Outcome",
-    "ValuationProfile",
-    "capped_value",
-    "group_rational_accepts",
-    "resolve_outcome",
-    "witness_split",
-    "SurplusExtractionReport",
-    "bernstein_sweep",
-    "bernstein_upper_bound",
-    "chernoff_tail_bound",
-    "full_surplus_offer",
-    "group_expected_revenue_exact",
-    "group_expected_revenue_mc",
-    "optimize_group_offer",
-    "surplus_lower_bound",
-    "verify_surplus_extraction",
-    "EpsilonEvaluation",
-    "PairImprovementReport",
-    "PairRevenueBreakdown",
-    "RegionLabel",
-    "classify_region",
-    "epsilon_offer",
-    "optimize_pair_offer",
-    "pair_bundle_accepts",
-    "pair_expected_revenue_exact",
-    "region_expected_revenue",
-    "region_probability",
-    "verify_pair_improvement",
-    "SinglePriceSolution",
-    "expected_revenue",
-    "optimal_single_price",
-    "revenue_derivative",
-    "SmoothnessReport",
-    "ValuationDistribution",
-    "make_piecewise_linear",
-    "make_uniform",
-    "sample",
-    "sample_one",
-    "validate_smoothness",
+__all__ = ["__version__"] + [
+    name for module in (bundles, group_revenue, pair_revenue, single_pricing,
+                        valuations)
+    for name in module.__all__
 ]

@@ -81,31 +81,24 @@ def _count(x: np.ndarray, t: np.ndarray, strict: bool = False) -> np.ndarray:
     return below.sum(axis=-1).reshape(t.shape)
 
 
-def _step(x: np.ndarray, h: np.ndarray, cdf_only: bool = False
-          ) -> np.ndarray:
+def _step(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The density pieces ``h`` on the breaks ``x``, its CDF and the CDF's
     integral, as :func:`_shifted` reads them: ``(3, lines, pieces + 2,
-    degree + 3)``, or with ``cdf_only`` the CDF's table alone, the same
-    floats.  Below 0 all three are 0; from the last break on the density
-    is 0, the CDF 1 and its integral rises with slope 1."""
+    degree + 3)``.  Below 0 all three are 0; from the last break on the
+    density is 0, the CDF 1 and its integral rises with slope 1."""
     g, p, d = h.shape
     x = x.astype(h.dtype, copy=False)
     width = _powers(x[:, 1:] - x[:, :-1], d + 2)[..., 1:]
-    tables = np.zeros((1 if cdf_only else 3, g, p + 2, d + 2), dtype=h.dtype)
-    table = tables[0 if cdf_only else 1]
-    cdf = table[:, 1:-1]
-    cdf[..., 1:-1] = h * _INVERSE[:d]
-    total = np.cumsum((cdf[..., 1:] * width).sum(axis=-1), axis=1)
-    cdf[:, 1:, 0] = total[:, :-1]
-    table[:, -1, 0] = 1.0
-    if cdf_only:
-        return table
-    h_rows, _, second = tables[:, :, 1:-1]
+    tables = np.zeros((3, g, p + 2, d + 2), dtype=h.dtype)
+    h_rows, cdf, second = tables[:, :, 1:-1]
     h_rows[..., :d] = h
+    cdf[..., 1:-1] = h * _INVERSE[:d]
     second[..., 2:] = cdf[..., 1:-1] * _INVERSE[1:d + 1]
-    second[:, 1:, 1] = cdf[:, 1:, 0]
+    total = np.cumsum((cdf[..., 1:] * width).sum(axis=-1), axis=1)
+    cdf[:, 1:, 0] = second[:, 1:, 1] = total[:, :-1]
     total = np.cumsum((second[..., 1:] * width).sum(axis=-1), axis=1)
     second[:, 1:, 0] = total[:, :-1]
+    tables[1, :, -1, 0] = 1.0
     tables[2, :, -1, 0] = total[:, -1]
     tables[2, :, -1, 1] = 1.0
     return tables
@@ -214,7 +207,7 @@ def _laws(classes, prices):
     capped = [_capped(dist, [line[c] for line in prices], dtype)
               for c, (dist, _) in enumerate(classes)]
     x, h, last = _sum_law(capped, members)
-    return capped, members, x, _step(x, h, True)[:, 1:-1, :-1], last
+    return capped, members, x, _step(x, h)[1, :, 1:-1, :-1], last
 
 
 def _value(x: np.ndarray, pieces: np.ndarray, above: np.ndarray,
@@ -254,7 +247,7 @@ def bundle_lines(classes, prices):
             rest = list(members)
             rest.remove(c)
             xp, hp, _ = _sum_law(capped, rest)
-            table = _step(xp, hp, True)
+            table = _step(xp, hp)[1]
         _, _, _, q, caps = capped[c]
         sells = count * caps * q
         solo = _shifted(xp, table[:, None], caps[:, None], x)[:, 0]

@@ -1,6 +1,8 @@
 """Command-line interface: thin dispatch onto the experiment runner.
 
 Usage: ``bundle-auction-lab <subcommand> --config <path> [--out <path>]``.
+There is one subcommand per entry of
+:data:`~bundle_auction_lab.experiments.COMMANDS`, with that entry's help.
 The CSV goes to ``--out`` (or stdout); run metadata goes to stderr.  Exit
 status is 0 on success and 1 when a verify-style subcommand's check fails
 (the failure is data -- the full CSV is still emitted).
@@ -14,8 +16,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .experiments import (ConfigError, emit_csv, parse_config, render_footer,
-                          run)
+from .experiments import (COMMANDS, ConfigError, emit_csv, parse_config,
+                          render_footer, run)
 
 
 def _execute(command: str, config_path: str, out) -> None:
@@ -60,14 +62,8 @@ def main() -> None:
     """Customer-bundling auction experiments."""
 
 
-_subcommand("single-opt", "Optimal single price per distribution.")
-_subcommand("pair-opt", "Optimize a two-customer bundle offer.")
-_subcommand("verify-thm1",
-            "Check that an epsilon bundle offer beats optimal single prices.")
-_subcommand("verify-thm2",
-            "Check the large-bundle near-full-surplus revenue guarantee.")
-_subcommand("partition", "Mixed pairs/triples/six-groups population study.")
-_subcommand("sweep", "Bernstein tail-bound sweep over group sizes.")
+for _name, _command in COMMANDS.items():
+    _subcommand(_name, _command.help)
 
 
 if __name__ == "__main__":  # pragma: no cover

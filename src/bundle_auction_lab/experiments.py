@@ -5,6 +5,9 @@ distributions are validated at parse time.  Reports serialize to CSV with a
 fixed header, floats at 12 significant digits and a deterministic row
 order, so rerunning a config reproduces the output byte for byte; wall time
 and other run metadata live in the report footer, never in the CSV.
+
+Each command is one entry of :data:`COMMANDS`, which config parsing,
+:func:`run` and the CLI all read.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, Optional
 
 from . import __version__
 from .group_revenue import (
@@ -34,6 +37,7 @@ from .valuations import ValuationDistribution, make_piecewise_linear, make_unifo
 
 __all__ = [
     "COMMANDS",
+    "Command",
     "ConfigError",
     "ExperimentConfig",
     "RunReport",
@@ -45,28 +49,25 @@ __all__ = [
     "render_footer",
 ]
 
-COMMANDS = ("single-opt", "pair-opt", "verify-thm1", "verify-thm2",
-            "partition", "sweep")
-
-#: ``sweep``'s upper group size when the config gives no ``n_max``.
+#: ``sweep``'s group sizes when the config gives no ``n_min`` or ``n_max``.
+SWEEP_N_MIN = 2
 SWEEP_N_MAX = 10**6
 #: The largest ``n_max`` a ``sweep`` config may ask for: the sweep checks
 #: every n up to it, and 10**8 of them take about 3 s.
 SWEEP_N_LIMIT = 10**8
 
-_COMMAND_KEYS = {
-    "single-opt": frozenset(),
-    "pair-opt": frozenset({"budget"}),
-    "verify-thm1": frozenset({"eps_grid"}),
-    "verify-thm2": frozenset({"n_list"}),
-    "partition": frozenset({"N", "budget", "mode"}),
-    "sweep": frozenset({"n_min", "n_max", "M"}),
-}
 _COMMON_KEYS = frozenset({"command", "seed", "n_samples", "distributions", "out"})
-#: The least and the most distributions each command takes.
-_DIST_COUNTS = {"single-opt": (1, math.inf), "pair-opt": (2, 2),
-                "verify-thm1": (2, 2), "verify-thm2": (1, 1),
-                "partition": (1, 1), "sweep": (0, math.inf)}
+
+
+@dataclass(frozen=True)
+class Command:
+    """A command's runner (config to ``(columns, rows, passed, notes)``), its
+    own config keys, its least and most distributions, and its CLI help."""
+
+    run: Callable
+    keys: frozenset
+    distributions: tuple
+    help: str
 
 
 class ConfigError(ValueError):
@@ -183,7 +184,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"$.command: expected one of {', '.join(COMMANDS)}; got {command!r}"
         )
-    _reject_unknown(raw, _COMMON_KEYS | _COMMAND_KEYS[command], "$")
+    _reject_unknown(raw, _COMMON_KEYS | COMMANDS[command].keys, "$")
 
     # No command samples: seed and n_samples are optional, checked and
     # ignored.
@@ -198,7 +199,7 @@ def parse_config(text: str) -> ExperimentConfig:
         build_distribution(d, f"$.distributions[{i}]")
         for i, d in enumerate(descs)
     )
-    least, most = _DIST_COUNTS[command]
+    least, most = COMMANDS[command].distributions
     if not least <= len(built) <= most:
         wanted = f"exactly {least}" if least == most else f"at least {least}"
         raise ConfigError(f"$.distributions: command {command!r} needs "
@@ -251,7 +252,7 @@ def parse_config(text: str) -> ExperimentConfig:
             kwargs["n_min"] = _integer(raw["n_min"], "$.n_min", minimum=2)
         if "n_max" in raw:
             kwargs["n_max"] = _integer(raw["n_max"], "$.n_max", minimum=2)
-        n_min = kwargs.get("n_min", 2)
+        n_min = kwargs.get("n_min", SWEEP_N_MIN)
         n_max = kwargs.get("n_max", SWEEP_N_MAX)
         if n_max > SWEEP_N_LIMIT:
             raise ConfigError(f"$.n_max: must be <= {SWEEP_N_LIMIT}")
@@ -279,19 +280,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical JSON for a config; `parse_config` round-trips it."""
-    doc: dict = {
-        "command": config.command,
-        "distributions": list(config.distributions),
-    }
-    for key in ("eps_grid", "n_list"):
-        val = getattr(config, key)
-        if val is not None:
-            doc[key] = list(val)
-    for key in ("N", "budget", "mode", "n_min", "n_max", "M", "out"):
-        val = getattr(config, key)
-        if val is not None:
-            doc[key] = val
+    """Canonical JSON of a config's set fields, tuples as lists;
+    `parse_config` round-trips it."""
+    doc = {f.name: getattr(config, f.name) for f in fields(config)
+           if f.compare and getattr(config, f.name) is not None}
     return json.dumps(doc, sort_keys=True)
 
 
@@ -352,21 +344,7 @@ def run(config: ExperimentConfig, *,
     given.  Every command runs on the calling thread.
     """
     t0 = time.perf_counter()
-    if config.command == "single-opt":
-        result = _run_single_opt(config)
-    elif config.command == "pair-opt":
-        result = _run_pair_opt(config)
-    elif config.command == "verify-thm1":
-        result = _run_verify_pair(config)
-    elif config.command == "verify-thm2":
-        result = _run_verify_group(config)
-    elif config.command == "partition":
-        result = partition_result(config)
-    elif config.command == "sweep":
-        result = _run_sweep(config)
-    else:  # pragma: no cover - parse_config guards this
-        raise ConfigError(f"unknown command {config.command!r}")
-    columns, rows, passed, notes = result
+    columns, rows, passed, notes = COMMANDS[config.command].run(config)
     report = RunReport(
         command=config.command,
         columns=tuple(columns),
@@ -438,7 +416,7 @@ def _run_verify_group(config):
 
 
 def _run_sweep(config):
-    n_min = config.n_min or 2
+    n_min = config.n_min or SWEEP_N_MIN
     n_max = config.n_max or SWEEP_N_MAX
     m = config.M if config.M is not None else 1.0
     ok, worst_n, worst_ratio = bernstein_sweep(n_min, n_max, m)
@@ -503,3 +481,27 @@ def partition_result(config: ExperimentConfig):
         f"{n_total * sol.utility:.6g}",
     )
     return columns, rows, None, notes
+
+
+#: Every command by name.  Parsing, :func:`run` and the CLI read only this,
+#: so a new command is an entry, its runner and its checks in `parse_config`.
+COMMANDS = {
+    "single-opt": Command(
+        _run_single_opt, frozenset(), (1, math.inf),
+        "Optimal single price per distribution."),
+    "pair-opt": Command(
+        _run_pair_opt, frozenset({"budget"}), (2, 2),
+        "Optimize a two-customer bundle offer."),
+    "verify-thm1": Command(
+        _run_verify_pair, frozenset({"eps_grid"}), (2, 2),
+        "Check that an epsilon bundle offer beats optimal single prices."),
+    "verify-thm2": Command(
+        _run_verify_group, frozenset({"n_list"}), (1, 1),
+        "Check the large-bundle near-full-surplus revenue guarantee."),
+    "partition": Command(
+        partition_result, frozenset({"N", "budget", "mode"}), (1, 1),
+        "Mixed pairs/triples/six-groups population study."),
+    "sweep": Command(
+        _run_sweep, frozenset({"n_min", "n_max", "M"}), (0, math.inf),
+        "Bernstein tail-bound sweep over group sizes."),
+}

@@ -223,8 +223,8 @@ def chernoff_tail_bound(dist: ValuationDistribution, n: int, b: float
     # Every step shrinks the bracket; the cap only guarantees an end.
     for _ in range(200):
         theta = math.exp(y)
-        best = min(best, theta * b + n * dist.log_laplace(theta))
-        mean, variance = dist.tilted_moments(theta)
+        log_laplace, mean, variance = dist._tilted(theta)
+        best = min(best, theta * b + n * log_laplace)
         slope = theta * (b - n * mean)
         if slope == 0.0:
             break

@@ -207,14 +207,7 @@ class ValuationDistribution:
         cancel.  The segments are combined by a log-sum-exp, so large
         ``theta`` does not underflow.
         """
-        if not theta > 0.0:
-            raise ValueError("theta must be positive")
-        terms = []
-        for k0, w, d0, s in self._segs:
-            phi, h = _segment_averages(theta * w, 2)
-            terms.append(math.log(w * (d0 * phi + s * w * h)) - theta * k0)
-        top = max(terms)
-        return top + math.log(sum(math.exp(t - top) for t in terms))
+        return self._tilted(theta)[0]
 
     def tilted_moments(self, theta: float) -> tuple[float, float]:
         """Mean and variance of the law ``f(v) e^{-theta v} / E
@@ -225,6 +218,11 @@ class ValuationDistribution:
         ``(d0 A_j + s w A_{j+1}) / (d0 A_0 + s w A_1)``, ratios of positive
         averages; the segments mix with :meth:`log_laplace`'s weights.
         """
+        return self._tilted(theta)[1:]
+
+    def _tilted(self, theta: float) -> tuple[float, float, float]:
+        """:meth:`log_laplace` and :meth:`tilted_moments` in one pass over
+        the segments."""
         if not theta > 0.0:
             raise ValueError("theta must be positive")
         logs, means, variances = [], [], []
@@ -245,7 +243,7 @@ class ValuationDistribution:
         mean = sum(p * m for p, m in zip(weights, means)) / total
         variance = sum(p * (v + (m - mean) ** 2)
                        for p, m, v in zip(weights, means, variances)) / total
-        return mean, variance
+        return top + math.log(total), mean, variance
 
     def quantile(self, u: float) -> float:
         """The unique ``x`` with ``cdf(x) = u``.

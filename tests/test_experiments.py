@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import bundle_auction_lab
 from bundle_auction_lab.cli import main
 from bundle_auction_lab.experiments import (
+    COMMANDS,
     ConfigError,
     csv_text,
     emit_csv,
@@ -26,6 +28,66 @@ RAMP_DESC = {"type": "piecewise_linear", "knots": [0.0, 1.0],
 
 def config_text(**kwargs) -> str:
     return json.dumps(kwargs)
+
+
+ROUND_TRIP_CASES = [
+    dict(command="single-opt", distributions=[UNIFORM_DESC], seed=42,
+         n_samples=1000),
+    dict(command="pair-opt", distributions=[UNIFORM_DESC, RAMP_DESC],
+         seed=7, budget=3),
+    dict(command="verify-thm1", distributions=[UNIFORM_DESC, UNIFORM_DESC],
+         seed=1, eps_grid=[0.05, 0.1]),
+    dict(command="verify-thm2", distributions=[UNIFORM_DESC], seed=9,
+         n_list=[100, 1000], n_samples=2000),
+    dict(command="partition", distributions=[UNIFORM_DESC], seed=3, N=6,
+         n_samples=2000, budget=2, mode="pure_bundle"),
+    dict(command="sweep", seed=0, n_min=2, n_max=1000, M=1.0),
+]
+
+# serialize_config's JSON for each shipped config and each round-trip case,
+# as the footer's "# config:" line shows it.
+SERIALIZED_CONFIGS = {
+    "bernstein_sweep": (
+        '{"M": 1.0, "command": "sweep", "distributions": [], "n_max": 1000000,'
+        ' "n_min": 2}'),
+    "pair_opt_uniform": (
+        '{"budget": 15, "command": "pair-opt", "distributions": [{"M": 1.0,'
+        ' "type": "uniform"}, {"M": 1.0, "type": "uniform"}]}'),
+    "partition_n36": (
+        '{"N": 36, "budget": 2, "command": "partition", "distributions":'
+        ' [{"M": 1.0, "type": "uniform"}], "mode": "full"}'),
+    "single_opt_uniform": (
+        '{"command": "single-opt", "distributions": [{"M": 1.0, "type":'
+        ' "uniform"}, {"densities": [0.5, 1.5], "knots": [0.0, 1.0], "type":'
+        ' "piecewise_linear"}]}'),
+    "verify_thm1_skewed_pair": (
+        '{"command": "verify-thm1", "distributions": [{"densities": [1.5,'
+        ' 1.2], "knots": [0.0, 0.75], "type": "piecewise_linear"},'
+        ' {"densities": [0.3, 0.7, 0.7], "knots": [0.0, 1.9, 2.0], "type":'
+        ' "piecewise_linear"}]}'),
+    "verify_thm1_uniform_pair": (
+        '{"command": "verify-thm1", "distributions": [{"M": 1.0, "type":'
+        ' "uniform"}, {"M": 1.0, "type": "uniform"}], "eps_grid": [0.05, 0.1,'
+        ' 0.2]}'),
+    "verify_thm2_uniform": (
+        '{"command": "verify-thm2", "distributions": [{"M": 1.0, "type":'
+        ' "uniform"}], "n_list": [100, 1000, 10000]}'),
+}
+SERIALIZED_ROUND_TRIP_CASES = [
+    '{"command": "single-opt", "distributions": [{"M": 1.0, "type":'
+    ' "uniform"}]}',
+    '{"budget": 3, "command": "pair-opt", "distributions": [{"M": 1.0, "type":'
+    ' "uniform"}, {"densities": [0.5, 1.5], "knots": [0.0, 1.0], "type":'
+    ' "piecewise_linear"}]}',
+    '{"command": "verify-thm1", "distributions": [{"M": 1.0, "type":'
+    ' "uniform"}, {"M": 1.0, "type": "uniform"}], "eps_grid": [0.05, 0.1]}',
+    '{"command": "verify-thm2", "distributions": [{"M": 1.0, "type":'
+    ' "uniform"}], "n_list": [100, 1000]}',
+    '{"N": 6, "budget": 2, "command": "partition", "distributions": [{"M":'
+    ' 1.0, "type": "uniform"}], "mode": "pure_bundle"}',
+    '{"M": 1.0, "command": "sweep", "distributions": [], "n_max": 1000,'
+    ' "n_min": 2}',
+]
 
 
 class TestParseConfig:
@@ -241,22 +303,23 @@ class TestParseConfig:
             parse_config(config_text(command="partition", seed=1,
                                      distributions=[UNIFORM_DESC]))
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(command="single-opt", distributions=[UNIFORM_DESC], seed=42,
-             n_samples=1000),
-        dict(command="pair-opt", distributions=[UNIFORM_DESC, RAMP_DESC],
-             seed=7, budget=3),
-        dict(command="verify-thm1", distributions=[UNIFORM_DESC, UNIFORM_DESC],
-             seed=1, eps_grid=[0.05, 0.1]),
-        dict(command="verify-thm2", distributions=[UNIFORM_DESC], seed=9,
-             n_list=[100, 1000], n_samples=2000),
-        dict(command="partition", distributions=[UNIFORM_DESC], seed=3, N=6,
-             n_samples=2000, budget=2, mode="pure_bundle"),
-        dict(command="sweep", seed=0, n_min=2, n_max=1000, M=1.0),
-    ])
+    @pytest.mark.parametrize("kwargs", ROUND_TRIP_CASES)
     def test_round_trip(self, kwargs):
         cfg = parse_config(config_text(**kwargs))
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("kwargs, expected", zip(
+        ROUND_TRIP_CASES, SERIALIZED_ROUND_TRIP_CASES))
+    def test_round_trip_case_serialization_is_pinned(self, kwargs, expected):
+        cfg = parse_config(config_text(**kwargs))
+        assert serialize_config(cfg) == expected
+
+    @pytest.mark.parametrize("name",
+                             sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_config_serialization_is_pinned(self, name):
+        path = CONFIGS / f"{name}.json"
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        assert serialize_config(cfg) == SERIALIZED_CONFIGS[name]
 
 
 class TestRunCommands:
@@ -529,3 +592,46 @@ class TestCli:
         result = self.run_cli(["sweep", "--config", str(cfg_path)])
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "n,t,bernstein_bound,one_over_n,holds"
+
+    def test_subcommands_are_the_command_table(self):
+        helps = {name: command.help for name, command in COMMANDS.items()}
+        assert {name: command.help
+                for name, command in main.commands.items()} == helps
+        width = max(map(len, COMMANDS))
+        listing = self.run_cli(["--help"]).output.split("Commands:\n")[1]
+        assert sorted(listing.splitlines()) == sorted(
+            f"  {name:<{width}}  {text}" for name, text in helps.items())
+
+
+class TestExports:
+    # Names the package has exported all along; it must keep each of them.
+    EARLIER_EXPORTS = (
+        "BundleOffer", "EpsilonEvaluation", "NO_SALE", "Outcome",
+        "PairImprovementReport", "PairRevenueBreakdown", "RegionLabel",
+        "SinglePriceSolution", "SmoothnessReport", "SurplusExtractionReport",
+        "ValuationDistribution", "ValuationProfile", "__version__",
+        "bernstein_sweep", "bernstein_upper_bound", "capped_value",
+        "chernoff_tail_bound", "classify_region", "epsilon_offer",
+        "expected_revenue", "full_surplus_offer",
+        "group_expected_revenue_exact", "group_expected_revenue_mc",
+        "group_rational_accepts", "make_piecewise_linear", "make_uniform",
+        "optimal_single_price", "optimize_group_offer", "optimize_pair_offer",
+        "pair_bundle_accepts", "pair_expected_revenue_exact",
+        "region_expected_revenue", "region_probability", "resolve_outcome",
+        "revenue_derivative", "sample", "sample_one", "surplus_lower_bound",
+        "validate_smoothness", "verify_pair_improvement",
+        "verify_surplus_extraction", "witness_split",
+    )
+
+    def test_all_is_unique_and_resolves(self):
+        names = bundle_auction_lab.__all__
+        assert len(set(names)) == len(names)
+        for name in names:
+            getattr(bundle_auction_lab, name)
+
+    def test_no_earlier_export_is_dropped(self):
+        assert len(self.EARLIER_EXPORTS) == 42
+        assert set(self.EARLIER_EXPORTS) <= set(bundle_auction_lab.__all__)
+        for name in ("DEFAULT_EPS_GRID", "pair_expected_revenues_exact",
+                     "region_box", "NORMALIZATION_TOL"):
+            assert name in bundle_auction_lab.__all__

@@ -365,28 +365,6 @@ class TestExactGroupRevenue:
         assert stats.accept_prob == np.count_nonzero(
             np.all(v >= p, axis=1)) / rows
 
-    @pytest.mark.parametrize("name", ["uniform", "template", "skewed",
-                                      "spike", "fallback"])
-    def test_cdf_only_step_is_the_full_steps_cdf(self, name):
-        # bundle_lines reads only the CDF table of a sum's law and of a
-        # left-out member's law, and builds it alone with the same floats:
-        # on a pair's long double convolution step, on a pair's sum and on
-        # float64 groups of 3 to 6.
-        dist = {"uniform": UNIFORM, "template": TEMPLATE, "skewed": SKEWED,
-                "spike": SPIKE, "fallback": FALLBACK}[name]
-        prices = [NO_SALE, 0.0, 0.3, 0.77, dist.upper_bound]
-        wide = [_group_exact._capped(dist, prices, np.longdouble)]
-        laws = [wide[0][:2], _group_exact._sum_law(wide, [0, 0])[:2]]
-        capped = [_group_exact._capped(dist, prices)]
-        laws += [_group_exact._sum_law(capped, [0] * n)[:2]
-                 for n in range(3, 7)]
-        assert laws[0][1].dtype == np.longdouble
-        for x, h in laws:
-            full = _group_exact._step(x, h)[1]
-            alone = _group_exact._step(x, h, True)
-            assert alone.dtype == full.dtype and alone.shape == full.shape
-            assert alone.tobytes() == full.tobytes()
-
     def test_zero_and_uncapped_solo_prices(self):
         for n in (1, 3):
             assert _exact(TEMPLATE, n, 0.0, 0.0) == 0.0
