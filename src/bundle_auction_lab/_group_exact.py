@@ -14,9 +14,10 @@ plus that member is ``sum_i v_i H(x - s_i) + w_i K(x - s_i) + q h(x -
 a)``, from ``S'``'s density ``h``, its CDF ``H`` and ``K = int H``.  Each
 shifted term is looked up on the merged breaks by each interval's midpoint
 (sums of breaks equal in exact arithmetic can differ by an ulp, and a
-lookup by the left end then takes the piece before) and Taylor-shifted to
-the interval's left end.  Every array carries one line per offer, so a
-grid of offers costs the numpy calls of one.
+lookup by the left end then takes the piece before), or by its left end
+when it is one ulp wide, and Taylor-shifted to the interval's left end.
+Every array carries one line per offer, so a grid of offers costs the
+numpy calls of one.
 
 An offer earns ``R(b) = b P[S >= b] + sum_c count_c a_c q_c P[a_c + S_c <
 b]``, where ``S_c`` leaves out one member of class c: for the last class
@@ -115,6 +116,8 @@ def _shifted(x: np.ndarray, tables: np.ndarray, shifts: np.ndarray,
     """
     g, t, size = tables.shape[:3]
     mid = 0.5 * (y[:, :-1] + y[:, 1:])
+    # An interval one ulp wide has no float inside: read it at its left end.
+    mid = np.where(mid < y[:, 1:], mid, y[:, :-1])
     rows = _count(x, mid[:, None] - shifts[..., None])
     origin = np.concatenate((x[:, :1], x), axis=1).ravel()
     start = origin[rows + size * np.arange(g)[:, None, None]]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -137,13 +138,19 @@ def _reject_unknown(obj: dict, allowed, path: str) -> None:
             raise ConfigError(f"unknown key {path}.{key}")
 
 
+def _float(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the largest float
+        raise ConfigError(f"{path}: beyond float range") from None
+
+
 def _number(obj: dict, key: str, path: str) -> float:
     if key not in obj:
         raise ConfigError(f"missing required field {path}.{key}")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    return float(v)
+    return _float(obj[key], f"{path}.{key}")
 
 
 def _number_list(obj: dict, key: str, path: str) -> list[float]:
@@ -152,12 +159,7 @@ def _number_list(obj: dict, key: str, path: str) -> list[float]:
     v = obj[key]
     if not isinstance(v, list):
         raise ConfigError(f"{path}.{key}: expected a list of numbers")
-    out = []
-    for i, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{path}.{key}[{i}]: expected a number")
-        out.append(float(x))
-    return out
+    return [_float(x, f"{path}.{key}[{i}]") for i, x in enumerate(v)]
 
 
 def _integer(value, path: str, minimum: Optional[int] = None) -> int:
@@ -172,7 +174,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("$: config must be a JSON object")
@@ -207,16 +209,26 @@ def parse_config(text: str) -> ExperimentConfig:
 
     kwargs: dict = {}
     if command == "verify-thm1":
+        # Each eps lies strictly between 0 and p2*, the second customer's
+        # optimal price.
+        p2 = optimal_single_price(built[1]).price
         grid = raw.get("eps_grid")
-        if grid is not None:
+        if grid is None:
+            if max(DEFAULT_EPS_GRID) >= p2:
+                raise ConfigError(
+                    f"$.eps_grid: the default grid reaches "
+                    f"{max(DEFAULT_EPS_GRID)!r}, not below p2*={p2:.6g}")
+        else:
             vals = _number_list({"eps_grid": grid}, "eps_grid", "$")
             if not vals:
                 raise ConfigError("$.eps_grid: must be nonempty")
-            # The upper limit, p2*, is the second customer's optimal price
-            # and is checked at run time.
             for i, v in enumerate(vals):
                 if not v > 0.0:
                     raise ConfigError(f"$.eps_grid[{i}]: must be > 0")
+            for i, v in enumerate(vals):
+                if not v < p2:
+                    raise ConfigError(
+                        f"$.eps_grid[{i}]: must be < p2*={p2:.6g}; got {v!r}")
             kwargs["eps_grid"] = tuple(vals)
     if command == "verify-thm2":
         ns = raw.get("n_list")
@@ -241,12 +253,16 @@ def parse_config(text: str) -> ExperimentConfig:
         kwargs["N"] = _integer(raw["N"], "$.N", minimum=1)
         if kwargs["N"] % 6:
             raise ConfigError("$.N: must be divisible by 6")
+        _float(kwargs["N"], "$.N")  # the rows scale by float(N)
         if "mode" in raw:
             if raw["mode"] not in ("pure_bundle", "full"):
                 raise ConfigError("$.mode: expected 'pure_bundle' or 'full'")
             kwargs["mode"] = raw["mode"]
     if command in ("pair-opt", "partition") and "budget" in raw:
         kwargs["budget"] = _integer(raw["budget"], "$.budget", minimum=1)
+        # The search counts its rounds with itertools.islice.
+        if kwargs["budget"] > sys.maxsize:
+            raise ConfigError(f"$.budget: must be <= {sys.maxsize}")
     if command == "sweep":
         if "n_min" in raw:
             kwargs["n_min"] = _integer(raw["n_min"], "$.n_min", minimum=2)

@@ -67,6 +67,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             Outcome(False, (True,), (0.5,), 0.7)
 
+    def test_an_accepted_bundle_must_reach_every_customer(self):
+        with pytest.raises(ValueError, match=(
+                "^an accepted bundle delivers to every customer$")):
+            Outcome(True, (True, False), (1.0, 0.0), 1.0)
+
 
 class TestCappedValue:
     def test_examples(self):

@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import bundle_auction_lab
+from bundle_auction_lab import cli
 from bundle_auction_lab.cli import main
 from bundle_auction_lab.experiments import (
     COMMANDS,
@@ -274,8 +279,10 @@ class TestParseConfig:
                                        distributions=[UNIFORM_DESC]))
         assert run(cfg).passed
 
-    @pytest.mark.parametrize("grid, i", [([-0.1], 0), ([0.1, 0.0], 1)])
+    @pytest.mark.parametrize("grid, i", [([-0.1], 0), ([0.1, 0.0], 1),
+                                         ([0.6, -0.1], 1)])
     def test_verify_thm1_nonpositive_eps_is_a_config_error(self, grid, i):
+        # Every value is checked for > 0 before any is checked against p2*.
         with pytest.raises(ConfigError,
                            match=rf"^\$\.eps_grid\[{i}\]: must be > 0$"):
             parse_config(config_text(command="verify-thm1", seed=1,
@@ -302,6 +309,133 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\$\.N"):
             parse_config(config_text(command="partition", seed=1,
                                      distributions=[UNIFORM_DESC]))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "$: config must be a JSON object"),
+        ("{}", "missing required field $.command"),
+        (config_text(command="single-opt", distributions={}),
+         "$.distributions: expected a list"),
+        (config_text(command="single-opt", distributions=[5]),
+         "$.distributions[0]: distribution descriptor must be an object"),
+        (config_text(command="single-opt",
+                     distributions=[{"type": "uniform", "M": -1.0}]),
+         "$.distributions[0]: upper bound must be positive and finite"),
+        (config_text(command="single-opt", distributions=[{"type": "beta"}]),
+         "$.distributions[0].type: expected 'uniform' or "
+         "'piecewise_linear', got 'beta'"),
+        (config_text(command="single-opt",
+                     distributions=[{"type": "uniform"}]),
+         "missing required field $.distributions[0].M"),
+        (config_text(command="single-opt",
+                     distributions=[{"type": "uniform", "M": "1"}]),
+         "$.distributions[0].M: expected a number"),
+        (config_text(command="single-opt", distributions=[
+            {"type": "piecewise_linear", "densities": [1.0, 1.0]}]),
+         "missing required field $.distributions[0].knots"),
+        (config_text(command="single-opt", distributions=[
+            {"type": "piecewise_linear", "knots": 1.0,
+             "densities": [1.0, 1.0]}]),
+         "$.distributions[0].knots: expected a list of numbers"),
+        (config_text(command="single-opt", distributions=[
+            {"type": "piecewise_linear", "knots": [0.0, 1.0],
+             "densities": [1.0, None]}]),
+         "$.distributions[0].densities[1]: expected a number"),
+        (config_text(command="verify-thm1", eps_grid=[],
+                     distributions=[UNIFORM_DESC] * 2),
+         "$.eps_grid: must be nonempty"),
+        (config_text(command="verify-thm2", n_list=100,
+                     distributions=[UNIFORM_DESC]),
+         "$.n_list: expected a nonempty list of integers"),
+        (config_text(command="partition", N=6, mode="mixed",
+                     distributions=[UNIFORM_DESC]),
+         "$.mode: expected 'pure_bundle' or 'full'"),
+        (config_text(command="sweep", out=1),
+         "$.out: expected a string path"),
+    ], ids=["not-an-object", "no-command", "distributions-not-a-list",
+            "descriptor-not-an-object", "uniform-error", "unknown-type",
+            "number-missing", "number-not-a-number", "list-missing",
+            "list-not-a-list", "list-item-not-a-number", "empty-eps-grid",
+            "n-list-not-a-list", "bad-mode", "out-not-a-string"])
+    def test_config_error_messages_are_pinned(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    BIG = 10**400  # a JSON integer past the largest float
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(command="single-opt",
+              distributions=[{"type": "uniform", "M": BIG}]),
+         "$.distributions[0].M: beyond float range"),
+        (dict(command="single-opt", distributions=[
+            {"type": "piecewise_linear", "knots": [0, BIG],
+             "densities": [1, 1]}]),
+         "$.distributions[0].knots[1]: beyond float range"),
+        (dict(command="single-opt", distributions=[
+            {"type": "piecewise_linear", "knots": [0, 1],
+             "densities": [BIG, 1]}]),
+         "$.distributions[0].densities[0]: beyond float range"),
+        (dict(command="verify-thm1", eps_grid=[0.1, BIG],
+              distributions=[UNIFORM_DESC] * 2),
+         "$.eps_grid[1]: beyond float range"),
+        (dict(command="sweep", M=BIG), "$.M: beyond float range"),
+        (dict(command="partition", N=6 * BIG, distributions=[UNIFORM_DESC]),
+         "$.N: beyond float range"),
+        (dict(command="partition", N=6, budget=sys.maxsize + 1,
+              distributions=[UNIFORM_DESC]),
+         f"$.budget: must be <= {sys.maxsize}"),
+        (dict(command="pair-opt", budget=BIG,
+              distributions=[UNIFORM_DESC] * 2),
+         f"$.budget: must be <= {sys.maxsize}"),
+    ], ids=["uniform-M", "knot", "density", "eps", "sweep-M", "partition-N",
+            "partition-budget", "pair-opt-budget"])
+    def test_numbers_out_of_range_name_their_path(self, kwargs, message):
+        # Each of these used to end in a traceback (OverflowError, or
+        # islice's limit on its stop) or an error without a path.
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_text(**kwargs))
+        assert str(info.value) == message
+
+    def test_budget_up_to_maxsize_runs(self):
+        cfg = parse_config(config_text(command="pair-opt",
+                                       budget=sys.maxsize,
+                                       distributions=[UNIFORM_DESC] * 2))
+        assert run(cfg).rows == run(parse_config(config_text(
+            command="pair-opt", budget=10**6,
+            distributions=[UNIFORM_DESC] * 2))).rows
+
+    def test_an_integer_too_long_to_parse_is_invalid_json(self):
+        with pytest.raises(ConfigError, match=r"^invalid JSON: Exceeds"):
+            parse_config('{"command": "sweep", "M": 1' + "0" * 5000 + "}")
+
+    @pytest.mark.parametrize("grid, i, eps", [([0.1, 0.5], 1, 0.5),
+                                              ([0.6], 0, 0.6)])
+    def test_verify_thm1_eps_at_or_above_p2_star_is_a_config_error(
+            self, grid, i, eps):
+        # p2* is 0.5 for uniform [0, 1]; this failed at run time, without a
+        # path.
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_text(command="verify-thm1", eps_grid=grid,
+                                     distributions=[UNIFORM_DESC] * 2))
+        assert str(info.value) == f"$.eps_grid[{i}]: must be < p2*=0.5; got {eps}"
+
+    def test_verify_thm1_default_grid_is_checked_against_p2_star(self):
+        # The default grid tops out at 0.2; a uniform [0, 0.01] second
+        # customer has p2* = 0.005.
+        small = {"type": "uniform", "M": 0.01}
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_text(command="verify-thm1",
+                                     distributions=[UNIFORM_DESC, small]))
+        assert str(info.value) == ("$.eps_grid: the default grid reaches "
+                                   "0.2, not below p2*=0.005")
+        # The first customer's law does not matter, and a grid below p2*
+        # runs.
+        cfg = parse_config(config_text(command="verify-thm1",
+                                       eps_grid=[0.001, 0.004],
+                                       distributions=[UNIFORM_DESC, small]))
+        assert run(cfg).passed
+        assert parse_config(config_text(command="verify-thm1",
+                                        distributions=[small, UNIFORM_DESC]))
 
     @pytest.mark.parametrize("kwargs", ROUND_TRIP_CASES)
     def test_round_trip(self, kwargs):
@@ -584,6 +718,43 @@ class TestCli:
         result = CliRunner().invoke(main, ["pair-opt", "--config", str(cfg_path)])
         assert result.exit_code != 0
 
+    def test_config_error_is_a_click_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="sweep", bogus=1))
+        result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: unknown key $.bogus\n"
+
+    def test_run_time_value_error_is_a_click_error(self, tmp_path,
+                                                   monkeypatch):
+        def fail(config, **kwargs):
+            raise ValueError("no such offer")
+
+        monkeypatch.setattr(cli, "run", fail)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="sweep", n_max=100))
+        result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: no such offer\n"
+
+    def test_a_failed_check_exits_1_and_still_writes_the_csv(self, tmp_path,
+                                                             monkeypatch):
+        def failing_run(config, **kwargs):
+            report = run(config, **kwargs)
+            assert report.passed
+            return dataclasses.replace(report, passed=False)
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        out_path = tmp_path / "out.csv"
+        config = CONFIGS / "verify_thm1_uniform_pair.json"
+        result = CliRunner().invoke(main, ["verify-thm1", "--config",
+                                           str(config), "--out",
+                                           str(out_path)])
+        assert result.exit_code == 1
+        assert "# status: FAIL\n" in result.output
+        assert out_path.read_text(encoding="utf-8") == csv_text(
+            run(parse_config(config.read_text(encoding="utf-8"))))
+
     def test_stdout_when_no_out_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(
@@ -635,3 +806,15 @@ class TestExports:
         for name in ("DEFAULT_EPS_GRID", "pair_expected_revenues_exact",
                      "region_box", "NORMALIZATION_TOL"):
             assert name in bundle_auction_lab.__all__
+
+    def test_import_loads_no_thread_pool(self):
+        # Nothing in the lab runs threads, and concurrent.futures (with the
+        # logging it imports) cost each cold start about 10 ms.
+        src = Path(bundle_auction_lab.__file__).resolve().parent.parent
+        code = ("import sys, bundle_auction_lab, bundle_auction_lab.experiments; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'concurrent'))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.strip() == "[]"

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, resolve_outcome
-from bundle_auction_lab import _mc, _search
+from bundle_auction_lab import _mc
 from bundle_auction_lab import _group_exact
 from bundle_auction_lab._group_exact import (bundle_lines, capped_sum_cdf,
                                              line_argmaxes, line_values)
@@ -93,6 +93,11 @@ class TestBernstein:
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
             bernstein_upper_bound(10, 1.0, -0.5)
+
+    @pytest.mark.parametrize("n, m", [(0, 1.0), (10, 0.0), (10, -1.0)])
+    def test_rejects_n_below_one_and_nonpositive_m(self, n, m):
+        with pytest.raises(ValueError, match=r"^need n >= 1 and M > 0$"):
+            bernstein_upper_bound(n, m, 0.5)
 
     def test_scale_free_where_n_m_squared_overflows(self):
         # n M^2 overflows at M = 2^1000; t / M is exact for a power of two,
@@ -1212,7 +1217,6 @@ class TestChernoffTailBound:
             raise AssertionError("golden-section search called")
 
         monkeypatch.setattr(group_revenue, "golden_section_max", no_search)
-        monkeypatch.setattr(_search, "golden_section_max", no_search)
         dist = self.DISTS[name]
         for n in (6, 50, 1000, 10**6):
             for frac in (0.05, 0.6, 0.999):

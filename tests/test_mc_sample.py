@@ -85,6 +85,14 @@ def test_sample_is_pinned(name, calls):
                 and sums[-1] == float.fromhex(last))
 
 
+@pytest.mark.parametrize("seed", [-1, (3, -1)])
+def test_a_negative_seed_component_is_rejected(seed):
+    offer = BundleOffer((NO_SALE,) * 2, 1.0)
+    with pytest.raises(ValueError, match=(
+            "^seed components must be nonnegative integers$")):
+        revenue_stats([make_uniform(1.0)] * 2, offer, 1000, seed)
+
+
 def test_the_sample_depends_on_the_batch_size(monkeypatch):
     dists = [make_uniform(1.0)] * 50
     offer = BundleOffer((NO_SALE,) * 50, 25.0)

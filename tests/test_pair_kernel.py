@@ -163,6 +163,34 @@ def test_rounding_offer_agrees_with_reference():
     ]) - ref)) <= AGREE
 
 
+def test_one_ulp_tie_reads_the_piece_before_the_all_capped_atom():
+    # a2 is one ulp of 1 and b = a1 + a2 is one ulp above a1, so the line
+    # has an interval one ulp wide whose midpoint rounds onto its right
+    # end; a lookup there read the piece after the atom, and solo_part_1
+    # came out at a1 P[V1 >= a1] where it is 0.
+    u2 = make_uniform(2.0)
+    prices, b = (1.3928256480881622, 2.220446049250313e-16), 1.3928256480881624
+    ref = pair_revenue_reference(u2, u2, prices, b)
+    got = pair_expected_revenues_exact(u2, u2, *prices, b)[:, 0]
+    assert np.max(np.abs(got - ref)) <= AGREE
+
+
+def test_tie_grid_on_a_skewed_pair_agrees_with_reference():
+    # b = a1 + a2 on a 21 x 21 grid; two of these offers, (0.45,
+    # 0.15000000000000002) the worst, read a one-ulp interval at its right
+    # end.
+    skewed = make_piecewise_linear((0.0, 0.15, 0.5, 1.0),
+                                   (2.6, 0.9, 0.3, 1.4))
+    u = make_uniform(1.0)
+    a1, a2 = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 21),
+                                             np.linspace(0.0, 1.0, 21),
+                                             indexing="ij"))
+    got = pair_expected_revenues_exact(u, skewed, a1, a2, a1 + a2)
+    ref = np.array([pair_revenue_reference(u, skewed, (x1, x2), x1 + x2)
+                    for x1, x2 in zip(a1.tolist(), a2.tolist())]).T
+    assert np.max(np.abs(got - ref)) <= AGREE
+
+
 def test_empty_batch():
     u = make_uniform(1.0)
     assert pair_expected_revenues_exact(u, u, [], [], []).shape == (5, 0)

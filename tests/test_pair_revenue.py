@@ -206,6 +206,8 @@ class TestRegions:
             classify_region(0.5, 0.5, 0.5, 0.05, 0.1)  # p2 - eps < 0
         with pytest.raises(ValueError):
             classify_region(-0.1, 0.5, 0.5, 0.5, 0.1)
+        with pytest.raises(ValueError, match=r"^prices must be nonnegative$"):
+            classify_region(0.5, 0.5, -0.5, 0.5, 0.1)
 
     def test_partition_is_exhaustive_and_disjoint(self):
         # Literal half-open membership tests, written independently of the

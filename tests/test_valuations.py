@@ -88,6 +88,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ValuationDistribution(1.0, (0.0, 1.0), (0.25, 0.25))  # integral 0.25
 
+    @pytest.mark.parametrize("upper, message", [
+        (math.inf, "upper bound must be positive and finite"),
+        (0.0, "upper bound must be positive and finite"),
+        (2.0, "last knot must equal the upper bound"),
+    ])
+    def test_constructor_checks_the_upper_bound(self, upper, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ValuationDistribution(upper, (0.0, 1.0), (1.0, 1.0))
+
     def test_first_knot_must_be_zero(self):
         with pytest.raises(ValueError):
             make_piecewise_linear((0.1, 1.0), (1.0, 1.0))
