@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -329,12 +330,43 @@ def _offer_search(dists, budget: int):
     mode solves alone to the same floats."""
     classes = _search_classes(dists, budget)
     laws = [d for d, _ in classes]
+    singles = [optimal_single_price(d) for d in laws]
+    tops = [d.upper_bound for d in laws]
+    means = [d.mean for d in laws]
+    counts = [count for _, count in classes]
+    # Every payment is at most the capped sum, whose mean is at most
+    # sum_c count_c min(cap_c, mu_c), and the p* line is worth the singles
+    # value: a line whose bound falls short of it cannot win.  The margin
+    # absorbs rounding.
+    floor = (1.0 - 1e-9) * sum(count * s.utility
+                               for s, (_, count) in zip(singles, classes))
+    # (value, b) of each caps vector of the search, (-inf, None) unbuilt.
+    solved: dict = {}
 
     def scored(lines):
-        """``(value, prices, b)`` of each line: every line is built and
-        solved at once."""
-        bs, values = line_argmaxes(bundle_lines(classes, lines))
-        return list(zip(values.tolist(), lines, bs.tolist()))
+        """``(value, prices, b)`` of each line.  A line's floats depend on
+        its caps alone (``NO_SALE`` caps at ``M``), not on the other lines
+        of its call, so each caps vector is built once, and one whose bound
+        is below ``floor`` not at all: its value is ``-inf``."""
+        # No solo price of the search exceeds its law's M, so a line's caps
+        # are its prices with NO_SALE at M.
+        keys = [line if None not in line else
+                tuple(m if a is None else a for a, m in zip(line, tops))
+                for line in lines]
+        new = {}
+        for key, line in zip(keys, lines):
+            if key in solved or key in new:
+                continue
+            if sum(map(operator.mul, counts, map(min, key, means))) < floor:
+                solved[key] = (-math.inf, None)
+            else:
+                new[key] = line
+        if new:
+            bs, values = line_argmaxes(bundle_lines(classes,
+                                                    list(new.values())))
+            solved.update(zip(new, zip(values.tolist(), bs.tolist())))
+        return [(value, line, b)
+                for line, (value, b) in zip(lines, map(solved.get, keys))]
 
     def first_best(rows):
         """The first row of highest value."""
@@ -343,8 +375,7 @@ def _offer_search(dists, budget: int):
     grids = [np.linspace(0.0, d.upper_bound, 16) for d in laws]
     steps = [float(grid[1] - grid[0]) for grid in grids]
     grid = scored(list(itertools.product(*(
-        [optimal_single_price(d).price, *g.tolist(), NO_SALE]
-        for d, g in zip(laws, grids)))))
+        [s.price, *g.tolist(), NO_SALE] for s, g in zip(singles, grids)))))
     incumbent = first_best(grid)
     # The first zoom call holds every round that fits in one law's axis of
     # the grid (p*, the grid points and NO_SALE), later calls as many as
@@ -391,17 +422,26 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     or a real stationary point
     (:func:`~bundle_auction_lab._group_exact.line_argmaxes`, which solves
     every line of a call at once).  ``mode="pure_bundle"`` returns the
-    best pure bundle, one line.  ``mode="full"`` scores every combination
-    of each law's single-price optimum ``p*``, a 16-point grid on ``[0,
-    M]`` and ``NO_SALE`` (18 lines for one law, 324 for two), then runs at
-    most ``budget`` zoom rounds that score every combination of each priced
-    coordinate, plus or minus its step (clipped to ``[0, M]``), around the
-    incumbent; a step starts at its grid's spacing and halves every round.
-    The first of highest value wins, the incumbent first, and the search
-    stops after a round that scores the incumbent alone.  The line of the
-    ``p*`` holds the singles offer, worth the sum of the single-price
-    revenues, and the ``NO_SALE`` line is the pure-bundle search, so the
-    result is worth at least both.
+    best pure bundle, one line.  ``mode="full"`` takes as candidates every
+    combination of each law's single-price optimum ``p*``, a 16-point grid
+    on ``[0, M]`` and ``NO_SALE`` (18 lines for one law, 324 for two), then
+    runs at most ``budget`` zoom rounds whose candidates are every
+    combination of each priced coordinate, plus or minus its step (clipped
+    to ``[0, M]``), around the incumbent; a step starts at its grid's
+    spacing and halves every round.  The first of highest value wins, the
+    incumbent first, and the search stops after a round that holds the
+    incumbent alone.  The line of the ``p*`` holds the singles offer, worth
+    the sum of the single-price revenues, and the ``NO_SALE`` line is the
+    pure-bundle search, so the result is worth at least both.
+
+    A line is built only if it can change the answer.  A line's floats
+    depend on its caps ``min(a_c, M_c)`` alone (``NO_SALE`` caps at
+    ``M_c``), so a line whose caps an earlier line of the search had, such
+    as the grid point ``M`` beside ``NO_SALE`` or a zoom trial on a grid
+    point, reads that line's ``b`` and value.  Every payment is at most the
+    capped sum, worth at most ``sum_c count_c min(cap_c, mu_c)``, so a line
+    whose bound is below the singles value (less 1e-9 of it) is not built:
+    it cannot beat the ``p*`` line.  Neither changes an answer by a bit.
 
     One call solves several rounds: the rounds ahead are built as if the
     incumbent holds through them, solved together, and replayed in order,
@@ -409,17 +449,18 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     zoom call holds every round that fits in one law's axis of the grid
     (18 lines).  After that a call holds one round after a move and twice
     as many rounds as the last call held after a call in which none
-    moved, in at most as many lines as the grid round.  A line's ``b``
-    and value do not depend on the other lines of its call, so the answer
-    is that of solving the rounds one at a time, to the bit; on a uniform
-    pair at budget 15 the search makes 3 calls (18, 18 and 12 lines)
-    where one per round made 16.
+    moved, in at most as many candidates as the grid round.  A line's
+    ``b`` and value do not depend on the other lines of its call, so the
+    answer is that of solving the rounds one at a time, to the bit; on a
+    uniform pair at budget 15 the search makes 3 calls, which hold 18, 18
+    and 12 candidates and build 13, 16 and 12 lines, where one per round
+    made 16 calls.
 
-    Nearly all of a two-law search's time and memory is its 324-line grid
-    round, and both grow fast with the group: on a 2-core machine at
-    budget 2, six customers of one law and six of another took 12.4 s and
-    2.2 GiB of peak RSS, eight took 1.3 s and 241 MiB, and six 0.40 s and
-    94 MiB.
+    Nearly all of a two-law search's time and memory is its grid round,
+    which builds about 230 of its 324 candidates, and both grow fast with
+    the group: on a 2-core machine at budget 2, six customers of one law
+    and six of another took 8.0-9.1 s and 1.8 GiB of peak RSS, eight took
+    0.9-1.1 s and 255 MiB, and six 0.28-0.38 s and 86 MiB.
     """
     if mode not in ("pure_bundle", "full"):
         raise ValueError("mode must be 'pure_bundle' or 'full'")

@@ -392,9 +392,13 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     holds every round that fits in 18 lines, one law's axis of the grid,
     and a call after one that moved nothing holds twice as many rounds.
     The pure bundle is the grid's all-``NO_SALE`` line, which the
-    pure-bundle search solves alone to the same floats, so a uniform pair
-    at budget 15 takes 3 engine calls for both answers.  The full search
-    scores the singles optimum ``(p1*, p2*, p1* + p2*)`` and the pure
-    bundles among its lines, so its result is worth at least both.
+    pure-bundle search solves alone to the same floats.  A call builds
+    only the lines that can change the answer: none whose caps an earlier
+    line had, and none whose capped-surplus bound is below the singles
+    value.  So a uniform pair at budget 15 takes 3 engine calls for both
+    answers, which build 13, 16 and 12 of their 18, 18 and 12 candidate
+    lines.  The full search scores the singles optimum ``(p1*, p2*, p1* +
+    p2*)`` and the pure bundles among its lines, so its result is worth at
+    least both.
     """
     return _offer_search([d1, d2], budget)

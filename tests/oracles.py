@@ -537,3 +537,77 @@ def sequential_offer_search(dists, mode: str, budget: int, calls=None):
             steps = [h * 0.5 for h in steps]
         value, prices, b = incumbent
     return BundleOffer(tuple(prices[laws.index(d)] for d in dists), b), value
+
+
+def every_line_offer_search(dists, budget: int, calls=None):
+    """The full and pure-bundle answers of the exact offer search, each
+    ``(offer, value)``, with the library's schedule of zoom calls but
+    building every line of every call: the reference that a search which
+    skips lines must match to the bit.
+
+    Like :func:`sequential_offer_search` it shares the exact group engine
+    with the library and checks only the search.  The lines of each call
+    are appended to ``calls`` when given.
+    """
+    import itertools
+
+    from bundle_auction_lab._group_exact import bundle_lines, line_argmaxes
+    from bundle_auction_lab.bundles import BundleOffer
+    from bundle_auction_lab.single_pricing import optimal_single_price
+
+    counts: dict = {}
+    for d in dists:
+        counts[d] = counts.get(d, 0) + 1
+    laws = list(counts)
+    classes = list(counts.items())
+
+    def scored(lines):
+        if calls is not None:
+            calls.append(lines)
+        bs, values = line_argmaxes(bundle_lines(classes, lines))
+        return list(zip(values.tolist(), lines, bs.tolist()))
+
+    def first_best(rows):
+        return max(rows, key=lambda r: r[0])
+
+    def rounds(prices, steps):
+        while True:
+            around = [[a] if a is None else [a] + [
+                t for t in (max(0.0, a - h), min(d.upper_bound, a + h))
+                if t != a] for a, h, d in zip(prices, steps, laws)]
+            trials = list(itertools.product(*around))[1:]
+            if not trials:
+                return
+            yield trials
+            steps = [h * 0.5 for h in steps]
+
+    grids = [np.linspace(0.0, d.upper_bound, 16) for d in laws]
+    steps = [float(grid[1] - grid[0]) for grid in grids]
+    grid = scored(list(itertools.product(*(
+        [optimal_single_price(d).price, *g.tolist(), None]
+        for d, g in zip(laws, grids)))))
+    incumbent = first_best(grid)
+    depth, most, left = budget, len(grids[0]) + 2, budget
+    while left:
+        batch = []
+        for trials in itertools.islice(rounds(incumbent[1], steps),
+                                       min(depth, left)):
+            if sum(map(len, batch)) + len(trials) > most:
+                break
+            batch.append(trials)
+        if not batch:
+            break
+        most = len(grid)
+        rows = iter(scored([t for trials in batch for t in trials]))
+        for trials in batch:
+            left -= 1
+            steps = [h * 0.5 for h in steps]
+            best = first_best([incumbent,
+                               *itertools.islice(rows, len(trials))])
+            if best is not incumbent:
+                incumbent, depth = best, 1
+                break
+        else:
+            depth = 2 * len(batch)
+    return tuple((BundleOffer(tuple(prices[laws.index(d)] for d in dists), b),
+                  value) for value, prices, b in (incumbent, grid[-1]))

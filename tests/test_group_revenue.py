@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -31,9 +32,9 @@ from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
 from oracles import (capped_sum_cdfs_fraction, class_revenue_fraction,
-                     irwin_hall_cdf, pair_revenue_reference,
-                     sequential_offer_search, symmetric_revenue_fraction,
-                     variance_simpson)
+                     every_line_offer_search, irwin_hall_cdf,
+                     pair_revenue_reference, sequential_offer_search,
+                     symmetric_revenue_fraction, variance_simpson)
 
 UNIFORM = make_uniform(1.0)
 # A valid density with most of its mass at the two ends of [0, 1]: its
@@ -268,6 +269,44 @@ def _offer_hex(answer):
     offer, value = answer
     return tuple(None if x is None else x.hex()
                  for x in (*offer.individual_prices, offer.bundle_price, value))
+
+
+def _caps(group, prices):
+    """A search line's caps, one per distinct law: ``NO_SALE`` caps at M."""
+    return tuple(d.upper_bound if a is None else min(a, d.upper_bound)
+                 for a, d in zip(prices, dict.fromkeys(group)))
+
+
+def _singles(group) -> float:
+    """The singles value, summed class by class as the search sums it."""
+    return sum(count * optimal_single_price(d).utility
+               for d, count in Counter(group).items())
+
+
+def _hopeful(group, lines) -> set:
+    """The distinct caps of ``lines`` whose bound ``sum_c count_c min(cap_c,
+    mu_c)`` reaches the singles value, less 1e-9 of it: those the search
+    builds."""
+    floor = (1.0 - 1e-9) * _singles(group)
+    classes = list(Counter(group).items())
+    return {key for key in {_caps(group, prices) for prices in lines}
+            if sum(count * min(cap, d.mean)
+                   for cap, (d, count) in zip(key, classes)) >= floor}
+
+
+def _search_calls(monkeypatch, group, budget):
+    """Both answers of the offer search and the lines of each engine call."""
+    calls = []
+    build = group_revenue.bundle_lines
+
+    def record(classes, prices):
+        calls.append(list(prices))
+        return build(classes, prices)
+
+    monkeypatch.setattr(group_revenue, "bundle_lines", record)
+    answers = group_revenue._offer_search(group, budget)
+    monkeypatch.undo()
+    return answers, calls
 
 
 def _exact(dist, n, a, b):
@@ -574,46 +613,35 @@ class TestOptimizeGroupOffer:
                              ids=["uniform-pair", "template-triple",
                                   "two-laws", "uniform-tent"])
     def test_no_call_scores_more_lines_than_the_grid(self, monkeypatch, group):
-        # Rounds solved ahead share a call only up to the grid's line
-        # count, so a batched search never holds more lines than its grid
-        # round did (the uniform pair's calls of 18 at budget 5,000, in
-        # tests/test_pair_revenue.py, are where the bound binds).
-        calls = []
-        lines = group_revenue.bundle_lines
-
-        def counted(classes, prices):
-            calls.append(len(prices))
-            return lines(classes, prices)
-
-        monkeypatch.setattr(group_revenue, "bundle_lines", counted)
+        # Rounds solved ahead share a call only up to the grid's candidate
+        # count, 18 lines a law's axis, so a batched search never builds
+        # more lines in a call than its grid round holds (the uniform
+        # pair's calls of 18 at budget 5,000, in tests/test_pair_revenue.py,
+        # are where the bound binds).
+        candidates = 18 ** len(set(group))
         for budget in (15, 500):
-            calls.clear()
-            optimize_group_offer(group, mode="full", budget=budget)
-            assert calls[0] in (18, 18 * 18)
-            assert max(calls[1:]) <= calls[0], calls
+            sizes = self._call_sizes(monkeypatch, group, budget)
+            assert max(sizes) <= candidates, sizes
 
     @staticmethod
     def _call_sizes(monkeypatch, group, budget):
         """The lines of each engine call of the full search."""
-        sizes = []
-        lines = group_revenue.bundle_lines
-
-        def counted(classes, prices):
-            sizes.append(len(prices))
-            return lines(classes, prices)
-
-        monkeypatch.setattr(group_revenue, "bundle_lines", counted)
-        optimize_group_offer(group, mode="full", budget=budget)
-        monkeypatch.undo()
-        return sizes
+        return [len(prices)
+                for prices in _search_calls(monkeypatch, group, budget)[1]]
 
     @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
     def test_first_zoom_call_fits_one_grid_axis(self, monkeypatch, name):
         # The first zoom call holds the rounds that fit in one law's axis
-        # of the grid: p*, 16 grid points and NO_SALE.
+        # of the grid: p*, 16 grid points and NO_SALE.  The grid call
+        # builds each distinct caps vector of its candidates that can beat
+        # the singles value.
+        group = SEARCH_GROUPS[name]
+        grid = []
+        every_line_offer_search(group, 1, grid)
+        want = len(_hopeful(group, grid[0]))
         for budget in (2, 15, 500):
-            sizes = self._call_sizes(monkeypatch, SEARCH_GROUPS[name], budget)
-            assert sizes[0] in (18, 18 * 18) and sizes[1] <= 18, sizes
+            sizes = self._call_sizes(monkeypatch, group, budget)
+            assert sizes[0] == want and sizes[1] <= 18, sizes
 
     @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
     def test_no_more_calls_than_doubling_from_one_round(self, monkeypatch,
@@ -626,7 +654,12 @@ class TestOptimizeGroupOffer:
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_budget_two_takes_one_zoom_call(self, monkeypatch, n):
         # Both rounds of partition's search fit in the first zoom call.
-        assert self._call_sizes(monkeypatch, [TEMPLATE] * n, 2) == [18, 4]
+        # The grid builds 13 of its 18 lines: the four grid points below
+        # the single-price revenue cannot beat the singles offer, and the
+        # grid point M caps as NO_SALE does.  Of the four zoom trials, two
+        # are grid points at n = 2 and 6, one at n = 3.
+        sizes = {2: [13, 2], 3: [13, 3], 6: [13, 2]}[n]
+        assert self._call_sizes(monkeypatch, [TEMPLATE] * n, 2) == sizes
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("name", ["uniform", "template", "ramp",
@@ -661,6 +694,62 @@ class TestOptimizeGroupOffer:
             optimize_group_offer([UNIFORM] * 13)
         with pytest.raises(ValueError, match="^dists: .*two distinct laws"):
             optimize_group_offer([UNIFORM, TEMPLATE, RAMP], mode="full")
+
+
+class TestSkippedLines:
+    """The offer search builds each caps vector of its lines once, and only
+    one whose capped-surplus bound can beat the singles value, and both its
+    answers are those of the search that builds every line, to the bit."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
+    def test_answers_match_the_search_that_builds_every_line(self, name):
+        # Skipping and reuse keep every answer: a line's floats do not
+        # depend on the other lines of its call, and no skipped line can
+        # come first, since the p* line is worth the singles value.
+        group = SEARCH_GROUPS[name]
+        for budget in (2, 15, 500):
+            want = every_line_offer_search(group, budget)
+            got = group_revenue._offer_search(group, budget)
+            assert (tuple(map(_offer_hex, got))
+                    == tuple(map(_offer_hex, want))), budget
+            assert (_offer_hex(optimize_group_offer(group, "full", budget))
+                    == _offer_hex(want[0])), budget
+        assert _offer_hex(optimize_group_offer(group)) == _offer_hex(want[1])
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
+    def test_skipped_lines_are_worth_less_than_the_singles_value(
+            self, monkeypatch, name):
+        # Every line of the reference that the search never built, built
+        # alone, is worth less than the singles value.  Lines it did build
+        # are all among the reference's.
+        group = SEARCH_GROUPS[name]
+        skipped = {}
+        for budget in (2, 15, 500):
+            calls = []
+            every_line_offer_search(group, budget, calls)
+            lines = {_caps(group, prices): prices
+                     for call in calls for prices in call}
+            built = {_caps(group, prices)
+                     for call in _search_calls(monkeypatch, group, budget)[1]
+                     for prices in call}
+            assert built <= set(lines), budget
+            skipped.update((key, prices) for key, prices in lines.items()
+                           if key not in built)
+        assert skipped
+        classes = list(Counter(group).items())
+        singles = _singles(group)
+        for prices in skipped.values():
+            _, values = line_argmaxes(bundle_lines(classes, [prices]))
+            assert values[0] < singles, (prices, values[0], singles)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
+    def test_no_caps_vector_is_built_twice(self, monkeypatch, name):
+        group = SEARCH_GROUPS[name]
+        for budget in (2, 15, 500):
+            built = [_caps(group, prices)
+                     for call in _search_calls(monkeypatch, group, budget)[1]
+                     for prices in call]
+            assert len(built) == len(set(built)), budget
 
 
 def _left_to_right(values):
@@ -887,8 +976,9 @@ class TestHeldSample:
         monkeypatch.setattr(group_revenue, "bundle_lines", record)
         offer, value = optimize_group_offer(dists, mode="full", budget=2)
         monkeypatch.undo()
-        # The grid, then both zoom rounds in one call.
-        assert [len(lines[0]) for lines in steps] == [18, 4]
+        # The grid's 13 lines that can win, then both zoom rounds in one
+        # call, one of whose four trials is a grid point.
+        assert [len(lines[0]) for lines in steps] == [13, 3]
         assert value == group_expected_revenue_exact(dists, offer)
         for lines in steps:
             bs, values = line_argmaxes(lines)

@@ -524,9 +524,14 @@ class TestOptimizePair:
         # The first zoom call holds the 9 rounds of 2 lines that fit in one
         # axis of the grid (p*, 16 grid points, NO_SALE), and the next the
         # 6 rounds left, and the pure bundle is the grid's NO_SALE line: 3
-        # calls where one per round took 17.
+        # calls where one per round took 17.  The grid builds 13 of its 18
+        # lines: the solo prices 0, 1/15, 2/15 and 3/15 are below the
+        # single-price revenue 1/4, so their lines cannot beat the singles
+        # offer, and 1 caps as NO_SALE does.  The first round's trials,
+        # 3/5 and 11/15, are grid points, so 16 of the first zoom call's
+        # 18 lines are built.
         answer, sizes = self._call_sizes(monkeypatch, UNIFORM, UNIFORM, 15)
-        assert sizes == [18, 18, 12]
+        assert sizes == [13, 16, 12]
         calls = []
         want = (sequential_offer_search([UNIFORM] * 2, "full", 15, calls),
                 sequential_offer_search([UNIFORM] * 2, "pure_bundle", 15,
@@ -545,10 +550,14 @@ class TestOptimizePair:
         # price by its step, 1/15 * 2**-30, for an ulp of revenue, so the
         # five rounds solved after it in the same call are dropped.  The
         # next calls hold 1, 2, 4 and 8 rounds, and the last the 5 rounds
-        # left before the step vanishes.
+        # left before the step vanishes.  Each call builds only the lines
+        # no earlier line shared caps with and that can beat the singles
+        # value: the grid 13, the first zoom call 16 (two trials are grid
+        # points), and the last 8, as its last round's two trials round
+        # onto the round's before.
         # A budget of 5,000 returns what a budget of 60 does, to the bit.
         huge, sizes = self._call_sizes(monkeypatch, UNIFORM, UNIFORM, 5000)
-        assert sizes == [18, 18, 18, 18, 18, 2, 4, 8, 16, 10]
+        assert sizes == [13, 16, 18, 18, 18, 2, 4, 8, 16, 8]
         rounds = []
         want = sequential_offer_search([UNIFORM] * 2, "full", 5000, rounds)
         assert rounds == [18] + [2] * 51
