@@ -9,7 +9,8 @@ that every member is at least as well off as shopping alone.
 The package provides:
 
 * :mod:`~bundle_auction_lab.valuations` -- bounded-support piecewise-linear
-  valuation distributions (CDF, mean, sampling, smoothness validation).
+  valuation distributions (CDF, mean, Laplace transform, smoothness
+  validation).
 * :mod:`~bundle_auction_lab.single_pricing` -- expected revenue of a single
   price and the interior fixed-point optimum.
 * :mod:`~bundle_auction_lab.bundles` -- bundle offers, the group-rational
@@ -20,18 +21,21 @@ The package provides:
   optimal single pricing, and pair-offer optimization.
 * :mod:`~bundle_auction_lab.group_revenue` -- n-customer pure-bundle offers,
   Bernstein and closed-form Chernoff tail bounds, the near-full-surplus
-  revenue guarantee, exact revenue and optimization of offers to small
-  groups, pairs included, and Monte Carlo estimation as their check (for
-  pairs too).
+  revenue guarantee, and exact revenue and optimization of offers to small
+  groups, pairs included.
 * :mod:`~bundle_auction_lab.experiments` -- config-driven experiment runner
   with deterministic, byte-reproducible CSV reports.
 
 The package re-exports each module's ``__all__``, but not ``experiments``.
+Nothing in it draws a random number: every command's revenue is exact, and
+the seeded Monte Carlo estimate that checks the engine is a test oracle.
 """
 
 __version__ = "0.1.0"
 
-from . import bundles, group_revenue, pair_revenue, single_pricing, valuations
+# _mc holds only placeholders that bench/ reads, and nothing else imports it.
+from . import (_mc, bundles, group_revenue, pair_revenue, single_pricing,
+               valuations)
 from .bundles import *  # noqa: F403
 from .group_revenue import *  # noqa: F403
 from .pair_revenue import *  # noqa: F403

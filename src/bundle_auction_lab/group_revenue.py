@@ -17,8 +17,8 @@ memory.  For groups of up to 12 customers the module prices any offer
 exactly (:mod:`._group_exact`), and searches the offers that give
 customers of one law one solo price, pairs included: the best ``b`` of
 each line of solo prices exactly, and the solo prices by a grid and zoom
-rounds.  Seeded Monte Carlo estimates of any group offer remain as the
-independent check of that engine.
+rounds.  Nothing here samples: the seeded Monte Carlo estimate that checks
+the exact engine is a test oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from ._group_exact import MAX_GROUP, bundle_lines, line_argmaxes, line_values
-from ._mc import revenue_stats
 from .bundles import NO_SALE, BundleOffer
 from .single_pricing import optimal_single_price
 from .valuations import ValuationDistribution
@@ -45,14 +44,13 @@ __all__ = [
     "bernstein_sweep",
     "surplus_lower_bound",
     "group_expected_revenue_exact",
-    "group_expected_revenue_mc",
     "optimize_group_offer",
     "verify_surplus_extraction",
 ]
 
 # Placeholders that nothing here calls: bench/tracer.py swaps these names
 # in and out, and tests/test_bench_contract.py pins that they exist.
-golden_section_max = valuation_sums = None
+golden_section_max = valuation_sums = revenue_stats = None
 
 
 @dataclass(frozen=True)
@@ -245,18 +243,6 @@ def chernoff_tail_bound(dist: ValuationDistribution, n: int, b: float
             break
         y = y_next
     return math.exp(min(best, log_hoeffding))
-
-
-def group_expected_revenue_mc(dists: Sequence[ValuationDistribution],
-                              offer: BundleOffer, n_samples: int,
-                              seed) -> tuple[float, float]:
-    """Monte Carlo ``(estimate, std_error)`` of the offer's expected revenue.
-
-    Seeded and batched: identical inputs give bit-identical results; work
-    is O(n) per sample.
-    """
-    stats = revenue_stats(dists, offer, n_samples, seed)
-    return stats.mean, stats.std_error
 
 
 def _classes(keys) -> dict:

@@ -12,9 +12,7 @@ that line at ``b``: the total, the acceptance probability ``P[S >= b]``
 for the capped sum ``S``, and each customer's solo term, which the engine
 adds into the total.  The engine is the pair's only exact path, and it
 alone settles ties, so ``pair-opt``, ``partition`` and ``verify-thm1``
-price a pair offer the same way.  The Monte Carlo check of a pair is
-:func:`~bundle_auction_lab.group_revenue.group_expected_revenue_mc` on
-``[d1, d2]``.
+price a pair offer the same way.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built

@@ -5,7 +5,7 @@ density that interpolates linearly between knots.  This family is closed
 under everything the revenue computations need: the CDF is piecewise
 quadratic with a closed form, the first moment is exact, density bounds are
 attained at knots (so smoothness validation is a finite check), and the CDF
-is strictly increasing, which makes inverse-CDF sampling well posed.
+is strictly increasing.
 """
 
 from __future__ import annotations
@@ -22,14 +22,9 @@ __all__ = [
     "make_uniform",
     "make_piecewise_linear",
     "validate_smoothness",
-    "sample_one",
-    "sample",
 ]
 
 NORMALIZATION_TOL = 1e-9
-
-#: Values per block of the sampler's and ``_mc``'s scratch (64 KiB).
-_BLOCK = 1 << 13
 
 #: Taylor coefficients ``(-1)^k / (k! (j + k + 1))`` of
 #: ``A_j(x) = int_0^1 u^j e^{-x u} du`` for j = 1, 2, 3, highest power
@@ -111,6 +106,10 @@ class ValuationDistribution:
     #: ``(k0, w, d0, s)`` per segment as Python floats for the scalar
     #: transforms, where numpy's per-call overhead would dominate.
     _segs: tuple = field(init=False, repr=False, compare=False)
+
+    # A placeholder that nothing here calls: bench/tracer.py swaps this name
+    # in and out, and tests/test_bench_contract.py pins that it exists.
+    _quantile_array = None
 
     def __post_init__(self) -> None:
         ks = np.asarray(self.knots, dtype=float)
@@ -245,80 +244,6 @@ class ValuationDistribution:
                        for p, m, v in zip(weights, means, variances)) / total
         return top + math.log(total), mean, variance
 
-    def quantile(self, u: float) -> float:
-        """The unique ``x`` with ``cdf(x) = u``.
-
-        The CDF is strictly increasing (densities are positive), so the root
-        is unique; it is the closed-form segment solve of
-        :meth:`_quantile_array` on a single probability.
-        """
-        if not 0.0 <= u <= 1.0:
-            raise ValueError("u must be in [0, 1]")
-        return float(self._quantile_array(np.float64(u)))
-
-    def _quantile_array(self, u: np.ndarray, out: np.ndarray | None = None
-                        ) -> np.ndarray:
-        """Closed-form inverse CDF for arrays of probabilities.
-
-        Solves the segment quadratic ``cum[j] + d*t + s*t^2/2 = u`` in the
-        stable form ``t = 2 du / (d + sqrt(d*d + 2 s du))``,
-        ``du = u - cum[j]``, for :meth:`quantile` and the samplers.  The
-        result goes to ``out``, which may be ``u`` (the sampler works in
-        place), or to a new array; ``u`` is written only if it is ``out``.
-        Each step is one in-place pass in the formula's order, so the
-        values are the formula's, term by term.  A uniform density is
-        exactly ``u / d`` (``sqrt(d*d) == d``); any other, a one-segment
-        ramp included, takes the general passes.  These run over blocks of
-        rows, about ``_BLOCK`` values, reusing one block of scratch, so a
-        call allocates a few blocks whatever the size of ``u``; no value
-        depends on the blocks.
-        """
-        u = np.asarray(u, dtype=float)
-        result = np.empty_like(u) if out is None else out
-        # Passes with out= need arrays (ufuncs return scalars for 0-d input).
-        u, out = np.atleast_1d(u, result)
-        if self._slopes.size == 1 and self._slopes[0] == 0.0:
-            np.divide(u, self._dens[0], out=out)
-            np.minimum(out, self.upper_bound, out=out)
-            return result
-        rows = len(u)
-        step = max(1, _BLOCK * rows // max(1, u.size))
-        # The segment index, and two floats: 2*du, 2*s*du and d*d are live
-        # at once.
-        shape = (min(step, rows),) + u.shape[1:]
-        idx_block = np.empty(shape, dtype=np.intp)
-        a_block, b_block = np.empty((2,) + shape)
-        # Gathering d*d and 2*s gives the floats of squaring and doubling
-        # the gathered d and s.
-        dens = self._dens[:-1]
-        dens_sq, slopes_2 = dens * dens, 2.0 * self._slopes
-        for lo in range(0, rows, step):
-            ub, ob = u[lo:lo + step], out[lo:lo + step]
-            m = len(ub)
-            idx, a, b = idx_block[:m], a_block[:m], b_block[:m]
-            # searchsorted(cum, u, "right") - 1, clipped to the last
-            # segment, by a few comparisons, which cost less.
-            idx.fill(0)
-            for knot in self._cum[1:-1]:
-                idx += ub >= knot
-            np.take(self._cum, idx, out=a, mode="clip")
-            np.subtract(ub, a, out=a)
-            np.maximum(a, 0.0, out=a)  # du; u is not read after this
-            np.take(slopes_2, idx, out=b, mode="clip")
-            np.multiply(b, a, out=b)  # 2 s du
-            np.multiply(a, 2.0, out=ob)  # 2 du
-            np.take(dens_sq, idx, out=a, mode="clip")
-            np.add(a, b, out=a)
-            np.sqrt(a, out=a)
-            np.take(dens, idx, out=b, mode="clip")
-            np.add(b, a, out=a)  # d + disc
-            np.divide(ob, a, out=ob)  # t
-            np.take(self._widths, idx, out=a, mode="clip")
-            np.minimum(ob, a, out=ob)
-            np.take(self._knots, idx, out=a, mode="clip")
-            np.add(a, ob, out=ob)
-        return result
-
 
 @dataclass(frozen=True)
 class SmoothnessReport:
@@ -400,18 +325,3 @@ def validate_smoothness(dist: ValuationDistribution, delta: float) -> Smoothness
         delta_used=float(delta),
         violations=tuple(violations),
     )
-
-
-def sample_one(dist: ValuationDistribution, rng: np.random.Generator) -> float:
-    """Draw one valuation by inverse-CDF sampling from an explicit RNG."""
-    return dist.quantile(float(rng.random()))
-
-
-def sample(dist: ValuationDistribution, size, rng: np.random.Generator) -> np.ndarray:
-    """Draw many valuations at once (closed-form inverse CDF).
-
-    Matches :func:`sample_one` draw for draw on the same RNG stream: both
-    invert the CDF by the same closed-form segment solve.
-    """
-    u = np.asarray(rng.random(size))  # 0-d when size is None
-    return dist._quantile_array(u, out=u)

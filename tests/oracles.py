@@ -2,14 +2,15 @@
 
 Everything here is deliberately dumb: plain composite Simpson panels,
 per-piece three-point Gauss-Legendre sums, dense grid scans, finite
-differences, 2-D Riemann sums, and an exhaustive search over discretized
-payment splits.  None of it shares code with the library paths it checks.
+differences, 2-D Riemann sums, an exhaustive search over discretized
+payment splits, and a seeded Monte Carlo estimate of an offer's revenue.
+None of it shares code with the library paths it checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -254,17 +255,16 @@ def ramp_pure_bundle_revenue(b) -> Fraction:
     return b * prob
 
 
-# --- Reference for the inverse-CDF sampler kernel --------------------------
+# --- Seeded Monte Carlo estimate of an offer's revenue ----------------------
 
 
 def quantile_rationalized(dist, u):
     """Inverse CDF of ``dist`` at ``u`` by the rationalized segment solve
-    ``t = 2 du / (d + sqrt(d*d + 2 s du))``, written as one expression per
-    term the way the sampler computed it before it worked in place.
+    ``t = 2 du / (d + sqrt(d*d + 2 s du))``, one expression per term: the
+    sampler of :func:`mc_profiles`.
 
     It reads the distribution's cached segment tables (the normalized
-    densities, slopes and CDF values at the knots), so it checks the
-    kernel's arithmetic bit for bit, not the tables.
+    densities, slopes and CDF values at the knots).
     """
     u = np.asarray(u, dtype=float)
     if dist._slopes.size == 1:
@@ -283,6 +283,73 @@ def quantile_rationalized(dist, u):
     disc = np.sqrt(d * d + 2.0 * s * du)
     t = 2.0 * du / (d + disc)
     return dist._knots[idx] + np.minimum(t, dist._widths[idx])
+
+
+def quantile_by_counting(dist, u):
+    """:func:`quantile_rationalized` written another way, to check it by:
+    the segment is the count of interior CDF knots at or below ``u``, the
+    tables are read by ``np.take`` and a uniform density is ``u / d``:
+    ``knot + min(2 du / (d + sqrt(d d + 2 s du)), w)``."""
+    u = np.asarray(u, dtype=float)
+    if dist._slopes.size == 1 and dist._slopes[0] == 0.0:
+        return np.minimum(u / dist._dens[0], dist.upper_bound)
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for knot in dist._cum[1:-1]:
+        idx += u >= knot
+
+    def at(table):
+        return np.take(table, idx, mode="clip")
+
+    dens = dist._dens[:-1]
+    du = np.maximum(u - at(dist._cum), 0.0)
+    t = 2.0 * du / (at(dens) + np.sqrt(at(dens * dens)
+                                       + at(2.0 * dist._slopes) * du))
+    return at(dist._knots) + np.minimum(t, at(dist._widths))
+
+
+def mc_profiles(dists, n_samples: int, seed) -> np.ndarray:
+    """``n_samples`` seeded profiles of the group ``dists``, one per row:
+    one matrix of uniforms from ``SeedSequence((*seed, 0))`` (``seed`` an
+    integer or a tuple of them), turned into valuations column by column
+    by :func:`quantile_rationalized`.
+
+    While ``n * n_samples <= 2**21`` these are, to the bit, the profiles
+    the lab's batched sampler drew before the lab stopped sampling.
+    """
+    entropy = seed if isinstance(seed, tuple) else (seed,)
+    rng = np.random.default_rng(np.random.SeedSequence((*entropy, 0)))
+    v = rng.random((n_samples, len(dists)))
+    for j, d in enumerate(dists):
+        v[:, j] = quantile_rationalized(d, v[:, j])
+    return v
+
+
+def mc_score(v, offer) -> tuple[float, float, float]:
+    """``(mean, std_error, accept_prob)`` of the offer's revenue over the
+    held profiles ``v``, one per row, by ``resolve_outcome``'s rule: a row
+    pays ``b`` where numpy's row sum of its capped values reaches ``b``
+    (ties buy) and its solo prices elsewhere.
+
+    The squared deviations are summed about ``b``, where the revenue of a
+    large group concentrates.
+    """
+    a = np.array([np.inf if p is None else p
+                  for p in offer.individual_prices])
+    b = offer.bundle_price
+    accept = np.minimum(v, a).sum(axis=1) >= b
+    revenue = np.where(accept, b, np.where(v >= a, a, 0.0).sum(axis=1))
+    rows = len(v)
+    mean = float(revenue.sum()) / rows
+    d = revenue - b
+    var = max(0.0, (float((d * d).sum()) - rows * (mean - b) ** 2)
+              / (rows - 1))
+    return mean, sqrt(var / rows), np.count_nonzero(accept) / rows
+
+
+def mc_revenue(dists, offer, n_samples: int, seed
+               ) -> tuple[float, float, float]:
+    """:func:`mc_score` of the offer on :func:`mc_profiles`."""
+    return mc_score(mc_profiles(dists, n_samples, seed), offer)
 
 
 # --- References for the large-bundle tail bound -----------------------------

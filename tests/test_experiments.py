@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -784,14 +785,14 @@ class TestExports:
         "bernstein_sweep", "bernstein_upper_bound", "capped_value",
         "chernoff_tail_bound", "classify_region", "epsilon_offer",
         "expected_revenue", "full_surplus_offer",
-        "group_expected_revenue_exact", "group_expected_revenue_mc",
-        "group_rational_accepts", "make_piecewise_linear", "make_uniform",
-        "optimal_single_price", "optimize_group_offer", "optimize_pair_offer",
-        "pair_bundle_accepts", "pair_expected_revenue_exact",
-        "region_expected_revenue", "region_probability", "resolve_outcome",
-        "revenue_derivative", "sample", "sample_one", "surplus_lower_bound",
-        "validate_smoothness", "verify_pair_improvement",
-        "verify_surplus_extraction", "witness_split",
+        "group_expected_revenue_exact", "group_rational_accepts",
+        "make_piecewise_linear", "make_uniform", "optimal_single_price",
+        "optimize_group_offer", "optimize_pair_offer", "pair_bundle_accepts",
+        "pair_expected_revenue_exact", "region_expected_revenue",
+        "region_probability", "resolve_outcome", "revenue_derivative",
+        "surplus_lower_bound", "validate_smoothness",
+        "verify_pair_improvement", "verify_surplus_extraction",
+        "witness_split",
     )
 
     def test_all_is_unique_and_resolves(self):
@@ -801,7 +802,7 @@ class TestExports:
             getattr(bundle_auction_lab, name)
 
     def test_no_earlier_export_is_dropped(self):
-        assert len(self.EARLIER_EXPORTS) == 42
+        assert len(self.EARLIER_EXPORTS) == 39
         assert set(self.EARLIER_EXPORTS) <= set(bundle_auction_lab.__all__)
         for name in ("DEFAULT_EPS_GRID", "pair_expected_revenues_exact",
                      "region_box", "NORMALIZATION_TOL"):
@@ -818,3 +819,28 @@ class TestExports:
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.stdout.strip() == "[]"
+
+
+def test_the_lab_draws_no_random_number():
+    # Every command's revenue is exact; the Monte Carlo estimate that
+    # checks it is tests/oracles.py's.  The scan flags an import of
+    # random, of numpy.random or of a name from either, and any name or
+    # attribute called random, default_rng or SeedSequence.
+    banned = {"random", "default_rng", "SeedSequence"}
+    package = Path(bundle_auction_lab.__file__).resolve().parent
+    uses = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno}: {name}" for name in names
+                     if banned & set(name.split("."))]
+    assert uses == []

@@ -10,11 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, resolve_outcome
-from bundle_auction_lab import _mc
 from bundle_auction_lab import _group_exact
 from bundle_auction_lab._group_exact import (bundle_lines, capped_sum_cdf,
                                              line_argmaxes, line_values)
-from bundle_auction_lab._mc import revenue_stats, valuation_sums
 from bundle_auction_lab import group_revenue
 from bundle_auction_lab.group_revenue import (
     bernstein_sweep,
@@ -22,7 +20,6 @@ from bundle_auction_lab.group_revenue import (
     chernoff_tail_bound,
     full_surplus_offer,
     group_expected_revenue_exact,
-    group_expected_revenue_mc,
     optimize_group_offer,
     surplus_lower_bound,
     verify_surplus_extraction,
@@ -32,9 +29,10 @@ from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
 from oracles import (capped_sum_cdfs_fraction, class_revenue_fraction,
-                     every_line_offer_search, irwin_hall_cdf,
-                     pair_revenue_reference, sequential_offer_search,
-                     symmetric_revenue_fraction, variance_simpson)
+                     every_line_offer_search, irwin_hall_cdf, mc_profiles,
+                     mc_revenue, mc_score, pair_revenue_reference,
+                     sequential_offer_search, symmetric_revenue_fraction,
+                     variance_simpson)
 
 UNIFORM = make_uniform(1.0)
 # A valid density with most of its mass at the two ends of [0, 1]: its
@@ -163,42 +161,37 @@ class TestGroupMonteCarlo:
         # exactly, sample by sample.
         dists = [UNIFORM, make_uniform(2.0), make_piecewise_linear((0, 1), (0.5, 1.5))]
         offer = BundleOffer((0.4, NO_SALE, 0.9), 1.3)
-        stats = revenue_stats(dists, offer, 1000, 77)
-        from bundle_auction_lab._mc import _batches
+        v = mc_profiles(dists, 1000, 77)
+        mean, _, _ = mc_score(v, offer)
         total = 0.0
-        for v in _batches(dists, 1000, 77):
-            for row in v:
-                total += resolve_outcome(offer, tuple(row)).seller_revenue
-        assert stats.mean == pytest.approx(total / 1000, abs=1e-12)
+        for row in v:
+            total += resolve_outcome(offer, tuple(row)).seller_revenue
+        assert mean == pytest.approx(total / 1000, abs=1e-12)
 
     def test_thousand_uniform_offer_is_almost_surely_accepted(self):
         offer = full_surplus_offer([UNIFORM] * 1000)
-        est, se = group_expected_revenue_mc([UNIFORM] * 1000, offer, 10**4, 123)
+        est, se, _ = mc_revenue([UNIFORM] * 1000, offer, 10**4, 123)
         assert abs(est - offer.bundle_price) <= max(4.0 * se, 1e-9)
 
     def test_zero_price_pure_bundle_is_zero(self):
         offer = BundleOffer((NO_SALE,) * 5, 0.0)
-        est, se = group_expected_revenue_mc([UNIFORM] * 5, offer, 2000, 5)
+        est, se, _ = mc_revenue([UNIFORM] * 5, offer, 2000, 5)
         assert est == 0.0 and se == 0.0
 
     def test_pair_pure_bundle_matches_exact_integrator(self):
         b = math.sqrt(2.0 / 3.0)
         offer = BundleOffer((NO_SALE, NO_SALE), b)
-        est, se = group_expected_revenue_mc([UNIFORM, UNIFORM], offer, 10**5, 31)
+        est, se, _ = mc_revenue([UNIFORM, UNIFORM], offer, 10**5, 31)
         assert abs(est - (b - b**3 / 2.0)) <= 4.0 * se
 
     def test_bit_identical_for_same_seed(self):
         offer = BundleOffer((0.4, 0.6, NO_SALE), 1.2)
         dists = [UNIFORM] * 3
-        a = group_expected_revenue_mc(dists, offer, 50_000, 2**40 + 3)
-        b_ = group_expected_revenue_mc(dists, offer, 50_000, 2**40 + 3)
-        c = group_expected_revenue_mc(dists, offer, 50_000, 2**40 + 4)
+        a = mc_revenue(dists, offer, 50_000, 2**40 + 3)
+        b_ = mc_revenue(dists, offer, 50_000, 2**40 + 3)
+        c = mc_revenue(dists, offer, 50_000, 2**40 + 4)
         assert a == b_
         assert a != c
-
-    def test_minimum_samples(self):
-        with pytest.raises(ValueError):
-            group_expected_revenue_mc([UNIFORM] * 2, BundleOffer((NO_SALE,) * 2, 0.5), 10, 0)
 
 
 TEMPLATE = make_piecewise_linear((0.0, 0.4, 1.0), (0.6, 1.6, 0.8))
@@ -380,12 +373,12 @@ class TestExactGroupRevenue:
     def test_monte_carlo_agrees_within_4_se(self, n):
         dists = [TEMPLATE] * n
         offer, value = optimize_group_offer(dists, mode="full", budget=4)
-        stats = revenue_stats(dists, offer, 10**6, (31, n))
-        assert abs(stats.mean - value) <= 4.0 * stats.std_error
+        mean, se, _ = mc_revenue(dists, offer, 10**6, (31, n))
+        assert abs(mean - value) <= 4.0 * se
         bundle = BundleOffer((NO_SALE,) * n, 0.4 * n)
-        stats = revenue_stats(dists, bundle, 10**6, (32, n))
-        assert (abs(stats.mean - group_expected_revenue_exact(dists, bundle))
-                <= 4.0 * stats.std_error)
+        mean, se, _ = mc_revenue(dists, bundle, 10**6, (32, n))
+        assert (abs(mean - group_expected_revenue_exact(dists, bundle))
+                <= 4.0 * se)
 
     @pytest.mark.parametrize("dist", [UNIFORM, TEMPLATE])
     @pytest.mark.parametrize("n", range(2, 8))
@@ -404,10 +397,9 @@ class TestExactGroupRevenue:
                    - n * sol.utility) <= 4 * n * 2.0**-53
         # Every sampled row whose values all reach p* has capped sum b.
         dists, rows, seed = [dist] * n, 20_000, (33, n)
-        v = np.concatenate(list(_mc._batches(dists, rows, seed)))
-        stats = revenue_stats(dists, offer, rows, seed)
-        assert stats.accept_prob == np.count_nonzero(
-            np.all(v >= p, axis=1)) / rows
+        v = mc_profiles(dists, rows, seed)
+        _, _, accept = mc_score(v, offer)
+        assert accept == np.count_nonzero(np.all(v >= p, axis=1)) / rows
 
     def test_zero_and_uncapped_solo_prices(self):
         for n in (1, 3):
@@ -476,9 +468,25 @@ class TestExactGroupRevenue:
         prices = (0.6, 0.6, 0.5, 0.5, 0.5, NO_SALE)
         for k, b in enumerate((2.0, 2.6, 3.1)):
             offer = BundleOffer(prices, b)
-            stats = revenue_stats(dists, offer, 10**6, (41, k))
-            assert (abs(stats.mean - group_expected_revenue_exact(dists, offer))
-                    <= 4.0 * stats.std_error)
+            mean, se, _ = mc_revenue(dists, offer, 10**6, (41, k))
+            assert (abs(mean - group_expected_revenue_exact(dists, offer))
+                    <= 4.0 * se)
+
+    def test_solo_line_allocates_little(self):
+        # A solo price's revenue line is exact and holds no sample: a few
+        # dozen pieces, not the columns of a 20,000-row sample.
+        def build(prices):
+            return line_argmaxes(bundle_lines([(TEMPLATE, 3)], [prices]))
+
+        for prices in ([0.5], [0.7]):
+            build(prices)
+            tracemalloc.start()
+            try:
+                build(prices)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 20_000 * 8 // 2
 
     def test_rejects_groups_it_does_not_take(self):
         offer3 = BundleOffer((0.5,) * 3, 1.0)
@@ -487,6 +495,10 @@ class TestExactGroupRevenue:
                                          BundleOffer((NO_SALE,) * 13, 6.0))
         with pytest.raises(ValueError, match="equal length"):
             group_expected_revenue_exact([UNIFORM] * 2, offer3)
+        for offer in (BundleOffer((NO_SALE,) * 2, 1.0),
+                      BundleOffer((0.5,) * 4, 1.0)):
+            with pytest.raises(ValueError, match="equal length"):
+                group_expected_revenue_exact([TEMPLATE] * 3, offer)
 
 
 class TestOptimizeGroupOffer:
@@ -767,106 +779,6 @@ def _decimal_table(rows, n, seed):
     return np.random.default_rng(seed).choice(DECIMALS, size=(rows, n))
 
 
-def _numpy_row_sums(v, prices):
-    """The kernel's definition: numpy's ``sum(axis=1)`` of the capped and
-    solo-payment matrices."""
-    a = np.array([math.inf if p is None else p for p in prices])
-    return (np.minimum(v, a).sum(axis=1),
-            np.where((v >= a) & np.isfinite(a), a, 0.0).sum(axis=1))
-
-
-class TestDrawOnce:
-    """The exact search draws no sample; the streamed estimate that checks
-    it draws each batch once, with the floats of the batches held whole."""
-
-    @pytest.mark.parametrize("size", [3, 6])
-    @pytest.mark.parametrize("batch_elements", [None, 3000])
-    def test_each_batch_drawn_once(self, monkeypatch, size, batch_elements):
-        if batch_elements is not None:
-            monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
-        rows = max(1, _mc.BATCH_ELEMENTS // size)
-        n_samples = 2500
-        drawn = []
-        make_rng = _mc._batch_rng
-
-        def counting_rng(seed, batch):
-            drawn.append(batch)
-            return make_rng(seed, batch)
-
-        monkeypatch.setattr(_mc, "_batch_rng", counting_rng)
-        draw = _mc._draw
-        calls = []
-
-        def counting_draw(dists, rows, rng):
-            calls.append(rows)
-            return draw(dists, rows, rng)
-
-        monkeypatch.setattr(_mc, "_draw", counting_draw)
-        dists = [TEMPLATE] * size
-        offer, _ = optimize_group_offer(dists, mode="full", budget=1)
-        assert drawn == [] and calls == []
-        revenue_stats(dists, offer, n_samples, (5, size))
-        assert drawn == list(range(math.ceil(n_samples / rows)))
-        assert len(calls) == len(drawn) and sum(calls) == n_samples
-        if batch_elements is not None:
-            assert len(drawn) > 1
-
-    @pytest.mark.parametrize("batch_elements", [None, 3000])
-    def test_value_matches_streaming_estimate(self, monkeypatch,
-                                              batch_elements):
-        if batch_elements is not None:
-            monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
-        # Above 7 customers numpy sums a row pairwise; the exact value is
-        # still within 4 SE of the streamed estimate of its offer.
-        for size in (3, 6, 9):
-            dists = [TEMPLATE] * size
-            offer, value = optimize_group_offer(dists, mode="full", budget=1)
-            stats = revenue_stats(dists, offer, 20_000, (9, size))
-            assert abs(stats.mean - value) <= 4.0 * stats.std_error
-
-    def test_held_batches_match_streaming(self, monkeypatch):
-        monkeypatch.setattr(_mc, "BATCH_ELEMENTS", 3000)
-        dists = [TEMPLATE, UNIFORM, TEMPLATE]
-        offer = BundleOffer((0.5, NO_SALE, 0.7), 1.4)
-        held = list(_mc._batches(dists, 2500, 13))
-        assert [len(v) for v in held] == [1000, 1000, 500]
-        outcomes = [resolve_outcome(offer, tuple(row))
-                    for v in held for row in v]
-        stats = revenue_stats(dists, offer, 2500, 13)
-        assert stats.accept_prob == sum(o.bundle_accepted
-                                        for o in outcomes) / 2500
-        assert stats.mean == pytest.approx(
-            sum(o.seller_revenue for o in outcomes) / 2500, rel=1e-14)
-        assert (valuation_sums(dists, 2500, 13).tobytes()
-                == np.concatenate([v.sum(axis=1) for v in held]).tobytes())
-
-    def test_wrong_length_offer_raises_with_held_batches(self):
-        dists = [TEMPLATE] * 3
-        for offer in (BundleOffer((NO_SALE,) * 2, 1.0),
-                      BundleOffer((0.5,) * 4, 1.0)):
-            with pytest.raises(ValueError, match="equal length"):
-                revenue_stats(dists, offer, 1000, 1)
-            with pytest.raises(ValueError, match="equal length"):
-                group_expected_revenue_exact(dists, offer)
-
-    def test_held_batches_of_another_size_raise(self, monkeypatch):
-        # A sample has the size it was asked for, however it is batched;
-        # below the Monte Carlo minimum nothing is drawn at all.
-        offer = BundleOffer((NO_SALE,) * 3, 1.0)
-
-        def no_draw(dists, rows, rng):
-            raise AssertionError("drawn")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(_mc, "_draw", no_draw)
-            with pytest.raises(ValueError, match="1000 samples"):
-                revenue_stats([TEMPLATE] * 3, offer, 999, 1)
-        assert valuation_sums([TEMPLATE] * 3, 1000, 1).shape == (1000,)
-        monkeypatch.setattr(_mc, "BATCH_ELEMENTS", 3000)
-        assert valuation_sums([TEMPLATE] * 3, 2500, 1).shape == (2500,)
-        assert revenue_stats([TEMPLATE] * 3, offer, 2500, 1).n_samples == 2500
-
-
 def _check_line(lines, g, b_best, best, points=()):
     """Line ``g``'s argmax: ``best`` is the line's value at ``b_best`` and
     at least its value at each of ``points``, at every break of the line
@@ -883,17 +795,15 @@ def _check_line(lines, g, b_best, best, points=()):
 class TestHeldSample:
     """The exact lines against a held Monte Carlo sample: a line's argmax
     is worth at least the line's value at every sampled capped sum and grid
-    point, and the lines agree with the streamed estimate within 4 SE."""
+    point, and the lines agree with the Monte Carlo estimate within 4 SE."""
 
     SAMPLES = 20_000
 
-    @pytest.mark.parametrize("batch_elements", [None, 3000])
+    @pytest.mark.parametrize("stream", [21, 22])
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_lines_and_score_match_streaming(self, monkeypatch, n,
-                                             batch_elements):
-        if batch_elements is not None:
-            monkeypatch.setattr(_mc, "BATCH_ELEMENTS", batch_elements)
-        seed = (21, n)
+    def test_lines_and_score_match_monte_carlo(self, n, stream):
+        # Two independent samples of each group.
+        seed = (stream, n)
         dists = [TEMPLATE] * n
         # NO_SALE, 0, p*, a cap inside a piece and M; b at the line's
         # argmax, inside the support and, for a cap, at the float sum of
@@ -913,21 +823,27 @@ class TestHeldSample:
                 assert group_expected_revenue_exact(dists, offer) == value
                 # At b = n M nothing varies and SE is 0; the engine is
                 # exact to rounding there.
-                stats = revenue_stats(dists, offer, self.SAMPLES, seed)
-                assert (abs(stats.mean - value)
-                        <= 4.0 * stats.std_error + 1e-14), (a, b)
+                mean, se, _ = mc_revenue(dists, offer, self.SAMPLES, seed)
+                assert abs(mean - value) <= 4.0 * se + 1e-14, (a, b)
             _check_line(lines, g, bs[g], values[g])
 
+    @pytest.mark.parametrize("size", [3, 6, 9])
+    def test_searched_value_agrees_with_monte_carlo(self, size):
+        # Above 7 customers numpy sums a row pairwise; the exact value is
+        # still within 4 SE of the estimate of its offer.
+        dists = [TEMPLATE] * size
+        offer, value = optimize_group_offer(dists, mode="full", budget=1)
+        mean, se, _ = mc_revenue(dists, offer, 20_000, (9, size))
+        assert abs(mean - value) <= 4.0 * se
+
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_rows_are_summed_in_numpy_order(self, monkeypatch, n):
+    def test_rows_are_summed_in_numpy_order(self, n):
         # Decimal valuations whose float sums depend on the order of the
         # additions, so many rows tie with a bundle price at such a sum.
         # Below 8 values numpy adds a row left to right, as resolve_outcome
         # does, and the engine puts its all-capped atom at the caps' left-
         # to-right sum, so the three paths sell on the same ties.
         table = _decimal_table(1000, n, n)
-        monkeypatch.setattr(_mc, "_draw", lambda dists, rows, r: table.copy())
-        dists = [UNIFORM] * n
         for a in (NO_SALE, 0.2, 0.3):
             if a is not None:
                 x = _iid_lines(UNIFORM, n, [a])[0]
@@ -936,12 +852,12 @@ class TestHeldSample:
             sums = np.unique(np.minimum(table, ceiling).sum(axis=1))
             for b in sums[::max(1, len(sums) // 8)].tolist():
                 offer = BundleOffer((a,) * n, b)
-                stats = revenue_stats(dists, offer, 1000, 0)
+                mean, _, accept = mc_score(table, offer)
                 outcomes = [resolve_outcome(offer, tuple(row))
                             for row in table]
-                assert stats.accept_prob == sum(o.bundle_accepted
-                                                for o in outcomes) / 1000
-                assert stats.mean == pytest.approx(
+                assert accept == sum(o.bundle_accepted
+                                     for o in outcomes) / 1000
+                assert mean == pytest.approx(
                     sum(o.seller_revenue for o in outcomes) / 1000,
                     rel=1e-14)
 
@@ -956,9 +872,9 @@ class TestHeldSample:
         for g, a in enumerate(prices):
             for b in (float(bs[g]), 0.45 * n):
                 offer = BundleOffer((a,) * n, b)
-                stats = revenue_stats(dists, offer, self.SAMPLES, seed)
+                mean, se, _ = mc_revenue(dists, offer, self.SAMPLES, seed)
                 value = line_values(lines, [g], [b])[0]
-                assert abs(stats.mean - value) <= 4.0 * stats.std_error
+                assert abs(mean - value) <= 4.0 * se
             _check_line(lines, g, bs[g], values[g])
 
     def test_search_path_matches_full_scoring(self, monkeypatch):
@@ -990,7 +906,7 @@ class TestHeldSample:
         dist = (UNIFORM, TEMPLATE, SKEWED)[n % 3]
         rng = np.random.default_rng(n)
         prices = [NO_SALE, *rng.uniform(0.0, dist.upper_bound, 3).tolist()]
-        v = np.concatenate(list(_mc._batches([dist] * n, 1000, (23, n))))
+        v = mc_profiles([dist] * n, 1000, (23, n))
         lines = _iid_lines(dist, n, prices)
         bs, values = line_argmaxes(lines)
         for g, a in enumerate(prices):
@@ -1010,10 +926,19 @@ class TestHeldSample:
         assert (bs.tolist(), values.tolist()) == ([0.0], [0.0])
 
 
-class TestRowSumKernel:
-    """``_mc._cap_and_solo_sums`` gives numpy's own row sums to the bit,
-    and numpy adds a row left to right below 8 values and pairwise from 8
-    on.  The sample pins rest on that order, so a numpy release that
+def _masked_row_sums(v, prices):
+    """Each row's capped sum and solo payments with NO_SALE masked out by
+    ``isfinite``, where ``mc_score`` caps at infinity instead: numpy's
+    ``sum(axis=1)`` of the capped and solo-payment matrices."""
+    a = np.array([math.inf if p is None else p for p in prices])
+    return (np.minimum(v, a).sum(axis=1),
+            np.where((v >= a) & np.isfinite(a), a, 0.0).sum(axis=1))
+
+
+class TestRowSums:
+    """``mc_score`` sells and pays by numpy's own row sums, to the bit, and
+    numpy adds a row left to right below 8 values and pairwise from 8 on.
+    The Monte Carlo pins rest on that order, so a numpy release that
     changes it fails here."""
 
     @pytest.mark.parametrize("n", range(1, 12))
@@ -1030,13 +955,14 @@ class TestRowSumKernel:
         ] + [[(NO_SALE, 0.0, 0.05, 0.3, 0.7, 1.0)[k]
               for k in rng.integers(0, 6, n)] for _ in range(4)]
         for prices in price_lists:
-            want_cap, want_solo = _numpy_row_sums(v, prices)
-            cap, solo = _mc._cap_and_solo_sums(v, prices)
-            assert cap.tobytes() == want_cap.tobytes()
-            if all(p is None for p in prices):
-                assert solo is None
-            else:
-                assert solo.tobytes() == want_solo.tobytes()
+            cap, solo = _masked_row_sums(v, prices)
+            # Bundle prices at sampled capped sums, so rows tie with them.
+            for b in (float(cap[0]), float(np.median(cap)), 0.0):
+                accept = cap >= b
+                revenue = np.where(accept, b, solo)
+                mean, _, accepted = mc_score(v, BundleOffer(tuple(prices), b))
+                assert accepted == np.count_nonzero(accept) / len(v)
+                assert mean == float(revenue.sum()) / len(v), (prices, b)
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_the_table_tells_summation_orders_apart(self, n):
@@ -1050,28 +976,19 @@ class TestRowSumKernel:
         left_to_right = np.array([_left_to_right(row) for row in v])
         assert np.array_equal(left_to_right, numpy_sums) == (n < 8)
 
-
     @pytest.mark.parametrize("n", [3, 6, 9])
-    def test_held_sample_holds_its_one_batch_as_drawn(self, monkeypatch, n):
+    def test_a_held_table_is_scored_as_given(self, n):
         table = _decimal_table(2000, n, n)
-        drawn = []
-
-        def draw(dists, rows, rng):
-            drawn.append(table.copy())
-            return drawn[-1]
-
-        monkeypatch.setattr(_mc, "_draw", draw)
-        dists = [UNIFORM] * n
-        sums = valuation_sums(dists, 2000, 0)
-        assert len(drawn) == 1
-        assert sums.tobytes() == table.sum(axis=1).tobytes()
+        kept = table.copy()
         prices = [(NO_SALE, 0.0, 1.0, 0.3)[k % 4] for k in range(n)]
-        cap, solo = _numpy_row_sums(table, prices)
+        cap, solo = _masked_row_sums(table, prices)
         b = float(np.median(cap))
-        stats = revenue_stats(dists, BundleOffer(tuple(prices), b), 2000, 0)
-        assert len(drawn) == 2
-        assert stats.accept_prob == np.count_nonzero(cap >= b) / 2000
-        assert stats.mean == float(np.where(cap >= b, b, solo).sum()) / 2000
+        offer = BundleOffer(tuple(prices), b)
+        first = mc_score(table, offer)
+        assert table.tobytes() == kept.tobytes()
+        assert first[2] == np.count_nonzero(cap >= b) / 2000
+        assert first[0] == float(np.where(cap >= b, b, solo).sum()) / 2000
+        assert mc_score(table, offer) == first
 
 
 def _hex(pair):
@@ -1294,9 +1211,9 @@ class TestChernoffTailBound:
         b = n * dist.mean - 0.5 * sd
         eps = chernoff_tail_bound(dist, n, b)
         samples = 20_000
-        stats = revenue_stats([dist] * n, BundleOffer((NO_SALE,) * n, b),
-                              samples, (17, n))
-        reject = 1.0 - stats.accept_prob
+        _, _, accept = mc_revenue([dist] * n, BundleOffer((NO_SALE,) * n, b),
+                                  samples, (17, n))
+        reject = 1.0 - accept
         se = math.sqrt(reject * (1.0 - reject) / samples)
         assert 0.2 < reject <= eps + 4.0 * se
         assert eps < 1.0
@@ -1333,18 +1250,10 @@ class TestChernoffTailBound:
 
 
 class TestCertifiedRows:
-    """Every row is computed from its tail bound; nothing is sampled."""
+    """Every row is computed from its tail bound; nothing is sampled (the
+    lab draws no random number at all: see test_experiments.py)."""
 
-    @staticmethod
-    def _refuse_sampling(monkeypatch):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("a large-bundle row sampled")
-
-        monkeypatch.setattr(_mc, "_draw", no_sampling)
-        monkeypatch.setattr(group_revenue, "revenue_stats", no_sampling)
-
-    def test_shipped_rows_are_certified_without_draws(self, monkeypatch):
-        self._refuse_sampling(monkeypatch)
+    def test_shipped_rows_are_certified_without_draws(self):
         reports = verify_surplus_extraction(UNIFORM, [100, 1000, 10**4])
         for r in reports:
             assert r.tail_bound < 2.0**-54
@@ -1353,11 +1262,9 @@ class TestCertifiedRows:
             assert r.revenue_std_error == 0.0
             assert r.passes
 
-    def test_loose_bounds_give_certified_rows_without_draws(self,
-                                                            monkeypatch):
+    def test_loose_bounds_give_certified_rows_without_draws(self):
         # Rows 21 to 30 of this density have bounds above 2**-54, where the
         # values differ from 1 and b in float64; the row reports them.
-        self._refuse_sampling(monkeypatch)
         ns = [20, 21, 22, 23, 24, 25, 26, 28, 30, 40]
         reports = verify_surplus_extraction(FALLBACK, ns)
         assert [r.n for r in reports] == ns

@@ -6,8 +6,7 @@ import pytest
 
 from bundle_auction_lab import group_revenue, pair_revenue
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, group_rational_accepts
-from bundle_auction_lab.group_revenue import (group_expected_revenue_mc,
-                                              optimize_group_offer)
+from bundle_auction_lab.group_revenue import optimize_group_offer
 from bundle_auction_lab.pair_revenue import (
     RegionLabel,
     classify_region,
@@ -22,8 +21,9 @@ from bundle_auction_lab.pair_revenue import (
 from bundle_auction_lab.single_pricing import optimal_single_price
 from bundle_auction_lab.valuations import make_piecewise_linear, make_uniform
 
-from oracles import (pair_revenue_reference, pair_revenue_riemann,
-                     ramp_pure_bundle_revenue, sequential_offer_search)
+from oracles import (mc_revenue, pair_revenue_reference,
+                     pair_revenue_riemann, ramp_pure_bundle_revenue,
+                     sequential_offer_search)
 
 UNIFORM = make_uniform(1.0)
 RAMP = make_piecewise_linear((0.0, 1.0), (0.5, 1.5))
@@ -154,35 +154,27 @@ class TestExactRevenue:
 class TestMonteCarlo:
     # The Monte Carlo check of a pair is the group estimator on [d1, d2].
     def test_degenerate_matches_exact(self):
-        est, se = group_expected_revenue_mc(
+        est, se, _ = mc_revenue(
             [UNIFORM, UNIFORM], BundleOffer((0.5, 0.5), 1.0), 10**5, 2024
         )
         assert abs(est - 0.5) <= 4.0 * se
 
     def test_zero_bundle_price_is_exactly_zero(self):
-        est, se = group_expected_revenue_mc(
+        est, se, _ = mc_revenue(
             [UNIFORM, UNIFORM], BundleOffer((0.7, 0.9), 0.0), 10**4, 7
         )
         assert est == 0.0 and se == 0.0
 
     def test_epsilon_offer_matches_exact(self):
-        est, se = group_expected_revenue_mc(
+        est, se, _ = mc_revenue(
             [UNIFORM, UNIFORM], epsilon_offer(0.5, 0.5, 0.1), 10**5, 99
         )
         assert abs(est - 0.516) <= 4.0 * se
 
     def test_seed_determinism(self):
         args = ([UNIFORM, RAMP], BundleOffer((0.6, NO_SALE), 0.9), 10**4)
-        assert (group_expected_revenue_mc(*args, 5)
-                == group_expected_revenue_mc(*args, 5))
-        assert (group_expected_revenue_mc(*args, 5)
-                != group_expected_revenue_mc(*args, 6))
-
-    def test_minimum_samples_enforced(self):
-        with pytest.raises(ValueError):
-            group_expected_revenue_mc(
-                [UNIFORM, UNIFORM], BundleOffer((0.5, 0.5), 1.0), 10, 1
-            )
+        assert mc_revenue(*args, 5) == mc_revenue(*args, 5)
+        assert mc_revenue(*args, 5) != mc_revenue(*args, 6)
 
 
 class TestRegions:
@@ -405,8 +397,7 @@ class TestOptimizePair:
         (offer, value), _ = optimize_pair_offer(UNIFORM, UNIFORM, 10)
         assert value >= 0.5443310539518174 - 0.002
         assert value > 0.5
-        mc, se = group_expected_revenue_mc([UNIFORM, UNIFORM], offer,
-                                           2 * 10**5, 3)
+        mc, se, _ = mc_revenue([UNIFORM, UNIFORM], offer, 2 * 10**5, 3)
         assert abs(mc - value) <= 4.0 * se
 
     def test_pure_bundle_restriction_recovers_known_price(self):

@@ -9,14 +9,14 @@ from bundle_auction_lab.valuations import (
     ValuationDistribution,
     make_piecewise_linear,
     make_uniform,
-    sample,
-    sample_one,
     validate_smoothness,
 )
 
 from oracles import (
     ks_statistic,
     laplace_simpson,
+    mc_profiles,
+    quantile_by_counting,
     quantile_rationalized,
     tilted_moments_simpson,
     simpson_between_knots,
@@ -273,42 +273,26 @@ class TestTiltedMoments:
 
 
 class TestSampling:
+    """The test oracle's sampler (``tests/oracles.py``) against the CDF."""
+
     def test_quantile_uniform_identity(self):
-        assert make_uniform(1.0).quantile(0.25) == pytest.approx(0.25, abs=1e-9)
+        assert quantile_rationalized(make_uniform(1.0), 0.25) == pytest.approx(
+            0.25, abs=1e-9)
 
     def test_quantile_ramp_inverts_cdf_example(self):
         # F(0.5) = 0.375 from the CDF example above.
-        assert ramp().quantile(0.375) == pytest.approx(0.5, abs=1e-9)
-
-    def test_quantile_rejects_bad_u(self):
-        with pytest.raises(ValueError):
-            make_uniform(1.0).quantile(1.5)
+        assert quantile_rationalized(ramp(), 0.375) == pytest.approx(
+            0.5, abs=1e-9)
 
     def test_quantile_matches_bisection_oracle(self):
-        # Both the scalar quantile and the array path the samplers use.
         d = make_piecewise_linear((0, 0.3, 1.2, 2.0), (1, 4, 0.2, 1))
         us = np.linspace(0.0, 1.0, 101)
-        bulk = d._quantile_array(us)
-        for u, x in zip(us, bulk):
+        for u, x in zip(us, quantile_rationalized(d, us)):
             lo, hi = 0.0, d.upper_bound
             while hi - lo > 1e-13:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if d.cdf(mid) < u else (lo, mid)
-            assert d.quantile(float(u)) == pytest.approx(0.5 * (lo + hi), abs=1e-12)
             assert x == pytest.approx(0.5 * (lo + hi), abs=1e-12)
-
-    def test_sample_matches_sample_one_draw_for_draw(self):
-        d = make_piecewise_linear((0, 0.3, 1.2, 2.0), (1, 4, 0.2, 1))
-        bulk = sample(d, 50, np.random.default_rng(8))
-        rng = np.random.default_rng(8)
-        assert bulk.tolist() == [sample_one(d, rng) for _ in range(50)]
-
-    def test_sample_one_uses_rng_stream(self):
-        d = ramp()
-        rng = np.random.default_rng(5)
-        x = sample_one(d, rng)
-        rng2 = np.random.default_rng(5)
-        assert x == pytest.approx(d.quantile(float(rng2.random())), abs=1e-12)
 
     @pytest.mark.parametrize("dist_builder", [
         lambda: make_uniform(1.0),
@@ -317,7 +301,7 @@ class TestSampling:
     ])
     def test_kolmogorov_smirnov(self, dist_builder):
         d = dist_builder()
-        xs = sample(d, 10**5, np.random.default_rng(1234))
+        xs = mc_profiles([d], 10**5, 1234)[:, 0]
         assert ks_statistic(xs, d.cdf) < 0.01
 
 
@@ -368,12 +352,12 @@ def test_distribution_invariants(d):
 @settings(max_examples=15, deadline=None)
 @given(distributions(), st.integers(0, 2**32 - 1))
 def test_sampler_stays_in_support(d, seed):
-    xs = sample(d, 256, np.random.default_rng(seed))
+    xs = mc_profiles([d], 256, seed)
     assert np.all(xs >= 0.0) and np.all(xs <= d.upper_bound)
 
 
-# The sampler kernel: in-place passes bit-identical to the rationalized
-# formula, on the whole of [0, 1] including both ends.
+# The oracle sampler's inverse CDF, on the whole of [0, 1] including both
+# ends: bit-identical to the same solve written with another segment lookup.
 
 EDGE_US = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0),
                     0.5, 2.0**-53])
@@ -406,38 +390,37 @@ def kernel_distributions(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_distributions(), probabilities())
-def test_quantile_array_is_bit_equal_to_rationalized_formula(d, u):
+def test_quantile_is_bit_equal_to_the_counting_formula(d, u):
     original = u.copy()
-    reference = quantile_rationalized(d, u)
-    fresh = d._quantile_array(u)
+    got = quantile_rationalized(d, u)
     assert bits(u) == bits(original)
-    assert bits(fresh) == bits(reference)
-    assert fresh is not u
-    in_place = d._quantile_array(u, out=u)
-    assert in_place is u
-    assert bits(u) == bits(reference)
+    assert bits(got) == bits(quantile_by_counting(d, u))
+    assert got is not u
 
 
 @settings(max_examples=40, deadline=None)
 @given(kernel_distributions())
-def test_quantile_array_at_and_beside_every_cdf_knot(d):
+def test_quantile_at_and_beside_every_cdf_knot(d):
     # The segment index is a count of CDF knots at or below u; at a knot's
     # CDF value u starts the next segment, as with searchsorted "right".
     cum = d._cum
     u = np.clip(np.concatenate([cum, np.nextafter(cum, 2.0),
                                 np.nextafter(cum, -1.0)]), 0.0, 1.0)
-    assert bits(d._quantile_array(u)) == bits(quantile_rationalized(d, u))
+    x = quantile_rationalized(d, u)
+    assert bits(x) == bits(quantile_by_counting(d, u))
+    # At a knot's CDF value the value is that knot, to rounding.
+    assert np.allclose(x[:cum.size], d._knots, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(kernel_distributions(), probabilities())
-def test_in_place_on_a_strided_column_touches_only_that_column(d, u):
+def test_a_strided_column_reads_as_a_contiguous_one(d, u):
     block = np.stack([u, 1.0 - u, u[::-1]], axis=1)
     before = block.copy()
-    column = block[:, 1]
-    d._quantile_array(column, out=column)
-    assert bits(block[:, 1]) == bits(quantile_rationalized(d, before[:, 1]))
-    assert bits(block[:, [0, 2]]) == bits(before[:, [0, 2]])
+    column = quantile_rationalized(d, block[:, 1])
+    assert bits(column) == bits(quantile_rationalized(
+        d, np.ascontiguousarray(before[:, 1])))
+    assert bits(block) == bits(before)
 
 
 @settings(max_examples=40, deadline=None)
@@ -446,8 +429,8 @@ def test_zero_slope_is_exactly_u_over_d(m, u):
     d = make_uniform(m)
     assert d._slopes[0] == 0.0
     expected = np.minimum(u / d._dens[0], m)
-    assert bits(d._quantile_array(u)) == bits(expected)
     assert bits(quantile_rationalized(d, u)) == bits(expected)
+    assert bits(quantile_by_counting(d, u)) == bits(expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -455,18 +438,19 @@ def test_zero_slope_is_exactly_u_over_d(m, u):
 def test_scalar_quantile_matches_formula_and_leaves_input(d, us):
     for value in list(EDGE_US[:3]) + us:
         arg = np.array(value)
-        assert d.quantile(arg) == float(quantile_rationalized(d, value))
-        assert arg.item() == value
-        assert bits(d._quantile_array(arg)) == bits(quantile_rationalized(d, arg))
+        assert float(quantile_rationalized(d, value)) == float(
+            quantile_by_counting(d, np.array([value]))[0])
+        assert bits(quantile_rationalized(d, arg)) == bits(
+            quantile_by_counting(d, arg))
         assert arg.item() == value
 
 
 @settings(max_examples=20, deadline=None)
 @given(kernel_distributions(), st.integers(0, 2**32 - 1))
-def test_sample_is_formula_on_the_rng_stream(d, seed):
-    for size in (7, (5, 3)):
-        draws = np.random.default_rng(seed).random(size)
-        got = sample(d, size, np.random.default_rng(seed))
-        assert bits(got) == bits(quantile_rationalized(d, draws))
-    one = sample(d, None, np.random.default_rng(seed))
-    assert float(one) == sample_one(d, np.random.default_rng(seed))
+def test_sample_is_formula_on_the_seeded_stream(d, seed):
+    # mc_profiles draws one matrix from SeedSequence((seed, 0)).
+    for rows, n in ((7, 1), (5, 3)):
+        draws = np.random.default_rng(
+            np.random.SeedSequence((seed, 0))).random((rows, n))
+        got = mc_profiles([d] * n, rows, seed)
+        assert bits(got) == bits(quantile_by_counting(d, draws))
