@@ -435,7 +435,7 @@ def _run_sweep(config):
     n_min = config.n_min or SWEEP_N_MIN
     n_max = config.n_max or SWEEP_N_MAX
     m = config.M if config.M is not None else 1.0
-    ok, worst_n, worst_ratio = bernstein_sweep(n_min, n_max, m)
+    ok, worst_n, worst_ratio = bernstein_sweep(n_min, n_max)
     # Log-spaced checkpoint rows; the pass flag covers the full range.
     count = 25
     ratio = (n_max / n_min) ** (1.0 / (count - 1)) if n_max > n_min else 1.0

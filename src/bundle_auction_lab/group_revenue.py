@@ -126,37 +126,31 @@ def bernstein_upper_bound(n, m, t):
     return float(out) if np.ndim(t) == 0 and np.ndim(n) == 0 else out
 
 
-def bernstein_sweep(n_min: int = 2, n_max: int = 10**6, m: float = 1.0
+def bernstein_sweep(n_min: int = 2, n_max: int = 10**6
                     ) -> tuple[bool, int, float]:
     """Check ``bound(n, M, 2 M sqrt(n ln n)) <= 1/n`` for every n in range.
 
-    Returns ``(all_hold, worst_n, worst_ratio)`` where the ratio is
-    ``bound * n`` (<= 1 everywhere iff the sweep holds).  A NaN bound fails
-    the sweep at the first n that has one, with a NaN ratio.  A finite M so
-    large that ``t`` overflows at ``n_max`` raises instead: the bound is
-    scale-free and well defined there, so a NaN would misreport it.  So does
-    an ``n_max`` beyond float range.
+    The bound is ``exp(-(x^2/2) / (n + x/3))`` with ``x = t / M =
+    2 sqrt(n ln n)`` for every M, so the sweep is computed at M = 1 and its
+    answer holds for all M.  Returns ``(all_hold, worst_n, worst_ratio)``
+    where the ratio is ``bound * n`` (<= 1 everywhere iff the sweep holds).
+    An ``n_max`` whose ``n ln n`` is beyond float range raises.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
     try:
-        top = float(n_max)
+        finite = math.isfinite(float(n_max) * math.log(n_max))
     except OverflowError:
-        raise ValueError(f"n_max={n_max} is beyond float range") from None
-    if (math.isfinite(m)
-            and not math.isfinite(2.0 * m * math.sqrt(top * math.log(top)))):
-        raise ValueError(f"2 M sqrt(n ln n) overflows at n={n_max} for "
-                         f"M={m!r}")
-    worst_ratio = -math.inf
-    worst_n = n_min
+        finite = False
+    if not finite:
+        raise ValueError(f"n_max={n_max}: n ln n is beyond float range")
+    worst_ratio, worst_n = -math.inf, n_min
     chunk = 1 << 20
     for start in range(n_min, n_max + 1, chunk):
         ns = np.arange(start, min(start + chunk, n_max + 1), dtype=float)
-        t = 2.0 * m * np.sqrt(ns * np.log(ns))
-        ratio = bernstein_upper_bound(ns, m, t) * ns
-        i = int(np.argmax(ratio))  # the first NaN, if there is one
-        if math.isnan(ratio[i]):
-            return False, int(ns[i]), math.nan
+        x = 2.0 * np.sqrt(ns * np.log(ns))
+        ratio = bernstein_upper_bound(ns, 1.0, x) * ns
+        i = int(np.argmax(ratio))
         if ratio[i] > worst_ratio:
             worst_ratio = float(ratio[i])
             worst_n = int(ns[i])
@@ -204,7 +198,10 @@ def chernoff_tail_bound(dist: ValuationDistribution, n: int, b: float
     ``(max f / min f) / theta``, which puts it below
     ``(max f / min f) n / b``.  The lower end is the ``theta`` of
     Hoeffding's bound, so the search never ends above the cap by more than
-    rounding.  ``b <= 0`` gives 0 and ``b >= mu`` gives 1.
+    rounding.  Hoeffding's exponent and the bracket's lower end are
+    computed in units of the power of two at or below ``M`` and scaled back
+    exactly, so the bound does not depend on the unit, to rounding.
+    ``b <= 0`` gives 0 and ``b >= mu`` gives 1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -213,10 +210,12 @@ def chernoff_tail_bound(dist: ValuationDistribution, n: int, b: float
         return 0.0
     if b >= mu:
         return 1.0
-    m = dist.upper_bound
-    log_hoeffding = -2.0 * (mu - b) ** 2 / (n * m * m)
+    e = math.frexp(dist.upper_bound)[1] - 1
+    m = math.ldexp(dist.upper_bound, -e)
+    gap = math.ldexp(mu - b, -e)
+    log_hoeffding = -2.0 * gap ** 2 / (n * m * m)
     dens = dist.densities
-    lo = math.log(4.0 * (mu - b) / (n * m * m))
+    lo = math.log(math.ldexp(4.0 * gap / (n * m * m), -e))
     hi = max(lo, math.log(max(dens) / min(dens) * n / b))
     best = math.inf
     y = lo

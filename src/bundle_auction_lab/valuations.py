@@ -36,21 +36,21 @@ _A_SERIES = tuple(
 )
 
 
-def _segment_averages(x: float, count: int) -> list[float]:
-    """``[A_0(x), ..., A_{count-1}(x)]`` for ``x > 0``, ``count <= 4``:
-    Taylor series below ``x = 1/2``, where the closed forms cancel, and
-    above it ``A_j = (j A_{j-1} - e^-x) / x`` (2e-14 relative at j = 3)."""
+def _segment_averages(x: float) -> list[float]:
+    """``[A_0(x), A_1(x), A_2(x), A_3(x)]`` for ``x > 0``: Taylor series
+    below ``x = 1/2``, where the closed forms cancel, and above it
+    ``A_j = (j A_{j-1} - e^-x) / x`` (2e-14 relative at j = 3)."""
     out = [-math.expm1(-x) / x]
     if x < 0.5:
-        for coeffs in _A_SERIES[:count - 1]:
+        for coeffs in _A_SERIES:
             a = 0.0
             for c in coeffs:
                 a = a * x + c
             out.append(a)
-    elif count > 1:
+    else:
         e = math.exp(-x)
         out.append((-math.expm1(-x) - x * e) / (x * x))
-        for j in range(2, count):
+        for j in (2, 3):
             out.append((j * out[-1] - e) / x)
     return out
 
@@ -83,7 +83,9 @@ class ValuationDistribution:
     values must be strictly positive; and the density must integrate to 1
     over the support (within ``NORMALIZATION_TOL``).  Instances are immutable
     and all evaluation methods are pure, so they are safe to share across
-    threads.
+    threads.  The mean, computed in units of the power of two at or below
+    ``M``, scales exactly with the knots; the slopes, stored in units of
+    ``M^-2``, leave the normal floats beyond about ``M = 2^±511``.
 
     Use :func:`make_uniform` / :func:`make_piecewise_linear` rather than the
     constructor when the density still needs normalizing.
@@ -138,20 +140,19 @@ class ValuationDistribution:
         cum = cum / cum[-1]
         slopes = np.diff(ds) / widths
 
-        # First moment: on each segment v = k0 + t, f(v) = d0 + s*t.
+        # First moment in units of 2^e: on a segment v = k0 + t, f = d0 + s t.
+        e = math.frexp(self.upper_bound)[1] - 1
         k0, d0 = ks[:-1], ds[:-1]
-        m_seg = (
-            k0 * d0 * widths
-            + (k0 * slopes + d0) * widths**2 / 2.0
-            + slopes * widths**3 / 3.0
-        )
+        k, w, d = np.ldexp(k0, -e), np.ldexp(widths, -e), np.ldexp(d0, e)
+        s = np.ldexp(slopes, 2 * e)
+        m_seg = k * d * w + (k * s + d) * w**2 / 2.0 + s * w**3 / 3.0
 
         object.__setattr__(self, "_knots", ks)
         object.__setattr__(self, "_dens", ds)
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "_mean", float(m_seg.sum()))
+        object.__setattr__(self, "_mean", math.ldexp(float(m_seg.sum()), e))
         object.__setattr__(self, "_segs", tuple(zip(
             k0.tolist(), widths.tolist(), d0.tolist(), slopes.tolist())))
 
@@ -226,7 +227,7 @@ class ValuationDistribution:
             raise ValueError("theta must be positive")
         logs, means, variances = [], [], []
         for k0, w, d0, s in self._segs:
-            a0, a1, a2, a3 = _segment_averages(theta * w, 4)
+            a0, a1, a2, a3 = _segment_averages(theta * w)
             sw = s * w
             z = d0 * a0 + sw * a1
             r1 = (d0 * a1 + sw * a2) / z
@@ -240,8 +241,11 @@ class ValuationDistribution:
         weights = [math.exp(t - top) for t in logs]
         total = sum(weights)
         mean = sum(p * m for p, m in zip(weights, means)) / total
-        variance = sum(p * (v + (m - mean) ** 2)
-                       for p, m, v in zip(weights, means, variances)) / total
+        try:
+            variance = sum(p * (v + (m - mean) ** 2) for p, m, v in
+                           zip(weights, means, variances)) / total
+        except OverflowError:  # beyond about M = 2^512, in absolute units
+            variance = math.inf
         return top + math.log(total), mean, variance
 
 
@@ -267,29 +271,24 @@ def make_uniform(upper_bound: float) -> ValuationDistribution:
     return ValuationDistribution(m, (0.0, m), (1.0 / m, 1.0 / m))
 
 
-def make_piecewise_linear(knots, densities, upper_bound: float | None = None
-                          ) -> ValuationDistribution:
+def make_piecewise_linear(knots, densities) -> ValuationDistribution:
     """Build a distribution from raw knot/density lists, normalizing.
 
     The densities are rescaled so the total integral is exactly 1; the
     applied factor is surfaced as ``norm_factor`` on the result.  Structural
     requirements (ascending knots starting at 0, strictly positive
-    densities) are enforced; if ``upper_bound`` is given it must equal the
-    last knot.
+    densities) are enforced; the upper bound is the last knot.
     """
     ks = tuple(float(k) for k in knots)
     ds = tuple(float(d) for d in densities)
     _check_knots(np.array(ks), np.array(ds))
-    m = ks[-1]
-    if upper_bound is not None and float(upper_bound) != m:
-        raise ValueError("upper_bound must equal the last knot")
     total = sum(
         0.5 * (d0 + d1) * (k1 - k0)
         for k0, k1, d0, d1 in zip(ks[:-1], ks[1:], ds[:-1], ds[1:])
     )
     scale = 1.0 / total
     return ValuationDistribution(
-        m, ks, tuple(d * scale for d in ds), norm_factor=scale
+        ks[-1], ks, tuple(d * scale for d in ds), norm_factor=scale
     )
 
 

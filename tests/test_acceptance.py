@@ -112,7 +112,7 @@ def test_criterion_4_group_surplus_desk_scale():
 
 def test_criterion_5_bernstein_sweep():
     with criterion(5, "Bernstein bound <= 1/n for all n in [2, 1e6]", 5.0):
-        ok, worst_n, worst_ratio = bernstein_sweep(2, 10**6, 1.0)
+        ok, worst_n, worst_ratio = bernstein_sweep(2, 10**6)
         assert ok, f"bound * n reached {worst_ratio} at n={worst_n}"
 
 

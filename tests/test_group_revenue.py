@@ -106,28 +106,10 @@ class TestBernstein:
         scaled = bernstein_upper_bound(ns, 2.0**1000, 2.0**1000 * t)
         assert scaled.tolist() == bernstein_upper_bound(ns, 1.0, t).tolist()
 
-    def test_nan_bound_fails_the_sweep(self):
-        # t = 2 M sqrt(n ln n) is infinite at M = inf, and t / M is NaN.
-        with np.errstate(invalid="ignore"):
-            ok, worst_n, worst_ratio = bernstein_sweep(2, 100, math.inf)
-        assert not ok
-        assert worst_n == 2
-        assert math.isnan(worst_ratio)
-
-    def test_finite_m_whose_deviation_overflows_raises(self):
-        # 2 M sqrt(n ln n) overflows at n = 100 for M = 1e308, and at the
-        # default n_max = 1e6 already for M = 1e305.
-        with pytest.raises(ValueError, match="overflows at n=100"):
-            bernstein_sweep(2, 100, 1e308)
-        with pytest.raises(ValueError, match="overflows at n=1000000"):
-            bernstein_sweep(m=1e305)
-        assert bernstein_sweep(2, 100, 1e300)[0]
-
     def test_sweep_full_range(self):
-        ok, worst_n, worst_ratio = bernstein_sweep(2, 10**6, 1.0)
-        assert ok
-        assert worst_ratio <= 1.0
-        assert worst_n == 2  # the ratio bound * n decays in n
+        # The ratio bound * n decays in n, so the worst n is 2.
+        assert bernstein_sweep(2, 10**6) == (
+            True, 2, float.fromhex("0x1.7a620a70f5205p-1"))
 
     def test_sweep_validation(self):
         with pytest.raises(ValueError):
@@ -135,12 +117,14 @@ class TestBernstein:
         with pytest.raises(ValueError):
             bernstein_sweep(10, 5)
 
-    @pytest.mark.parametrize("m", [1.0, math.inf])
-    def test_n_max_beyond_float_range_is_a_value_error(self, m):
+    def test_n_max_beyond_float_range_is_a_value_error(self):
         # The CLI reports a ValueError as an error message; any other
-        # exception would end in a traceback.
+        # exception would end in a traceback.  At 10**306, n itself is a
+        # float but n ln n is not, so the bound would read NaN.
         with pytest.raises(ValueError, match="beyond float range"):
-            bernstein_sweep(2, 10**400, m)
+            bernstein_sweep(2, 10**400)
+        with pytest.raises(ValueError, match="beyond float range"):
+            bernstein_sweep(10**306, 10**306)
 
 
 class TestLowerBound:
@@ -1137,6 +1121,29 @@ class TestVerifySurplusExtraction:
         (r,) = verify_surplus_extraction(make_uniform(0.3), [10**4])
         assert r.mu == 1500.0
         assert r.upper_bound == 1500.0
+
+
+    @pytest.mark.parametrize("law", [
+        make_uniform,
+        # Two segments, so the tilted variance overflows past M = 2^512.
+        lambda m: make_piecewise_linear((0.0, m / 4.0, m), (1.0, 1.0, 1.0)),
+    ], ids=["uniform", "flat_knots"])
+    @given(k=st.integers(-1000, 1000))
+    def test_rows_scale_exactly_with_m(self, law, k):
+        # Theorem 2 in units of M: at M = 2^k every value is 2^k times its
+        # M = 1 value and every probability the same, bit for bit.  The
+        # tail bound's Newton iterates start from a rounded log theta, so
+        # it agrees to rounding.
+        ns = [100, 1000, 10000]
+        for r, r1 in zip(verify_surplus_extraction(law(2.0**k), ns),
+                         verify_surplus_extraction(law(1.0), ns)):
+            for name in ("mu", "bundle_price", "lower_bound", "upper_bound",
+                         "revenue_estimate"):
+                assert getattr(r, name) == math.ldexp(getattr(r1, name), k)
+            assert r.accept_prob_estimate == r1.accept_prob_estimate
+            assert r.bernstein_bound == r1.bernstein_bound
+            assert r.tail_bound == pytest.approx(r1.tail_bound, rel=1e-11)
+            assert r.passes
 
 
 class TestChernoffTailBound:
