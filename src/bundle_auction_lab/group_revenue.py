@@ -23,6 +23,7 @@ the exact engine is a test oracle.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -134,7 +135,9 @@ def bernstein_sweep(n_min: int = 2, n_max: int = 10**6
     2 sqrt(n ln n)`` for every M, so the sweep is computed at M = 1 and its
     answer holds for all M.  Returns ``(all_hold, worst_n, worst_ratio)``
     where the ratio is ``bound * n`` (<= 1 everywhere iff the sweep holds).
-    An ``n_max`` whose ``n ln n`` is beyond float range raises.
+    The worst n is the one of the largest ``log n - (x^2/2) / (n + x/3)``,
+    the ratio's logarithm, so ``exp`` runs at that n alone.  An ``n_max``
+    whose ``n ln n`` is beyond float range raises.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
@@ -144,16 +147,23 @@ def bernstein_sweep(n_min: int = 2, n_max: int = 10**6
         finite = False
     if not finite:
         raise ValueError(f"n_max={n_max}: n ln n is beyond float range")
-    worst_ratio, worst_n = -math.inf, n_min
-    chunk = 1 << 20
+    worst_score, worst_n = -math.inf, n_min
+    # Chunks of 2**16 values keep each temporary at 512 KiB: a sweep to
+    # 10**6 took about 2.5 times as long in chunks of 2**20.
+    chunk = 1 << 16
     for start in range(n_min, n_max + 1, chunk):
         ns = np.arange(start, min(start + chunk, n_max + 1), dtype=float)
-        x = 2.0 * np.sqrt(ns * np.log(ns))
-        ratio = bernstein_upper_bound(ns, 1.0, x) * ns
-        i = int(np.argmax(ratio))
-        if ratio[i] > worst_ratio:
-            worst_ratio = float(ratio[i])
-            worst_n = int(ns[i])
+        log_n = np.log(ns)
+        x = 2.0 * np.sqrt(ns * log_n)
+        # log(bound * n): the bound's exponent is negative, so its cap at 1
+        # never binds, and the worst n is found without exp.
+        score = log_n - (x * x / 2.0) / (ns + x / 3.0)
+        i = int(np.argmax(score))
+        if score[i] > worst_score:
+            worst_score, worst_n = float(score[i]), int(ns[i])
+    ns = np.array([float(worst_n)])
+    x = 2.0 * np.sqrt(ns * np.log(ns))
+    worst_ratio = float((bernstein_upper_bound(ns, 1.0, x) * ns)[0])
     return worst_ratio <= 1.0, worst_n, worst_ratio
 
 
@@ -291,21 +301,15 @@ def _search_classes(dists, budget: int) -> list:
     return list(counts.items())
 
 
-def _rounds(prices, steps, laws):
-    """The trials of each zoom round while the incumbent ``prices`` holds:
-    every combination of each priced coordinate, plus or minus its step
-    (clipped to ``[0, M]``), but the incumbent's own, the steps halving
-    every round.  It ends at the first round with no trial."""
-    while True:
-        around = [[a] if a is None else [a] + [
-            t for t in (max(0.0, a - h), min(d.upper_bound, a + h))
-            if t != a] for a, h, d in zip(prices, steps, laws)]
-        # The first combination is the incumbent's own.
-        trials = list(itertools.product(*around))[1:]
-        if not trials:
-            return
-        yield trials
-        steps = [h * 0.5 for h in steps]
+def _fixed_cost_in_lines(n: int) -> int:
+    """About how many lines of a group of ``n`` customers cost as much as
+    an engine call's fixed cost: ``2**(7 - n)``, and at least 1.  On a
+    2-core machine a call of one line took 0.36 ms on a uniform pair, 0.49
+    ms on a template triple and 0.87 ms on six, and each further line about
+    1/30, 1/16 and 1/3 of that.  Groups of two laws measure about the same
+    per customer count: a further line cost about 1/30 of a call on the
+    template-ramp and uniform-spike pairs, and 1/7 to 1/9 on four."""
+    return 1 << max(0, 7 - n)
 
 
 def _offer_search(dists, budget: int):
@@ -328,28 +332,31 @@ def _offer_search(dists, budget: int):
     # (value, b) of each caps vector of the search, (-inf, None) unbuilt.
     solved: dict = {}
 
-    def scored(lines):
-        """``(value, prices, b)`` of each line.  A line's floats depend on
-        its caps alone (``NO_SALE`` caps at ``M``), not on the other lines
-        of its call, so each caps vector is built once, and one whose bound
-        is below ``floor`` not at all: its value is ``-inf``."""
-        # No solo price of the search exceeds its law's M, so a line's caps
-        # are its prices with NO_SALE at M.
-        keys = [line if None not in line else
-                tuple(m if a is None else a for a, m in zip(line, tops))
-                for line in lines]
-        new = {}
-        for key, line in zip(keys, lines):
-            if key in solved or key in new:
-                continue
+    def caps(line):
+        """A line's caps: no solo price of the search exceeds its law's M,
+        so they are its prices with NO_SALE at M."""
+        return line if None not in line else tuple(
+            m if a is None else a for a, m in zip(line, tops))
+
+    def solve(new):
+        """Solve the lines of ``new``, caps to prices, none of them in
+        ``solved``.  A line's floats depend on its caps alone, not on the
+        other lines of its call, so each caps vector is built once, and
+        one whose bound is below ``floor`` not at all: its value is
+        ``-inf``."""
+        keys = []
+        for key in new:
             if sum(map(operator.mul, counts, map(min, key, means))) < floor:
                 solved[key] = (-math.inf, None)
             else:
-                new[key] = line
-        if new:
+                keys.append(key)
+        if keys:
             bs, values = line_argmaxes(bundle_lines(classes,
-                                                    list(new.values())))
-            solved.update(zip(new, zip(values.tolist(), bs.tolist())))
+                                                    [new[k] for k in keys]))
+            solved.update(zip(keys, zip(values.tolist(), bs.tolist())))
+
+    def scored(lines, keys):
+        """``(value, prices, b)`` of each solved line."""
         return [(value, line, b)
                 for line, (value, b) in zip(lines, map(solved.get, keys))]
 
@@ -358,38 +365,90 @@ def _offer_search(dists, budget: int):
         return max(rows, key=lambda r: r[0])
 
     grids = [np.linspace(0.0, d.upper_bound, 16) for d in laws]
-    steps = [float(grid[1] - grid[0]) for grid in grids]
-    grid = scored(list(itertools.product(*(
-        [s.price, *g.tolist(), NO_SALE] for s, g in zip(singles, grids)))))
+    lines = list(itertools.product(*(
+        [s.price, *g.tolist(), NO_SALE] for s, g in zip(singles, grids))))
+    keys = list(map(caps, lines))
+    new: dict = {}
+    for key, line in zip(keys, lines):
+        new.setdefault(key, line)
+    solve(new)
+    grid = scored(lines, keys)
     incumbent = first_best(grid)
-    # The first zoom call holds every round that fits in one law's axis of
-    # the grid (p*, the grid points and NO_SALE), later calls as many as
-    # fit in the grid round.
-    depth, most, left = budget, len(grids[0]) + 2, budget
-    while left:
-        # Score the next rounds as if the incumbent holds through them.
-        batch = []
-        for trials in itertools.islice(_rounds(incumbent[1], steps, laws),
-                                       min(depth, left)):
-            if sum(map(len, batch)) + len(trials) > most:
+    # The steps of each zoom round: the grid's spacing, halved every round.
+    steps = [[float(g[1] - g[0]) for g in grids]]
+
+    def trials(r, center):
+        """The trials of round ``r`` around ``center``: every combination
+        of each priced coordinate, plus or minus its step (clipped to
+        ``[0, M]``), but the center's own."""
+        while len(steps) <= r:
+            steps.append([h * 0.5 for h in steps[-1]])
+        around = [[a] if a is None else [a] + [
+            t for t in (max(0.0, a - h), min(m, a + h)) if t != a]
+            for a, h, m in zip(center, steps[r], tops)]
+        # The first combination is the center's own.
+        return list(itertools.product(*around))[1:]
+
+    fixed = _fixed_cost_in_lines(sum(counts))
+    done = moves = run = 0
+    while done < budget:
+        # Speculate the rounds ahead as a tree, best-first by the chance of
+        # reaching each.  At each round the incumbent moves, to each trial
+        # alike, at the search's move rate so far, and at most 1/(k + 1)
+        # after k rounds in a row that held.  A call takes each round whose
+        # fresh lines, times the chance that they go unused, cost no more
+        # than ``fixed`` lines times the chance that they are used.  Until
+        # the first move the rate is 0, and a call holds the rounds of an
+        # incumbent that holds in one axis of the grid or ``fixed`` fresh
+        # lines, whichever is more; after it, in the grid round's lines or
+        # ``fixed``.
+        rate = moves / (done + 1)
+        cap = max(fixed, len(grid) if moves else len(grids[0]) + 2)
+        nodes, new = {}, {}
+        order = itertools.count()
+        heap = [(-1.0, next(order), done, incumbent[1], run)]
+        while heap:
+            chance, _, r, center, held = heapq.heappop(heap)
+            chance = -chance
+            if (r, center) in nodes:
+                continue
+            ahead = trials(r, center)
+            keys = list(map(caps, ahead))
+            fresh = {key: t for key, t in zip(keys, ahead)
+                     if key not in solved and key not in new}
+            if nodes and (len(new) + len(fresh) > cap or len(fresh)
+                          * (1.0 - chance) > chance * fixed):
                 break
-            batch.append(trials)
-        if not batch:
-            break
-        most = len(grid)
-        rows = iter(scored([t for trials in batch for t in trials]))
-        # Replay them in order, the incumbent first in each; the rounds
-        # after one that moves are void.
-        for trials in batch:
-            left -= 1
-            steps = [h * 0.5 for h in steps]
-            best = first_best([incumbent,
-                               *itertools.islice(rows, len(trials))])
-            if best is not incumbent:
-                incumbent, depth = best, 1
+            nodes[r, center] = ahead, keys
+            new.update(fresh)
+            if r + 1 < budget and ahead:
+                # A round reached with a chance below 1/(fixed + 1) could
+                # pay for no fresh line, so it is not queued.
+                move = min(rate, 1.0 / (held + 1))
+                hold = chance * (1.0 - move)
+                if hold * (fixed + 1) >= 1.0:
+                    heapq.heappush(heap, (-hold, next(order), r + 1, center,
+                                          held + 1))
+                each = chance * move / len(ahead)
+                if each * (fixed + 1) >= 1.0:
+                    for t in ahead:
+                        heapq.heappush(heap, (-each, next(order), r + 1, t, 0))
+        solve(new)
+        # Replay the rounds from the incumbent, the incumbent first in
+        # each, up to the first round not speculated.
+        while (done, incumbent[1]) in nodes:
+            ahead, keys = nodes[done, incumbent[1]]
+            if not ahead:
+                # No trial: every later round would score the incumbent
+                # alone.
+                done = budget
                 break
-        else:
-            depth = 2 * len(batch)
+            done += 1
+            best = first_best([incumbent, *scored(ahead, keys)])
+            if best is incumbent:
+                run += 1
+            else:
+                incumbent, moves, run = best, moves + 1, 0
     return tuple((BundleOffer(tuple(prices[laws.index(d)] for d in dists), b),
                   value) for value, prices, b in (incumbent, grid[-1]))
 
@@ -428,18 +487,24 @@ def optimize_group_offer(dists: Sequence[ValuationDistribution],
     whose bound is below the singles value (less 1e-9 of it) is not built:
     it cannot beat the ``p*`` line.  Neither changes an answer by a bit.
 
-    One call solves several rounds: the rounds ahead are built as if the
-    incumbent holds through them, solved together, and replayed in order,
-    and those after the first round that moves are dropped.  The first
-    zoom call holds every round that fits in one law's axis of the grid
-    (18 lines).  After that a call holds one round after a move and twice
-    as many rounds as the last call held after a call in which none
-    moved, in at most as many candidates as the grid round.  A line's
-    ``b`` and value do not depend on the other lines of its call, so the
-    answer is that of solving the rounds one at a time, to the bit; on a
-    uniform pair at budget 15 the search makes 3 calls, which hold 18, 18
-    and 12 candidates and build 13, 16 and 12 lines, where one per round
-    made 16 calls.
+    One call solves several rounds.  It speculates the tree of rounds
+    ahead, every way the incumbent can hold or move, best-first by the
+    chance of reaching each round, solves their lines together, and
+    replays the rounds from the incumbent up to the first round it did not
+    speculate.  The chance comes from the search's own move rate so far,
+    at most ``1/(k + 1)`` after ``k`` rounds in a row that held, with a
+    move going to each trial alike.  Until the first move that rate is 0,
+    and a call holds the rounds of an incumbent that holds in one law's
+    axis of the grid (18 lines), or in the ``2**(7 - n)`` lines that cost
+    ``n`` customers about as much as a call's fixed cost, if more.  After
+    it, a call holds each round whose fresh lines, times the chance that
+    they go unused, cost no more than a call's fixed cost times the chance
+    that they are used, in no more fresh lines than the grid round or
+    ``2**(7 - n)``.  A line's ``b`` and value do not depend on the other
+    lines of its call, so the answer is that of solving the rounds one at
+    a time, to the bit.  A uniform pair at budget 15 makes 2 calls, which
+    build 13 and 28 lines, where one per round made 16 calls; the template
+    pair and triple, whose incumbents move in most rounds, make 7 each.
 
     Nearly all of a two-law search's time and memory is its grid round,
     which builds about 230 of its 324 candidates, and both grow fast with

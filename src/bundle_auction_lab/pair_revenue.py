@@ -386,17 +386,17 @@ def optimize_pair_offer(d1: ValuationDistribution, d2: ValuationDistribution,
     on the pair in both modes, from one search: the best ``b`` of every
     line of solo prices exactly, one solo price per distinct law (so an
     i.i.d. pair gets a symmetric offer), and at most ``budget`` zoom
-    rounds over the solo prices, several to a call: the first zoom call
-    holds every round that fits in 18 lines, one law's axis of the grid,
-    and a call after one that moved nothing holds twice as many rounds.
-    The pure bundle is the grid's all-``NO_SALE`` line, which the
+    rounds over the solo prices, several to a call: a call speculates
+    every way the incumbent can move, on an i.i.d. pair in up to 32 fresh
+    lines, the lines that cost a pair about as much as a call's fixed
+    cost.  The pure bundle is the grid's all-``NO_SALE`` line, which the
     pure-bundle search solves alone to the same floats.  A call builds
     only the lines that can change the answer: none whose caps an earlier
     line had, and none whose capped-surplus bound is below the singles
-    value.  So a uniform pair at budget 15 takes 3 engine calls for both
-    answers, which build 13, 16 and 12 of their 18, 18 and 12 candidate
-    lines.  The full search scores the singles optimum ``(p1*, p2*, p1* +
-    p2*)`` and the pure bundles among its lines, so its result is worth at
-    least both.
+    value.  So a uniform pair at budget 15 takes 2 engine calls for both
+    answers, which build 13 of the grid's 18 lines and the 28 new lines
+    of its 15 zoom rounds.  The full search scores the singles optimum
+    ``(p1*, p2*, p1* + p2*)`` and the pure bundles among its lines, so its
+    result is worth at least both.
     """
     return _offer_search([d1, d2], budget)

@@ -4,7 +4,8 @@ Everything here is deliberately dumb: plain composite Simpson panels,
 per-piece three-point Gauss-Legendre sums, dense grid scans, finite
 differences, 2-D Riemann sums, an exhaustive search over discretized
 payment splits, and a seeded Monte Carlo estimate of an offer's revenue.
-None of it shares code with the library paths it checks.
+None of it shares code with the library paths it checks, but for the two
+offer-search references, which say what they share.
 """
 
 from __future__ import annotations
@@ -607,74 +608,36 @@ def sequential_offer_search(dists, mode: str, budget: int, calls=None):
 
 
 def every_line_offer_search(dists, budget: int, calls=None):
-    """The full and pure-bundle answers of the exact offer search, each
-    ``(offer, value)``, with the library's schedule of zoom calls but
-    building every line of every call: the reference that a search which
-    skips lines must match to the bit.
+    """The full and pure-bundle answers of the library's exact offer
+    search, each ``(offer, value)``, run with no line skipped: every caps
+    vector of every call is built, those whose bound falls below the
+    singles value too.  The reference that the search which skips them
+    must match to the bit.
 
-    Like :func:`sequential_offer_search` it shares the exact group engine
-    with the library and checks only the search.  The lines of each call
-    are appended to ``calls`` when given.
+    Unlike the rest of this module it runs the library's search itself,
+    with a singles value of ``-inf``, so that no bound falls below it: a
+    skipped line counts as solved, so skipping changes which lines a call
+    builds but not which rounds it speculates, and this reference checks
+    the skipping alone.  :func:`sequential_offer_search` checks the order
+    of the search.  The lines of each call are appended to ``calls`` when
+    given.
     """
-    import itertools
+    import dataclasses
+    from unittest import mock
 
-    from bundle_auction_lab._group_exact import bundle_lines, line_argmaxes
-    from bundle_auction_lab.bundles import BundleOffer
-    from bundle_auction_lab.single_pricing import optimal_single_price
+    from bundle_auction_lab import group_revenue
 
-    counts: dict = {}
-    for d in dists:
-        counts[d] = counts.get(d, 0) + 1
-    laws = list(counts)
-    classes = list(counts.items())
+    price = group_revenue.optimal_single_price
+    build = group_revenue.bundle_lines
 
-    def scored(lines):
+    def unbounded(dist):
+        return dataclasses.replace(price(dist), utility=-np.inf)
+
+    def record(classes, lines):
         if calls is not None:
-            calls.append(lines)
-        bs, values = line_argmaxes(bundle_lines(classes, lines))
-        return list(zip(values.tolist(), lines, bs.tolist()))
+            calls.append(list(lines))
+        return build(classes, lines)
 
-    def first_best(rows):
-        return max(rows, key=lambda r: r[0])
-
-    def rounds(prices, steps):
-        while True:
-            around = [[a] if a is None else [a] + [
-                t for t in (max(0.0, a - h), min(d.upper_bound, a + h))
-                if t != a] for a, h, d in zip(prices, steps, laws)]
-            trials = list(itertools.product(*around))[1:]
-            if not trials:
-                return
-            yield trials
-            steps = [h * 0.5 for h in steps]
-
-    grids = [np.linspace(0.0, d.upper_bound, 16) for d in laws]
-    steps = [float(grid[1] - grid[0]) for grid in grids]
-    grid = scored(list(itertools.product(*(
-        [optimal_single_price(d).price, *g.tolist(), None]
-        for d, g in zip(laws, grids)))))
-    incumbent = first_best(grid)
-    depth, most, left = budget, len(grids[0]) + 2, budget
-    while left:
-        batch = []
-        for trials in itertools.islice(rounds(incumbent[1], steps),
-                                       min(depth, left)):
-            if sum(map(len, batch)) + len(trials) > most:
-                break
-            batch.append(trials)
-        if not batch:
-            break
-        most = len(grid)
-        rows = iter(scored([t for trials in batch for t in trials]))
-        for trials in batch:
-            left -= 1
-            steps = [h * 0.5 for h in steps]
-            best = first_best([incumbent,
-                               *itertools.islice(rows, len(trials))])
-            if best is not incumbent:
-                incumbent, depth = best, 1
-                break
-        else:
-            depth = 2 * len(batch)
-    return tuple((BundleOffer(tuple(prices[laws.index(d)] for d in dists), b),
-                  value) for value, prices, b in (incumbent, grid[-1]))
+    with mock.patch.object(group_revenue, "optimal_single_price", unbounded), \
+            mock.patch.object(group_revenue, "bundle_lines", record):
+        return group_revenue._offer_search(dists, budget)

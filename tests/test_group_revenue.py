@@ -608,16 +608,17 @@ class TestOptimizeGroupOffer:
                                        [UNIFORM, TENT]],
                              ids=["uniform-pair", "template-triple",
                                   "two-laws", "uniform-tent"])
-    def test_no_call_scores_more_lines_than_the_grid(self, monkeypatch, group):
-        # Rounds solved ahead share a call only up to the grid's candidate
-        # count, 18 lines a law's axis, so a batched search never builds
-        # more lines in a call than its grid round holds (the uniform
-        # pair's calls of 18 at budget 5,000, in tests/test_pair_revenue.py,
-        # are where the bound binds).
-        candidates = 18 ** len(set(group))
+    def test_no_call_builds_more_lines_than_the_cap(self, monkeypatch,
+                                                     group):
+        # A zoom call holds at most its cap of fresh lines: the grid's
+        # candidate count, 18 lines a law's axis, or the 2**(7 - n) lines
+        # that cost n customers about as much as a call's fixed cost, if
+        # more (the uniform pair's calls of 32 at budget 5,000, in
+        # tests/test_pair_revenue.py, are where the bound binds).
+        cap = max(18 ** len(set(group)), 2 ** (7 - len(group)))
         for budget in (15, 500):
             sizes = self._call_sizes(monkeypatch, group, budget)
-            assert max(sizes) <= candidates, sizes
+            assert max(sizes) <= cap, sizes
 
     @staticmethod
     def _call_sizes(monkeypatch, group, budget):
@@ -626,18 +627,55 @@ class TestOptimizeGroupOffer:
                 for prices in _search_calls(monkeypatch, group, budget)[1]]
 
     @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
-    def test_first_zoom_call_fits_one_grid_axis(self, monkeypatch, name):
-        # The first zoom call holds the rounds that fit in one law's axis
-        # of the grid: p*, 16 grid points and NO_SALE.  The grid call
-        # builds each distinct caps vector of its candidates that can beat
-        # the singles value.
+    def test_first_zoom_call_fits_the_cap(self, monkeypatch, name):
+        # Until the incumbent first moves, a zoom call holds the rounds
+        # that fit in one law's axis of the grid (p*, 16 grid points and
+        # NO_SALE), or in the 2**(7 - n) lines that cost n customers about
+        # as much as a call's fixed cost, if more.  The grid call builds
+        # each distinct caps vector of its candidates that can beat the
+        # singles value.
         group = SEARCH_GROUPS[name]
         grid = []
         every_line_offer_search(group, 1, grid)
         want = len(_hopeful(group, grid[0]))
+        cap = max(18, 2 ** (7 - len(group)))
         for budget in (2, 15, 500):
             sizes = self._call_sizes(monkeypatch, group, budget)
-            assert sizes[0] == want and sizes[1] <= 18, sizes
+            assert sizes[0] == want and sizes[1] <= cap, sizes
+
+    @pytest.mark.parametrize("n, budget, sizes", [
+        (2, 15, [13, 28, 31, 32, 28, 16, 2]),
+        (2, 60, [13, 32, 31, 32, 32, 26, 32, 28, 32, 32, 32]),
+        (3, 15, [13, 17, 17, 18, 14, 17, 8]),
+        (3, 60, [13, 17, 17, 18, 14, 17, 18, 12, 18, 13, 15, 18, 18, 18,
+                 12, 1]),
+    ])
+    def test_moving_template_searches_are_pinned(self, monkeypatch, n,
+                                                 budget, sizes):
+        # The template pair and triple move in most of their first 25
+        # rounds.  A zoom call speculates every way the incumbent can
+        # move, so it follows a move into the rounds after it: 7 calls at
+        # budget 15, where speculating only an incumbent that holds took
+        # 15 and 14.
+        assert self._call_sizes(monkeypatch, [TEMPLATE] * n, budget) == sizes
+
+    def test_incumbent_leaves_the_speculated_tree_mid_call(self,
+                                                           monkeypatch):
+        # On the template pair at budget 15 the search that solves one
+        # round per call moves its incumbent in 10 of the 15 rounds.  The
+        # batched search makes 6 zoom calls, so some call replays a round
+        # after a move, at a trial it speculated, and every call but the
+        # last leaves its tree at a round it did not speculate.  Both
+        # answers are still those of one round per call, to the bit.
+        group = [TEMPLATE] * 2
+        path = [_offer_hex(sequential_offer_search(group, "full", budget))
+                for budget in range(16)]
+        moves = sum(a != b for a, b in zip(path, path[1:]))
+        answers, calls = _search_calls(monkeypatch, group, 15)
+        assert moves == 10 and len(calls) - 1 == 6
+        assert _offer_hex(answers[0]) == path[-1]
+        assert _offer_hex(answers[1]) == _offer_hex(
+            sequential_offer_search(group, "pure_bundle", 15))
 
     @pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
     def test_no_more_calls_than_doubling_from_one_round(self, monkeypatch,

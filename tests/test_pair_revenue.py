@@ -510,19 +510,20 @@ class TestOptimizePair:
         monkeypatch.undo()
         return answer, sizes
 
-    def test_uniform_pair_takes_three_kernel_calls(self, monkeypatch):
+    def test_uniform_pair_takes_two_kernel_calls(self, monkeypatch):
         # The incumbent 2/3 is on the grid and holds through all 15 rounds.
-        # The first zoom call holds the 9 rounds of 2 lines that fit in one
-        # axis of the grid (p*, 16 grid points, NO_SALE), and the next the
-        # 6 rounds left, and the pure bundle is the grid's NO_SALE line: 3
-        # calls where one per round took 17.  The grid builds 13 of its 18
+        # Until the incumbent first moves, a zoom call holds the rounds of
+        # an incumbent that holds, in up to 32 fresh lines, the lines that
+        # cost a pair about as much as a call's fixed cost: here all 15
+        # rounds.  The pure bundle is the grid's NO_SALE line: 2 calls
+        # where one per round took 17.  The grid builds 13 of its 18
         # lines: the solo prices 0, 1/15, 2/15 and 3/15 are below the
         # single-price revenue 1/4, so their lines cannot beat the singles
         # offer, and 1 caps as NO_SALE does.  The first round's trials,
-        # 3/5 and 11/15, are grid points, so 16 of the first zoom call's
-        # 18 lines are built.
+        # 3/5 and 11/15, are grid points, so the zoom call builds the 28
+        # lines of the other 14 rounds.
         answer, sizes = self._call_sizes(monkeypatch, UNIFORM, UNIFORM, 15)
-        assert sizes == [13, 16, 12]
+        assert sizes == [13, 28]
         calls = []
         want = (sequential_offer_search([UNIFORM] * 2, "full", 15, calls),
                 sequential_offer_search([UNIFORM] * 2, "pure_bundle", 15,
@@ -535,20 +536,20 @@ class TestOptimizePair:
         # On a uniform pair the solo price's step, 1/15 halved each round,
         # falls below half an ulp of the incumbent after 51 rounds, so the
         # next round has no neighbour to score and the search stops: one
-        # round per call solves 1 + 51 rounds of lines.  Several rounds to a
-        # call, in at most the grid's 18 lines, it takes 10 calls.  Four
-        # calls hold 9 rounds each.  Round 31, in the fourth, moves the solo
-        # price by its step, 1/15 * 2**-30, for an ulp of revenue, so the
-        # five rounds solved after it in the same call are dropped.  The
-        # next calls hold 1, 2, 4 and 8 rounds, and the last the 5 rounds
-        # left before the step vanishes.  Each call builds only the lines
-        # no earlier line shared caps with and that can beat the singles
-        # value: the grid 13, the first zoom call 16 (two trials are grid
-        # points), and the last 8, as its last round's two trials round
-        # onto the round's before.
-        # A budget of 5,000 returns what a budget of 60 does, to the bit.
+        # round per call solves 1 + 51 rounds of lines.  Speculating the
+        # rounds ahead in calls of at most 32 fresh lines, it takes 5
+        # calls.  The first holds rounds 1-17 (round 1's trials are grid
+        # points) and the second rounds 18-33, as no round has moved.
+        # Round 31 moves the solo price by its step, 1/15 * 2**-30, for an
+        # ulp of revenue, so rounds 32 and 33 are dropped.  The move rate
+        # is then 1/32, and the third call holds the rounds 32-47 of an
+        # incumbent that holds, which all hold.  The last holds rounds
+        # 48-51 and the round after, which has no trial; it builds 6
+        # lines, as its last round's two trials round onto the round's
+        # before.  A budget of 5,000 returns what a budget of 60 does, to
+        # the bit.
         huge, sizes = self._call_sizes(monkeypatch, UNIFORM, UNIFORM, 5000)
-        assert sizes == [13, 16, 18, 18, 18, 2, 4, 8, 16, 8]
+        assert sizes == [13, 32, 32, 32, 6]
         rounds = []
         want = sequential_offer_search([UNIFORM] * 2, "full", 5000, rounds)
         assert rounds == [18] + [2] * 51
