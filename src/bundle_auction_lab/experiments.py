@@ -7,7 +7,10 @@ order, so rerunning a config reproduces the output byte for byte; wall time
 and other run metadata live in the report footer, never in the CSV.
 
 Each command is one entry of :data:`COMMANDS`, which config parsing,
-:func:`run` and the CLI all read.
+:func:`run` and the CLI all read.  A parsed config carries the command's
+own keys that it gives as ``params``, and :func:`run` passes them to the
+command's runner as keyword arguments, so a key the config leaves out
+takes the default in the runner's signature.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from __future__ import annotations
 import io
 import json
 import math
-import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import __version__
@@ -54,7 +56,7 @@ __all__ = [
 SWEEP_N_MIN = 2
 SWEEP_N_MAX = 10**6
 #: The largest ``n_max`` a ``sweep`` config may ask for: the sweep checks
-#: every n up to it, and 10**8 of them take about 3 s.
+#: every n up to it, and 10**8 of them take about 1 s.
 SWEEP_N_LIMIT = 10**8
 
 _COMMON_KEYS = frozenset({"command", "seed", "n_samples", "distributions", "out"})
@@ -62,8 +64,9 @@ _COMMON_KEYS = frozenset({"command", "seed", "n_samples", "distributions", "out"
 
 @dataclass(frozen=True)
 class Command:
-    """A command's runner (config to ``(columns, rows, passed, notes)``), its
-    own config keys, its least and most distributions, and its CLI help."""
+    """A command's runner (the built distributions and the command's own
+    keys to ``(columns, rows, passed, notes)``), those keys, its least and
+    most distributions, and its CLI help."""
 
     run: Callable
     keys: frozenset
@@ -77,16 +80,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked config: ``params`` holds the command's own keys that the
+    config gives, and ``built`` its distributions."""
+
     command: str
     distributions: tuple = ()
-    eps_grid: Optional[tuple[float, ...]] = None
-    n_list: Optional[tuple[int, ...]] = None
-    N: Optional[int] = None
-    budget: Optional[int] = None
-    mode: Optional[str] = None
-    n_min: Optional[int] = None
-    n_max: Optional[int] = None
-    M: Optional[float] = None
+    params: dict = field(default_factory=dict)
     out: Optional[str] = None
     built: tuple[ValuationDistribution, ...] = field(
         default=(), compare=False, repr=False
@@ -207,7 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"$.distributions: command {command!r} needs "
                           f"{wanted}, got {len(built)}")
 
-    kwargs: dict = {}
+    params: dict = {}
     if command == "verify-thm1":
         # Each eps lies strictly between 0 and p2*, the second customer's
         # optimal price.
@@ -229,7 +228,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 if not v < p2:
                     raise ConfigError(
                         f"$.eps_grid[{i}]: must be < p2*={p2:.6g}; got {v!r}")
-            kwargs["eps_grid"] = tuple(vals)
+            params["eps_grid"] = tuple(vals)
     if command == "verify-thm2":
         ns = raw.get("n_list")
         if ns is not None:
@@ -246,42 +245,31 @@ def parse_config(text: str) -> ExperimentConfig:
                     _full_surplus_price(n, n * dist.mean, dist.upper_bound)
                 except ValueError as exc:
                     raise ConfigError(f"$.n_list[{i}]: {exc}") from exc
-            kwargs["n_list"] = tuple(ns)
+            params["n_list"] = tuple(ns)
     if command == "partition":
         if "N" not in raw:
             raise ConfigError("missing required field $.N")
-        kwargs["N"] = _integer(raw["N"], "$.N", minimum=1)
-        if kwargs["N"] % 6:
+        params["N"] = _integer(raw["N"], "$.N", minimum=1)
+        if params["N"] % 6:
             raise ConfigError("$.N: must be divisible by 6")
-        _float(kwargs["N"], "$.N")  # the rows scale by float(N)
+        _float(params["N"], "$.N")  # the rows scale by float(N)
         if "mode" in raw:
             if raw["mode"] not in ("pure_bundle", "full"):
                 raise ConfigError("$.mode: expected 'pure_bundle' or 'full'")
-            kwargs["mode"] = raw["mode"]
+            params["mode"] = raw["mode"]
     if command in ("pair-opt", "partition") and "budget" in raw:
-        kwargs["budget"] = _integer(raw["budget"], "$.budget", minimum=1)
-        # The search counts its rounds with itertools.islice.
-        if kwargs["budget"] > sys.maxsize:
-            raise ConfigError(f"$.budget: must be <= {sys.maxsize}")
+        params["budget"] = _integer(raw["budget"], "$.budget", minimum=1)
     if command == "sweep":
         if "n_min" in raw:
-            kwargs["n_min"] = _integer(raw["n_min"], "$.n_min", minimum=2)
+            params["n_min"] = _integer(raw["n_min"], "$.n_min", minimum=2)
         if "n_max" in raw:
-            kwargs["n_max"] = _integer(raw["n_max"], "$.n_max", minimum=2)
-        n_min = kwargs.get("n_min", SWEEP_N_MIN)
-        n_max = kwargs.get("n_max", SWEEP_N_MAX)
+            params["n_max"] = _integer(raw["n_max"], "$.n_max", minimum=2)
+        n_min = params.get("n_min", SWEEP_N_MIN)
+        n_max = params.get("n_max", SWEEP_N_MAX)
         if n_max > SWEEP_N_LIMIT:
             raise ConfigError(f"$.n_max: must be <= {SWEEP_N_LIMIT}")
         if n_max < n_min:
             raise ConfigError(f"$.n_max: must be >= $.n_min ({n_min})")
-        if "M" in raw:
-            m = _number(raw, "M", "$")
-            if not 0.0 < m < math.inf:
-                raise ConfigError("$.M: must be finite and positive")
-            if not math.isfinite(2.0 * m * math.sqrt(n_max * math.log(n_max))):
-                raise ConfigError(
-                    f"$.M: 2 M sqrt(n ln n) overflows at n_max={n_max}")
-            kwargs["M"] = m
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("$.out: expected a string path")
@@ -289,17 +277,19 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         command=command,
         distributions=tuple(descs),
+        params=params,
         out=out,
         built=built,
-        **kwargs,
     )
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical JSON of a config's set fields, tuples as lists;
-    `parse_config` round-trips it."""
-    doc = {f.name: getattr(config, f.name) for f in fields(config)
-           if f.compare and getattr(config, f.name) is not None}
+    """Canonical JSON of a config's command, distributions, given keys and
+    ``out``, tuples as lists; `parse_config` round-trips it."""
+    doc = {"command": config.command, "distributions": config.distributions,
+           **config.params}
+    if config.out is not None:
+        doc["out"] = config.out
     return json.dumps(doc, sort_keys=True)
 
 
@@ -360,7 +350,8 @@ def run(config: ExperimentConfig, *,
     given.  Every command runs on the calling thread.
     """
     t0 = time.perf_counter()
-    columns, rows, passed, notes = COMMANDS[config.command].run(config)
+    columns, rows, passed, notes = COMMANDS[config.command].run(
+        config.built, **config.params)
     report = RunReport(
         command=config.command,
         columns=tuple(columns),
@@ -377,17 +368,16 @@ def run(config: ExperimentConfig, *,
     return report
 
 
-def _run_single_opt(config):
+def _run_single_opt(built):
     rows = []
-    for dist in config.built:
+    for dist in built:
         sol = optimal_single_price(dist)
         rows.append((sol.price, sol.utility))
     return ("p_star", "u_star"), rows, None, ()
 
 
-def _run_pair_opt(config):
-    d1, d2 = config.built
-    budget = config.budget or 15
+def _run_pair_opt(built, budget=15):
+    d1, d2 = built
     columns = ("mode", "a_1", "a_2", "bundle_price", "expected_revenue")
     rows = [(mode, *offer.individual_prices, offer.bundle_price, value)
             for mode, (offer, value) in zip(("full", "pure_bundle"),
@@ -395,9 +385,9 @@ def _run_pair_opt(config):
     return columns, rows, None, ()
 
 
-def _run_verify_pair(config):
-    d1, d2 = config.built
-    report = verify_pair_improvement(d1, d2, config.eps_grid or DEFAULT_EPS_GRID)
+def _run_verify_pair(built, eps_grid=DEFAULT_EPS_GRID):
+    d1, d2 = built
+    report = verify_pair_improvement(d1, d2, eps_grid)
     columns = ("eps", "source", "accept_prob", "bundle_part", "solo_1",
                "solo_2", "total", "improvement", "p1_star", "p2_star",
                "u_singles")
@@ -412,9 +402,8 @@ def _run_verify_pair(config):
     return columns, rows, report.improved, ()
 
 
-def _run_verify_group(config):
-    n_list = config.n_list or (100, 1000)
-    reports = verify_surplus_extraction(config.built[0], n_list)
+def _run_verify_group(built, n_list=(100, 1000)):
+    reports = verify_surplus_extraction(built[0], n_list)
     columns = ("n", "mu", "bundle_price", "accept_prob", "revenue_estimate",
                "revenue_std_error", "lower_bound", "upper_bound",
                "bernstein_bound", "lower_bound_ok", "upper_bound_ok")
@@ -431,10 +420,7 @@ def _run_verify_group(config):
     return columns, rows, all(r.passes for r in reports), notes
 
 
-def _run_sweep(config):
-    n_min = config.n_min or SWEEP_N_MIN
-    n_max = config.n_max or SWEEP_N_MAX
-    m = config.M if config.M is not None else 1.0
+def _run_sweep(built, n_min=SWEEP_N_MIN, n_max=SWEEP_N_MAX):
     ok, worst_n, worst_ratio = bernstein_sweep(n_min, n_max)
     # Log-spaced checkpoint rows; the pass flag covers the full range.
     count = 25
@@ -444,8 +430,8 @@ def _run_sweep(config):
     })
     rows = []
     for n in ns:
-        t = 2.0 * m * math.sqrt(n * math.log(n))
-        bound = bernstein_upper_bound(n, m, t)
+        t = 2.0 * math.sqrt(n * math.log(n))
+        bound = bernstein_upper_bound(n, 1.0, t)
         rows.append((n, t, bound, 1.0 / n, bound <= 1.0 / n))
     columns = ("n", "t", "bernstein_bound", "one_over_n", "holds")
     notes = (f"worst n={worst_n} with bound*n={worst_ratio:.6g} over "
@@ -453,7 +439,7 @@ def _run_sweep(config):
     return columns, rows, ok, notes
 
 
-def partition_result(config: ExperimentConfig):
+def partition_result(built, N, budget=10, mode="full"):
     """Mixed-partition population: half in pairs, a third in triples, a
     sixth in six-groups, all valuations i.i.d. from one template.
 
@@ -462,25 +448,22 @@ def partition_result(config: ExperimentConfig):
     6 keeps the per-size headcounts integral; group counts may be
     fractional).  Every size runs the one exact group search
     (:func:`~bundle_auction_lab.group_revenue.optimize_group_offer`) in
-    the config's ``mode``, with ``budget`` zoom rounds, and every value is
-    exact, so the standard-error column is 0.  Rows report per-group and
+    ``mode``, with ``budget`` zoom rounds, and every value is exact, so the
+    standard-error column is 0.  Rows report per-group and
     per-customer revenue next to the all-singles baseline.  No optimality
     claim is made: the best per-group bundle offers need not form the best
     mechanism for the population.
     """
-    dist = config.built[0]
-    n_total = config.N
-    budget = config.budget or 10
-    mode = config.mode or "full"
+    dist = built[0]
     sol = optimal_single_price(dist)
 
     columns = ("group_size", "customers", "group_count", "price",
                "per_group_revenue", "per_group_std_error",
                "per_customer_revenue", "class_revenue")
-    rows = [(1, n_total, float(n_total), sol.price, sol.utility, 0.0,
-             sol.utility, n_total * sol.utility)]
+    rows = [(1, N, float(N), sol.price, sol.utility, 0.0,
+             sol.utility, N * sol.utility)]
 
-    class_sizes = {2: n_total // 2, 3: n_total // 3, 6: n_total // 6}
+    class_sizes = {2: N // 2, 3: N // 3, 6: N // 6}
     total_mixed = 0.0
     for size, customers in class_sizes.items():
         group_count = customers / size
@@ -494,13 +477,14 @@ def partition_result(config: ExperimentConfig):
         "per-group optima only; the best bundle offers per group need not be "
         "the optimal mechanism for the mixed population",
         f"mixed-partition revenue {total_mixed:.6g} vs all-singles baseline "
-        f"{n_total * sol.utility:.6g}",
+        f"{N * sol.utility:.6g}",
     )
     return columns, rows, None, notes
 
 
 #: Every command by name.  Parsing, :func:`run` and the CLI read only this,
-#: so a new command is an entry, its runner and its checks in `parse_config`.
+#: so a new command is an entry, its runner (whose signature holds the
+#: defaults of its keys) and its checks in `parse_config`.
 COMMANDS = {
     "single-opt": Command(
         _run_single_opt, frozenset(), (1, math.inf),
@@ -518,6 +502,6 @@ COMMANDS = {
         partition_result, frozenset({"N", "budget", "mode"}), (1, 1),
         "Mixed pairs/triples/six-groups population study."),
     "sweep": Command(
-        _run_sweep, frozenset({"n_min", "n_max", "M"}), (0, math.inf),
+        _run_sweep, frozenset({"n_min", "n_max"}), (0, 0),
         "Bernstein tail-bound sweep over group sizes."),
 }

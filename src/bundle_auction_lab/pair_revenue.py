@@ -12,7 +12,11 @@ that line at ``b``: the total, the acceptance probability ``P[S >= b]``
 for the capped sum ``S``, and each customer's solo term, which the engine
 adds into the total.  The engine is the pair's only exact path, and it
 alone settles ties, so ``pair-opt``, ``partition`` and ``verify-thm1``
-price a pair offer the same way.
+price a pair offer on one engine, whose two class layouts agree to
+rounding: for an i.i.d. pair, the offer search and
+:func:`~bundle_auction_lab.group_revenue.group_expected_revenue_exact`
+build one class of two customers, which adds the same terms in another
+order and can move a value by a few ulps.
 
 The module also carries the machinery showing a pair bundle strictly beats
 optimal single prices: the epsilon-offer ``(p1 + eps, p2, p1 + p2)`` built

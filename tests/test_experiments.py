@@ -1,8 +1,8 @@
 import ast
 import dataclasses
 import hashlib
+import inspect
 import json
-import math
 import os
 import subprocess
 import sys
@@ -47,15 +47,15 @@ ROUND_TRIP_CASES = [
          n_list=[100, 1000], n_samples=2000),
     dict(command="partition", distributions=[UNIFORM_DESC], seed=3, N=6,
          n_samples=2000, budget=2, mode="pure_bundle"),
-    dict(command="sweep", seed=0, n_min=2, n_max=1000, M=1.0),
+    dict(command="sweep", seed=0, n_min=2, n_max=1000),
 ]
 
 # serialize_config's JSON for each shipped config and each round-trip case,
 # as the footer's "# config:" line shows it.
 SERIALIZED_CONFIGS = {
     "bernstein_sweep": (
-        '{"M": 1.0, "command": "sweep", "distributions": [], "n_max": 1000000,'
-        ' "n_min": 2}'),
+        '{"command": "sweep", "distributions": [], "n_max": 1000000, "n_min":'
+        ' 2}'),
     "pair_opt_uniform": (
         '{"budget": 15, "command": "pair-opt", "distributions": [{"M": 1.0,'
         ' "type": "uniform"}, {"M": 1.0, "type": "uniform"}]}'),
@@ -91,9 +91,75 @@ SERIALIZED_ROUND_TRIP_CASES = [
     ' "uniform"}], "n_list": [100, 1000]}',
     '{"N": 6, "budget": 2, "command": "partition", "distributions": [{"M":'
     ' 1.0, "type": "uniform"}], "mode": "pure_bundle"}',
-    '{"M": 1.0, "command": "sweep", "distributions": [], "n_max": 1000,'
-    ' "n_min": 2}',
+    '{"command": "sweep", "distributions": [], "n_max": 1000, "n_min": 2}',
 ]
+
+
+# A valid value for every one of each command's own keys.
+EVERY_KEY = {
+    "single-opt": dict(distributions=[UNIFORM_DESC]),
+    "pair-opt": dict(distributions=[UNIFORM_DESC] * 2, budget=2),
+    "verify-thm1": dict(distributions=[UNIFORM_DESC] * 2, eps_grid=[0.1]),
+    "verify-thm2": dict(distributions=[UNIFORM_DESC], n_list=[100]),
+    "partition": dict(distributions=[UNIFORM_DESC], N=6, budget=1,
+                      mode="pure_bundle"),
+    "sweep": dict(n_min=3, n_max=100),
+}
+
+
+class TestCommandKeys:
+    """A command's keys are named in its `COMMANDS` entry, checked in its
+    branch of `parse_config` and defaulted in its runner's signature.  A
+    key that one of them misses would be rejected, or silently dropped."""
+
+    @staticmethod
+    def runner_calls(monkeypatch, name) -> list:
+        calls = []
+        command = COMMANDS[name]
+
+        def spy(built, **params):
+            calls.append(params)
+            return command.run(built, **params)
+
+        monkeypatch.setitem(COMMANDS, name,
+                            dataclasses.replace(command, run=spy))
+        return calls
+
+    @staticmethod
+    def keywords(name) -> dict:
+        """The runner's parameters after the distributions, by name."""
+        built, *rest = inspect.signature(COMMANDS[name].run).parameters.values()
+        assert built.name == "built"
+        return {p.name: p for p in rest}
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_given_key_reaches_the_runner(self, name, monkeypatch):
+        given = {k: v for k, v in EVERY_KEY[name].items()
+                 if k != "distributions"}
+        assert set(given) == COMMANDS[name].keys
+        cfg = parse_config(config_text(command=name, **EVERY_KEY[name]))
+        assert json.loads(json.dumps(cfg.params)) == given
+        calls = self.runner_calls(monkeypatch, name)
+        assert run(cfg).rows
+        assert calls == [cfg.params]
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_a_key_left_out_takes_the_runners_default(self, name):
+        keywords = self.keywords(name)
+        assert set(keywords) == COMMANDS[name].keys
+        defaults = {k: p.default for k, p in keywords.items()
+                    if p.default is not p.empty}
+        required = {k: v for k, v in EVERY_KEY[name].items()
+                    if k not in defaults}
+        cfg = parse_config(config_text(command=name, **required))
+        assert set(cfg.params) == set(keywords) - set(defaults)
+        assert set(json.loads(serialize_config(cfg))) == {
+            "command", "distributions", *cfg.params}
+        # The defaults are valid config values, and giving them changes no
+        # row.
+        explicit = parse_config(config_text(command=name, **required,
+                                            **defaults))
+        assert run(cfg).rows == run(explicit).rows
 
 
 class TestParseConfig:
@@ -176,34 +242,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\$\.command"):
             parse_config(config_text(command="optimize-all", seed=1))
 
-    @pytest.mark.parametrize("m", [0.0, -1.0, math.inf, -math.inf, math.nan])
-    def test_sweep_m_must_be_finite_and_positive(self, m):
-        with pytest.raises(ConfigError, match=r"\$\.M: must be finite"):
-            parse_config(config_text(command="sweep", seed=0, n_min=2,
-                                     n_max=100, M=m))
-
-    @pytest.mark.parametrize("m, n_max", [(1e308, {"n_max": 100}),
-                                          (1e305, {}),
-                                          (2.0, {"n_max": 10**400})])
-    def test_sweep_m_whose_deviation_overflows_is_rejected(self, m, n_max):
-        # At M = 1e308 the sweep used to print t = inf and NaN bounds.  An
-        # n_max of 10**400 is over the n_max cap, which is checked first.
-        fault = (r"\$\.n_max: must be" if n_max.get("n_max", 0) > 10**8
-                 else r"\$\.M: .* overflows")
-        with pytest.raises(ConfigError, match=fault):
-            parse_config(config_text(command="sweep", seed=0, n_min=2, M=m,
-                                     **n_max))
-
     @pytest.mark.parametrize("n_max, extra", [(10**8 + 1, {}),
-                                              (10**12, {"M": 1.0}),
+                                              (10**12, {"n_min": 2}),
                                               (10**400, {})])
     def test_sweep_n_max_is_capped(self, n_max, extra):
         # 10**12 would sweep for hours; 10**400 is beyond float range.
         with pytest.raises(ConfigError, match=r"\$\.n_max: must be <= 10+$"):
             parse_config(config_text(command="sweep", seed=0, n_max=n_max,
                                      **extra))
-        assert parse_config(config_text(command="sweep", seed=0,
-                                        n_max=10**8)).n_max == 10**8
+        assert parse_config(config_text(
+            command="sweep", seed=0, n_max=10**8)).params == {"n_max": 10**8}
 
     @pytest.mark.parametrize("bounds", [{"n_min": 10, "n_max": 5},
                                         {"n_min": 10**6 + 1}])
@@ -267,7 +315,7 @@ class TestParseConfig:
                                      n_list=[100], distributions=[low]))
         assert parse_config(config_text(
             command="verify-thm2", seed=1, n_list=[100],
-            distributions=[UNIFORM_DESC])).n_list == (100,)
+            distributions=[UNIFORM_DESC])).params == {"n_list": (100,)}
 
     def test_verify_thm2_n_above_2_53_is_a_config_error(self):
         with pytest.raises(ConfigError,
@@ -294,6 +342,7 @@ class TestParseConfig:
         ("verify-thm1", 3, "exactly 2"),
         ("verify-thm2", 2, "exactly 1"),
         ("partition", 0, "exactly 1"),
+        ("sweep", 1, "exactly 0"),
         ("single-opt", 0, "at least 1"),
     ])
     def test_distribution_count_checked_at_parse(self, command, count,
@@ -352,11 +401,17 @@ class TestParseConfig:
          "$.mode: expected 'pure_bundle' or 'full'"),
         (config_text(command="sweep", out=1),
          "$.out: expected a string path"),
+        # The sweep is in units of M: its rows, pass flag and worst n are
+        # the same for every bound M, so it takes no M and no law.
+        (config_text(command="sweep", n_max=100, M=1.0), "unknown key $.M"),
+        (config_text(command="sweep", distributions=[UNIFORM_DESC]),
+         "$.distributions: command 'sweep' needs exactly 0, got 1"),
     ], ids=["not-an-object", "no-command", "distributions-not-a-list",
             "descriptor-not-an-object", "uniform-error", "unknown-type",
             "number-missing", "number-not-a-number", "list-missing",
             "list-not-a-list", "list-item-not-a-number", "empty-eps-grid",
-            "n-list-not-a-list", "bad-mode", "out-not-a-string"])
+            "n-list-not-a-list", "bad-mode", "out-not-a-string", "sweep-M",
+            "sweep-distribution"])
     def test_config_error_messages_are_pinned(self, text, message):
         with pytest.raises(ConfigError) as info:
             parse_config(text)
@@ -379,35 +434,31 @@ class TestParseConfig:
         (dict(command="verify-thm1", eps_grid=[0.1, BIG],
               distributions=[UNIFORM_DESC] * 2),
          "$.eps_grid[1]: beyond float range"),
-        (dict(command="sweep", M=BIG), "$.M: beyond float range"),
         (dict(command="partition", N=6 * BIG, distributions=[UNIFORM_DESC]),
          "$.N: beyond float range"),
-        (dict(command="partition", N=6, budget=sys.maxsize + 1,
-              distributions=[UNIFORM_DESC]),
-         f"$.budget: must be <= {sys.maxsize}"),
-        (dict(command="pair-opt", budget=BIG,
-              distributions=[UNIFORM_DESC] * 2),
-         f"$.budget: must be <= {sys.maxsize}"),
-    ], ids=["uniform-M", "knot", "density", "eps", "sweep-M", "partition-N",
-            "partition-budget", "pair-opt-budget"])
+    ], ids=["uniform-M", "knot", "density", "eps", "partition-N"])
     def test_numbers_out_of_range_name_their_path(self, kwargs, message):
-        # Each of these used to end in a traceback (OverflowError, or
-        # islice's limit on its stop) or an error without a path.
+        # Each of these used to end in a traceback (OverflowError) or an
+        # error without a path.
         with pytest.raises(ConfigError) as info:
             parse_config(config_text(**kwargs))
         assert str(info.value) == message
 
-    def test_budget_up_to_maxsize_runs(self):
-        cfg = parse_config(config_text(command="pair-opt",
-                                       budget=sys.maxsize,
-                                       distributions=[UNIFORM_DESC] * 2))
-        assert run(cfg).rows == run(parse_config(config_text(
-            command="pair-opt", budget=10**6,
-            distributions=[UNIFORM_DESC] * 2))).rows
+    @pytest.mark.parametrize("kwargs", [
+        dict(command="pair-opt", distributions=[UNIFORM_DESC] * 2),
+        dict(command="partition", N=6, distributions=[UNIFORM_DESC]),
+    ], ids=["pair-opt", "partition"])
+    def test_a_budget_beyond_every_machine_integer_runs(self, kwargs):
+        # The search stops once its zoom step can no longer move a price,
+        # so a budget of 10**400 rounds gives the rows of 10**6.
+        rows = [run(parse_config(config_text(budget=budget, **kwargs))).rows
+                for budget in (10**400, 10**6)]
+        assert rows[0] == rows[1]
 
     def test_an_integer_too_long_to_parse_is_invalid_json(self):
         with pytest.raises(ConfigError, match=r"^invalid JSON: Exceeds"):
-            parse_config('{"command": "sweep", "M": 1' + "0" * 5000 + "}")
+            parse_config('{"command": "sweep", "n_max": 1' + "0" * 5000
+                         + "}")
 
     @pytest.mark.parametrize("grid, i, eps", [([0.1, 0.5], 1, 0.5),
                                               ([0.6], 0, 0.6)])
@@ -505,16 +556,6 @@ class TestRunCommands:
         assert report.rows[-1][0] == 10000
         holds_idx = report.columns.index("holds")
         assert all(row[holds_idx] for row in report.rows)
-
-    def test_sweep_at_huge_m_has_finite_bounds(self):
-        cfg = parse_config(config_text(command="sweep", seed=0, n_min=2,
-                                       n_max=100, M=1e300))
-        report = run(cfg)
-        assert report.passed is True
-        bound_idx = report.columns.index("bernstein_bound")
-        holds_idx = report.columns.index("holds")
-        assert all(math.isfinite(row[bound_idx]) and row[holds_idx]
-                   for row in report.rows)
 
     def test_pair_opt_modes(self):
         cfg = parse_config(config_text(

@@ -6,7 +6,8 @@ import pytest
 
 from bundle_auction_lab import group_revenue, pair_revenue
 from bundle_auction_lab.bundles import NO_SALE, BundleOffer, group_rational_accepts
-from bundle_auction_lab.group_revenue import optimize_group_offer
+from bundle_auction_lab.group_revenue import (group_expected_revenue_exact,
+                                              optimize_group_offer)
 from bundle_auction_lab.pair_revenue import (
     RegionLabel,
     classify_region,
@@ -14,6 +15,7 @@ from bundle_auction_lab.pair_revenue import (
     optimize_pair_offer,
     pair_bundle_accepts,
     pair_expected_revenue_exact,
+    pair_expected_revenues_exact,
     region_expected_revenue,
     region_probability,
     verify_pair_improvement,
@@ -29,6 +31,8 @@ UNIFORM = make_uniform(1.0)
 RAMP = make_piecewise_linear((0.0, 1.0), (0.5, 1.5))
 #: The partition-mix benchmark's three-knot template.
 TEMPLATE = make_piecewise_linear((0.0, 0.4, 1.0), (0.6, 1.6, 0.8))
+#: Most of its mass below 0.05, with a long thin tail up to 1.
+SPIKE = make_piecewise_linear((0.0, 0.05, 1.0), (30.0, 2.0, 0.05))
 PURE_B_STAR = math.sqrt(2.0 / 3.0)
 #: R* = 4/9 + 2 sqrt(2)/27 = 0.54920100462022926..., the revenue of the
 #: optimal menu on U[0,1]^2 (Adams and Yellen 1976; Manelli and Vincent
@@ -149,6 +153,39 @@ class TestExactRevenue:
             pair_expected_revenue_exact(
                 UNIFORM, UNIFORM, BundleOffer((0.5,), 1.0)
             )
+
+
+class TestClassLayouts:
+    """An i.i.d. pair has two class layouts on the one exact engine: the
+    pair functions build two classes of one customer, while
+    ``group_expected_revenue_exact`` and the offer search build one class
+    of two.  The layouts add the same terms in a different order, so they
+    agree to rounding, not to the bit."""
+
+    LAWS = pytest.mark.parametrize("dist", [UNIFORM, TEMPLATE, SPIKE, RAMP],
+                                   ids=["uniform", "template", "spike", "ramp"])
+
+    @LAWS
+    def test_the_layouts_agree_within_32_ulps(self, dist):
+        # Symmetric offers, a on 19 points and b on 38; on this grid the
+        # worst gap is 16 ulps, on the spike.
+        a, b = (g.ravel() for g in np.meshgrid(np.linspace(0.05, 0.95, 19),
+                                               np.linspace(0.05, 1.9, 38),
+                                               indexing="ij"))
+        two = pair_expected_revenues_exact(dist, dist, a, a, b)[0]
+        one = np.array([
+            group_expected_revenue_exact([dist, dist], BundleOffer((x, x), y))
+            for x, y in zip(a.tolist(), b.tolist())])
+        ulps = np.abs(two - one) / np.spacing(np.maximum(two, one))
+        assert ulps.max() <= 32
+
+    @LAWS
+    def test_the_searchs_value_prices_its_offer_to_rounding(self, dist):
+        # The search scores its offer in the one-class layout; the pair
+        # functions price it in the two-class one.
+        for offer, value in optimize_pair_offer(dist, dist, 15):
+            exact = pair_expected_revenue_exact(dist, dist, offer).total
+            assert _ulps(exact, value) <= 32
 
 
 class TestMonteCarlo:
