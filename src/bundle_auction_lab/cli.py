@@ -3,9 +3,12 @@
 Usage: ``bundle-auction-lab <subcommand> --config <path> [--out <path>]``.
 There is one subcommand per entry of
 :data:`~bundle_auction_lab.experiments.COMMANDS`, with that entry's help.
-The CSV goes to ``--out`` (or stdout); run metadata goes to stderr.  Exit
-status is 0 on success and 1 when a verify-style subcommand's check fails
-(the failure is data -- the full CSV is still emitted).
+The CSV goes to ``--out`` (or stdout), the one place its path is named;
+run metadata goes to stderr.  Exit status is 0 on success and 1 when a
+verify-style subcommand's check fails (the failure is data -- the full CSV
+is still emitted) or the input is bad: a config that is not UTF-8 or not a
+valid config, or an ``--out`` that cannot be written, each reported in one
+error line.
 """
 
 from __future__ import annotations
@@ -16,13 +19,20 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .experiments import (COMMANDS, ConfigError, emit_csv, parse_config,
-                          render_footer, run)
+from .experiments import COMMANDS, ConfigError, parse_config, render_footer, run
+
+
+def _read_config(config_path: str):
+    try:
+        text = Path(config_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
+    return parse_config(text)
 
 
 def _execute(command: str, config_path: str, out) -> None:
     try:
-        config = parse_config(Path(config_path).read_text(encoding="utf-8"))
+        config = _read_config(config_path)
         if config.command != command:
             raise click.ClickException(
                 f"config is for command {config.command!r}, "
@@ -32,12 +42,13 @@ def _execute(command: str, config_path: str, out) -> None:
         raise click.ClickException(str(exc))
 
     try:
-        report = run(config, out_path=out)
+        report = run(config, out_path=out or sys.stdout)
     except (ConfigError, ValueError) as exc:
         raise click.ClickException(str(exc))
+    except OSError as exc:
+        raise click.ClickException(
+            f"cannot write the CSV to {out or 'stdout'}: {exc.strerror}")
 
-    if not (out or config.out):
-        emit_csv(report, sys.stdout)
     sys.stderr.write(render_footer(report))
     if report.passed is False:
         raise SystemExit(1)

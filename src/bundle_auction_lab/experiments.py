@@ -59,7 +59,7 @@ SWEEP_N_MAX = 10**6
 #: every n up to it, and 10**8 of them take about 1 s.
 SWEEP_N_LIMIT = 10**8
 
-_COMMON_KEYS = frozenset({"command", "seed", "n_samples", "distributions", "out"})
+_COMMON_KEYS = frozenset({"command", "seed", "n_samples", "distributions"})
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class ExperimentConfig:
     command: str
     distributions: tuple = ()
     params: dict = field(default_factory=dict)
-    out: Optional[str] = None
     built: tuple[ValuationDistribution, ...] = field(
         default=(), compare=False, repr=False
     )
@@ -173,7 +172,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long
+    # JSONDecodeError, an integer too long, or nesting past the recursion
+    # limit.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("$: config must be a JSON object")
@@ -270,27 +271,20 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"$.n_max: must be <= {SWEEP_N_LIMIT}")
         if n_max < n_min:
             raise ConfigError(f"$.n_max: must be >= $.n_min ({n_min})")
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("$.out: expected a string path")
-
     return ExperimentConfig(
         command=command,
         distributions=tuple(descs),
         params=params,
-        out=out,
         built=built,
     )
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical JSON of a config's command, distributions, given keys and
-    ``out``, tuples as lists; `parse_config` round-trips it."""
-    doc = {"command": config.command, "distributions": config.distributions,
-           **config.params}
-    if config.out is not None:
-        doc["out"] = config.out
-    return json.dumps(doc, sort_keys=True)
+    """Canonical JSON of a config's command, distributions and given keys,
+    tuples as lists; `parse_config` round-trips it."""
+    return json.dumps({"command": config.command,
+                       "distributions": config.distributions,
+                       **config.params}, sort_keys=True)
 
 
 def _fmt(value) -> str:
@@ -341,13 +335,13 @@ def render_footer(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: ExperimentConfig, *,
-        out_path: Optional[str] = None) -> RunReport:
+def run(config: ExperimentConfig, *, out_path=None) -> RunReport:
     """Execute a config and return (and optionally write) its report.
 
     Verification failures are recorded in ``passed`` -- they are data, not
-    exceptions.  The CSV is written to ``out_path`` or ``config.out`` when
-    given.  Every command runs on the calling thread.
+    exceptions.  When ``out_path`` is given, a path or an open text stream,
+    the CSV is written there (:func:`emit_csv`).  Every command runs on the
+    calling thread.
     """
     t0 = time.perf_counter()
     columns, rows, passed, notes = COMMANDS[config.command].run(
@@ -362,9 +356,8 @@ def run(config: ExperimentConfig, *,
         passed=passed,
         notes=tuple(notes),
     )
-    target = out_path or config.out
-    if target:
-        emit_csv(report, target)
+    if out_path is not None:
+        emit_csv(report, out_path)
     return report
 
 
@@ -430,9 +423,9 @@ def _run_sweep(built, n_min=SWEEP_N_MIN, n_max=SWEEP_N_MAX):
     })
     rows = []
     for n in ns:
-        t = 2.0 * math.sqrt(n * math.log(n))
-        bound = bernstein_upper_bound(n, 1.0, t)
-        rows.append((n, t, bound, 1.0 / n, bound <= 1.0 / n))
+        bound = bernstein_upper_bound(n)
+        rows.append((n, 2.0 * math.sqrt(n * math.log(n)), bound, 1.0 / n,
+                     bound <= 1.0 / n))
     columns = ("n", "t", "bernstein_bound", "one_over_n", "holds")
     notes = (f"worst n={worst_n} with bound*n={worst_ratio:.6g} over "
              f"[{n_min}, {n_max}]",)

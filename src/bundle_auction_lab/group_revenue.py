@@ -78,21 +78,20 @@ class SurplusExtractionReport:
         return self.lower_bound_ok and self.upper_bound_ok
 
 
-def _full_surplus_price(n: int, mu: float, m: float) -> tuple[float, float]:
-    """``(t, b)``: the deviation ``t = 2 M sqrt(n ln n)`` and the bundle
-    price ``b = mu - t``.  Raises below two customers, and when the price
-    would be nonpositive: the construction is vacuous at that ``n`` and
-    silently clamping would misstate its applicability."""
+def _full_surplus_price(n: int, mu: float, m: float) -> float:
+    """The bundle price ``b = mu - 2 M sqrt(n ln n)``.  Raises below two
+    customers, and when the price would be nonpositive: the construction is
+    vacuous at that ``n`` and silently clamping would misstate its
+    applicability."""
     if n < 2:
         raise ValueError("need at least two customers")
-    t = 2.0 * m * math.sqrt(n * math.log(n))
-    b = mu - t
+    b = mu - 2.0 * m * math.sqrt(n * math.log(n))
     if b <= 0.0:
         raise ValueError(
             f"bundle price {b:.6g} is nonpositive: the construction is "
             f"vacuous at n={n} (mu={mu:.6g}, M={m:.6g})"
         )
-    return t, b
+    return b
 
 
 def full_surplus_offer(dists: Sequence[ValuationDistribution]) -> BundleOffer:
@@ -103,38 +102,37 @@ def full_surplus_offer(dists: Sequence[ValuationDistribution]) -> BundleOffer:
     below two customers and when the price would be nonpositive.
     """
     n = len(dists)
-    _, b = _full_surplus_price(n, sum(d.mean for d in dists),
-                               max((d.upper_bound for d in dists), default=0.0))
+    b = _full_surplus_price(n, sum(d.mean for d in dists),
+                            max((d.upper_bound for d in dists), default=0.0))
     return BundleOffer((NO_SALE,) * n, b)
 
 
-def bernstein_upper_bound(n, m, t):
-    """Bernstein tail bound ``exp(-(t^2/2) / (n M^2 + M t / 3))``, capped at 1.
+def bernstein_upper_bound(n):
+    """Bernstein's bound on a miss at Theorem 2's price, as a function of n.
 
-    Bounds ``P[sum X_i > t]`` for independent centered ``|X_i| < M`` after
-    substituting ``E[X_i^2] <= M^2``.  Accepts scalars or arrays.  It is
-    evaluated as ``exp(-(x^2/2) / (n + x/3))`` with ``x = t / M``, which
-    cannot overflow where ``n M^2`` would and is the same float at M = 1.
+    For independent centered ``|X_i| < M``, with ``E[X_i^2] <= M^2``,
+    Bernstein bounds ``P[sum X_i > t]`` by
+    ``exp(-(t^2/2) / (n M^2 + M t / 3))``.  At the deviation
+    ``t = 2 M sqrt(n ln n)`` of Theorem 2's price, ``M`` cancels, and this
+    returns ``exp(-(x^2/2) / (n + x/3))`` with ``x = 2 sqrt(n ln n)``, the
+    same float for every ``M``.  Accepts a scalar or an array of ``n >= 2``;
+    the exponent is negative there, so the bound is below 1.
     """
-    t_arr = np.asarray(t, dtype=float)
     n_arr = np.asarray(n, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("t must be nonnegative")
-    if np.any(n_arr < 1) or not np.all(np.asarray(m) > 0):
-        raise ValueError("need n >= 1 and M > 0")
-    x = t_arr / m
-    out = np.minimum(1.0, np.exp(-(x * x / 2.0) / (n_arr + x / 3.0)))
-    return float(out) if np.ndim(t) == 0 and np.ndim(n) == 0 else out
+    if np.any(n_arr < 2):
+        raise ValueError("need n >= 2")
+    x = 2.0 * np.sqrt(n_arr * np.log(n_arr))
+    out = np.exp(-(x * x / 2.0) / (n_arr + x / 3.0))
+    return float(out) if np.ndim(n) == 0 else out
 
 
 def bernstein_sweep(n_min: int = 2, n_max: int = 10**6
                     ) -> tuple[bool, int, float]:
-    """Check ``bound(n, M, 2 M sqrt(n ln n)) <= 1/n`` for every n in range.
+    """Check ``bernstein_upper_bound(n) <= 1/n`` for every n in range.
 
-    The bound is ``exp(-(x^2/2) / (n + x/3))`` with ``x = t / M =
-    2 sqrt(n ln n)`` for every M, so the sweep is computed at M = 1 and its
-    answer holds for all M.  Returns ``(all_hold, worst_n, worst_ratio)``
-    where the ratio is ``bound * n`` (<= 1 everywhere iff the sweep holds).
+    The bound does not depend on M, so the answer holds for all M.  Returns
+    ``(all_hold, worst_n, worst_ratio)`` where the ratio is ``bound * n``
+    (<= 1 everywhere iff the sweep holds).
     The worst n is the one of the largest ``log n - (x^2/2) / (n + x/3)``,
     the ratio's logarithm, so ``exp`` runs at that n alone.  An ``n_max``
     whose ``n ln n`` is beyond float range raises.
@@ -155,15 +153,13 @@ def bernstein_sweep(n_min: int = 2, n_max: int = 10**6
         ns = np.arange(start, min(start + chunk, n_max + 1), dtype=float)
         log_n = np.log(ns)
         x = 2.0 * np.sqrt(ns * log_n)
-        # log(bound * n): the bound's exponent is negative, so its cap at 1
-        # never binds, and the worst n is found without exp.
+        # log(bound * n): the worst n is found without exp.
         score = log_n - (x * x / 2.0) / (ns + x / 3.0)
         i = int(np.argmax(score))
         if score[i] > worst_score:
             worst_score, worst_n = float(score[i]), int(ns[i])
     ns = np.array([float(worst_n)])
-    x = 2.0 * np.sqrt(ns * np.log(ns))
-    worst_ratio = float((bernstein_upper_bound(ns, 1.0, x) * ns)[0])
+    worst_ratio = float((bernstein_upper_bound(ns) * ns)[0])
     return worst_ratio <= 1.0, worst_n, worst_ratio
 
 
@@ -545,7 +541,7 @@ def verify_surplus_extraction(dist: ValuationDistribution,
     m = dist.upper_bound
     for n in sorted(int(x) for x in n_list):
         mu = n * dist.mean
-        t, b = _full_surplus_price(n, mu, m)
+        b = _full_surplus_price(n, mu, m)
         eps = chernoff_tail_bound(dist, n, b)
         accept = 1.0 - eps * _ROUNDING_ALLOWANCE
         revenue = b * accept
@@ -559,7 +555,7 @@ def verify_surplus_extraction(dist: ValuationDistribution,
             revenue_std_error=0.0,
             lower_bound=lower,
             upper_bound=mu,
-            bernstein_bound=bernstein_upper_bound(n, m, t),
+            bernstein_bound=bernstein_upper_bound(n),
             lower_bound_ok=revenue >= lower,
             upper_bound_ok=revenue <= mu,
             tail_bound=eps,

@@ -199,23 +199,16 @@ def _check_region_params(p1: float, p2: float, eps: float) -> None:
 
 def classify_region(v1: float, v2: float, p1: float, p2: float,
                     eps: float) -> RegionLabel:
-    """The unique region containing ``(v1, v2)``.
-
-    The five boxes from :func:`region_box` tile the positive quadrant:
-    the strip below ``p2 - eps`` (A2), everything left of ``p1`` above it
-    (A3), the quadrant above both prices (A1), and the band
-    ``p2 - eps <= v2 < p2`` split at ``p1 + eps`` into A4 and A5.
-    """
+    """The unique region containing ``(v1, v2)``: the one of the five
+    half-open boxes from :func:`region_box`, which tile the positive
+    quadrant, that holds the point."""
     _check_region_params(p1, p2, eps)
-    if v1 < 0.0 or v2 < 0.0:
+    if not (0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
         raise ValueError("valuations must be in the positive quadrant")
-    if v2 < p2 - eps:
-        return RegionLabel.A2
-    if v2 >= p2:
-        return RegionLabel.A1 if v1 >= p1 else RegionLabel.A3
-    if v1 < p1:
-        return RegionLabel.A3
-    return RegionLabel.A4 if v1 < p1 + eps else RegionLabel.A5
+    for label in RegionLabel:
+        lo1, hi1, lo2, hi2 = region_box(p1, p2, eps, label)
+        if lo1 <= v1 < hi1 and lo2 <= v2 < hi2:
+            return label
 
 
 def _window_prob(d: ValuationDistribution, lo: float, hi: float) -> float:

@@ -79,24 +79,21 @@ class ValuationDistribution:
 
     ``densities[i]`` is the density value at ``knots[i]``; between
     consecutive knots the density is the linear interpolant.  Knots must be
-    strictly ascending, start at 0, and end at ``upper_bound``; all density
-    values must be strictly positive; and the density must integrate to 1
-    over the support (within ``NORMALIZATION_TOL``).  Instances are immutable
-    and all evaluation methods are pure, so they are safe to share across
-    threads.  The mean, computed in units of the power of two at or below
-    ``M``, scales exactly with the knots; the slopes, stored in units of
-    ``M^-2``, leave the normal floats beyond about ``M = 2^±511``.
+    finite, strictly ascending and start at 0, and the last knot is the
+    upper bound ``M`` of the support; all density values must be strictly
+    positive; and the density must integrate to 1 over the support (within
+    ``NORMALIZATION_TOL``).  Instances are immutable and all evaluation
+    methods are pure, so they are safe to share across threads.  The mean,
+    computed in units of the power of two at or below ``M``, scales exactly
+    with the knots; the slopes, stored in units of ``M^-2``, leave the
+    normal floats beyond about ``M = 2^±511``.
 
     Use :func:`make_uniform` / :func:`make_piecewise_linear` rather than the
     constructor when the density still needs normalizing.
     """
 
-    upper_bound: float
     knots: tuple[float, ...]
     densities: tuple[float, ...]
-    #: rescale factor applied by :func:`make_piecewise_linear` (1.0 when the
-    #: input was already normalized); informational, ignored by equality.
-    norm_factor: float = field(default=1.0, compare=False)
 
     # Evaluation caches derived once from the validated fields.
     _knots: np.ndarray = field(init=False, repr=False, compare=False)
@@ -116,11 +113,7 @@ class ValuationDistribution:
     def __post_init__(self) -> None:
         ks = np.asarray(self.knots, dtype=float)
         ds = np.asarray(self.densities, dtype=float)
-        if not (np.isfinite(self.upper_bound) and self.upper_bound > 0):
-            raise ValueError("upper bound must be positive and finite")
         _check_knots(ks, ds)
-        if ks[-1] != self.upper_bound:
-            raise ValueError("last knot must equal the upper bound")
 
         widths = np.diff(ks)
         seg = 0.5 * (ds[:-1] + ds[1:]) * widths
@@ -155,6 +148,11 @@ class ValuationDistribution:
         object.__setattr__(self, "_mean", math.ldexp(float(m_seg.sum()), e))
         object.__setattr__(self, "_segs", tuple(zip(
             k0.tolist(), widths.tolist(), d0.tolist(), slopes.tolist())))
+
+    @property
+    def upper_bound(self) -> float:
+        """``M``, the last knot: the support is ``[0, M]``."""
+        return self.knots[-1]
 
     @property
     def mean(self) -> float:
@@ -268,16 +266,16 @@ def make_uniform(upper_bound: float) -> ValuationDistribution:
     if not (np.isfinite(upper_bound) and upper_bound > 0):
         raise ValueError("upper bound must be positive and finite")
     m = float(upper_bound)
-    return ValuationDistribution(m, (0.0, m), (1.0 / m, 1.0 / m))
+    return ValuationDistribution((0.0, m), (1.0 / m, 1.0 / m))
 
 
 def make_piecewise_linear(knots, densities) -> ValuationDistribution:
     """Build a distribution from raw knot/density lists, normalizing.
 
-    The densities are rescaled so the total integral is exactly 1; the
-    applied factor is surfaced as ``norm_factor`` on the result.  Structural
-    requirements (ascending knots starting at 0, strictly positive
-    densities) are enforced; the upper bound is the last knot.
+    The densities are multiplied by the reciprocal of their integral, so
+    the total is 1 to rounding.  Structural requirements (finite ascending
+    knots starting at 0, strictly positive densities) are enforced; the
+    upper bound is the last knot.
     """
     ks = tuple(float(k) for k in knots)
     ds = tuple(float(d) for d in densities)
@@ -287,9 +285,7 @@ def make_piecewise_linear(knots, densities) -> ValuationDistribution:
         for k0, k1, d0, d1 in zip(ks[:-1], ks[1:], ds[:-1], ds[1:])
     )
     scale = 1.0 / total
-    return ValuationDistribution(
-        ks[-1], ks, tuple(d * scale for d in ds), norm_factor=scale
-    )
+    return ValuationDistribution(ks, tuple(d * scale for d in ds))
 
 
 def validate_smoothness(dist: ValuationDistribution, delta: float) -> SmoothnessReport:

@@ -399,8 +399,9 @@ class TestParseConfig:
         (config_text(command="partition", N=6, mode="mixed",
                      distributions=[UNIFORM_DESC]),
          "$.mode: expected 'pure_bundle' or 'full'"),
-        (config_text(command="sweep", out=1),
-         "$.out: expected a string path"),
+        # The CSV's path is named by the caller (run's out_path, the CLI's
+        # --out), never by the config.
+        (config_text(command="sweep", out=1), "unknown key $.out"),
         # The sweep is in units of M: its rows, pass flag and worst n are
         # the same for every bound M, so it takes no M and no law.
         (config_text(command="sweep", n_max=100, M=1.0), "unknown key $.M"),
@@ -546,6 +547,22 @@ class TestRunCommands:
         report = run(cfg)
         assert report.passed is True
         assert [row[0] for row in report.rows] == [100, 500, 1000]
+
+    def test_bernstein_column_does_not_depend_on_the_unit(self):
+        # Bernstein's bound at Theorem 2's price is a function of n alone,
+        # so every M gives the same floats, not just the powers of two.
+        n_list = [100, 1000, 10**4, 10**9]
+
+        def column(m):
+            report = run(parse_config(config_text(
+                command="verify-thm2", n_list=n_list,
+                distributions=[{"type": "uniform", "M": m}])))
+            i = report.columns.index("bernstein_bound")
+            return [row[i] for row in report.rows]
+
+        expected = column(1.0)
+        for m in (3.0, 0.7, 1e300, 1e-300):
+            assert column(m) == expected
 
     def test_sweep(self):
         cfg = parse_config(config_text(command="sweep", seed=0, n_min=2,
@@ -796,6 +813,32 @@ class TestCli:
         assert "# status: FAIL\n" in result.output
         assert out_path.read_text(encoding="utf-8") == csv_text(
             run(parse_config(config.read_text(encoding="utf-8"))))
+
+    @pytest.mark.parametrize("content, out, message", [
+        (b'{"command": "sweep", "n_max": 100, "note": "\xe9"}', None,
+         "Error: config is not UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+         "in position 44: invalid continuation byte"),
+        (b"[" * 200_000 + b"]" * 200_000, None,
+         "Error: invalid JSON: maximum recursion depth exceeded while "
+         "decoding a JSON array from a unicode string"),
+        (b'{"command": "sweep", "n_max": 100, "out": "x.csv"}', None,
+         "Error: unknown key $.out"),
+        (b'{"command": "sweep", "n_max": 100}', "missing/out.csv",
+         "Error: cannot write the CSV to {tmp}/missing/out.csv: "
+         "No such file or directory"),
+    ], ids=["not-utf-8", "nested-too-deep", "out-key", "out-dir-missing"])
+    def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch,
+                                         content, out, message):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        args = ["sweep", "--config", str(cfg_path)]
+        if out is not None:
+            args += ["--out", str(tmp_path / out)]
+        result = self.run_cli(args)
+        assert result.exit_code == 1
+        assert result.output == message.format(tmp=tmp_path) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_stdout_when_no_out_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

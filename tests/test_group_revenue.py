@@ -77,34 +77,24 @@ class TestFullSurplusOffer:
 
 
 class TestBernstein:
-    def test_zero_deviation_is_one(self):
-        assert bernstein_upper_bound(1000, 1.0, 0.0) == 1.0
-
     def test_thousand_value(self):
         t = 2.0 * math.sqrt(1000 * math.log(1000))
-        bound = bernstein_upper_bound(1000, 1.0, t)
-        # direct evaluation of exp(-(t^2/2) / (n M^2 + M t / 3))
+        bound = bernstein_upper_bound(1000)
+        # direct evaluation of exp(-(t^2/2) / (n M^2 + M t / 3)) at M = 1
         direct = math.exp(-(t * t / 2.0) / (1000.0 + t / 3.0))
         assert bound == pytest.approx(direct, rel=1e-12)
-        assert bound == pytest.approx(2.1e-6, rel=0.05)
+        assert bound == float.fromhex("0x1.15359968b7edfp-19")
         assert bound <= 1e-3
 
-    def test_rejects_negative_t(self):
-        with pytest.raises(ValueError):
-            bernstein_upper_bound(10, 1.0, -0.5)
+    @pytest.mark.parametrize("n", [1, 0, 1.5, [2, 1]])
+    def test_rejects_n_below_two(self, n):
+        with pytest.raises(ValueError, match=r"^need n >= 2$"):
+            bernstein_upper_bound(n)
 
-    @pytest.mark.parametrize("n, m", [(0, 1.0), (10, 0.0), (10, -1.0)])
-    def test_rejects_n_below_one_and_nonpositive_m(self, n, m):
-        with pytest.raises(ValueError, match=r"^need n >= 1 and M > 0$"):
-            bernstein_upper_bound(n, m, 0.5)
-
-    def test_scale_free_where_n_m_squared_overflows(self):
-        # n M^2 overflows at M = 2^1000; t / M is exact for a power of two,
-        # so the bound must equal the M = 1 bound bit for bit.
-        ns = np.array([2.0, 100.0, 10**6])
-        t = 2.0 * np.sqrt(ns * np.log(ns))
-        scaled = bernstein_upper_bound(ns, 2.0**1000, 2.0**1000 * t)
-        assert scaled.tolist() == bernstein_upper_bound(ns, 1.0, t).tolist()
+    def test_array_matches_scalars(self):
+        ns = [2, 100, 10**6, 2**53]
+        assert bernstein_upper_bound(np.array(ns)).tolist() == [
+            bernstein_upper_bound(n) for n in ns]
 
     def test_sweep_full_range(self):
         # The ratio bound * n decays in n, so the worst n is 2.

@@ -235,12 +235,19 @@ class TestRegions:
             classify_region(0.5, 0.5, 0.5, 0.05, 0.1)  # p2 - eps < 0
         with pytest.raises(ValueError):
             classify_region(-0.1, 0.5, 0.5, 0.5, 0.1)
+        # The boxes are half-open, so no region holds an infinite or NaN
+        # valuation.
+        for v in (math.inf, math.nan):
+            for point in ((v, 0.5), (0.5, v)):
+                with pytest.raises(ValueError, match=(
+                        r"^valuations must be in the positive quadrant$")):
+                    classify_region(*point, 0.5, 0.5, 0.1)
         with pytest.raises(ValueError, match=r"^prices must be nonnegative$"):
             classify_region(0.5, 0.5, -0.5, 0.5, 0.1)
 
     def test_partition_is_exhaustive_and_disjoint(self):
-        # Literal half-open membership tests, written independently of the
-        # decision tree inside classify_region.
+        # Literal half-open membership tests, written independently of
+        # region_box, in which classify_region looks the point up.
         p1, p2, eps = self.P1, self.P2, self.EPS
         members = {
             RegionLabel.A1: lambda x, y: x >= p1 and y >= p2,

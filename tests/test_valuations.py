@@ -66,7 +66,7 @@ class TestConstruction:
 
     def test_ramp_is_left_alone_and_has_exact_mean(self):
         r = ramp()
-        assert r.norm_factor == pytest.approx(1.0, abs=1e-12)
+        assert r.densities == (0.5, 1.5)
         # analytic: integral of v*(0.5 + v) over [0,1] = 1/4 + 1/3 = 7/12
         assert r.mean == pytest.approx(7.0 / 12.0, abs=1e-12)
 
@@ -86,7 +86,7 @@ class TestConstruction:
 
     def test_normalization_rescales_and_reports_factor(self):
         d = make_piecewise_linear((0.0, 1.0), (2.0, 2.0))
-        assert d.norm_factor == pytest.approx(0.5, abs=1e-15)
+        assert d.densities == (1.0, 1.0)
         assert d.pdf(0.25) == pytest.approx(1.0, abs=1e-12)
         assert d == make_uniform(1.0)
 
@@ -98,16 +98,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_piecewise_linear((), ())
         with pytest.raises(ValueError):
-            ValuationDistribution(1.0, (0.0, 1.0), (0.25, 0.25))  # integral 0.25
+            ValuationDistribution((0.0, 1.0), (0.25, 0.25))  # integral 0.25
 
     @pytest.mark.parametrize("upper, message", [
-        (math.inf, "upper bound must be positive and finite"),
-        (0.0, "upper bound must be positive and finite"),
-        (2.0, "last knot must equal the upper bound"),
+        (math.inf, "knots and densities must be finite"),
+        (0.0, "knots must be strictly ascending"),
     ])
-    def test_constructor_checks_the_upper_bound(self, upper, message):
+    def test_the_last_knot_is_a_positive_finite_upper_bound(self, upper,
+                                                           message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            ValuationDistribution(upper, (0.0, 1.0), (1.0, 1.0))
+            ValuationDistribution((0.0, upper), (1.0, 1.0))
+
+    @pytest.mark.parametrize("upper", [1e-300, 0.3, 1.0, 1e300])
+    def test_upper_bound_is_the_last_knot(self, upper):
+        d = make_uniform(upper)
+        assert d.upper_bound == d.knots[-1] == upper
 
     def test_first_knot_must_be_zero(self):
         with pytest.raises(ValueError):
