@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 from . import __version__
 from .group_revenue import (
+    _deviation,
     _full_surplus_price,
     bernstein_sweep,
     bernstein_upper_bound,
@@ -424,7 +425,7 @@ def _run_sweep(built, n_min=SWEEP_N_MIN, n_max=SWEEP_N_MAX):
     rows = []
     for n in ns:
         bound = bernstein_upper_bound(n)
-        rows.append((n, 2.0 * math.sqrt(n * math.log(n)), bound, 1.0 / n,
+        rows.append((n, float(_deviation(n)[1]), bound, 1.0 / n,
                      bound <= 1.0 / n))
     columns = ("n", "t", "bernstein_bound", "one_over_n", "holds")
     notes = (f"worst n={worst_n} with bound*n={worst_ratio:.6g} over "

@@ -107,6 +107,12 @@ def full_surplus_offer(dists: Sequence[ValuationDistribution]) -> BundleOffer:
     return BundleOffer((NO_SALE,) * n, b)
 
 
+def _deviation(n):
+    """``(ln n, 2 sqrt(n ln n))``, Theorem 2's deviation in units of M."""
+    log_n = np.log(n)
+    return log_n, 2.0 * np.sqrt(n * log_n)
+
+
 def bernstein_upper_bound(n):
     """Bernstein's bound on a miss at Theorem 2's price, as a function of n.
 
@@ -121,7 +127,7 @@ def bernstein_upper_bound(n):
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr < 2):
         raise ValueError("need n >= 2")
-    x = 2.0 * np.sqrt(n_arr * np.log(n_arr))
+    x = _deviation(n_arr)[1]
     out = np.exp(-(x * x / 2.0) / (n_arr + x / 3.0))
     return float(out) if np.ndim(n) == 0 else out
 
@@ -151,8 +157,7 @@ def bernstein_sweep(n_min: int = 2, n_max: int = 10**6
     chunk = 1 << 16
     for start in range(n_min, n_max + 1, chunk):
         ns = np.arange(start, min(start + chunk, n_max + 1), dtype=float)
-        log_n = np.log(ns)
-        x = 2.0 * np.sqrt(ns * log_n)
+        log_n, x = _deviation(ns)
         # log(bound * n): the worst n is found without exp.
         score = log_n - (x * x / 2.0) / (ns + x / 3.0)
         i = int(np.argmax(score))

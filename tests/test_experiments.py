@@ -9,8 +9,8 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import bundle_auction_lab
 from bundle_auction_lab import cli
@@ -574,6 +574,16 @@ class TestRunCommands:
         holds_idx = report.columns.index("holds")
         assert all(row[holds_idx] for row in report.rows)
 
+    @pytest.mark.parametrize("n", [9170, 19143, 136837])
+    def test_sweep_t_is_the_bounds_deviation(self, n):
+        # math.log and np.log differ by an ulp at these n; the column reads
+        # the x of bernstein_upper_bound, which takes np.log.
+        report = run(parse_config(config_text(command="sweep", n_min=n,
+                                              n_max=n)))
+        t_idx = report.columns.index("t")
+        assert [row[t_idx] for row in report.rows] == [
+            2.0 * np.sqrt(n * np.log(n))]
+
     def test_pair_opt_modes(self):
         cfg = parse_config(config_text(
             command="pair-opt", seed=1, budget=2,
@@ -740,64 +750,73 @@ class TestCsv:
         assert "config" in footer
 
 
-class TestCli:
-    def run_cli(self, args):
-        return CliRunner().invoke(main, args, catch_exceptions=False)
+def invoke(capsys, args):
+    """``(exit status, stdout, stderr)`` of the CLI on ``args``."""
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    out, err = capsys.readouterr()
+    return exited.value.code, out, err
 
-    def test_single_opt_end_to_end(self, tmp_path):
+
+class TestCli:
+    def test_single_opt_end_to_end(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(
             command="single-opt", seed=42, distributions=[UNIFORM_DESC],
         ))
         out_path = tmp_path / "out.csv"
-        result = self.run_cli([
+        code, out, err = invoke(capsys, [
             "single-opt", "--config", str(cfg_path), "--out", str(out_path)
         ])
-        assert result.exit_code == 0
+        assert code == 0
+        assert out == ""
         assert out_path.read_text().splitlines()[0] == "p_star,u_star"
 
     @pytest.mark.parametrize("flag", ["--seed", "--samples"])
-    def test_sampling_flags_are_gone(self, tmp_path, flag):
+    def test_sampling_flags_are_gone(self, tmp_path, capsys, flag):
         # No command samples, so there is no seed or sample count to set.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(
             command="partition", seed=1, N=6, n_samples=5000,
             distributions=[UNIFORM_DESC],
         ))
-        result = CliRunner().invoke(main, ["partition", "--config",
-                                           str(cfg_path), flag, "9"])
-        assert result.exit_code == 2
-        assert "No such option" in result.output and flag in result.output
+        code, out, err = invoke(capsys, ["partition", "--config",
+                                         str(cfg_path), flag, "9"])
+        assert code == 2
+        assert "unrecognized arguments" in err and flag in err
 
-    def test_command_mismatch_is_an_error(self, tmp_path):
+    def test_command_mismatch_is_an_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(
             command="single-opt", seed=1, distributions=[UNIFORM_DESC],
         ))
-        result = CliRunner().invoke(main, ["pair-opt", "--config", str(cfg_path)])
-        assert result.exit_code != 0
+        code, out, err = invoke(capsys, ["pair-opt", "--config",
+                                         str(cfg_path)])
+        assert code == 1
+        assert (out, err) == ("", "Error: config is for command "
+                                  "'single-opt', invoked as 'pair-opt'\n")
 
-    def test_config_error_is_a_click_error(self, tmp_path):
+    def test_config_error_is_one_error_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(command="sweep", bogus=1))
-        result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path)])
-        assert result.exit_code == 1
-        assert result.output == "Error: unknown key $.bogus\n"
+        code, out, err = invoke(capsys, ["sweep", "--config", str(cfg_path)])
+        assert code == 1
+        assert (out, err) == ("", "Error: unknown key $.bogus\n")
 
-    def test_run_time_value_error_is_a_click_error(self, tmp_path,
-                                                   monkeypatch):
+    def test_run_time_value_error_is_one_error_line(self, tmp_path, capsys,
+                                                    monkeypatch):
         def fail(config, **kwargs):
             raise ValueError("no such offer")
 
         monkeypatch.setattr(cli, "run", fail)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(command="sweep", n_max=100))
-        result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path)])
-        assert result.exit_code == 1
-        assert result.output == "Error: no such offer\n"
+        code, out, err = invoke(capsys, ["sweep", "--config", str(cfg_path)])
+        assert code == 1
+        assert (out, err) == ("", "Error: no such offer\n")
 
-    def test_a_failed_check_exits_1_and_still_writes_the_csv(self, tmp_path,
-                                                             monkeypatch):
+    def test_a_failed_check_exits_1_and_still_writes_the_csv(
+            self, tmp_path, capsys, monkeypatch):
         def failing_run(config, **kwargs):
             report = run(config, **kwargs)
             assert report.passed
@@ -806,11 +825,11 @@ class TestCli:
         monkeypatch.setattr(cli, "run", failing_run)
         out_path = tmp_path / "out.csv"
         config = CONFIGS / "verify_thm1_uniform_pair.json"
-        result = CliRunner().invoke(main, ["verify-thm1", "--config",
-                                           str(config), "--out",
-                                           str(out_path)])
-        assert result.exit_code == 1
-        assert "# status: FAIL\n" in result.output
+        code, out, err = invoke(capsys, ["verify-thm1", "--config",
+                                         str(config), "--out", str(out_path)])
+        assert code == 1
+        assert out == ""
+        assert "# status: FAIL\n" in err
         assert out_path.read_text(encoding="utf-8") == csv_text(
             run(parse_config(config.read_text(encoding="utf-8"))))
 
@@ -827,7 +846,7 @@ class TestCli:
          "Error: cannot write the CSV to {tmp}/missing/out.csv: "
          "No such file or directory"),
     ], ids=["not-utf-8", "nested-too-deep", "out-key", "out-dir-missing"])
-    def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch,
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                          content, out, message):
         monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "cfg.json"
@@ -835,26 +854,76 @@ class TestCli:
         args = ["sweep", "--config", str(cfg_path)]
         if out is not None:
             args += ["--out", str(tmp_path / out)]
-        result = self.run_cli(args)
-        assert result.exit_code == 1
-        assert result.output == message.format(tmp=tmp_path) + "\n"
+        code, stdout, stderr = invoke(capsys, args)
+        assert code == 1
+        assert (stdout, stderr) == ("", message.format(tmp=tmp_path) + "\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    def test_stdout_when_no_out_flag(self, tmp_path):
+    @pytest.mark.parametrize("out, reason", [
+        ("missing/out.csv", "No such file or directory"),
+        ("cfg.json/out.csv", "Not a directory"),
+    ], ids=["missing-directory", "file-as-directory"])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys,
+                                                 monkeypatch, out, reason):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(
+            args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="sweep", n_max=100))
+        out_path = tmp_path / out
+        code, stdout, stderr = invoke(capsys, ["sweep", "--config",
+                                               str(cfg_path), "--out",
+                                               str(out_path)])
+        assert code == 1
+        assert (stdout, stderr) == (
+            "", f"Error: cannot write the CSV to {out_path}: {reason}\n")
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("args, needle", [
+        (["sweep", "--config", "{tmp}/missing.json"], "--config"),
+        (["sweep", "--config", "{tmp}"], "--config"),
+        (["sweep", "--config", "{cfg}", "--out", "{tmp}"], "--out"),
+        (["sweep"], "--config"),
+        (["bogus", "--config", "{cfg}"], "bogus"),
+        ([], "COMMAND"),
+    ], ids=["config-missing", "config-is-a-directory", "out-is-a-directory",
+            "no-config-option", "unknown-command", "no-command"])
+    def test_usage_errors_exit_2(self, tmp_path, capsys, args, needle):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="sweep", n_max=100))
+        code, out, err = invoke(capsys, [
+            arg.format(tmp=tmp_path, cfg=cfg_path) for arg in args])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: ") and needle in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_version(self, capsys):
+        assert invoke(capsys, ["--version"]) == (
+            0, f"bundle-auction-lab, version {bundle_auction_lab.__version__}\n",
+            "")
+
+    def test_stdout_when_no_out_flag(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(
             command="sweep", seed=0, n_min=2, n_max=100,
         ))
-        result = self.run_cli(["sweep", "--config", str(cfg_path)])
-        assert result.exit_code == 0
-        assert result.output.splitlines()[0] == "n,t,bernstein_bound,one_over_n,holds"
+        code, out, err = invoke(capsys, ["sweep", "--config", str(cfg_path)])
+        assert code == 0
+        assert out.splitlines()[0] == "n,t,bernstein_bound,one_over_n,holds"
+        assert err.startswith("# bundle-auction-lab ")
 
-    def test_subcommands_are_the_command_table(self):
+    def test_subcommands_are_the_command_table(self, capsys):
         helps = {name: command.help for name, command in COMMANDS.items()}
-        assert {name: command.help
-                for name, command in main.commands.items()} == helps
+        subcommands = next(action for action in cli._parser()._actions
+                           if action.dest == "command")
+        assert {name: parser.description
+                for name, parser in subcommands.choices.items()} == helps
         width = max(map(len, COMMANDS))
-        listing = self.run_cli(["--help"]).output.split("Commands:\n")[1]
+        code, out, err = invoke(capsys, ["--help"])
+        assert code == 0
+        listing = out.split("Commands:\n")[1]
         assert sorted(listing.splitlines()) == sorted(
             f"  {name:<{width}}  {text}" for name, text in helps.items())
 
@@ -903,6 +972,17 @@ class TestExports:
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_imports_only_the_standard_library_and_numpy(self):
+        src = Path(bundle_auction_lab.__file__).resolve().parent.parent
+        code = ("import sys; before = set(sys.modules); "
+                "import bundle_auction_lab.cli; "
+                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                " - set(sys.stdlib_module_names)))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.strip() == "['bundle_auction_lab', 'numpy']"
 
 
 def test_the_lab_draws_no_random_number():
